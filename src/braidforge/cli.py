@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 from . import linrack, nleibniz, nrack, serialization, setsol, tensor, ybops
 from .errors import (
@@ -47,30 +48,20 @@ def _load_json(path):
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
-def _dim_cap(args):
-    if getattr(args, "allow_large", False):
-        return None
-    env = os.environ.get("BRAIDFORGE_DIM_CAP")
-    return int(env) if env else ybops.DEFAULT_DIM_CAP
-
-
-def _threads(args):
-    raw = args.threads if args.threads is not None else os.environ.get("BRAIDFORGE_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise SchemaError("--threads must be at least 1")
-    # all module work is pure and iteration is deterministic, so the
-    # worker count never changes results; execution stays sequential
-    return n
+def _dim_cap(allow_large):
+    """The verification dimension cap: BRAIDFORGE_DIM_CAP (a positive
+    integer) or the 2^20 default, and None under --allow-large."""
+    raw = os.environ.get("BRAIDFORGE_DIM_CAP") or str(ybops.DEFAULT_DIM_CAP)
+    if not raw.isdecimal() or int(raw) < 1:
+        raise SchemaError(f"BRAIDFORGE_DIM_CAP must be a positive integer, got {raw!r}")
+    return None if allow_large else int(raw)
 
 
 # -- check ---------------------------------------------------------------
 
 
 def _check_one(doc):
-    kind = doc.get("kind")
+    kind = serialization.document_kind(doc)
     if kind == "group":
         return nrack.check_group_table(int(doc.get("size", 0)), doc.get("mul", []))
     obj = serialization.from_document(doc)
@@ -129,12 +120,21 @@ def cmd_check(args):
 # -- build ---------------------------------------------------------------
 
 
-def _param(params, key, default=None, converter=int):
-    if key in params:
-        return converter(params[key])
-    if default is None:
-        raise SchemaError(f"construction needs --param {key}=...")
-    return default
+@dataclass(frozen=True)
+class BuildContext:
+    """Everything a construction reads besides its input object."""
+
+    params: dict
+    recheck: bool
+    dim_cap: object  # int, or None when --allow-large lifts the cap
+
+    def int_param(self, key):
+        if key not in self.params:
+            raise SchemaError(f"construction needs --param {key}=...")
+        try:
+            return int(self.params[key])
+        except ValueError:
+            raise SchemaError(f"--param {key} must be an integer, got {self.params[key]!r}") from None
 
 
 def _as_central(obj):
@@ -161,75 +161,75 @@ def _construction(name):
 
 
 @_construction("nbracket-from-leibniz")
-def _b_nbracket(obj, params, recheck):
-    return nleibniz.nbracket_from_leibniz(_as_algebra(obj), _param(params, "n"), recheck)
+def _b_nbracket(obj, ctx):
+    return nleibniz.nbracket_from_leibniz(_as_algebra(obj), ctx.int_param("n"), ctx.recheck)
 
 
 @_construction("fundamental-leibniz")
-def _b_fundamental(obj, params, recheck):
-    return nleibniz.fundamental_leibniz(obj, recheck)
+def _b_fundamental(obj, ctx):
+    return nleibniz.fundamental_leibniz(obj, ctx.recheck)
 
 
 @_construction("adjoin-unit")
-def _b_adjoin(obj, params, recheck):
-    return nleibniz.adjoin_unit(_as_algebra(obj), recheck)
+def _b_adjoin(obj, ctx):
+    return nleibniz.adjoin_unit(_as_algebra(obj), ctx.recheck)
 
 
 @_construction("nrack-from-nleibniz")
-def _b_vector_nrack(obj, params, recheck):
+def _b_vector_nrack(obj, ctx):
     a = _as_algebra(obj)
     nrack.nrack_from_nleibniz(a)  # raises unless the grid validation passes
     return a
 
 
 @_construction("conjugation-nrack")
-def _b_conj(obj, params, recheck):
-    return nrack.conjugation_nrack(obj, _param(params, "n"))
+def _b_conj(obj, ctx):
+    return nrack.conjugation_nrack(obj, ctx.int_param("n"))
 
 
 @_construction("nrack-from-rack")
-def _b_nrack_from_rack(obj, params, recheck):
-    return nrack.nrack_from_rack(obj, _param(params, "n"), recheck)
+def _b_nrack_from_rack(obj, ctx):
+    return nrack.nrack_from_rack(obj, ctx.int_param("n"), ctx.recheck)
 
 
 @_construction("rack-from-nrack")
-def _b_rack_from_nrack(obj, params, recheck):
+def _b_rack_from_nrack(obj, ctx):
     return nrack.rack_from_nrack(obj)
 
 
 @_construction("linearize")
-def _b_linearize(obj, params, recheck):
+def _b_linearize(obj, ctx):
     return linrack.linearize_nrack(obj)
 
 
 @_construction("lnr-from-nleibniz")
-def _b_lnr(obj, params, recheck):
+def _b_lnr(obj, ctx):
     return linrack.linear_nrack_from_nleibniz(_as_algebra(obj))
 
 
 @_construction("tensor-power-rack")
-def _b_tensor_power(obj, params, recheck):
-    return linrack.linear_rack_on_tensor_power(obj, check=recheck)
+def _b_tensor_power(obj, ctx):
+    return linrack.linear_rack_on_tensor_power(obj, check=ctx.recheck)
 
 
 @_construction("lebed")
-def _b_lebed(obj, params, recheck):
+def _b_lebed(obj, ctx):
     fwd, _ = linrack.lebed_operator(obj.as_rack())
     return fwd
 
 
 @_construction("r1")
-def _b_r1(obj, params, recheck):
+def _b_r1(obj, ctx):
     return ybops.r1_from_nleibniz(_as_algebra(obj))
 
 
 @_construction("r2")
-def _b_r2(obj, params, recheck):
+def _b_r2(obj, ctx):
     return ybops.r2_from_nleibniz(_as_algebra(obj))
 
 
 @_construction("eta")
-def _b_eta(obj, params, recheck):
+def _b_eta(obj, ctx):
     eta, report = ybops.eta_intertwiner(_as_algebra(obj))
     if not report.passed:
         raise PreconditionError("eta verification failed", report.witness)
@@ -237,44 +237,44 @@ def _b_eta(obj, params, recheck):
 
 
 @_construction("nyb-central")
-def _b_nyb_central(obj, params, recheck):
-    side = params.get("side", "right")
+def _b_nyb_central(obj, ctx):
+    side = ctx.params.get("side", "right")
     return ybops.nyb_from_central_nleibniz(_as_central(obj), side)
 
 
 @_construction("nyb-lnr")
-def _b_nyb_lnr(obj, params, recheck):
-    fwd, _ = ybops.nyb_from_linear_nrack(obj, check=recheck)
+def _b_nyb_lnr(obj, ctx):
+    fwd, _ = ybops.nyb_from_linear_nrack(obj, check=ctx.recheck)
     return fwd
 
 
 @_construction("group-algebra-nyb")
-def _b_group_nyb(obj, params, recheck):
-    return ybops.group_algebra_nyb(obj, _param(params, "n"))
+def _b_group_nyb(obj, ctx):
+    return ybops.group_algebra_nyb(obj, ctx.int_param("n"))
 
 
 @_construction("sn-from-r")
-def _b_sn(obj, params, recheck, dim_cap=None):
-    return ybops.nyb_from_ybe(obj, _param(params, "n"), dim_cap or ybops.DEFAULT_DIM_CAP)
+def _b_sn(obj, ctx):
+    return ybops.nyb_from_ybe(obj, ctx.int_param("n"), ctx.dim_cap)
 
 
 @_construction("stilde-from-s")
-def _b_stilde(obj, params, recheck, dim_cap=None):
-    return ybops.ybe_from_nyb(obj, _param(params, "n"), dim_cap or ybops.DEFAULT_DIM_CAP)
+def _b_stilde(obj, ctx):
+    return ybops.ybe_from_nyb(obj, ctx.int_param("n"), ctx.dim_cap)
 
 
 @_construction("solution-from-nrack")
-def _b_solution(obj, params, recheck):
+def _b_solution(obj, ctx):
     return setsol.solution_from_nrack(obj)
 
 
 @_construction("nsolution-from-solution")
-def _b_nsolution(obj, params, recheck):
-    return setsol.nsolution_from_solution(obj, _param(params, "n"))
+def _b_nsolution(obj, ctx):
+    return setsol.nsolution_from_solution(obj, ctx.int_param("n"))
 
 
 @_construction("solution-from-nsolution")
-def _b_descend(obj, params, recheck):
+def _b_descend(obj, ctx):
     return setsol.solution_from_nsolution(obj)
 
 
@@ -301,11 +301,7 @@ def cmd_build(args):
         if not sep:
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
-    fn = _CONSTRUCTIONS[args.construction]
-    if args.construction in ("sn-from-r", "stilde-from-s"):
-        result = fn(obj, params, args.recheck, _dim_cap(args))
-    else:
-        result = fn(obj, params, args.recheck)
+    result = _CONSTRUCTIONS[args.construction](obj, BuildContext(params, args.recheck, args.dim_cap))
     provenance = list(doc.get("provenance", []))
     provenance.append(f"{args.construction}({os.path.basename(args.file)})")
     out = serialization.to_document(result, provenance)
@@ -326,17 +322,16 @@ def cmd_verify(args):
     doc = _load_json(args.file)
     obj = serialization.from_document(doc)
     equation = args.equation
-    cap = _dim_cap(args)
     if equation in ("ybe", "nybe-right", "nybe-left"):
         if not isinstance(obj, tensor.TensorOperator):
             raise SchemaError(f"{equation} needs an operator document")
         if equation == "ybe":
-            report = ybops.verify_ybe(obj, cap)
+            report = ybops.verify_ybe(obj, args.dim_cap)
         else:
             n = args.n or len(obj.domain_shape.factor_dims)
             if n < 2:
                 raise SchemaError("cannot infer n from a flat shape; pass --n")
-            report = ybops.verify_nybe(obj, n, equation.split("-")[1], cap)
+            report = ybops.verify_nybe(obj, n, equation.split("-")[1], args.dim_cap)
         _emit(report.to_json())
         ok = report.holds and (report.invertible or args.allow_pre)
         return EXIT_PASS if ok else EXIT_FAIL
@@ -400,10 +395,10 @@ def cmd_demo(args):
         dim=t3bar.dim,
     )
     s = ybops.nyb_from_central_nleibniz(t3bar)
-    rep = ybops.verify_nybe(s, 3, "right", _dim_cap(args))
+    rep = ybops.verify_nybe(s, 3, "right", args.dim_cap)
     stage("degree-3 braid relation (dim 4^5)", rep.holds and rep.invertible, **rep.to_json())
-    stilde = ybops.ybe_from_nyb(s, 3, _dim_cap(args))
-    rep2 = ybops.verify_ybe(stilde, _dim_cap(args))
+    stilde = ybops.ybe_from_nyb(s, 3, args.dim_cap)
+    rep2 = ybops.verify_ybe(stilde, args.dim_cap)
     stage("descended Yang-Baxter operator", rep2.holds and rep2.invertible)
     rfund = ybops.r_from_central_leibniz(nleibniz.fundamental_leibniz(t3bar))
     stage("descent diagram: S~ equals the tensor-power braiding", stilde == rfund)
@@ -432,7 +427,6 @@ def build_parser():
         prog="braidforge",
         description="construct and machine-verify self-distributive algebra and braid-relation operators",
     )
-    p.add_argument("--threads", type=int, default=None, help="worker count (results never depend on it)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="run all axioms for a document (or a JSON array batch)")
@@ -473,7 +467,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)
+        args.dim_cap = _dim_cap(getattr(args, "allow_large", False))
         return args.fn(args)
     except CapExceededError as exc:
         _diag(f"cap exceeded: {exc}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import scalars, tensor
 from .errors import NotCertifiedError, NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
-from .reports import ReportBuilder, VerificationReport
+from .reports import ReportBuilder, VerificationReport, difference_witness
 from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
 
 
@@ -128,21 +128,16 @@ def check_coalgebra(c: Coalgebra) -> VerificationReport:
     idc = identity(TensorShape((c.dim,)), c.mode)
     left = compose_blocks([c.delta, idc], c.delta)
     right = compose_blocks([idc, c.delta], c.delta)
-    rb.record("coassociativity", left == right, _diff_witness(left, right))
+    rb.record("coassociativity", left == right, difference_witness(left, right))
     lhs = compose_blocks([c.counit, idc], c.delta)
-    rb.record("counit-left", lhs == idc, _diff_witness(lhs, idc))
+    rb.record("counit-left", lhs == idc, difference_witness(lhs, idc))
     rhs = compose_blocks([idc, c.counit], c.delta)
-    rb.record("counit-right", rhs == idc, _diff_witness(rhs, idc))
+    rb.record("counit-right", rhs == idc, difference_witness(rhs, idc))
     rb.record(
         "cocommutativity-flag",
         (c.delta.permute_codomain((1, 0)) == c.delta) == c.cocommutative,
     )
     return rb.build()
-
-
-def _diff_witness(a, b):
-    k = a.first_difference(b)
-    return None if k is None else {"row": k[0], "col": k[1]}
 
 
 @dataclass(frozen=True)
@@ -231,7 +226,7 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
         lhs = l.base.delta @ b
         rhs = compose_blocks([b, b], split_all)
         if lhs != rhs:
-            ok, wit = False, _diff_witness(lhs, rhs)
+            ok, wit = False, difference_witness(lhs, rhs)
             break
     rb.record("coproduct-homomorphism", ok, wit)
 
@@ -240,12 +235,12 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     for b in (l.bracket, l.inv_bracket):
         lhs = l.base.counit @ b
         if lhs != eps_n:
-            ok, wit = False, _diff_witness(lhs, eps_n)
+            ok, wit = False, difference_witness(lhs, eps_n)
             break
     rb.record("counit-homomorphism", ok, wit)
 
     lhs, rhs = _self_distributivity_sides(l, l.bracket)
-    rb.record("self-distributivity", lhs == rhs, _diff_witness(lhs, rhs))
+    rb.record("self-distributivity", lhs == rhs, difference_witness(lhs, rhs))
 
     idc = identity(TensorShape((c,)), mode)
     scaled_proj = tensor_many([idc] + [l.base.counit] * (n - 1))
@@ -253,7 +248,7 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     for first, second in ((l.bracket, l.inv_bracket), (l.inv_bracket, l.bracket)):
         side = _inverse_property_sides(l, first, second)
         if side != scaled_proj:
-            ok, wit = False, _diff_witness(side, scaled_proj)
+            ok, wit = False, difference_witness(side, scaled_proj)
             break
     rb.record("inverse-property", ok, wit)
     return rb.build()
@@ -273,20 +268,16 @@ def check_linear_nrack_homomorphism(
     rb = ReportBuilder("linear-nrack-homomorphism")
     lhs = b.base.delta @ f
     rhs = compose_blocks([f, f], a.base.delta)
-    rb.record("coproduct-compatible", lhs == rhs, _diff_witness(lhs, rhs))
+    rb.record("coproduct-compatible", lhs == rhs, difference_witness(lhs, rhs))
     lhs = b.base.counit @ f
-    rb.record("counit-compatible", lhs == a.base.counit, _diff_witness(lhs, a.base.counit))
+    rb.record("counit-compatible", lhs == a.base.counit, difference_witness(lhs, a.base.counit))
     lhs = f @ a.bracket
     rhs = b.bracket @ tensor_many([f] * a.arity)
-    rb.record("bracket-compatible", lhs == rhs, _diff_witness(lhs, rhs))
+    rb.record("bracket-compatible", lhs == rhs, difference_witness(lhs, rhs))
     return rb.build()
 
 
 # -- constructions -----------------------------------------------------
-
-
-def linearize_set(size: int, mode=scalars.EXACT) -> Coalgebra:
-    return set_coalgebra(size, mode)
 
 
 def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:

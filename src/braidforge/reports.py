@@ -54,6 +54,12 @@ class VerificationReport:
         }
 
 
+def difference_witness(a, b):
+    """{"row", "col"} of the smallest entry where two operators differ, or None."""
+    k = a.first_difference(b)
+    return None if k is None else {"row": k[0], "col": k[1]}
+
+
 class ReportBuilder:
     """Accumulates timed checks into a VerificationReport."""
 

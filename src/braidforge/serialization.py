@@ -31,6 +31,13 @@ def _require(doc, key, kind):
     return doc[key]
 
 
+def _int(raw) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f"expected an integer, got {raw!r}") from None
+
+
 def _mode_of(doc) -> str:
     return scalars.check_mode(doc.get("scalars", scalars.EXACT))
 
@@ -48,7 +55,7 @@ def _entries_from_json(raw, mode):
         if len(item) != 3:
             raise SchemaError(f"operator entry {item!r} must be [row, col, value]")
         r, c, v = item
-        out[(int(r), int(c))] = scalars.parse_scalar(v, mode)
+        out[(_int(r), _int(c))] = scalars.parse_scalar(v, mode)
     return out
 
 
@@ -69,7 +76,7 @@ def operator_from_document(doc) -> TensorOperator:
     mode = _mode_of(doc)
     dom = TensorShape(tuple(_require(doc, "shape", "operator")))
     cod = TensorShape(tuple(_require(doc, "codomain_shape", "operator")))
-    return TensorOperator(dom, cod, _entries_from_json(doc["entries"], mode), mode)
+    return TensorOperator(dom, cod, _entries_from_json(_require(doc, "entries", "operator"), mode), mode)
 
 
 def nleibniz_to_document(a, provenance=None) -> dict:
@@ -106,14 +113,14 @@ def nleibniz_from_document(doc):
     mode = _mode_of(doc)
     bracket = {}
     for item in _require(doc, "bracket", "nleibniz"):
-        key = tuple(int(i) for i in _require(item, "in", "bracket term"))
-        out = {int(j): scalars.parse_scalar(v, mode) for j, v in _require(item, "out", "bracket term").items()}
+        key = tuple(_int(i) for i in _require(item, "in", "bracket term"))
+        out = {_int(j): scalars.parse_scalar(v, mode) for j, v in _require(item, "out", "bracket term").items()}
         if key in bracket:
             raise SchemaError(f"duplicate bracket key {key}")
         bracket[key] = out
     a = NLeibnizAlgebra(
-        int(_require(doc, "arity", "nleibniz")),
-        int(_require(doc, "dim", "nleibniz")),
+        _int(_require(doc, "arity", "nleibniz")),
+        _int(_require(doc, "dim", "nleibniz")),
         bracket,
         mode,
         bool(doc.get("certified", False)),
@@ -146,8 +153,8 @@ def nrack_to_document(t: FiniteNRack, provenance=None) -> dict:
 
 
 def nrack_from_document(doc) -> FiniteNRack:
-    size = int(_require(doc, "size", "nrack"))
-    arity = int(_require(doc, "arity", "nrack"))
+    size = _int(_require(doc, "size", "nrack"))
+    arity = _int(_require(doc, "arity", "nrack"))
     rows = _require(doc, "table", "nrack")
     if len(rows) != size**arity:
         raise SchemaError(
@@ -160,12 +167,13 @@ def nrack_from_document(doc) -> FiniteNRack:
         args, value = row[:-1], row[-1]
         idx = 0
         for a in args:
-            if not 0 <= int(a) < size:
+            a = _int(a)
+            if not 0 <= a < size:
                 raise SchemaError(f"table argument {a} out of range")
-            idx = idx * size + int(a)
+            idx = idx * size + a
         if table[idx] is not None:
             raise SchemaError(f"duplicate table row for {args}")
-        table[idx] = int(value)
+        table[idx] = _int(value)
     return FiniteNRack(
         size, arity, tuple(table), doc.get("side", "right"), bool(doc.get("certified", False))
     )
@@ -179,7 +187,7 @@ def group_to_document(g: FiniteGroup, provenance=None) -> dict:
 
 
 def group_from_document(doc) -> FiniteGroup:
-    return FiniteGroup(int(_require(doc, "size", "group")), tuple(map(tuple, _require(doc, "mul", "group"))))
+    return FiniteGroup(_int(_require(doc, "size", "group")), tuple(map(tuple, _require(doc, "mul", "group"))))
 
 
 def coalgebra_to_document(c: Coalgebra, provenance=None) -> dict:
@@ -197,7 +205,7 @@ def coalgebra_to_document(c: Coalgebra, provenance=None) -> dict:
 
 def coalgebra_from_document(doc) -> Coalgebra:
     mode = _mode_of(doc)
-    dim = int(_require(doc, "dim", "coalgebra"))
+    dim = _int(_require(doc, "dim", "coalgebra"))
     delta = TensorOperator(
         TensorShape((dim,)),
         tensor.power_shape(dim, 2),
@@ -229,7 +237,7 @@ def linear_nrack_to_document(l: LinearNRack, provenance=None) -> dict:
 
 def linear_nrack_from_document(doc) -> LinearNRack:
     base = coalgebra_from_document(_require(doc, "base", "linear_nrack"))
-    arity = int(_require(doc, "arity", "linear_nrack"))
+    arity = _int(_require(doc, "arity", "linear_nrack"))
     mode = base.mode
     dom = tensor.power_shape(base.dim, arity)
     cod = TensorShape((base.dim,))
@@ -250,9 +258,11 @@ def set_map_to_document(s: SetNMap, provenance=None) -> dict:
 
 
 def set_map_from_document(doc) -> SetNMap:
-    size = int(_require(doc, "size", "set_map"))
-    arity = int(_require(doc, "arity", "set_map"))
+    size = _int(_require(doc, "size", "set_map"))
+    arity = _int(_require(doc, "arity", "set_map"))
     rows = _require(doc, "map", "set_map")
+    if len(rows) != size**arity:
+        raise SchemaError(f"set_map must be total: expected {size**arity} rows, got {len(rows)}")
     outputs = [None] * (size**arity)
     for row in rows:
         if len(row) != 2 * arity:
@@ -260,12 +270,13 @@ def set_map_from_document(doc) -> SetNMap:
         args, out = row[:arity], row[arity:]
         idx = 0
         for a in args:
-            idx = idx * size + int(a)
+            a = _int(a)
+            if not 0 <= a < size:
+                raise SchemaError(f"set_map argument {a} out of range")
+            idx = idx * size + a
         if outputs[idx] is not None:
             raise SchemaError(f"duplicate set_map row for {args}")
-        outputs[idx] = tuple(int(v) for v in out)
-    if any(o is None for o in outputs):
-        raise SchemaError("set_map must be total")
+        outputs[idx] = tuple(_int(v) for v in out)
     return SetNMap(size, arity, tuple(outputs), doc.get("side", "right"))
 
 
@@ -303,10 +314,15 @@ def to_document(obj, provenance=None) -> dict:
     raise SchemaError(f"no document form for {type(obj).__name__}")
 
 
-def from_document(doc):
+def document_kind(doc) -> str:
+    """The ``kind`` field of a document, which must be a JSON object."""
     if not isinstance(doc, dict):
         raise SchemaError("a document must be a JSON object")
-    kind = doc.get("kind")
+    return doc.get("kind")
+
+
+def from_document(doc):
+    kind = document_kind(doc)
     if kind not in _FROM_DOCUMENT:
         raise SchemaError(f"unknown document kind {kind!r}; expected one of {KINDS}")
     return _FROM_DOCUMENT[kind](doc)

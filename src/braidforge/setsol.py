@@ -121,7 +121,9 @@ def _apply_at(s: SetNMap, tup: tuple, offset: int) -> tuple:
     return tup[:offset] + s.apply(tup[offset : offset + n]) + tup[offset + n :]
 
 
-def _chain_orders(n: int, side: str):
+def braid_words(n: int, side: str):
+    """Offsets (lhs, rhs) of the degree-n braid relation on (2n-1) factors,
+    in order of application; the map acts at each offset in turn."""
     if side == "right":
         lhs = [0] + list(range(n - 1, 0, -1)) + [0]
         rhs = list(range(n - 1, -1, -1)) + [n - 1]
@@ -134,7 +136,7 @@ def _chain_orders(n: int, side: str):
 def _satisfies(s: SetNMap, side: str):
     """(verdict, first witness tuple) for the chosen relation."""
     m, n = s.size, s.arity
-    lhs_order, rhs_order = _chain_orders(n, side)
+    lhs_order, rhs_order = braid_words(n, side)
     for tup in itertools.product(range(m), repeat=2 * n - 1):
         a = tup
         for off in lhs_order:
@@ -389,7 +391,7 @@ def _enumerate_nsolution(m: int, n: int):
     ncols = len(contexts)
     perms = list(itertools.permutations(range(m)))
     columns = [None] * ncols
-    lhs_order, rhs_order = _chain_orders(n, "right")
+    lhs_order, rhs_order = braid_words(n, "right")
     base_tuples = list(itertools.product(range(m), repeat=2 * n - 1))
     xs_all = list(itertools.product(range(m), repeat=n))
 

@@ -475,83 +475,6 @@ def embed(a: TensorOperator, left: int, right: int, factor_dim: int) -> TensorOp
     return TensorOperator(shp, shp, out, a.mode, validate=False)
 
 
-def invert(a: TensorOperator, eps: float = scalars.EPS_CMP) -> TensorOperator:
-    """Inverse by sparse Gaussian elimination; exact in exact mode.
-
-    Raises SingularMatrixError when no valid pivot remains, which is
-    how a pre-operator (a non-invertible solution) announces itself.
-    """
-    if not a.is_square():
-        raise ShapeMismatchError("only square operators can be inverted")
-    n = a.domain_shape.total
-    exact = a.mode == scalars.EXACT
-    one = scalars.one(a.mode)
-    rows = {}
-    inv_rows = {}
-    for i in range(n):
-        rows[i] = {}
-        inv_rows[i] = {i: one}
-    for (r, c), v in a.entries.items():
-        rows[r][c] = v
-    pivot_of_col = {}
-    free_rows = set(range(n))
-    for col in range(n):
-        pivot = None
-        best = None
-        for r in free_rows:
-            v = rows[r].get(col)
-            if v is None:
-                continue
-            if exact:
-                if v != 0 and (best is None or len(rows[r]) < best):
-                    pivot, best = r, len(rows[r])
-            else:
-                if abs(v) > eps and (best is None or abs(v) > best):
-                    pivot, best = r, abs(v)
-        if pivot is None:
-            raise SingularMatrixError(f"no usable pivot in column {col}")
-        free_rows.discard(pivot)
-        pivot_of_col[col] = pivot
-        pv = rows[pivot][col]
-        if pv != one:
-            rows[pivot] = {c2: v2 / pv for c2, v2 in rows[pivot].items()}
-            inv_rows[pivot] = {c2: v2 / pv for c2, v2 in inv_rows[pivot].items()}
-        prow, pinv = rows[pivot], inv_rows[pivot]
-        for r in range(n):
-            if r == pivot:
-                continue
-            f = rows[r].get(col)
-            if f is None:
-                continue
-            rr, ri = rows[r], inv_rows[r]
-            for c2, v2 in prow.items():
-                s = rr.get(c2, 0) - f * v2
-                if s == 0:
-                    rr.pop(c2, None)
-                else:
-                    rr[c2] = s
-            for c2, v2 in pinv.items():
-                s = ri.get(c2, 0) - f * v2
-                if s == 0:
-                    ri.pop(c2, None)
-                else:
-                    ri[c2] = s
-    out = {}
-    for col, pivot in pivot_of_col.items():
-        for c2, v2 in inv_rows[pivot].items():
-            if not scalars.is_zero(v2, a.mode):
-                out[(col, c2)] = v2
-    return TensorOperator(a.codomain_shape, a.domain_shape, out, a.mode, validate=False)
-
-
-def is_invertible(a: TensorOperator) -> bool:
-    try:
-        invert(a)
-        return True
-    except SingularMatrixError:
-        return False
-
-
 # -- exponentials ------------------------------------------------------
 
 
@@ -607,7 +530,96 @@ def exp_float(a: TensorOperator, term_tol: float = 1e-12, max_terms: int = 64) -
     )
 
 
-# -- row reduction utilities ------------------------------------------
+# -- elimination -------------------------------------------------------
+
+
+def _gauss_jordan(rows, cols, mode, eps: float = scalars.EPS_CMP) -> dict:
+    """Gauss-Jordan elimination of sparse rows (dicts col -> value) in place.
+
+    Columns are pivoted in the order of ``cols``.  A column -> rows index
+    means each pivot step touches only the rows holding that column, so
+    a permutation costs linear time.  The pivot is the free row with the
+    fewest nonzeros in exact mode and the largest |v| above ``eps`` in
+    float mode, ties going to the lowest row.  A column without a pivot
+    is skipped; in float mode its entries of size at most ``eps`` count
+    as zero and are dropped.  Returns {pivot column: row index}; each
+    pivot row ends normalized with zeros in every other pivot column.
+    """
+    exact = mode == scalars.EXACT
+    holders = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    pivots = {}
+    used = set()
+    for col in cols:
+        free = [r for r in holders.get(col, ()) if r not in used]
+        if exact:
+            pivot = min(free, key=lambda r: (len(rows[r]), r), default=None)
+        else:
+            usable = [r for r in free if abs(rows[r][col]) > eps]
+            pivot = min(usable, key=lambda r: (-abs(rows[r][col]), r), default=None)
+        if pivot is None:
+            if not exact:
+                for r in [r for r in holders.get(col, ()) if abs(rows[r][col]) <= eps]:
+                    del rows[r][col]
+                    holders[col].discard(r)
+            continue
+        used.add(pivot)
+        pivots[col] = pivot
+        prow = rows[pivot]
+        pv = prow[col]
+        if pv != 1:
+            prow = rows[pivot] = {c: v / pv for c, v in prow.items()}
+        for r in holders[col] - {pivot}:
+            row = rows[r]
+            f = row[col]
+            for c, v in prow.items():
+                s = row.get(c, 0) - f * v
+                if s == 0:
+                    row.pop(c, None)
+                    holders[c].discard(r)
+                else:
+                    row[c] = s
+                    holders[c].add(r)
+    return pivots
+
+
+def _square_dim(a: TensorOperator) -> int:
+    if not a.is_square():
+        raise ShapeMismatchError("only square operators can be inverted")
+    return a.domain_shape.total
+
+
+def invert(a: TensorOperator, eps: float = scalars.EPS_CMP) -> TensorOperator:
+    """Inverse by sparse Gauss-Jordan elimination on [A | I]; exact in exact mode.
+
+    Raises SingularMatrixError when no valid pivot remains, which is
+    how a pre-operator (a non-invertible solution) announces itself.
+    """
+    n = _square_dim(a)
+    one = scalars.one(a.mode)
+    rows = [{n + i: one} for i in range(n)]
+    for (r, c), v in a.entries.items():
+        rows[r][c] = v
+    pivots = _gauss_jordan(rows, range(n), a.mode, eps)
+    if len(pivots) < n:
+        col = next(c for c in range(n) if c not in pivots)
+        raise SingularMatrixError(f"no usable pivot in column {col}")
+    out = {(col, c - n): v for col, p in pivots.items() for c, v in rows[p].items() if c >= n}
+    return TensorOperator(a.codomain_shape, a.domain_shape, out, a.mode, validate=False)
+
+
+def is_invertible(a: TensorOperator) -> bool:
+    """Full rank of a square operator, decided without building the inverse."""
+    return column_rank(a) == _square_dim(a)
+
+
+def column_rank(a: TensorOperator) -> int:
+    rows = {}
+    for (r, c), v in a.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return len(_gauss_jordan(list(rows.values()), range(a.domain_shape.total), a.mode))
 
 
 def rref(rows, mode=scalars.EXACT, eps: float = scalars.EPS_CMP):
@@ -616,42 +628,9 @@ def rref(rows, mode=scalars.EXACT, eps: float = scalars.EPS_CMP):
     Returns (pivots, reduced) where pivots is the sorted list of pivot
     columns and reduced maps each pivot column to its normalized row.
     """
-    exact = mode == scalars.EXACT
-    reduced = {}
-    for row in rows:
-        row = dict(row)
-        # reduced rows carry no other pivot columns, so one pass suffices
-        for pcol in sorted(reduced):
-            f = row.get(pcol)
-            if f is None:
-                continue
-            for c, v in reduced[pcol].items():
-                s = row.get(c, 0) - f * v
-                if s == 0:
-                    row.pop(c, None)
-                else:
-                    row[c] = s
-        if not exact:
-            row = {c: v for c, v in row.items() if abs(v) > eps}
-        if not row:
-            continue
-        lead = min(row)
-        lv = row[lead]
-        row = {c: v / lv for c, v in row.items()}
-        for pcol, prow in reduced.items():
-            f = prow.get(lead)
-            if f is None:
-                continue
-            new = dict(prow)
-            for c, v in row.items():
-                s = new.get(c, 0) - f * v
-                if s == 0:
-                    new.pop(c, None)
-                else:
-                    new[c] = s
-            reduced[pcol] = new
-        reduced[lead] = row
-    return sorted(reduced), reduced
+    rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
+    pivots = _gauss_jordan(rows, sorted({c for row in rows for c in row}), mode, eps)
+    return sorted(pivots), {col: rows[p] for col, p in pivots.items()}
 
 
 def nullspace_basis(rows, width: int, mode=scalars.EXACT):
@@ -669,15 +648,7 @@ def nullspace_basis(rows, width: int, mode=scalars.EXACT):
         vec = {free: one}
         for pcol in pivots:
             v = reduced[pcol].get(free)
-            if v is not None and v != 0:
+            if v is not None:
                 vec[pcol] = -v
         basis.append(vec)
     return basis
-
-
-def column_rank(a: TensorOperator) -> int:
-    rows = {}
-    for (r, c), v in a.entries.items():
-        rows.setdefault(r, {})[c] = v
-    pivots, _ = rref(rows.values(), a.mode)
-    return len(pivots)

@@ -37,7 +37,8 @@ from .nleibniz import (
     fundamental_leibniz,
 )
 from .nrack import FiniteGroup
-from .reports import ReportBuilder
+from .reports import ReportBuilder, difference_witness
+from .setsol import braid_words
 from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
 
 #: default cap on the dimension d^(2n-1) of the verification space
@@ -115,12 +116,9 @@ def verify_nybe(
             f"verification dimension {big} exceeds the cap {dim_cap}; raise the cap to force it"
         )
     e = [tensor.embed(s, i, n - 1 - i, d) for i in range(n)]
-    if side == "right":
-        lhs = _chain([e[0]] + [e[i] for i in range(n - 1, 0, -1)] + [e[0]])
-        rhs = _chain([e[i] for i in range(n - 1, -1, -1)] + [e[n - 1]])
-    else:
-        lhs = _chain([e[0]] + [e[i] for i in range(1, n)] + [e[0]])
-        rhs = _chain([e[n - 1]] + [e[i] for i in range(n - 1)] + [e[n - 1]])
+    lhs_word, rhs_word = braid_words(n, side)
+    lhs = _chain([e[i] for i in lhs_word])
+    rhs = _chain([e[i] for i in rhs_word])
     diff = lhs.first_difference(rhs)
     holds = diff is None
     invertible = tensor.is_invertible(s)
@@ -265,20 +263,15 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     rb.record(
         "central-leibniz-homomorphism",
         lhs == rhs and eta.apply(w_central.central) == v_central.central,
-        _op_witness(lhs, rhs),
+        difference_witness(lhs, rhs),
     )
     r1 = r_from_central_leibniz(w_central)
     r2 = r_from_central_leibniz(v_central)
     ee = tensor_many([eta, eta])
     lhs = r2 @ ee
     rhs = ee @ r1
-    rb.record("intertwining", lhs == rhs, _op_witness(lhs, rhs))
+    rb.record("intertwining", lhs == rhs, difference_witness(lhs, rhs))
     return eta, rb.build()
-
-
-def _op_witness(x, y):
-    k = x.first_difference(y)
-    return None if k is None else {"row": k[0], "col": k[1]}
 
 
 def nyb_from_central_nleibniz(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOperator:

@@ -309,19 +309,64 @@ def test_dim_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("BRAIDFORGE_DIM_CAP")
 
 
+@pytest.mark.parametrize(
+    "construction, op_args",
+    [("sn-from-r", (2, 2)), ("stilde-from-s", (2, 3))],
+)
+def test_build_allow_large_lifts_the_cap(capsys, tmp_path, monkeypatch, construction, op_args):
+    import braidforge.ybops as yb
+
+    path = write(tmp_path, "op.json", ser.to_document(yb.cyclic_operator(*op_args)))
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "4")
+    # with the default cap low too, falling back to it under --allow-large would still refuse
+    monkeypatch.setattr(yb, "DEFAULT_DIM_CAP", 4)
+    argv = ("build", construction, path, "--param", "n=3")
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, "--allow-large")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, doc, env",
+    [
+        (["build", "conjugation-nrack", "{}", "--param", "n=abc"], "group", {}),
+        (["verify", "ybe", "{}"], "flip", {"BRAIDFORGE_DIM_CAP": "abc"}),
+        (["verify", "ybe", "{}"], "flip", {"BRAIDFORGE_DIM_CAP": "0"}),
+        (["check", "{}"], [1, 2], {}),
+        (["check", "{}"], {"kind": "operator", "shape": [2], "codomain_shape": [2]}, {}),
+        (["check", "{}"], {"kind": "nleibniz", "arity": 2, "dim": "x", "bracket": []}, {}),
+        (["check", "{}"], {"kind": "set_map", "size": 10**7, "arity": 3, "map": []}, {}),
+    ],
+)
+def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
+    import os
+    import subprocess
+    import sys
+
+    import braidforge.ybops as yb
+
+    named = {
+        "group": ser.group_to_document(nr.symmetric_group(3)),
+        "flip": ser.to_document(yb.cyclic_operator(2, 2)),
+    }
+    path = write(tmp_path, "input.json", named[doc] if isinstance(doc, str) else doc)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "braidforge.cli", *(a.format(path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, **env, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
+
+
 def test_demo(capsys):
     code, out, err = run(capsys, "demo")
     assert code == 0
     summary = json.loads(out)
     assert summary["overall"] == "pass"
     assert len(summary["stages"]) >= 8
-
-
-def test_threads_validation(capsys, t3_doc):
-    code, _, _ = run(capsys, "--threads", "4", "check", t3_doc)
-    assert code == 0
-    code, _, err = run(capsys, "--threads", "0", "check", t3_doc)
-    assert code == 2
 
 
 def test_check_coalgebra_document(capsys, tmp_path):

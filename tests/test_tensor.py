@@ -276,6 +276,16 @@ def test_invert_central_braiding_matches_surjectivity_formula(t3, t3bar):
     assert s @ explicit == T.identity(shp)
 
 
+def test_invert_random_permutation_of_6_to_the_5():
+    import random
+
+    perm = list(range(6**5))
+    random.Random(0).shuffle(perm)
+    shp = T.power_shape(6, 5)
+    p = op(shp.factor_dims, shp.factor_dims, {(perm[c], c): ONE for c in range(shp.total)})
+    assert T.invert(p) @ p == T.identity(shp)
+
+
 def test_float_invert_within_tolerance():
     m = op([2], [2], {(0, 0): 3.0, (0, 1): 1.0, (1, 0): 1.0, (1, 1): 2.0}, mode="float")
     mi = T.invert(m)
@@ -319,9 +329,61 @@ def test_nullspace_deterministic():
     assert T.nullspace_basis(rows, 4) == [{1: ONE, 0: ONE}, {3: ONE}]
 
 
+def test_float_rref_drops_entries_below_tolerance():
+    pivots, reduced = T.rref([{0: 1e-12, 1: 2.0, 2: 1e-12}], mode="float")
+    assert pivots == [1] and reduced == {1: {1: 1.0}}
+
+
 def test_column_rank():
     m = op([3], [3], {(0, 0): 1, (1, 1): 1, (2, 0): 1, (2, 1): 1})
     assert T.column_rank(m) == 2
+
+
+def _sympy_matrix(dense):
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in dense])
+
+
+def _fraction(x):
+    return Fraction(int(x.p), int(x.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.none() | st.integers(1, 6), st.data())
+def test_elimination_matches_sympy(nrows, ncols, data):
+    """rref, nullspace, rank, invertibility and inverse against sympy's exact
+    routines, on square, rectangular and singular matrices whose sparse rows
+    may also store explicit zeros."""
+    ncols = ncols or nrows  # None draws a square matrix
+    values = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    dense = [[Fraction(data.draw(values)) for _ in range(ncols)] for _ in range(nrows)]
+    explicit_zeros = data.draw(st.booleans())
+    rows = [{c: v for c, v in enumerate(row) if v != 0 or explicit_zeros} for row in dense]
+    m = _sympy_matrix(dense)
+
+    ref, ref_pivots = m.rref()
+    pivots, reduced = T.rref(rows)
+    assert pivots == list(ref_pivots)
+    for i, pcol in enumerate(pivots):
+        assert [reduced[pcol].get(c, 0) for c in range(ncols)] == [_fraction(x) for x in ref.row(i)]
+
+    basis = T.nullspace_basis(rows, ncols)
+    assert [[vec.get(c, 0) for c in range(ncols)] for vec in basis] == [
+        [_fraction(x) for x in v] for v in m.nullspace()
+    ]
+
+    a = op([ncols], [nrows], {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
+    assert T.column_rank(a) == m.rank()
+    if nrows != ncols:
+        return
+    assert T.is_invertible(a) == (m.rank() == ncols)
+    if m.rank() < ncols:
+        with pytest.raises(SingularMatrixError):
+            T.invert(a)
+        return
+    inv = m.inv()
+    assert T.invert(a).dense() == [[_fraction(inv[r, c]) for c in range(ncols)] for r in range(nrows)]
 
 
 # -- storage invariants ----------------------------------------------------
