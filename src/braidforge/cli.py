@@ -60,10 +60,10 @@ def _dim_cap(allow_large):
 # -- check ---------------------------------------------------------------
 
 
-def _check_one(doc):
+def _check_one(doc, dim_cap):
     kind = serialization.document_kind(doc)
     if kind == "group":
-        return nrack.check_group_table(int(doc.get("size", 0)), doc.get("mul", []))
+        return nrack.check_group_table(*serialization.group_table_from_document(doc))
     obj = serialization.from_document(doc)
     if kind == "nleibniz":
         if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
@@ -82,7 +82,7 @@ def _check_one(doc):
             return base
         return linrack.check_linear_nrack(obj)
     if kind == "set_map":
-        profile = setsol.check_set_nsolution(obj)
+        profile = setsol.check_set_nsolution(obj, dim_cap)
         rb = ReportBuilder(f"set_map(side={obj.side})")
         side_ok = profile.satisfies_right if obj.side == "right" else profile.satisfies_left
         witness = profile.right_witness if obj.side == "right" else profile.left_witness
@@ -101,7 +101,7 @@ def _check_one(doc):
 def cmd_check(args):
     payload = _load_json(args.file)
     docs = payload if isinstance(payload, list) else [payload]
-    reports = [_check_one(doc) for doc in docs]
+    reports = [_check_one(doc, args.dim_cap) for doc in docs]
     if isinstance(payload, list):
         overall = all(r.passed for r in reports)
         _emit(
@@ -265,17 +265,17 @@ def _b_stilde(obj, ctx):
 
 @_construction("solution-from-nrack")
 def _b_solution(obj, ctx):
-    return setsol.solution_from_nrack(obj)
+    return setsol.solution_from_nrack(obj, ctx.dim_cap)
 
 
 @_construction("nsolution-from-solution")
 def _b_nsolution(obj, ctx):
-    return setsol.nsolution_from_solution(obj, ctx.int_param("n"))
+    return setsol.nsolution_from_solution(obj, ctx.int_param("n"), ctx.dim_cap)
 
 
 @_construction("solution-from-nsolution")
 def _b_descend(obj, ctx):
-    return setsol.solution_from_nsolution(obj)
+    return setsol.solution_from_nsolution(obj, ctx.dim_cap)
 
 
 def _certify_input(obj):
@@ -302,8 +302,10 @@ def cmd_build(args):
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
     result = _CONSTRUCTIONS[args.construction](obj, BuildContext(params, args.recheck, args.dim_cap))
-    provenance = list(doc.get("provenance", []))
-    provenance.append(f"{args.construction}({os.path.basename(args.file)})")
+    provenance = doc.get("provenance", [])
+    if not isinstance(provenance, list):
+        raise SchemaError("the 'provenance' field must be a list")
+    provenance = provenance + [f"{args.construction}({os.path.basename(args.file)})"]
     out = serialization.to_document(result, provenance)
     text = serialization.dumps(out)
     if args.output:
@@ -340,7 +342,7 @@ def cmd_verify(args):
             raise SchemaError(f"{equation} needs a set_map document")
         if equation == "set-ybe" and obj.arity != 2:
             raise SchemaError("set-ybe needs a binary map")
-        profile = setsol.check_set_nsolution(obj)
+        profile = setsol.check_set_nsolution(obj, args.dim_cap)
         holds = profile.satisfies_right if obj.side == "right" else profile.satisfies_left
         witness = profile.right_witness if obj.side == "right" else profile.left_witness
         _emit(
@@ -412,7 +414,7 @@ def cmd_demo(args):
     vr_report = nrack.verify_tensor_embedding(t3)
     stage("vector rack tensor embedding", vr_report.passed)
     sol = setsol.solution_from_nrack(nrack.conjugation_nrack(nrack.symmetric_group(3), 3))
-    profile = setsol.check_set_nsolution(sol)
+    profile = setsol.check_set_nsolution(sol, args.dim_cap)
     stage("conjugation 3-solution on Sym(3)", profile.is_right_solution)
     overall = all(st["status"] == "pass" for st in stages)
     _emit({"overall": "pass" if overall else "fail", "stages": stages})
@@ -431,6 +433,7 @@ def build_parser():
 
     c = sub.add_parser("check", help="run all axioms for a document (or a JSON array batch)")
     c.add_argument("file")
+    c.add_argument("--allow-large", action="store_true", help="ignore the cap on set-map relation checks")
     c.set_defaults(fn=cmd_check)
 
     b = sub.add_parser("build", help="run a named construction on a document")

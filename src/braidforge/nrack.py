@@ -117,30 +117,13 @@ class FiniteGroup:
     labels: tuple = ()
 
     def __post_init__(self):
-        m = self.size
-        mul = tuple(tuple(int(v) for v in row) for row in self.mul)
-        if len(mul) != m or any(len(row) != m for row in mul):
-            raise SchemaError("multiplication table must be size x size")
-        if any(not 0 <= v < m for row in mul for v in row):
-            raise SchemaError("multiplication table value out of range")
-        identity = None
-        for e in range(m):
-            if all(mul[e][x] == x and mul[x][e] == x for x in range(m)):
-                identity = e
-                break
+        mul, identity, inv, bad = _group_axioms(self.size, self.mul)
         if identity is None:
             raise PreconditionError("no identity element")
-        inv = [None] * m
-        for x in range(m):
-            for y in range(m):
-                if mul[x][y] == identity and mul[y][x] == identity:
-                    inv[x] = y
-                    break
-            if inv[x] is None:
-                raise PreconditionError(f"element {x} has no inverse")
-        for a, b, c in itertools.product(range(m), repeat=3):
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise PreconditionError(f"multiplication not associative at {(a, b, c)}")
+        if None in inv:
+            raise PreconditionError(f"element {inv.index(None)} has no inverse")
+        if bad is not None:
+            raise PreconditionError(f"multiplication not associative at {bad}")
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", tuple(inv))
         object.__setattr__(self, "identity", identity)
@@ -152,40 +135,46 @@ class FiniteGroup:
         )
 
 
-def check_group_table(size: int, mul) -> VerificationReport:
-    """Group axioms as a report instead of a construction-time error."""
-    rb = ReportBuilder(f"group(size={size})")
+def _group_axioms(size: int, mul):
+    """Check that mul is a size x size table over range(size), then return
+    (table as a tuple of rows, identity or None, inverses with None where
+    missing, first non-associative triple or None)."""
     mul = tuple(tuple(int(v) for v in row) for row in mul)
     if len(mul) != size or any(len(row) != size for row in mul):
         raise SchemaError("multiplication table must be size x size")
-    identity = None
-    for e in range(size):
-        if all(mul[e][x] == x and mul[x][e] == x for x in range(size)):
-            identity = e
-            break
-    rb.record("identity", identity is not None)
+    if any(not 0 <= v < size for row in mul for v in row):
+        raise SchemaError("multiplication table value out of range")
+    identity = next(
+        (e for e in range(size) if all(mul[e][x] == x and mul[x][e] == x for x in range(size))),
+        None,
+    )
+    inv = [None] * size
     if identity is not None:
-        missing = next(
-            (
-                x
-                for x in range(size)
-                if not any(mul[x][y] == identity and mul[y][x] == identity for y in range(size))
-            ),
-            None,
-        )
-        rb.record("inverses", missing is None, None if missing is None else {"element": missing})
-    else:
-        rb.skip("inverses", "no identity")
+        for x in range(size):
+            inv[x] = next(
+                (y for y in range(size) if mul[x][y] == identity and mul[y][x] == identity), None
+            )
     bad = next(
         (
             (a, b, c)
-            for a in range(size)
-            for b in range(size)
-            for c in range(size)
+            for a, b, c in itertools.product(range(size), repeat=3)
             if mul[mul[a][b]][c] != mul[a][mul[b][c]]
         ),
         None,
     )
+    return mul, identity, inv, bad
+
+
+def check_group_table(size: int, mul) -> VerificationReport:
+    """Group axioms as a report instead of a construction-time error."""
+    rb = ReportBuilder(f"group(size={size})")
+    _, identity, inv, bad = _group_axioms(size, mul)
+    rb.record("identity", identity is not None)
+    if identity is not None:
+        missing = inv.index(None) if None in inv else None
+        rb.record("inverses", missing is None, None if missing is None else {"element": missing})
+    else:
+        rb.skip("inverses", "no identity")
     rb.record("associativity", bad is None, None if bad is None else {"triple": list(bad)})
     return rb.build()
 

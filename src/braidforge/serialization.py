@@ -26,9 +26,21 @@ def dumps(doc) -> str:
 
 
 def _require(doc, key, kind):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{kind} must be a JSON object")
     if key not in doc:
         raise SchemaError(f"{kind} document is missing {key!r}")
     return doc[key]
+
+
+def _list(doc, key, kind, item=None):
+    """Field ``key`` of a ``kind`` document, which must be a JSON list, and
+    a list of ``item`` (list or dict) values when ``item`` is given."""
+    raw = _require(doc, key, kind)
+    if not isinstance(raw, list) or (item is not None and not all(isinstance(x, item) for x in raw)):
+        of = "" if item is None else f" of {'lists' if item is list else 'objects'}"
+        raise SchemaError(f"{kind} field {key!r} must be a list{of}")
+    return raw
 
 
 def _int(raw) -> int:
@@ -49,9 +61,9 @@ def _entries_to_json(op: TensorOperator):
     ]
 
 
-def _entries_from_json(raw, mode):
+def _entries_from_json(doc, key, kind, mode):
     out = {}
-    for item in raw:
+    for item in _list(doc, key, kind, list):
         if len(item) != 3:
             raise SchemaError(f"operator entry {item!r} must be [row, col, value]")
         r, c, v = item
@@ -74,9 +86,9 @@ def operator_to_document(op: TensorOperator, provenance=None) -> dict:
 
 def operator_from_document(doc) -> TensorOperator:
     mode = _mode_of(doc)
-    dom = TensorShape(tuple(_require(doc, "shape", "operator")))
-    cod = TensorShape(tuple(_require(doc, "codomain_shape", "operator")))
-    return TensorOperator(dom, cod, _entries_from_json(_require(doc, "entries", "operator"), mode), mode)
+    dom = TensorShape(tuple(_int(v) for v in _list(doc, "shape", "operator")))
+    cod = TensorShape(tuple(_int(v) for v in _list(doc, "codomain_shape", "operator")))
+    return TensorOperator(dom, cod, _entries_from_json(doc, "entries", "operator", mode), mode)
 
 
 def nleibniz_to_document(a, provenance=None) -> dict:
@@ -112,9 +124,12 @@ def nleibniz_to_document(a, provenance=None) -> dict:
 def nleibniz_from_document(doc):
     mode = _mode_of(doc)
     bracket = {}
-    for item in _require(doc, "bracket", "nleibniz"):
-        key = tuple(_int(i) for i in _require(item, "in", "bracket term"))
-        out = {_int(j): scalars.parse_scalar(v, mode) for j, v in _require(item, "out", "bracket term").items()}
+    for item in _list(doc, "bracket", "nleibniz", dict):
+        key = tuple(_int(i) for i in _list(item, "in", "bracket term"))
+        out = _require(item, "out", "bracket term")
+        if not isinstance(out, dict):
+            raise SchemaError(f"bracket term field 'out' must be an object, got {out!r}")
+        out = {_int(j): scalars.parse_scalar(v, mode) for j, v in out.items()}
         if key in bracket:
             raise SchemaError(f"duplicate bracket key {key}")
         bracket[key] = out
@@ -128,7 +143,7 @@ def nleibniz_from_document(doc):
     if "central" in doc:
         central = {
             j: scalars.parse_scalar(v, mode)
-            for j, v in enumerate(doc["central"])
+            for j, v in enumerate(_list(doc, "central", "nleibniz"))
         }
         return CentralNLeibnizAlgebra(a, central)
     return a
@@ -155,7 +170,7 @@ def nrack_to_document(t: FiniteNRack, provenance=None) -> dict:
 def nrack_from_document(doc) -> FiniteNRack:
     size = _int(_require(doc, "size", "nrack"))
     arity = _int(_require(doc, "arity", "nrack"))
-    rows = _require(doc, "table", "nrack")
+    rows = _list(doc, "table", "nrack", list)
     if len(rows) != size**arity:
         raise SchemaError(
             f"nrack table must be total: expected {size**arity} rows, got {len(rows)}"
@@ -186,8 +201,14 @@ def group_to_document(g: FiniteGroup, provenance=None) -> dict:
     return doc
 
 
+def group_table_from_document(doc):
+    """(size, mul) of a group document, before the group axioms are checked."""
+    size = _int(_require(doc, "size", "group"))
+    return size, tuple(tuple(_int(v) for v in row) for row in _list(doc, "mul", "group", list))
+
+
 def group_from_document(doc) -> FiniteGroup:
-    return FiniteGroup(_int(_require(doc, "size", "group")), tuple(map(tuple, _require(doc, "mul", "group"))))
+    return FiniteGroup(*group_table_from_document(doc))
 
 
 def coalgebra_to_document(c: Coalgebra, provenance=None) -> dict:
@@ -209,13 +230,13 @@ def coalgebra_from_document(doc) -> Coalgebra:
     delta = TensorOperator(
         TensorShape((dim,)),
         tensor.power_shape(dim, 2),
-        _entries_from_json(_require(doc, "delta", "coalgebra"), mode),
+        _entries_from_json(doc, "delta", "coalgebra", mode),
         mode,
     )
     counit = TensorOperator(
         TensorShape((dim,)),
         TensorShape((1,)),
-        _entries_from_json(_require(doc, "epsilon", "coalgebra"), mode),
+        _entries_from_json(doc, "epsilon", "coalgebra", mode),
         mode,
     )
     return Coalgebra(dim, delta, counit, mode)
@@ -241,8 +262,8 @@ def linear_nrack_from_document(doc) -> LinearNRack:
     mode = base.mode
     dom = tensor.power_shape(base.dim, arity)
     cod = TensorShape((base.dim,))
-    bracket = TensorOperator(dom, cod, _entries_from_json(_require(doc, "bracket", "linear_nrack"), mode), mode)
-    inv = TensorOperator(dom, cod, _entries_from_json(_require(doc, "inv_bracket", "linear_nrack"), mode), mode)
+    bracket = TensorOperator(dom, cod, _entries_from_json(doc, "bracket", "linear_nrack", mode), mode)
+    inv = TensorOperator(dom, cod, _entries_from_json(doc, "inv_bracket", "linear_nrack", mode), mode)
     return LinearNRack(base, arity, bracket, inv)
 
 
@@ -260,7 +281,7 @@ def set_map_to_document(s: SetNMap, provenance=None) -> dict:
 def set_map_from_document(doc) -> SetNMap:
     size = _int(_require(doc, "size", "set_map"))
     arity = _int(_require(doc, "arity", "set_map"))
-    rows = _require(doc, "map", "set_map")
+    rows = _list(doc, "map", "set_map", list)
     if len(rows) != size**arity:
         raise SchemaError(f"set_map must be total: expected {size**arity} rows, got {len(rows)}")
     outputs = [None] * (size**arity)

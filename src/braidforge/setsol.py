@@ -27,6 +27,15 @@ from .nrack import FiniteNRack, check_nrack
 INVOLUTIVE_ORDER_CAP = 24
 
 
+def check_dim_cap(big: int, dim_cap) -> None:
+    """Refuse a braid-relation check on a space of dimension big above
+    dim_cap, before anything is allocated; None means no cap."""
+    if dim_cap is not None and big > dim_cap:
+        raise CapExceededError(
+            f"verification dimension {big} exceeds the cap {dim_cap}; raise the cap to force it"
+        )
+
+
 @dataclass(frozen=True)
 class SetNMap:
     """A total map X^n -> X^n, stored as output tuples indexed by flat input."""
@@ -133,20 +142,48 @@ def braid_words(n: int, side: str):
     return lhs, rhs
 
 
-def _satisfies(s: SetNMap, side: str):
-    """(verdict, first witness tuple) for the chosen relation."""
+def offset_maps(image, m: int, n: int):
+    """The map sending the flat n-digit base-m index c to image[c], applied
+    at each offset 0..n-1 of the (2n-1)-digit space, as n flat index lists."""
+    big = m ** (2 * n - 1)
+    maps = []
+    for off in range(n):
+        low = m ** (n - 1 - off)
+        step = m**n * low
+        shifted = [t * low for t in image]
+        maps.append([h + t + j for h in range(0, big, step) for t in shifted for j in range(low)])
+    return maps
+
+
+def braid_sides(maps, side: str):
+    """Both words of ``braid_words(n, side)`` run on every flat index by
+    list lookup, for the n ``offset_maps``: (lhs images, rhs images)."""
+    sides = []
+    for word in braid_words(len(maps), side):
+        cur = maps[word[0]]
+        for off in word[1:]:
+            e = maps[off]
+            cur = [e[x] for x in cur]
+        sides.append(cur)
+    return tuple(sides)
+
+
+def _digits(x: int, m: int, k: int) -> list:
+    return [x // m**i % m for i in range(k - 1, -1, -1)]
+
+
+def _satisfies(s: SetNMap, side: str, maps=None):
+    """(verdict, first witness tuple) for the chosen relation; maps are
+    the ``offset_maps`` of s, built here when not given."""
     m, n = s.size, s.arity
-    lhs_order, rhs_order = braid_words(n, side)
-    for tup in itertools.product(range(m), repeat=2 * n - 1):
-        a = tup
-        for off in lhs_order:
-            a = _apply_at(s, a, off)
-        b = tup
-        for off in rhs_order:
-            b = _apply_at(s, b, off)
-        if a != b:
-            return False, {"tuple": list(tup), "lhs": list(a), "rhs": list(b)}
-    return True, None
+    if maps is None:
+        maps = offset_maps([s.index(out) for out in s.outputs], m, n)
+    lhs, rhs = braid_sides(maps, side)
+    if lhs == rhs:
+        return True, None
+    x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    k = 2 * n - 1
+    return False, {"tuple": _digits(x, m, k), "lhs": _digits(lhs[x], m, k), "rhs": _digits(rhs[x], m, k)}
 
 
 def involutive_order(s: SetNMap, cap: int = INVOLUTIVE_ORDER_CAP):
@@ -170,10 +207,15 @@ def classify_3solution(s: SetNMap) -> SolutionProfile:
     return check_set_nsolution(s)
 
 
-def check_set_nsolution(s: SetNMap) -> SolutionProfile:
-    """Evaluate both relations on all m^(2n-1) tuples and fill the profile."""
-    right_ok, right_wit = _satisfies(s, "right")
-    left_ok, left_wit = _satisfies(s, "left")
+def check_set_nsolution(s: SetNMap, dim_cap=None) -> SolutionProfile:
+    """Evaluate both relations on all m^(2n-1) tuples and fill the profile.
+
+    The check holds index lists of length m^(2n-1); dim_cap, when given,
+    refuses a larger space (the CLI passes its cap here)."""
+    check_dim_cap(s.size ** (2 * s.arity - 1), dim_cap)
+    maps = offset_maps([s.index(out) for out in s.outputs], s.size, s.arity)
+    right_ok, right_wit = _satisfies(s, "right", maps)
+    left_ok, left_wit = _satisfies(s, "left", maps)
     nondeg = None
     if s.arity == 3:
         m = s.size
@@ -203,7 +245,7 @@ def check_set_nsolution(s: SetNMap) -> SolutionProfile:
 # -- correspondences with n-racks ---------------------------------------
 
 
-def solution_from_nrack(t: FiniteNRack) -> SetNMap:
+def solution_from_nrack(t: FiniteNRack, dim_cap=None) -> SetNMap:
     """s(x_1..x_n) = (x_2, ..., x_n, <x_1..x_n>) for a right table, or
     s(x_1..x_n) = (<x_1..x_n>, x_1, ..., x_{n-1}) for a left one.
 
@@ -212,11 +254,11 @@ def solution_from_nrack(t: FiniteNRack) -> SetNMap:
     """
     if t.side == "right":
         s = from_function(t.size, t.arity, lambda *a: a[1:] + (t.apply(a),), side="right")
-        verdict = check_set_nsolution(s)
+        verdict = check_set_nsolution(s, dim_cap)
         s_ok = verdict.satisfies_right and verdict.is_bijective
     else:
         s = from_function(t.size, t.arity, lambda *a: (t.apply(a),) + a[:-1], side="left")
-        verdict = check_set_nsolution(s)
+        verdict = check_set_nsolution(s, dim_cap)
         s_ok = verdict.satisfies_left and verdict.is_bijective
     rack_ok = check_nrack(t).passed
     if s_ok != rack_ok:
@@ -226,12 +268,12 @@ def solution_from_nrack(t: FiniteNRack) -> SetNMap:
     return s
 
 
-def nsolution_from_solution(r: SetNMap, n: int) -> SetNMap:
+def nsolution_from_solution(r: SetNMap, n: int, dim_cap=None) -> SetNMap:
     """Lift a binary solution to degree n on the same set:
     s_n = r at offset 0, then offset 1, ..., then offset n-2."""
     if r.arity != 2:
         raise SchemaError("nsolution_from_solution starts from a binary map")
-    profile = check_set_nsolution(r)
+    profile = check_set_nsolution(r, dim_cap)
     if not (profile.satisfies_right and profile.is_bijective):
         raise PreconditionError("input is not a set-theoretical solution", profile.to_json())
     if n == 2:
@@ -246,10 +288,10 @@ def nsolution_from_solution(r: SetNMap, n: int) -> SetNMap:
     return from_function(r.size, n, lifted)
 
 
-def solution_from_nsolution(s: SetNMap) -> SetNMap:
+def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
     """Descend a degree-n solution to a binary solution on X^(n-1):
     s applied at offsets n-2, n-3, ..., 0 of a (2n-2)-tuple, read blockwise."""
-    profile = check_set_nsolution(s)
+    profile = check_set_nsolution(s, dim_cap)
     if not (profile.satisfies_right and profile.is_bijective):
         raise PreconditionError("input is not a set-theoretical n-solution", profile.to_json())
     m, n = s.size, s.arity

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from . import scalars, tensor
 from .errors import (
-    CapExceededError,
     NotCertifiedError,
     PreconditionError,
     SchemaError,
@@ -38,7 +37,7 @@ from .nleibniz import (
 )
 from .nrack import FiniteGroup
 from .reports import ReportBuilder, difference_witness
-from .setsol import braid_words
+from .setsol import braid_sides, braid_words, check_dim_cap, offset_maps
 from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
 
 #: default cap on the dimension d^(2n-1) of the verification space
@@ -98,10 +97,46 @@ def _chain(ops):
     return out
 
 
+def _uniform_monomial(s: TensorOperator):
+    """(image, coeff) when every column c of s holds exactly one nonzero
+    s[image[c], c] and all of them equal coeff, else None."""
+    image = [None] * s.domain_shape.total
+    coeff = None
+    for (r, c), v in s.entries.items():
+        if scalars.is_zero(v, s.mode):
+            continue
+        if image[c] is not None or (coeff is not None and v != coeff):
+            return None
+        image[c], coeff = r, v
+    return None if None in image else (image, coeff)
+
+
+def _monomial_witness(image, coeff, d, n, side, mode):
+    """The witness of the sparse chain, from index maps: the column of the
+    smallest (row, col) where the two sides differ, or None.
+
+    Both words have n+1 letters, so column c of each side holds the one
+    value coeff^(n+1) at one row; a value within tolerance of zero counts
+    as absent, as in ``first_difference``.
+    """
+    lhs, rhs = braid_sides(offset_maps(image, d, n), side)
+    value = coeff
+    for _ in range(n):
+        value = coeff * value
+    if lhs == rhs or scalars.eq(value, 0, mode):
+        return None
+    return min((a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)[1]
+
+
 def verify_nybe(
     s: TensorOperator, n: int, side: str = "right", dim_cap: int = DEFAULT_DIM_CAP
 ) -> YBReport:
-    """Build both sides of the degree-n braid relation on V^(x)(2n-1) and compare."""
+    """Build both sides of the degree-n braid relation on V^(x)(2n-1) and compare.
+
+    An operator with one nonzero per column, all of them equal, runs
+    through the index-map kernel ``setsol.braid_sides``; any other through
+    sparse compositions.  Both give the same report.
+    """
     t0 = time.perf_counter()
     if n < 2:
         raise SchemaError("n must be at least 2")
@@ -111,24 +146,22 @@ def verify_nybe(
         raise ShapeMismatchError("the operator must be square")
     d = _factor_dim(s, n)
     big = d ** (2 * n - 1)
-    if dim_cap is not None and big > dim_cap:
-        raise CapExceededError(
-            f"verification dimension {big} exceeds the cap {dim_cap}; raise the cap to force it"
-        )
-    e = [tensor.embed(s, i, n - 1 - i, d) for i in range(n)]
-    lhs_word, rhs_word = braid_words(n, side)
-    lhs = _chain([e[i] for i in lhs_word])
-    rhs = _chain([e[i] for i in rhs_word])
-    diff = lhs.first_difference(rhs)
-    holds = diff is None
-    invertible = tensor.is_invertible(s)
+    check_dim_cap(big, dim_cap)
+    monomial = _uniform_monomial(s)
+    if monomial is not None:
+        witness = _monomial_witness(*monomial, d, n, side, s.mode)
+    else:
+        e = [tensor.embed(s, i, n - 1 - i, d) for i in range(n)]
+        lhs_word, rhs_word = braid_words(n, side)
+        diff = _chain([e[i] for i in lhs_word]).first_difference(_chain([e[i] for i in rhs_word]))
+        witness = None if diff is None else diff[1]
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",
         n=n,
         dim=d,
-        holds=holds,
-        invertible=invertible,
-        witness=None if holds else diff[1],
+        holds=witness is None,
+        invertible=tensor.is_invertible(s),
+        witness=witness,
         nnz=s.nnz,
         verification_dim=big,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
@@ -285,23 +318,9 @@ def nyb_from_central_nleibniz(cl: CentralNLeibnizAlgebra, side: str = "right") -
     a solution of the left-variant equation.
     """
     cl = _require_central(cl)
-    if side == "right":
-        return _nyb_formula(cl)
-    if side != "left":
+    if side not in ("right", "left"):
         raise SchemaError("side must be 'right' or 'left'")
-    d, n, mode = cl.dim, cl.arity, cl.mode
-    shp = tensor.power_shape(d, n)
-    central_powers = _vector_power(cl.central, n - 1, mode)
-    entries = {}
-    inv_cyc = tensor.permutation_operator(shp, tuple([i + 1 for i in range(n - 1)] + [0]), mode)
-    reversed_bracket = cl.algebra.op_reversed()
-    for key, out in reversed_bracket.bracket.items():
-        col = shp.flat(key)
-        for j, c in out.items():
-            for umulti, cu in central_powers.items():
-                row = shp.flat((j,) + umulti)
-                entries[(row, col)] = entries.get((row, col), scalars.zero(mode)) + cu * c
-    return inv_cyc + TensorOperator(shp, shp, entries, mode)
+    return _nyb_formula(cl, side)
 
 
 def _vector_power(vec, k, mode):
@@ -337,19 +356,23 @@ def nyb_iff_nleibniz(bracket: NLeibnizAlgebra, dim_cap: int = DEFAULT_DIM_CAP):
     return s, report, fi
 
 
-def _nyb_formula(cl: CentralNLeibnizAlgebra) -> TensorOperator:
-    """The degree-n braiding formula without certifying the bracket first."""
+def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOperator:
+    """The degree-n braiding formula of either side without certifying the bracket first."""
     d, n, mode = cl.dim, cl.arity, cl.mode
     shp = tensor.power_shape(d, n)
     central_powers = _vector_power(cl.central, n - 1, mode)
+    if side == "right":
+        shift, bracket = tensor.cyclic_permutation(n), cl.algebra
+    else:
+        shift, bracket = tuple(range(1, n)) + (0,), cl.algebra.op_reversed()
     entries = {}
-    for key, out in cl.algebra.bracket.items():
+    for key, out in bracket.bracket.items():
         col = shp.flat(key)
         for j, c in out.items():
             for umulti, cu in central_powers.items():
-                row = shp.flat(umulti + (j,))
+                row = shp.flat(umulti + (j,) if side == "right" else (j,) + umulti)
                 entries[(row, col)] = entries.get((row, col), scalars.zero(mode)) + cu * c
-    return cyclic_operator(d, n, mode) + TensorOperator(shp, shp, entries, mode)
+    return tensor.permutation_operator(shp, shift, mode) + TensorOperator(shp, shp, entries, mode)
 
 
 def nyb_from_linear_nrack(l: LinearNRack, check: bool = True):

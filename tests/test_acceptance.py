@@ -1,4 +1,5 @@
-"""Acceptance criteria, one test per criterion.
+"""Acceptance criteria, one test per criterion, and one timed cap-scale
+verification.
 
 Every check here is exact (literal equality of canonical rationals)
 except the float-mode sanity criterion, whose tolerance is 1e-9.  Each
@@ -203,3 +204,13 @@ def test_criterion_10_float_mode():
         alg = nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}))
         e = nl.exp_ad(alg, [{1: ONE}], mode="float")
         assert abs(e.entries[(0, 0)] - math.e) < 1e-9
+
+
+def test_cap_scale_monomial_verification(s3):
+    """The north star at cap scale: the Sym(3) group-algebra braiding at
+    n=4 is checked on all 6^7 = 279936 basis vectors of the verification
+    space within 10 s."""
+    with Timer("cap-scale nybe Sym(3) n=4", 10):
+        report = yb.verify_nybe(yb.group_algebra_nyb(s3, 4), 4, "right")
+        assert report.verification_dim == 279936
+        assert report.holds and report.invertible

@@ -7,6 +7,7 @@ import braidforge.cli as cli
 import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
+from braidforge.errors import CapExceededError
 
 
 def run(capsys, *argv):
@@ -325,6 +326,20 @@ def test_build_allow_large_lifts_the_cap(capsys, tmp_path, monkeypatch, construc
     assert run(capsys, *argv, "--allow-large")[0] == 0
 
 
+def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
+    path = write(tmp_path, "flip.json", ser.to_document(ss.flip_map(2, 3)))
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "16")  # below 2^5 tuples
+    for argv in (("check", path), ("verify", "set-nybe", path)):
+        assert run(capsys, *argv)[0] == 3
+        assert run(capsys, *argv, "--allow-large")[0] == 0
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "32")  # exactly 2^5 tuples
+    assert run(capsys, "check", path)[0] == 0
+    # the library applies no cap unless given one
+    assert ss.check_set_nsolution(ss.flip_map(2, 3)).is_right_solution
+    with pytest.raises(CapExceededError):
+        ss.check_set_nsolution(ss.flip_map(2, 3), dim_cap=16)
+
+
 @pytest.mark.parametrize(
     "argv, doc, env",
     [
@@ -335,6 +350,13 @@ def test_build_allow_large_lifts_the_cap(capsys, tmp_path, monkeypatch, construc
         (["check", "{}"], {"kind": "operator", "shape": [2], "codomain_shape": [2]}, {}),
         (["check", "{}"], {"kind": "nleibniz", "arity": 2, "dim": "x", "bracket": []}, {}),
         (["check", "{}"], {"kind": "set_map", "size": 10**7, "arity": 3, "map": []}, {}),
+        (["check", "{}"], {"kind": "group", "size": 2, "mul": [[0, 5], [1, 0]]}, {}),
+        (["check", "{}"], {"kind": "group", "size": "x", "mul": []}, {}),
+        (["check", "{}"], {"kind": "nrack", "size": 2, "arity": 2, "table": 5}, {}),
+        (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [5, 6, 7, 8]}, {}),
+        (["check", "{}"], {"kind": "nleibniz", "arity": 2, "dim": 2, "bracket": [5]}, {}),
+        (["verify", "ybe", "{}"], {"kind": "operator", "shape": [4], "codomain_shape": [4], "entries": 3}, {}),
+        (["build", "conjugation-nrack", "{}", "--param", "n=2"], {"kind": "group", "size": 1, "mul": [[0]], "provenance": 5}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
