@@ -82,13 +82,11 @@ def _check_one(doc, dim_cap):
             return base
         return linrack.check_linear_nrack(obj)
     if kind == "set_map":
-        profile = setsol.check_set_nsolution(obj, dim_cap)
         rb = ReportBuilder(f"set_map(side={obj.side})")
-        side_ok = profile.satisfies_right if obj.side == "right" else profile.satisfies_left
-        witness = profile.right_witness if obj.side == "right" else profile.left_witness
-        rb.record(f"{obj.side}-relation", side_ok, witness)
-        rb.record("bijectivity", profile.is_bijective)
-        if side_ok and not profile.is_bijective:
+        holds, witness = setsol.satisfies(obj, obj.side, dim_cap)
+        rb.record(f"{obj.side}-relation", holds, witness)
+        bijective = rb.record("bijectivity", obj.is_bijective())
+        if holds and not bijective:
             _diag("note: relation holds but the map is not bijective (a pre-solution)")
         return rb.build()
     if kind == "operator":
@@ -128,19 +126,17 @@ class BuildContext:
     recheck: bool
     dim_cap: object  # int, or None when --allow-large lifts the cap
 
-    def int_param(self, key):
-        if key not in self.params:
-            raise SchemaError(f"construction needs --param {key}=...")
+    def arity(self):
+        """--param n, the arity every construction that takes one needs: at least 2."""
+        if "n" not in self.params:
+            raise SchemaError("construction needs --param n=...")
         try:
-            return int(self.params[key])
+            n = int(self.params["n"])
         except ValueError:
-            raise SchemaError(f"--param {key} must be an integer, got {self.params[key]!r}") from None
-
-
-def _as_central(obj):
-    if not isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
-        raise SchemaError("this construction needs a central algebra ('central' field)")
-    return obj
+            raise SchemaError(f"--param n must be an integer, got {self.params['n']!r}") from None
+        if n < 2:
+            raise SchemaError(f"--param n must be at least 2, got {n}")
+        return n
 
 
 def _as_algebra(obj):
@@ -149,86 +145,89 @@ def _as_algebra(obj):
     return obj
 
 
+_ALGEBRA = (nleibniz.NLeibnizAlgebra, nleibniz.CentralNLeibnizAlgebra)
+
+#: name -> (construction, the object type or types its input document must read as)
 _CONSTRUCTIONS = {}
 
 
-def _construction(name):
+def _construction(name, accepts):
     def wrap(fn):
-        _CONSTRUCTIONS[name] = fn
+        _CONSTRUCTIONS[name] = (fn, accepts)
         return fn
 
     return wrap
 
 
-@_construction("nbracket-from-leibniz")
+@_construction("nbracket-from-leibniz", _ALGEBRA)
 def _b_nbracket(obj, ctx):
-    return nleibniz.nbracket_from_leibniz(_as_algebra(obj), ctx.int_param("n"), ctx.recheck)
+    return nleibniz.nbracket_from_leibniz(_as_algebra(obj), ctx.arity(), ctx.recheck)
 
 
-@_construction("fundamental-leibniz")
+@_construction("fundamental-leibniz", _ALGEBRA)
 def _b_fundamental(obj, ctx):
     return nleibniz.fundamental_leibniz(obj, ctx.recheck)
 
 
-@_construction("adjoin-unit")
+@_construction("adjoin-unit", _ALGEBRA)
 def _b_adjoin(obj, ctx):
     return nleibniz.adjoin_unit(_as_algebra(obj), ctx.recheck)
 
 
-@_construction("nrack-from-nleibniz")
+@_construction("nrack-from-nleibniz", _ALGEBRA)
 def _b_vector_nrack(obj, ctx):
     a = _as_algebra(obj)
     nrack.nrack_from_nleibniz(a)  # raises unless the grid validation passes
     return a
 
 
-@_construction("conjugation-nrack")
+@_construction("conjugation-nrack", nrack.FiniteGroup)
 def _b_conj(obj, ctx):
-    return nrack.conjugation_nrack(obj, ctx.int_param("n"))
+    return nrack.conjugation_nrack(obj, ctx.arity())
 
 
-@_construction("nrack-from-rack")
+@_construction("nrack-from-rack", nrack.FiniteNRack)
 def _b_nrack_from_rack(obj, ctx):
-    return nrack.nrack_from_rack(obj, ctx.int_param("n"), ctx.recheck)
+    return nrack.nrack_from_rack(obj, ctx.arity(), ctx.recheck)
 
 
-@_construction("rack-from-nrack")
+@_construction("rack-from-nrack", nrack.FiniteNRack)
 def _b_rack_from_nrack(obj, ctx):
     return nrack.rack_from_nrack(obj)
 
 
-@_construction("linearize")
+@_construction("linearize", nrack.FiniteNRack)
 def _b_linearize(obj, ctx):
     return linrack.linearize_nrack(obj)
 
 
-@_construction("lnr-from-nleibniz")
+@_construction("lnr-from-nleibniz", _ALGEBRA)
 def _b_lnr(obj, ctx):
     return linrack.linear_nrack_from_nleibniz(_as_algebra(obj))
 
 
-@_construction("tensor-power-rack")
+@_construction("tensor-power-rack", linrack.LinearNRack)
 def _b_tensor_power(obj, ctx):
     return linrack.linear_rack_on_tensor_power(obj, check=ctx.recheck)
 
 
-@_construction("lebed")
+@_construction("lebed", linrack.LinearNRack)
 def _b_lebed(obj, ctx):
     fwd, _ = linrack.lebed_operator(obj.as_rack())
     return fwd
 
 
-@_construction("r1")
+@_construction("r1", _ALGEBRA)
 def _b_r1(obj, ctx):
     return ybops.r1_from_nleibniz(_as_algebra(obj))
 
 
-@_construction("r2")
+@_construction("r2", _ALGEBRA)
 def _b_r2(obj, ctx):
     return ybops.r2_from_nleibniz(_as_algebra(obj))
 
 
-@_construction("eta")
+@_construction("eta", _ALGEBRA)
 def _b_eta(obj, ctx):
     eta, report = ybops.eta_intertwiner(_as_algebra(obj))
     if not report.passed:
@@ -236,44 +235,44 @@ def _b_eta(obj, ctx):
     return eta
 
 
-@_construction("nyb-central")
+@_construction("nyb-central", nleibniz.CentralNLeibnizAlgebra)
 def _b_nyb_central(obj, ctx):
     side = ctx.params.get("side", "right")
-    return ybops.nyb_from_central_nleibniz(_as_central(obj), side)
+    return ybops.nyb_from_central_nleibniz(obj, side)
 
 
-@_construction("nyb-lnr")
+@_construction("nyb-lnr", linrack.LinearNRack)
 def _b_nyb_lnr(obj, ctx):
     fwd, _ = ybops.nyb_from_linear_nrack(obj, check=ctx.recheck)
     return fwd
 
 
-@_construction("group-algebra-nyb")
+@_construction("group-algebra-nyb", nrack.FiniteGroup)
 def _b_group_nyb(obj, ctx):
-    return ybops.group_algebra_nyb(obj, ctx.int_param("n"))
+    return ybops.group_algebra_nyb(obj, ctx.arity())
 
 
-@_construction("sn-from-r")
+@_construction("sn-from-r", tensor.TensorOperator)
 def _b_sn(obj, ctx):
-    return ybops.nyb_from_ybe(obj, ctx.int_param("n"), ctx.dim_cap)
+    return ybops.nyb_from_ybe(obj, ctx.arity(), ctx.dim_cap)
 
 
-@_construction("stilde-from-s")
+@_construction("stilde-from-s", tensor.TensorOperator)
 def _b_stilde(obj, ctx):
-    return ybops.ybe_from_nyb(obj, ctx.int_param("n"), ctx.dim_cap)
+    return ybops.ybe_from_nyb(obj, ctx.arity(), ctx.dim_cap)
 
 
-@_construction("solution-from-nrack")
+@_construction("solution-from-nrack", nrack.FiniteNRack)
 def _b_solution(obj, ctx):
     return setsol.solution_from_nrack(obj, ctx.dim_cap)
 
 
-@_construction("nsolution-from-solution")
+@_construction("nsolution-from-solution", setsol.SetNMap)
 def _b_nsolution(obj, ctx):
-    return setsol.nsolution_from_solution(obj, ctx.int_param("n"), ctx.dim_cap)
+    return setsol.nsolution_from_solution(obj, ctx.arity(), ctx.dim_cap)
 
 
-@_construction("solution-from-nsolution")
+@_construction("solution-from-nsolution", setsol.SetNMap)
 def _b_descend(obj, ctx):
     return setsol.solution_from_nsolution(obj, ctx.dim_cap)
 
@@ -293,15 +292,19 @@ def cmd_build(args):
     if args.construction not in _CONSTRUCTIONS:
         known = ", ".join(sorted(_CONSTRUCTIONS))
         raise SchemaError(f"unknown construction {args.construction!r}; known: {known}")
+    build, accepts = _CONSTRUCTIONS[args.construction]
     doc = _load_json(args.file)
-    obj = _certify_input(serialization.from_document(doc))
+    obj = serialization.from_document(doc)
+    if not isinstance(obj, accepts):
+        raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
+    obj = _certify_input(obj)
     params = {}
     for raw in args.param or ():
         key, sep, value = raw.partition("=")
         if not sep:
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
-    result = _CONSTRUCTIONS[args.construction](obj, BuildContext(params, args.recheck, args.dim_cap))
+    result = build(obj, BuildContext(params, args.recheck, args.dim_cap))
     provenance = doc.get("provenance", [])
     if not isinstance(provenance, list):
         raise SchemaError("the 'provenance' field must be a list")
@@ -330,9 +333,11 @@ def cmd_verify(args):
         if equation == "ybe":
             report = ybops.verify_ybe(obj, args.dim_cap)
         else:
-            n = args.n or len(obj.domain_shape.factor_dims)
-            if n < 2:
-                raise SchemaError("cannot infer n from a flat shape; pass --n")
+            n = args.n
+            if n is None:
+                n = len(obj.domain_shape.factor_dims)
+                if n < 2:
+                    raise SchemaError("cannot infer n from a flat shape; pass --n")
             report = ybops.verify_nybe(obj, n, equation.split("-")[1], args.dim_cap)
         _emit(report.to_json())
         ok = report.holds and (report.invertible or args.allow_pre)
@@ -342,24 +347,23 @@ def cmd_verify(args):
             raise SchemaError(f"{equation} needs a set_map document")
         if equation == "set-ybe" and obj.arity != 2:
             raise SchemaError("set-ybe needs a binary map")
-        profile = setsol.check_set_nsolution(obj, args.dim_cap)
-        holds = profile.satisfies_right if obj.side == "right" else profile.satisfies_left
-        witness = profile.right_witness if obj.side == "right" else profile.left_witness
+        holds, witness = setsol.satisfies(obj, obj.side, args.dim_cap)
+        bijective = obj.is_bijective()
         _emit(
             {
                 "equation": ("set_ybe" if obj.arity == 2 else "set_nybe") + "_" + obj.side,
                 "n": obj.arity,
                 "dim": obj.size,
                 "holds": holds,
-                "invertible": profile.is_bijective,
-                "witness": None if holds else (witness or {}).get("tuple"),
-                "nondegenerate": profile.nondegenerate,
-                "involutive_order": profile.involutive_order,
+                "invertible": bijective,
+                "witness": None if holds else witness["tuple"],
+                "nondegenerate": setsol.nondegeneracy(obj),
+                "involutive_order": setsol.involutive_order(obj),
             }
         )
-        if holds and not profile.is_bijective:
+        if holds and not bijective:
             _diag("note: relation holds but the map is not bijective (a pre-solution)")
-        ok = holds and (profile.is_bijective or args.allow_pre)
+        ok = holds and (bijective or args.allow_pre)
         return EXIT_PASS if ok else EXIT_FAIL
     raise SchemaError(f"unknown equation {equation!r}")
 

@@ -23,7 +23,7 @@ from . import scalars, tensor
 from .errors import NotCertifiedError, NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
 from .reports import ReportBuilder, VerificationReport, difference_witness
-from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
+from .tensor import TensorOperator, TensorShape, compose_blocks, flat_index, identity, tensor_many
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,8 @@ def set_coalgebra(size: int, mode=scalars.EXACT) -> Coalgebra:
     """k[X] for a finite set: Delta x = x (x) x, eps x = 1."""
     one = scalars.one(mode)
     shp = TensorShape((size,))
-    delta = TensorOperator(
-        shp, tensor.power_shape(size, 2), {(x * size + x, x): one for x in range(size)}, mode, validate=False
-    )
+    diagonal = {(flat_index((x, x), size), x): one for x in range(size)}
+    delta = TensorOperator(shp, tensor.power_shape(size, 2), diagonal, mode, validate=False)
     counit = TensorOperator(shp, TensorShape((1,)), {(0, x): one for x in range(size)}, mode, validate=False)
     return Coalgebra(size, delta, counit, mode)
 
@@ -90,8 +89,8 @@ def kplus_coalgebra(dim: int, mode=scalars.EXACT) -> Coalgebra:
     one = scalars.one(mode)
     entries = {(0, 0): one}
     for i in range(1, c):
-        entries[(i * c + 0, i)] = one
-        entries[(0 * c + i, i)] = one
+        entries[(flat_index((i, 0), c), i)] = one
+        entries[(flat_index((0, i), c), i)] = one
     delta = TensorOperator(TensorShape((c,)), tensor.power_shape(c, 2), entries, mode, validate=False)
     counit = TensorOperator(TensorShape((c,)), TensorShape((1,)), {(0, 0): one}, mode, validate=False)
     return Coalgebra(c, delta, counit, mode)
@@ -110,15 +109,12 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
     counit = tensor_many([base.counit] * k).with_shapes(
         tensor.power_shape(base.dim, k), TensorShape((1,))
     )
-    candidates = []
-    for combo in itertools.product(base.candidates, repeat=k):
-        vec = {(): scalars.one(base.mode)}
-        prod = {(): scalars.one(base.mode)}
-        for v in combo:
-            prod = {key + (i,): c * x for key, c in prod.items() for i, x in v.items()}
-        shp = tensor.power_shape(base.dim, k)
-        candidates.append({shp.flat(key): c for key, c in prod.items()})
-    return Coalgebra(base.dim**k, delta, counit, base.mode, None, tuple(candidates))
+    shp = tensor.power_shape(base.dim, k)
+    candidates = tuple(
+        tensor.tensor_vector(combo, shp, base.mode)
+        for combo in itertools.product(base.candidates, repeat=k)
+    )
+    return Coalgebra(base.dim**k, delta, counit, base.mode, None, candidates)
 
 
 def check_coalgebra(c: Coalgebra) -> VerificationReport:
@@ -325,12 +321,8 @@ def group_like_elements(c: Coalgebra):
     for v in c.candidates:
         if not v:
             continue
-        left = c.delta.apply(v)
-        prod = {}
-        for i, x in v.items():
-            for j, y in v.items():
-                prod[shp2.flat((i, j))] = x * y
-        if left == prod and not any(f == v for f in found):
+        square = tensor.tensor_vector([v, v], shp2, c.mode)
+        if c.delta.apply(v) == square and not any(f == v for f in found):
             found.append(dict(v))
     return found
 
@@ -345,10 +337,7 @@ def induced_nrack(l: LinearNRack) -> FiniteNRack:
     dom = tensor.power_shape(l.base.dim, n)
     table = []
     for combo in itertools.product(range(m), repeat=n):
-        prod = {(): scalars.one(l.base.mode)}
-        for gi in combo:
-            prod = {key + (i,): cv * x for key, cv in prod.items() for i, x in likes[gi].items()}
-        vec = l.bracket.apply({dom.flat(k): v for k, v in prod.items()})
+        vec = l.bracket.apply(tensor.tensor_vector([likes[gi] for gi in combo], dom, l.base.mode))
         hit = None
         for gi, g in enumerate(likes):
             if vec == g:

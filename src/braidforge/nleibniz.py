@@ -414,10 +414,6 @@ def extend_bracket_by_leibniz(
     return out
 
 
-def tensor_power_shape(a: NLeibnizAlgebra) -> TensorShape:
-    return tensor.power_shape(a.dim, a.arity - 1)
-
-
 def fundamental_leibniz(a, recheck: bool = False):
     """The induced Leibniz bracket on the (n-1)-st tensor power:
 
@@ -455,14 +451,7 @@ def fundamental_leibniz(a, recheck: bool = False):
     if recheck:
         _recheck(out_alg)
     if central is not None:
-        vec = {}
-        for multi in itertools.product(*([sorted(central)] * (n - 1))):
-            coeff = scalars.one(a.mode)
-            for i in multi:
-                coeff *= central[i]
-            if not scalars.is_zero(coeff, a.mode):
-                vec[shp.flat(multi)] = coeff
-        return CentralNLeibnizAlgebra(out_alg, vec)
+        return CentralNLeibnizAlgebra(out_alg, tensor.tensor_vector([central] * (n - 1), shp, a.mode))
     return out_alg
 
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .nleibniz import NLeibnizAlgebra, ad, exp_ad, fundamental_leibniz, vec_equal
 from .reports import ReportBuilder, VerificationReport
+from .tensor import flat_index
 
 RIGHT = "right"
 LEFT = "left"
@@ -59,28 +60,19 @@ class FiniteNRack:
             raise SchemaError("table value out of range")
         object.__setattr__(self, "table", table)
 
-    def index(self, args) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return idx
-
     def apply(self, args) -> int:
-        return self.table[self.index(args)]
+        return self.table[flat_index(args, self.size)]
 
     def translation(self, ys) -> tuple:
         """The right translation x -> <x, y_1..y_{n-1}> as a tuple over x."""
-        base = self.index((0,) + tuple(ys))
+        base = flat_index(ys, self.size)
         step = self.size ** (self.arity - 1)
         return tuple(self.table[base + x * step] for x in range(self.size))
 
     def reversed_args(self) -> "FiniteNRack":
         """Swap argument order; turns a right structure into a left one and back."""
-        m, n = self.size, self.arity
-        new = [0] * len(self.table)
-        for args in itertools.product(range(m), repeat=n):
-            new[self.index(args)] = self.apply(tuple(reversed(args)))
-        return FiniteNRack(m, n, tuple(new), LEFT if self.side == RIGHT else RIGHT, self.certified)
+        side = LEFT if self.side == RIGHT else RIGHT
+        return from_function(self.size, self.arity, lambda *a: self.apply(a[::-1]), side, self.certified)
 
     def as_certified(self) -> "FiniteNRack":
         return FiniteNRack(self.size, self.arity, self.table, self.side, True)
@@ -370,18 +362,9 @@ def rack_from_nrack(t: FiniteNRack, carrier_cap: int = CARRIER_CAP) -> FiniteNRa
     if carrier > carrier_cap:
         raise CapExceededError(f"carrier {carrier} exceeds the cap {carrier_cap}")
 
-    def flat(args):
-        idx = 0
-        for a in args:
-            idx = idx * m + a
-        return idx
-
     tuples = list(itertools.product(range(m), repeat=n - 1))
-    table = [0] * (carrier * carrier)
-    for xi, xs in enumerate(tuples):
-        for yi, ys in enumerate(tuples):
-            tr = t.translation(ys)
-            table[xi * carrier + yi] = flat(tuple(tr[x] for x in xs))
+    translations = [t.translation(ys) for ys in tuples]
+    table = [flat_index([tr[x] for x in xs], m) for xs in tuples for tr in translations]
     return FiniteNRack(carrier, 2, tuple(table), RIGHT, True)
 
 
@@ -407,13 +390,7 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
         for b in blocks[1:]:
             tail += tuples[b]
         head = tuples[blocks[0]]
-        return flat_tuple(tuple(t.apply((h,) + tail) for h in head))
-
-    def flat_tuple(args):
-        idx = 0
-        for a in args:
-            idx = idx * m + a
-        return idx
+        return flat_index([t.apply((h,) + tail) for h in head], m)
 
     out = from_function(carrier, k, op, certified=True)
     if recheck:
@@ -545,16 +522,6 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
     grid = rack.sample_grid()
     width = a.arity - 1
 
-    def tensor_vec(vecs):
-        prod = {(): scalars.one(mode)}
-        for v in vecs:
-            new = {}
-            for key, c in prod.items():
-                for i, x in v.items():
-                    new[key + (i,)] = c * x
-            prod = new
-        return {shp.flat(k): v for k, v in prod.items()}
-
     fund_exp_cache = {}
     ok, witness = True, None
     for xi in itertools.product(range(len(grid)), repeat=width):
@@ -563,14 +530,14 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
             ys = [grid[i] for i in yi]
             try:
                 moved = [rack._exp_at(ys).apply(x) for x in xs]
-                lhs = tensor_vec(moved)
+                lhs = tensor.tensor_vector(moved, shp, mode)
                 key = yi
                 e = fund_exp_cache.get(key)
                 if e is None:
-                    phi_y = tensor_vec(ys)
+                    phi_y = tensor.tensor_vector(ys, shp, mode)
                     e = tensor.exp_nilpotent(ad(fund, [phi_y])) if mode == scalars.EXACT else tensor.exp_float(ad(fund, [phi_y]).to_float())
                     fund_exp_cache[key] = e
-                rhs = e.apply(tensor_vec(xs))
+                rhs = e.apply(tensor.tensor_vector(xs, shp, mode))
             except NotNilpotentError:
                 continue
             if not vec_equal(lhs, rhs, mode):

@@ -83,8 +83,11 @@ def parse_scalar(raw, mode: str):
         num, _, den = raw.partition("/")
         try:
             return float(num) / float(den) if den else float(num)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad float scalar {raw!r}: {exc}") from None
     if isinstance(raw, (int, float)):
-        return float(raw)
+        try:
+            return float(raw)
+        except OverflowError:
+            raise SchemaError(f"float scalar {raw!r} out of range") from None
     raise SchemaError(f"bad float scalar {raw!r}")

@@ -54,6 +54,39 @@ def _mode_of(doc) -> str:
     return scalars.check_mode(doc.get("scalars", scalars.EXACT))
 
 
+def _certified(doc, kind) -> bool:
+    raw = doc.get("certified", False)
+    if not isinstance(raw, bool):
+        raise SchemaError(f"{kind} field 'certified' must be true or false, got {raw!r}")
+    return raw
+
+
+def _total_table(rows, kind, size, arity, width):
+    """The rows [x_1..x_arity, v_1..v_width] of a total table over
+    {0..size-1}^arity, reordered by the flat index of their arguments.
+    Checks the row count before allocating, every row's length and
+    argument range, and that no argument tuple repeats."""
+    if size < 1 or arity < 2:
+        raise SchemaError(f"{kind} needs size >= 1 and arity >= 2")
+    # no list in memory has 2^64 rows; refusing first keeps size**arity small
+    if (size > 1 and arity > 63) or len(rows) != size**arity:
+        raise SchemaError(f"{kind} must be total: expected {size}^{arity} rows, got {len(rows)}")
+    out = [None] * len(rows)
+    for row in rows:
+        if len(row) != arity + width:
+            raise SchemaError(f"{kind} row {row!r} must hold {arity} arguments and {width} values")
+        idx = 0
+        for a in row[:arity]:
+            a = _int(a)
+            if not 0 <= a < size:
+                raise SchemaError(f"{kind} argument {a} out of range")
+            idx = idx * size + a
+        if out[idx] is not None:
+            raise SchemaError(f"duplicate {kind} row for {row[:arity]}")
+        out[idx] = row
+    return out
+
+
 def _entries_to_json(op: TensorOperator):
     return [
         [r, c, scalars.format_scalar(v, op.mode)]
@@ -138,7 +171,7 @@ def nleibniz_from_document(doc):
         _int(_require(doc, "dim", "nleibniz")),
         bracket,
         mode,
-        bool(doc.get("certified", False)),
+        _certified(doc, "nleibniz"),
     )
     if "central" in doc:
         central = {
@@ -171,27 +204,8 @@ def nrack_from_document(doc) -> FiniteNRack:
     size = _int(_require(doc, "size", "nrack"))
     arity = _int(_require(doc, "arity", "nrack"))
     rows = _list(doc, "table", "nrack", list)
-    if len(rows) != size**arity:
-        raise SchemaError(
-            f"nrack table must be total: expected {size**arity} rows, got {len(rows)}"
-        )
-    table = [None] * (size**arity)
-    for row in rows:
-        if len(row) != arity + 1:
-            raise SchemaError(f"nrack table row {row!r} must be [x_1..x_n, value]")
-        args, value = row[:-1], row[-1]
-        idx = 0
-        for a in args:
-            a = _int(a)
-            if not 0 <= a < size:
-                raise SchemaError(f"table argument {a} out of range")
-            idx = idx * size + a
-        if table[idx] is not None:
-            raise SchemaError(f"duplicate table row for {args}")
-        table[idx] = _int(value)
-    return FiniteNRack(
-        size, arity, tuple(table), doc.get("side", "right"), bool(doc.get("certified", False))
-    )
+    table = tuple(_int(row[arity]) for row in _total_table(rows, "nrack", size, arity, 1))
+    return FiniteNRack(size, arity, table, doc.get("side", "right"), _certified(doc, "nrack"))
 
 
 def group_to_document(g: FiniteGroup, provenance=None) -> dict:
@@ -225,8 +239,8 @@ def coalgebra_to_document(c: Coalgebra, provenance=None) -> dict:
 
 
 def coalgebra_from_document(doc) -> Coalgebra:
-    mode = _mode_of(doc)
     dim = _int(_require(doc, "dim", "coalgebra"))
+    mode = _mode_of(doc)
     delta = TensorOperator(
         TensorShape((dim,)),
         tensor.power_shape(dim, 2),
@@ -282,23 +296,9 @@ def set_map_from_document(doc) -> SetNMap:
     size = _int(_require(doc, "size", "set_map"))
     arity = _int(_require(doc, "arity", "set_map"))
     rows = _list(doc, "map", "set_map", list)
-    if len(rows) != size**arity:
-        raise SchemaError(f"set_map must be total: expected {size**arity} rows, got {len(rows)}")
-    outputs = [None] * (size**arity)
-    for row in rows:
-        if len(row) != 2 * arity:
-            raise SchemaError(f"set_map row {row!r} must be [x_1..x_n, y_1..y_n]")
-        args, out = row[:arity], row[arity:]
-        idx = 0
-        for a in args:
-            a = _int(a)
-            if not 0 <= a < size:
-                raise SchemaError(f"set_map argument {a} out of range")
-            idx = idx * size + a
-        if outputs[idx] is not None:
-            raise SchemaError(f"duplicate set_map row for {args}")
-        outputs[idx] = tuple(_int(v) for v in out)
-    return SetNMap(size, arity, tuple(outputs), doc.get("side", "right"))
+    ordered = _total_table(rows, "set_map", size, arity, arity)
+    outputs = tuple(tuple(_int(v) for v in row[arity:]) for row in ordered)
+    return SetNMap(size, arity, outputs, doc.get("side", "right"))
 
 
 def _linear_rack_to_document(r, provenance=None):
@@ -336,14 +336,14 @@ def to_document(obj, provenance=None) -> dict:
 
 
 def document_kind(doc) -> str:
-    """The ``kind`` field of a document, which must be a JSON object."""
+    """The ``kind`` field of a document, which must be a JSON object of a known kind."""
     if not isinstance(doc, dict):
         raise SchemaError("a document must be a JSON object")
-    return doc.get("kind")
+    kind = doc.get("kind")
+    if kind not in KINDS:
+        raise SchemaError(f"unknown document kind {kind!r}; expected one of {KINDS}")
+    return kind
 
 
 def from_document(doc):
-    kind = document_kind(doc)
-    if kind not in _FROM_DOCUMENT:
-        raise SchemaError(f"unknown document kind {kind!r}; expected one of {KINDS}")
-    return _FROM_DOCUMENT[kind](doc)
+    return _FROM_DOCUMENT[document_kind(doc)](doc)

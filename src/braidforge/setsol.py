@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, PreconditionError, SchemaError, VerdictDisagreementError
 from .nrack import FiniteNRack, check_nrack
+from .tensor import flat_index, power_shape
 
 #: smallest k <= this with s^k = Id is reported as the involutive order
 INVOLUTIVE_ORDER_CAP = 24
@@ -59,25 +60,16 @@ class SetNMap:
                 raise SchemaError(f"bad output tuple {out}")
         object.__setattr__(self, "outputs", outs)
 
-    def index(self, args) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * self.size + a
-        return idx
-
     def apply(self, args) -> tuple:
-        return self.outputs[self.index(args)]
+        return self.outputs[flat_index(args, self.size)]
 
     def is_bijective(self) -> bool:
         return len(set(self.outputs)) == len(self.outputs)
 
     def mirror(self) -> "SetNMap":
         """Conjugate by argument reversal; swaps the right and left relations."""
-        m, n = self.size, self.arity
-        outs = [None] * (m**n)
-        for args in itertools.product(range(m), repeat=n):
-            outs[self.index(args)] = tuple(reversed(self.apply(tuple(reversed(args)))))
-        return SetNMap(m, n, tuple(outs), "left" if self.side == "right" else "right")
+        side = "left" if self.side == "right" else "right"
+        return from_function(self.size, self.arity, lambda *a: self.apply(a[::-1])[::-1], side)
 
 
 def from_function(size: int, arity: int, fn, side="right") -> SetNMap:
@@ -168,22 +160,49 @@ def braid_sides(maps, side: str):
     return tuple(sides)
 
 
-def _digits(x: int, m: int, k: int) -> list:
-    return [x // m**i % m for i in range(k - 1, -1, -1)]
-
-
-def _satisfies(s: SetNMap, side: str, maps=None):
-    """(verdict, first witness tuple) for the chosen relation; maps are
-    the ``offset_maps`` of s, built here when not given."""
+def _maps(s: SetNMap, dim_cap):
+    """The ``offset_maps`` of s, refused above dim_cap before allocation."""
     m, n = s.size, s.arity
-    if maps is None:
-        maps = offset_maps([s.index(out) for out in s.outputs], m, n)
+    check_dim_cap(m ** (2 * n - 1), dim_cap)
+    return offset_maps([flat_index(out, m) for out in s.outputs], m, n)
+
+
+def _relation(s: SetNMap, maps, side: str):
+    """(verdict, first witness) of the relation on ``side``, from the offset maps of s."""
     lhs, rhs = braid_sides(maps, side)
     if lhs == rhs:
         return True, None
     x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-    k = 2 * n - 1
-    return False, {"tuple": _digits(x, m, k), "lhs": _digits(lhs[x], m, k), "rhs": _digits(rhs[x], m, k)}
+    digits = power_shape(s.size, 2 * s.arity - 1).multi
+    return False, {"tuple": list(digits(x)), "lhs": list(digits(lhs[x])), "rhs": list(digits(rhs[x]))}
+
+
+def satisfies(s: SetNMap, side: str, dim_cap=None):
+    """(verdict, first witness) of the relation on ``side``, evaluated on all
+    m^(2n-1) tuples.  The witness holds the first differing tuple and both
+    sides' images of it.  dim_cap, when given, refuses a larger space."""
+    return _relation(s, _maps(s, dim_cap), side)
+
+
+def nondegeneracy(s: SetNMap):
+    """For a ternary map s(x,y,z) = (sigma_{x,z}(y), tau_{x,y}(z), eta_{y,z}(x)):
+    {"middle", "left", "right"} -> whether every sigma / tau / eta is a
+    bijection.  None for other arities."""
+    if s.arity != 3:
+        return None
+    m = s.size
+    families = {"middle": True, "left": True, "right": True}
+    for a, b in itertools.product(range(m), repeat=2):
+        sigma = {s.apply((a, y, b))[0] for y in range(m)}
+        tau = {s.apply((a, b, z))[1] for z in range(m)}
+        eta = {s.apply((x, a, b))[2] for x in range(m)}
+        if len(sigma) != m:
+            families["middle"] = False
+        if len(tau) != m:
+            families["left"] = False
+        if len(eta) != m:
+            families["right"] = False
+    return families
 
 
 def involutive_order(s: SetNMap, cap: int = INVOLUTIVE_ORDER_CAP):
@@ -212,30 +231,14 @@ def check_set_nsolution(s: SetNMap, dim_cap=None) -> SolutionProfile:
 
     The check holds index lists of length m^(2n-1); dim_cap, when given,
     refuses a larger space (the CLI passes its cap here)."""
-    check_dim_cap(s.size ** (2 * s.arity - 1), dim_cap)
-    maps = offset_maps([s.index(out) for out in s.outputs], s.size, s.arity)
-    right_ok, right_wit = _satisfies(s, "right", maps)
-    left_ok, left_wit = _satisfies(s, "left", maps)
-    nondeg = None
-    if s.arity == 3:
-        m = s.size
-        families = {"middle": True, "left": True, "right": True}
-        for a, b in itertools.product(range(m), repeat=2):
-            sigma = {s.apply((a, y, b))[0] for y in range(m)}
-            tau = {s.apply((a, b, z))[1] for z in range(m)}
-            eta = {s.apply((x, a, b))[2] for x in range(m)}
-            if len(sigma) != m:
-                families["middle"] = False
-            if len(tau) != m:
-                families["left"] = False
-            if len(eta) != m:
-                families["right"] = False
-        nondeg = families
+    maps = _maps(s, dim_cap)
+    right_ok, right_wit = _relation(s, maps, "right")
+    left_ok, left_wit = _relation(s, maps, "left")
     return SolutionProfile(
         is_bijective=s.is_bijective(),
         satisfies_right=right_ok,
         satisfies_left=left_ok,
-        nondegenerate=nondeg,
+        nondegenerate=nondegeneracy(s),
         involutive_order=involutive_order(s),
         right_witness=right_wit,
         left_witness=left_wit,
@@ -254,12 +257,9 @@ def solution_from_nrack(t: FiniteNRack, dim_cap=None) -> SetNMap:
     """
     if t.side == "right":
         s = from_function(t.size, t.arity, lambda *a: a[1:] + (t.apply(a),), side="right")
-        verdict = check_set_nsolution(s, dim_cap)
-        s_ok = verdict.satisfies_right and verdict.is_bijective
     else:
         s = from_function(t.size, t.arity, lambda *a: (t.apply(a),) + a[:-1], side="left")
-        verdict = check_set_nsolution(s, dim_cap)
-        s_ok = verdict.satisfies_left and verdict.is_bijective
+    s_ok = satisfies(s, t.side, dim_cap)[0] and s.is_bijective()
     rack_ok = check_nrack(t).passed
     if s_ok != rack_ok:
         raise VerdictDisagreementError(
@@ -297,13 +297,12 @@ def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
     m, n = s.size, s.arity
     carrier = m ** (n - 1)
     blocks = list(itertools.product(range(m), repeat=n - 1))
-    flat = {b: i for i, b in enumerate(blocks)}
 
     def descended(u, v):
         tup = blocks[u] + blocks[v]
         for off in range(n - 2, -1, -1):
             tup = _apply_at(s, tup, off)
-        return flat[tup[: n - 1]], flat[tup[n - 1 :]]
+        return flat_index(tup[: n - 1], m), flat_index(tup[n - 1 :], m)
 
     return from_function(carrier, 2, descended)
 
@@ -340,6 +339,8 @@ def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
     """
     if table_filter not in ("nshelf", "nrack", "nsolution"):
         raise SchemaError(f"unknown filter {table_filter!r}")
+    if m < 1 or n < 2:
+        raise SchemaError(f"a census needs m >= 1 and n >= 2, got m={m}, n={n}")
     _check_enumeration_cap(m, n)
     if table_filter == "nsolution":
         found = list(_enumerate_nsolution(m, n))
@@ -372,18 +373,6 @@ def _enumerate_distributive(m: int, n: int, bijective: bool):
         candidates = list(itertools.product(range(m), repeat=m))
     columns = [None] * ncols
     xs_all = list(itertools.product(range(m), repeat=n))
-
-    def instance_ok(xs, ys_idx):
-        c1 = ctx_index[xs[1:]]
-        ty = columns[ys_idx]
-        moved = tuple(ty[x] for x in xs[1:])
-        c3 = ctx_index[moved]
-        if columns[c3] is None or columns[c1] is None:
-            return True, False  # not yet checkable
-        inner = columns[c1][xs[0]]
-        lhs = ty[inner]
-        rhs = columns[c3][ty[xs[0]]]
-        return lhs == rhs, True
 
     def newly_checkable_ok(k):
         for ys_idx in range(k + 1):
@@ -437,7 +426,7 @@ def _enumerate_nsolution(m: int, n: int):
     base_tuples = list(itertools.product(range(m), repeat=2 * n - 1))
     xs_all = list(itertools.product(range(m), repeat=n))
 
-    def simulate(tup, order, depth):
+    def simulate(tup, order):
         """(final tuple, max column index used) or (None, None) if a needed
         column is not yet assigned."""
         used = -1
@@ -453,10 +442,10 @@ def _enumerate_nsolution(m: int, n: int):
 
     def newly_checkable_ok(depth):
         for tup in base_tuples:
-            lhs, lu = simulate(tup, lhs_order, depth)
+            lhs, lu = simulate(tup, lhs_order)
             if lhs is None:
                 continue
-            rhs, ru = simulate(tup, rhs_order, depth)
+            rhs, ru = simulate(tup, rhs_order)
             if rhs is None:
                 continue
             if max(lu, ru) != depth:

@@ -88,6 +88,27 @@ def power_shape(d: int, k: int) -> TensorShape:
     return TensorShape((d,) * k) if k else TensorShape((1,))
 
 
+def flat_index(digits, base: int) -> int:
+    """Row-major flat index of digits in one base, for trusted digits:
+    unlike :meth:`TensorShape.flat` it checks no range, so hot table
+    lookups pay for one loop only."""
+    idx = 0
+    for a in digits:
+        idx = idx * base + a
+    return idx
+
+
+def tensor_vector(vecs, shp: TensorShape, mode=scalars.EXACT) -> dict:
+    """The sparse product v_1 (x) ... (x) v_k of vectors {index: scalar},
+    keyed by flat index in ``shp`` (one factor per vector), exact zeros dropped."""
+    if len(vecs) != len(shp):
+        raise ShapeMismatchError(f"{len(vecs)} vectors for {len(shp)} factors")
+    out = {0: scalars.one(mode)}
+    for v, d in zip(vecs, shp.factor_dims):
+        out = {key * d + i: c * x for key, c in out.items() for i, x in v.items()}
+    return {key: c for key, c in out.items() if not scalars.is_zero(c, mode)}
+
+
 class TensorOperator:
     """A sparse linear map between tensor powers.
 
@@ -316,20 +337,7 @@ def permutation_operator(shp: TensorShape, perm, mode=scalars.EXACT) -> TensorOp
     entry per basis vector, so keep this to spaces you can enumerate;
     on large intermediate spaces use :meth:`TensorOperator.permute_codomain`.
     """
-    perm = _check_permutation(perm, len(shp))
-    dims = shp.factor_dims
-    out_dims = [0] * len(dims)
-    for p, q in enumerate(perm):
-        out_dims[q] = dims[p]
-    cod = TensorShape(tuple(out_dims))
-    o = scalars.one(mode)
-    entries = {}
-    for multi in itertools.product(*(range(d) for d in dims)):
-        new_m = [0] * len(dims)
-        for p, q in enumerate(perm):
-            new_m[q] = multi[p]
-        entries[(cod.flat(new_m), shp.flat(multi))] = o
-    return TensorOperator(shp, cod, entries, mode, validate=False)
+    return identity(shp, mode).permute_codomain(perm)
 
 
 def reverse_permutation(k: int) -> tuple:

@@ -207,47 +207,20 @@ def r_from_central_leibniz(cl: CentralNLeibnizAlgebra) -> TensorOperator:
     cl = _require_central(cl)
     if cl.arity != 2:
         raise SchemaError("r_from_central_leibniz needs a binary bracket")
-    d = cl.dim
-    mode = cl.mode
-    shp = tensor.power_shape(d, 2)
-    flip = tensor.permutation_operator(shp, (1, 0), mode)
-    entries = {}
-    for (x, y), out in cl.algebra.bracket.items():
-        col = x * d + y
-        for j, c in out.items():
-            for u, cu in cl.central.items():
-                key = (u * d + j, col)
-                entries[key] = entries.get(key, scalars.zero(mode)) + cu * c
-    return flip + TensorOperator(shp, shp, entries, mode)
+    return _nyb_formula(cl)
 
 
 def r_tilde_iff_leibniz(bracket: NLeibnizAlgebra):
     """Build R~ on (k (+) L)^(x)2 from an arbitrary bilinear bracket and
-    return (R~, its YB report, the bracket's Leibniz report).
+    return (R~, its YB report, the bracket's Leibniz report): the n = 2
+    case of :func:`nyb_iff_nleibniz`.
 
     The two verdicts are forced to agree; disagreement is an internal
     error, not a result.
     """
     if bracket.arity != 2:
         raise SchemaError("r_tilde_iff_leibniz needs a bilinear bracket")
-    d, mode = bracket.dim, bracket.mode
-    c = d + 1
-    shp = tensor.power_shape(c, 2)
-    flip = tensor.permutation_operator(shp, (1, 0), mode)
-    entries = {}
-    for (x, y), out in bracket.bracket.items():
-        col = (x + 1) * c + (y + 1)
-        for j, cf in out.items():
-            key = (0 * c + (j + 1), col)
-            entries[key] = entries.get(key, scalars.zero(mode)) + cf
-    r = flip + TensorOperator(shp, shp, entries, mode)
-    yb = verify_ybe(r)
-    fi = check_fundamental_identity(bracket)
-    if yb.is_operator != fi.passed:
-        raise VerdictDisagreementError(
-            "the Yang-Baxter verdict disagrees with the Leibniz-identity verdict"
-        )
-    return r, yb, fi
+    return nyb_iff_nleibniz(bracket)
 
 
 def r1_from_nleibniz(a: NLeibnizAlgebra) -> TensorOperator:
@@ -323,13 +296,6 @@ def nyb_from_central_nleibniz(cl: CentralNLeibnizAlgebra, side: str = "right") -
     return _nyb_formula(cl, side)
 
 
-def _vector_power(vec, k, mode):
-    out = {(): scalars.one(mode)}
-    for _ in range(k):
-        out = {key + (i,): c * x for key, c in out.items() for i, x in vec.items()}
-    return out
-
-
 def nyb_iff_nleibniz(bracket: NLeibnizAlgebra, dim_cap: int = DEFAULT_DIM_CAP):
     """Build S on (k (+) L)^(x)n from an arbitrary n-linear bracket and
     return (S, its n-YB report, the bracket's fundamental-identity report).
@@ -360,18 +326,21 @@ def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOpera
     """The degree-n braiding formula of either side without certifying the bracket first."""
     d, n, mode = cl.dim, cl.arity, cl.mode
     shp = tensor.power_shape(d, n)
-    central_powers = _vector_power(cl.central, n - 1, mode)
+    # the central power 1^(x)(n-1) is one factor of dim d^(n-1), so each entry is
+    # (power coefficient) * (bracket coefficient) on both sides, in float mode too
+    units = tensor.tensor_vector([cl.central] * (n - 1), tensor.power_shape(d, n - 1), mode)
     if side == "right":
         shift, bracket = tensor.cyclic_permutation(n), cl.algebra
+        pair = tensor.shape(d ** (n - 1), d)
     else:
         shift, bracket = tuple(range(1, n)) + (0,), cl.algebra.op_reversed()
+        pair = tensor.shape(d, d ** (n - 1))
     entries = {}
     for key, out in bracket.bracket.items():
         col = shp.flat(key)
-        for j, c in out.items():
-            for umulti, cu in central_powers.items():
-                row = shp.flat(umulti + (j,) if side == "right" else (j,) + umulti)
-                entries[(row, col)] = entries.get((row, col), scalars.zero(mode)) + cu * c
+        factors = [units, out] if side == "right" else [out, units]
+        for row, v in tensor.tensor_vector(factors, pair, mode).items():
+            entries[(row, col)] = v
     return tensor.permutation_operator(shp, shift, mode) + TensorOperator(shp, shp, entries, mode)
 
 

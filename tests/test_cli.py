@@ -357,6 +357,18 @@ def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
         (["check", "{}"], {"kind": "nleibniz", "arity": 2, "dim": 2, "bracket": [5]}, {}),
         (["verify", "ybe", "{}"], {"kind": "operator", "shape": [4], "codomain_shape": [4], "entries": 3}, {}),
         (["build", "conjugation-nrack", "{}", "--param", "n=2"], {"kind": "group", "size": 1, "mul": [[0]], "provenance": 5}, {}),
+        (["check", "{}"], {"kind": "coalgebra", "dim": 1, "scalars": "float", "delta": [[0, 0, "1/0"]], "epsilon": [[0, 0, 1]]}, {}),
+        (["check", "{}"], {"kind": [1]}, {}),
+        (["check", "{}"], {"kind": "linear_nrack", "base": 5, "arity": 2, "bracket": [], "inv_bracket": []}, {}),
+        (["check", "{}"], {"kind": "nrack", "size": 2, "arity": 10**12, "table": []}, {}),
+        (["build", "rack-from-nrack", "{}"], {"kind": "nrack", "size": 2, "arity": 2, "certified": "no", "table": [[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]}, {}),
+        (["enumerate", "--m", "-1", "--n", "2", "--filter", "nrack"], "rack", {}),
+        (["build", "nrack-from-rack", "{}", "--param", "n=-3"], "rack", {}),
+        (["build", "sn-from-r", "{}", "--param", "n=1"], "flip", {}),
+        (["build", "sn-from-r", "{}", "--param", "n=0"], "flip", {}),
+        (["build", "linearize", "{}"], "flip", {}),
+        (["build", "rack-from-nrack", "{}"], "flip", {}),
+        (["verify", "nybe-right", "{}", "--n", "0"], "flip", {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
@@ -369,6 +381,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
     named = {
         "group": ser.group_to_document(nr.symmetric_group(3)),
         "flip": ser.to_document(yb.cyclic_operator(2, 2)),
+        "rack": ser.to_document(nr.cyclic_rack(2)),
     }
     path = write(tmp_path, "input.json", named[doc] if isinstance(doc, str) else doc)
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -248,7 +248,7 @@ def test_census_nsolution_matches_brute_force():
     brute = []
     for t in ss.all_tables(2, 3):
         s = ss.from_function(2, 3, lambda *a: a[1:] + (t.apply(a),))
-        ok, _ = ss._satisfies(s, "right")
+        ok, _ = ss.satisfies(s, "right")
         if ok and s.is_bijective():
             brute.append(t.table)
     assert got == brute

@@ -28,6 +28,23 @@ def test_shape_flat_multi_roundtrip():
         assert s.flat(s.multi(flat)) == flat
 
 
+def test_flat_index_is_the_row_major_layout():
+    s = T.power_shape(3, 4)
+    for flat in range(s.total):
+        assert T.flat_index(s.multi(flat), 3) == flat
+
+
+def test_tensor_vector_matches_kron():
+    u = {0: Fraction(2), 2: Fraction(-1, 3)}
+    v = {1: Fraction(5), 0: Fraction(0)}
+    w = {0: ONE, 1: Fraction(7)}
+    got = T.tensor_vector([u, v, w], T.shape(3, 2, 2))
+    u_, v_, w_ = ([x.get(i, 0) for i in range(d)] for x, d in ((u, 3), (v, 2), (w, 2)))
+    assert got == {i: x for i, x in enumerate(np.kron(np.kron(u_, v_), w_)) if x != 0}
+    with pytest.raises(ShapeMismatchError):
+        T.tensor_vector([u, v], T.shape(3, 2, 2))
+
+
 def test_shape_rejects_index_overflow():
     with pytest.raises(SchemaError):
         T.shape(2**16, 2**16)
