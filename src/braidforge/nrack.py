@@ -79,6 +79,8 @@ class FiniteNRack:
 
 
 def from_function(size: int, arity: int, fn, side=RIGHT, certified=False) -> FiniteNRack:
+    if arity < 2:  # before fn sees a tuple of the wrong length
+        raise SchemaError("need arity >= 2")
     table = [
         fn(*args) for args in itertools.product(range(size), repeat=arity)
     ]

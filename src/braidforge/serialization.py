@@ -44,6 +44,11 @@ def _list(doc, key, kind, item=None):
 
 
 def _int(raw) -> int:
+    if type(raw) is int:
+        return raw
+    # int() would read true as 1 and truncate 2.9 to 2
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise SchemaError(f"expected an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError):

@@ -73,6 +73,8 @@ class SetNMap:
 
 
 def from_function(size: int, arity: int, fn, side="right") -> SetNMap:
+    if arity < 2:  # before fn sees a tuple of the wrong length
+        raise SchemaError("need arity >= 2")
     outs = [tuple(fn(*args)) for args in itertools.product(range(size), repeat=arity)]
     return SetNMap(size, arity, tuple(outs), side)
 

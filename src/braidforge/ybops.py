@@ -15,8 +15,10 @@ invertible is a pre-operator; reports keep the two facts separate.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import scalars, tensor
 from .errors import (
@@ -89,12 +91,62 @@ def _factor_dim(s: TensorOperator, n: int) -> int:
     raise ShapeMismatchError(f"operator dimension {total} is not an n-th power for n={n}")
 
 
-def _chain(ops):
-    """Compose maps given in order of application (first applied first)."""
-    out = ops[0]
-    for op in ops[1:]:
-        out = op @ out
-    return out
+def _integer_columns(s: TensorOperator):
+    """(columns, scale): s's columns col -> [(row, value)] in entry order,
+    and the factor they carry.  In exact mode the values are the integers
+    scale * s, scale the lcm of the denominators; in float mode they are
+    s's own and the scale is 1."""
+    cols = s.columns()
+    if s.mode != scalars.EXACT:
+        return cols, 1
+    scale = math.lcm(*(v.denominator for v in s.entries.values()))
+    return {
+        c: [(r, v.numerator * (scale // v.denominator)) for r, v in hits] for c, hits in cols.items()
+    }, scale
+
+
+def _word_images(cols, d: int, n: int, k: int, words):
+    """Yield (c, images) for each basis column e_c of V^(x)k in turn: its
+    sparse image under each word, where letter i applies the n-factor map
+    with columns ``cols`` to the digits i..i+n-1 of the flat index.
+
+    Exact zeros are dropped after every letter, and every entry sums its
+    terms in the order of the ``compose`` chain of the embedded letters,
+    so float images are bit-identical to that chain's columns.
+    """
+    span = d**n
+    letters = {}
+    for i in {i for word in words for i in word}:
+        low = d ** (k - n - i)
+        letters[i] = low, [[(r * low, v) for r, v in cols.get(c, ())] for c in range(span)]
+    plans = [[letters[i] for i in word] for word in words]
+    for c in range(d**k):
+        images = []
+        for plan in plans:
+            vec = {c: 1}
+            for low, lcols in plan:
+                out = {}
+                for x, xv in vec.items():
+                    mid = x // low % span
+                    base = x - mid * low
+                    for r, v in lcols[mid]:
+                        y = base + r
+                        out[y] = out.get(y, 0) + v * xv
+                vec = {y: v for y, v in out.items() if v != 0} if 0 in out.values() else out
+            images.append(vec)
+        yield c, images
+
+
+def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
+    """The entries on V^(x)k of one word of s: those of the ``compose``
+    chain of the embedded letters."""
+    cols, scale = _integer_columns(s)
+    power = scale ** len(word)
+    entries = {}
+    for c, (vec,) in _word_images(cols, d, n, k, [word]):
+        for r, v in vec.items():
+            entries[(r, c)] = Fraction(v, power) if s.mode == scalars.EXACT else v
+    return entries
 
 
 def _uniform_monomial(s: TensorOperator):
@@ -135,7 +187,9 @@ def verify_nybe(
 
     An operator with one nonzero per column, all of them equal, runs
     through the index-map kernel ``setsol.braid_sides``; any other through
-    sparse compositions.  Both give the same report.
+    the column kernel ``_word_images``, one basis column at a time, on
+    integers in exact mode.  Both give the report of the sparse ``embed``
+    / ``compose`` chain and its ``first_difference``.
     """
     t0 = time.perf_counter()
     if n < 2:
@@ -151,10 +205,17 @@ def verify_nybe(
     if monomial is not None:
         witness = _monomial_witness(*monomial, d, n, side, s.mode)
     else:
-        e = [tensor.embed(s, i, n - 1 - i, d) for i in range(n)]
-        lhs_word, rhs_word = braid_words(n, side)
-        diff = _chain([e[i] for i in lhs_word]).first_difference(_chain([e[i] for i in rhs_word]))
-        witness = None if diff is None else diff[1]
+        # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
+        best = None
+        cols, _ = _integer_columns(s)
+        for c, (lhs, rhs) in _word_images(cols, d, n, 2 * n - 1, braid_words(n, side)):
+            if lhs == rhs:
+                continue
+            keys = lhs.keys() | rhs.keys()
+            row = min((r for r in keys if not scalars.eq(lhs.get(r, 0), rhs.get(r, 0), s.mode)), default=None)
+            if row is not None and (best is None or row < best[0]):
+                best = row, c
+        witness = None if best is None else best[1]
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",
         n=n,
@@ -395,14 +456,17 @@ def nyb_from_ybe(r: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> T
     """Lift a Yang-Baxter operator to degree n on the same space:
     S_n = (Id^(x)(n-2) (x) R) ... (Id (x) R (x) Id^(x)(n-3)) (R (x) Id^(x)(n-2)),
     applied left to right."""
+    if n < 2:
+        raise SchemaError("n must be at least 2")
     base = verify_ybe(r, dim_cap)
     if not base.is_operator:
         raise PreconditionError("input is not a Yang-Baxter operator", base.to_json())
     if n == 2:
         return r
     d = _factor_dim(r, 2)
-    steps = [tensor.embed(r, i, n - 2 - i, d) for i in range(n - 1)]
-    return _chain(steps)
+    dims = r.domain_shape.factor_dims  # the shapes of the embedded first and last letters
+    dom, cod = TensorShape(dims + (d,) * (n - 2)), TensorShape((d,) * (n - 2) + dims)
+    return TensorOperator(dom, cod, _word_entries(r, d, 2, n, range(n - 1)), r.mode, validate=False)
 
 
 def ybe_from_nyb(s: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> TensorOperator:
@@ -413,10 +477,9 @@ def ybe_from_nyb(s: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> T
     if not base.is_operator:
         raise PreconditionError("input is not an n-Yang-Baxter operator", base.to_json())
     d = _factor_dim(s, n)
-    steps = [tensor.embed(s, i, n - 2 - i, d) for i in range(n - 2, -1, -1)]
-    out = _chain(steps)
     pair = tensor.power_shape(d ** (n - 1), 2)
-    return out.with_shapes(pair, pair)
+    entries = _word_entries(s, d, n, 2 * n - 2, range(n - 2, -1, -1))
+    return TensorOperator(pair, pair, entries, s.mode, validate=False)
 
 
 def conjugate_nyb(s: TensorOperator, phi: TensorOperator, n: int) -> TensorOperator:
@@ -434,6 +497,8 @@ def group_algebra_nyb(group: FiniteGroup, n: int) -> TensorOperator:
     Built directly from the group table; it coincides with the braiding
     of the linearized conjugation n-rack.
     """
+    if n < 2:
+        raise SchemaError("n must be at least 2")
     m = group.size
     shp = tensor.power_shape(m, n)
     one = scalars.one(scalars.EXACT)

@@ -369,6 +369,7 @@ def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
         (["build", "linearize", "{}"], "flip", {}),
         (["build", "rack-from-nrack", "{}"], "flip", {}),
         (["verify", "nybe-right", "{}", "--n", "0"], "flip", {}),
+        (["check", "{}"], {"kind": "nrack", "size": 2.9, "arity": 2, "table": [[0, 0, 0], [0, 1.7, 0], [1, 0, True], [1, 1, 1]]}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):

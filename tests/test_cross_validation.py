@@ -3,11 +3,15 @@
 Both public braid-relation checks run the one index-map kernel
 ``setsol.braid_sides``: ``ybops.verify_nybe`` for every operator with
 one nonzero per column, all of them equal, and
-``setsol.check_set_nsolution`` for every set map.  The oracles they are
-checked against live here: the sparse operator chain (``tensor.embed``,
-``ybops._chain``, ``first_difference``), which ``verify_nybe`` still
-runs on every other operator, and a plain tuple-by-tuple simulation of
-the two braid words.
+``setsol.check_set_nsolution`` for every set map.  Every other operator
+runs through the integer column kernel of ``ybops``, which streams one
+basis column at a time through both braid words; the lift
+``nyb_from_ybe`` and the descent ``ybe_from_nyb`` build their words with
+it too.  No code in ``src/`` composes embedded operators any more, so the
+oracles live here: the sparse operator chain (``tensor.embed``, composed
+in order of application, and ``first_difference``), a dense numpy
+product of Kronecker embeddings, and a plain tuple-by-tuple simulation
+of the two braid words.
 Linearizing a point map must preserve every verdict, so any convention
 drift between the paths shows up here.
 """
@@ -112,11 +116,19 @@ def simulate(image, coeffs, d, n, side, mode):
     return witness is None, None if witness is None else witness[1], invertible, first_tuple
 
 
+def embed_chain(op, d, n, k, word):
+    """The letters Id^(x)i (x) op (x) Id^(x)(k-n-i) of a word on k factors,
+    composed in order of application (first applied first)."""
+    out = T.embed(op, word[0], k - n - word[0], d)
+    for i in word[1:]:
+        out = T.embed(op, i, k - n - i, d) @ out
+    return out
+
+
 def sparse_chain(op, d, n, side):
     """(holds, witness, invertible) of the sparse operator chain."""
-    e = [T.embed(op, i, n - 1 - i, d) for i in range(n)]
-    lhs_word, rhs_word = words(n, side)
-    diff = yb._chain([e[i] for i in lhs_word]).first_difference(yb._chain([e[i] for i in rhs_word]))
+    lhs, rhs = (embed_chain(op, d, n, 2 * n - 1, word) for word in words(n, side))
+    diff = lhs.first_difference(rhs)
     return diff is None, None if diff is None else diff[1], T.is_invertible(op)
 
 
@@ -177,3 +189,163 @@ def test_index_map_kernel_matches_sparse_chain_and_tuples(case):
         assert (profile.satisfies_right, profile.right_witness) == (first_tuple is None, first_tuple)
     else:
         assert (profile.satisfies_left, profile.left_witness) == (first_tuple is None, first_tuple)
+
+
+# -- the integer column kernel against the sparse chain and a dense product --
+
+
+GENERAL_EXACT = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(5, 3)]
+# entries and products of n+1 letters near EPS_CMP: 1e-3^3 = 1e-9, (3e-5)^2 = 9e-10
+GENERAL_FLOAT = [1.0, -1.0, 0.5, 3.0, 1e-3, -1e-3, 3e-5, 4e-10, 3e-9]
+
+
+@st.composite
+def general_operators(draw):
+    """Square operators on V^(x)n with 1-3 nonzeros in some column: random
+    columns, or a cyclic shift plus random bracket terms 1^(x)(n-1) (x) [...]
+    on the right side and [...] (x) 1^(x)(n-1) on the left, the shape of the
+    braidings of n-Leibniz algebras.  Exact pools hold +-1 and +-2, so sums
+    cancel to zero."""
+    # n = 4 at d = 3 (3^7 dims) runs as an explicit example
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 2 if n == 4 else 3))
+    mode = draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
+    side = draw(st.sampled_from(["right", "left"]))
+    pool = st.sampled_from(GENERAL_EXACT if mode == sc.EXACT else GENERAL_FLOAT)
+    shp = T.power_shape(d, n)
+    if draw(st.booleans()):
+        entries = {}
+        for c in range(shp.total):
+            for r in draw(st.lists(st.integers(0, shp.total - 1), min_size=1, max_size=3, unique=True)):
+                entries[(r, c)] = draw(pool)
+        return d, n, T.TensorOperator(shp, shp, entries, mode), side
+    shift = yb.cyclic_operator(d, n, mode) if side == "right" else T.permutation_operator(
+        shp, (*range(1, n), 0), mode
+    )
+    unit = (0,) * (n - 1)
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = tuple(draw(st.integers(1, d - 1)) for _ in range(n))
+        j = draw(st.integers(0, d - 1))
+        row = shp.flat(unit + (j,) if side == "right" else (j,) + unit)
+        terms[(row, shp.flat(key))] = draw(pool)
+    return d, n, shift + T.TensorOperator(shp, shp, terms, mode), side
+
+
+def dense_differences(op, d, n, side):
+    """(sure, possible, invertible) from dense numpy products of the
+    Kronecker embeddings: boolean masks of the (row, col) where the two
+    sides differ beyond EPS_CMP + 1e-12 and beyond EPS_CMP - 1e-12 (in
+    float mode the summation order may decide the entries in between; in
+    exact mode both masks are the exact differences).  Exact operators are
+    scaled to integers, so the float64 products are exact while every
+    partial sum stays below 2^52.  Invertibility is sympy's exact rank in
+    exact mode and not an independent check in float mode."""
+    import math
+
+    import numpy as np
+    import sympy
+
+    exact = op.mode == sc.EXACT
+    scale = math.lcm(*(v.denominator for v in op.entries.values())) if exact else 1
+    m = np.zeros((d**n, d**n))
+    for (r, c), v in op.entries.items():
+        m[r, c] = float(v * scale)
+    letters = [np.kron(np.kron(np.eye(d**i), m), np.eye(d ** (n - 1 - i))) for i in range(n)]
+    sides = []
+    for word in words(n, side):
+        prod = bound = np.eye(d ** (2 * n - 1))
+        for i in word:
+            prod, bound = letters[i] @ prod, np.abs(letters[i]) @ bound
+        assert bound.max() < 2**52
+        sides.append(prod)
+    diff = np.abs(sides[0] - sides[1])
+    if exact:
+        return diff != 0, diff != 0, sympy.Matrix(op.dense()).rank() == d**n
+    return diff > sc.EPS_CMP + 1e-12, diff > sc.EPS_CMP - 1e-12, T.is_invertible(op)
+
+
+def t3bar_braiding(mode, side):
+    """The braiding of T3 with a unit adjoined (4^5 = 1024 dims), which holds."""
+    import braidforge.nleibniz as nl
+
+    a = nl.certify(nl.NLeibnizAlgebra(3, 3, {(0, 1, 1): {2: 1}}, mode))
+    return 4, 3, yb.nyb_from_central_nleibniz(nl.adjoin_unit(a), side), side
+
+
+def random_4_3():
+    """A random operator at n = 4, d = 3 (3^7 dims), 1-3 nonzeros per column."""
+    rng = random.Random(43)
+    shp = T.power_shape(3, 4)
+    entries = {}
+    for c in range(shp.total):
+        for r in rng.sample(range(shp.total), rng.randint(1, 3)):
+            entries[(r, c)] = rng.choice(GENERAL_EXACT)
+    return 3, 4, T.TensorOperator(shp, shp, entries), "left"
+
+
+@settings(max_examples=100, deadline=None)
+@given(general_operators())
+@example(t3bar_braiding(sc.EXACT, "right"))
+@example(t3bar_braiding(sc.EXACT, "left"))
+@example(t3bar_braiding(sc.FLOAT, "right"))
+@example(random_4_3())
+def test_column_kernel_matches_sparse_chain_and_dense_product(case):
+    d, n, op, side = case
+    report = yb.verify_nybe(op, n, side)
+    got = (report.holds, report.witness, report.invertible)
+    assert got == sparse_chain(op, d, n, side)
+    if d ** (2 * n - 1) > 1024:
+        return
+    sure, possible, invertible = dense_differences(op, d, n, side)
+    assert report.invertible == invertible
+    if (sure == possible).all():
+        hits = sure.nonzero()  # row-major, so the first is the smallest (row, col)
+        assert (report.holds, report.witness) == (not len(hits[0]), int(hits[1][0]) if len(hits[0]) else None)
+    else:
+        assert report.holds == (not sure.any()) or report.holds == (not possible.any())
+        assert report.witness is None or possible[:, report.witness].any()
+
+
+@st.composite
+def braided_operators(draw):
+    """A Yang-Baxter operator R with non-monomial columns, a degree n >= 3
+    to lift it to, and a scalar mode: the flip or the braiding of a unit-
+    extended Leibniz algebra, conjugated by a random invertible upper-
+    triangular phi."""
+    import braidforge.nleibniz as nl
+
+    mode = draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
+    base = draw(st.sampled_from(["flip2", "flip3", "square", "a3"]))
+    if base.startswith("flip"):
+        d = int(base[-1])
+        r = yb.cyclic_operator(d, 2, mode)
+    else:
+        bracket = {(0, 0): {1: 1}} if base == "square" else {(0, 1): {2: 1}}
+        a = nl.certify(nl.NLeibnizAlgebra(2, 2 if base == "square" else 3, bracket, mode))
+        r = yb.r_from_central_leibniz(nl.adjoin_unit(a))
+        d = a.dim + 1
+    # float coefficients off the dyadic grid, so the summation order shows in the last bit
+    pool = GENERAL_EXACT if mode == sc.EXACT else [1.0, -0.7, 0.3, 3.1, 1 / 3]
+    phi = {(i, i): draw(st.sampled_from(pool)) for i in range(d)}
+    for i, j in itertools.combinations(range(d), 2):
+        if draw(st.booleans()):
+            phi[(i, j)] = draw(st.sampled_from(pool))
+    r = yb.conjugate_nyb(r, T.TensorOperator(T.shape(d), T.shape(d), phi, mode), 2)
+    # the descent verifies the lift on d^(2n-1) dims: n = 4 only for d <= 3
+    return d, draw(st.integers(3, 4 if d <= 3 else 3)), r
+
+
+@settings(max_examples=40, deadline=None)
+@given(braided_operators())
+def test_lift_and_descent_match_embed_chain(case):
+    # entry for entry; float == compares bits, and the kernels never store a zero
+    d, n, r = case
+    lifted = yb.nyb_from_ybe(r, n)
+    chain = embed_chain(r, d, 2, n, range(n - 1))
+    assert lifted.entries == chain.entries
+    assert (lifted.domain_shape, lifted.codomain_shape) == (chain.domain_shape, chain.codomain_shape)
+    down = yb.ybe_from_nyb(lifted, n)
+    chain = embed_chain(lifted, d, n, 2 * n - 2, range(n - 2, -1, -1))
+    assert down.entries == chain.entries
+    assert down.domain_shape == down.codomain_shape == T.power_shape(d ** (n - 1), 2)

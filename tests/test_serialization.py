@@ -120,6 +120,18 @@ def test_float_entries_rejected_in_exact_mode():
         ser.from_document(doc)
 
 
+def test_integer_fields_reject_booleans_and_fractional_floats():
+    def nrack(size, value):
+        return {"kind": "nrack", "size": size, "arity": 2, "table": [[0, 0, 0], [0, 1, 0], [1, 0, value], [1, 1, 1]]}
+
+    for size, value in ((2.9, 1), (2, True), (True, 1), (2, 1.5), (2, float("nan")), (2, float("inf"))):
+        with pytest.raises(SchemaError):
+            ser.from_document(nrack(size, value))
+    # integral floats and integer strings still parse
+    for size, value in ((2.0, 1.0), ("2", "1"), (2, 1)):
+        assert ser.from_document(nrack(size, value)).table == (0, 0, 1, 1)
+
+
 def test_provenance_carried():
     doc = ser.to_document(nr.trivial_nrack(2, 2), provenance=["made-by-hand"])
     assert doc["provenance"] == ["made-by-hand"]
