@@ -8,6 +8,7 @@ codes: 0 pass, 1 verification failure, 2 input error, 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -65,6 +66,9 @@ def _check_one(doc, dim_cap):
     if kind == "group":
         return nrack.check_group_table(*serialization.group_table_from_document(doc))
     obj = serialization.from_document(doc)
+    if kind in ("nleibniz", "nrack", "linear_nrack"):  # their laws walk every (2n-1)-tuple
+        d = obj.size if kind == "nrack" else obj.base.dim if kind == "linear_nrack" else _as_algebra(obj).dim
+        setsol.check_dim_cap(d ** (2 * obj.arity - 1), dim_cap)
     if kind == "nleibniz":
         if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
             rb = ReportBuilder("central-nleibniz")
@@ -428,7 +432,9 @@ def cmd_demo(args):
 # -- entry point ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The one argument parser of the process: building it costs far more than a parse."""
     p = argparse.ArgumentParser(
         prog="braidforge",
         description="construct and machine-verify self-distributive algebra and braid-relation operators",
@@ -437,7 +443,7 @@ def build_parser():
 
     c = sub.add_parser("check", help="run all axioms for a document (or a JSON array batch)")
     c.add_argument("file")
-    c.add_argument("--allow-large", action="store_true", help="ignore the cap on set-map relation checks")
+    c.add_argument("--allow-large", action="store_true", help="ignore the cap on law and relation checks")
     c.set_defaults(fn=cmd_check)
 
     b = sub.add_parser("build", help="run a named construction on a document")

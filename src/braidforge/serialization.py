@@ -178,6 +178,9 @@ def nleibniz_from_document(doc):
         mode,
         _certified(doc, "nleibniz"),
     )
+    # as for tables: no law check walks 2^63 inputs, and refusing first keeps dim**(2n-1) small
+    if a.dim > 1 and a.arity > 63:
+        raise SchemaError(f"nleibniz arity {a.arity} on dim {a.dim} is beyond any check")
     if "central" in doc:
         central = {
             j: scalars.parse_scalar(v, mode)

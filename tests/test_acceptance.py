@@ -214,3 +214,11 @@ def test_cap_scale_monomial_verification(s3):
         report = yb.verify_nybe(yb.group_algebra_nyb(s3, 4), 4, "right")
         assert report.verification_dim == 279936
         assert report.holds and report.invertible
+
+
+def test_nrack_check_on_the_sym3_4rack(s3):
+    """The census's largest rack check: the Sym(3) conjugation 4-rack on
+    all 6^7 = 279936 tuples, in blocks of flat index lists, within 1 s."""
+    t = nr.conjugation_nrack(s3, 4)
+    with Timer("nrack check Sym(3) n=4", 1):
+        assert nr.check_nrack(t).passed

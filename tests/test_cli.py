@@ -340,6 +340,47 @@ def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
         ss.check_set_nsolution(ss.flip_map(2, 3), dim_cap=16)
 
 
+def test_check_caps_every_kind(capsys, tmp_path, monkeypatch):
+    import braidforge.linrack as lr
+
+    monkeypatch.delenv("BRAIDFORGE_DIM_CAP", raising=False)
+    # 8^4 = 4096 rows, but the rack laws walk 8^7 > 2^20 tuples
+    big = write(tmp_path, "big.json", ser.to_document(nr.trivial_nrack(8, 4)))
+    assert run(capsys, "check", big)[0] == 3
+    assert run(capsys, "check", big, "--allow-large")[0] in (0, 1)
+    small = {
+        "nrack": ser.to_document(nr.trivial_nrack(2, 3)),  # 2^5 tuples
+        "nleibniz": {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []},  # 2^5
+        "linear_nrack": ser.to_document(lr.linearize_nrack(nr.trivial_nrack(2, 3))),  # 2^5
+    }
+    for kind, doc in small.items():
+        path = write(tmp_path, f"{kind}.json", doc)
+        monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "31")
+        assert run(capsys, "check", path)[0] == 3, kind
+        assert run(capsys, "check", path, "--allow-large")[0] in (0, 1), kind
+        monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "32")
+        assert run(capsys, "check", path)[0] in (0, 1), kind
+
+
+def test_main_reuses_one_parser(capsys, tmp_path, s3):
+    group = write(tmp_path, "s3.json", ser.group_to_document(s3))
+    first = run(capsys, "build", "conjugation-nrack", group, "--param", "n=3")
+    assert first[0] == 0
+    assert run(capsys, "build", "conjugation-nrack", group, "--param", "n=2", "--param", "n=4")[0] == 0
+    bad = ["build", "conjugation-nrack", group, "--no-such-flag"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(bad)
+    usage = capsys.readouterr()
+    assert exc.value.code == 2 and usage.out == ""
+    # a second bad call prints what a freshly built parser prints
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser.__wrapped__().parse_args(bad)
+    assert exc.value.code == 2 and capsys.readouterr() == usage
+    assert run(capsys, "build", "conjugation-nrack", group, "--param", "n=3") == first
+    assert cli.build_parser().parse_args(["build", "x", "y", "--param", "n=3"]).param == ["n=3"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize(
     "argv, doc, env",
     [
@@ -370,6 +411,7 @@ def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
         (["build", "rack-from-nrack", "{}"], "flip", {}),
         (["verify", "nybe-right", "{}", "--n", "0"], "flip", {}),
         (["check", "{}"], {"kind": "nrack", "size": 2.9, "arity": 2, "table": [[0, 0, 0], [0, 1.7, 0], [1, 0, True], [1, 1, 1]]}, {}),
+        (["check", "{}", "--allow-large"], {"kind": "nleibniz", "arity": 10**12, "dim": 2, "bracket": []}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):

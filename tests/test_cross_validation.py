@@ -26,6 +26,7 @@ import braidforge.scalars as sc
 import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
+from braidforge.errors import PreconditionError
 
 ONE = Fraction(1)
 
@@ -307,16 +308,12 @@ def test_column_kernel_matches_sparse_chain_and_dense_product(case):
         assert report.witness is None or possible[:, report.witness].any()
 
 
-@st.composite
-def braided_operators(draw):
-    """A Yang-Baxter operator R with non-monomial columns, a degree n >= 3
-    to lift it to, and a scalar mode: the flip or the braiding of a unit-
-    extended Leibniz algebra, conjugated by a random invertible upper-
-    triangular phi."""
+def braided_case(mode, base, phi, n):
+    """(d, n, R): the flip ("flip2", "flip3") or the braiding of a unit-
+    extended Leibniz algebra ("square", "a3"), conjugated by the upper-
+    triangular phi {(i, j): entry}."""
     import braidforge.nleibniz as nl
 
-    mode = draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
-    base = draw(st.sampled_from(["flip2", "flip3", "square", "a3"]))
     if base.startswith("flip"):
         d = int(base[-1])
         r = yb.cyclic_operator(d, 2, mode)
@@ -325,19 +322,37 @@ def braided_operators(draw):
         a = nl.certify(nl.NLeibnizAlgebra(2, 2 if base == "square" else 3, bracket, mode))
         r = yb.r_from_central_leibniz(nl.adjoin_unit(a))
         d = a.dim + 1
+    return d, n, yb.conjugate_nyb(r, T.TensorOperator(T.shape(d), T.shape(d), phi, mode), 2)
+
+
+@st.composite
+def braided_operators(draw):
+    """A Yang-Baxter operator R with non-monomial columns, a degree n >= 3
+    to lift it to, and a scalar mode: ``braided_case`` with a random
+    invertible upper-triangular phi."""
+    mode = draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
+    base = draw(st.sampled_from(["flip2", "flip3", "square", "a3"]))
+    d = int(base[-1]) if base.startswith("flip") else 3 if base == "square" else 4
     # float coefficients off the dyadic grid, so the summation order shows in the last bit
     pool = GENERAL_EXACT if mode == sc.EXACT else [1.0, -0.7, 0.3, 3.1, 1 / 3]
     phi = {(i, i): draw(st.sampled_from(pool)) for i in range(d)}
     for i, j in itertools.combinations(range(d), 2):
         if draw(st.booleans()):
             phi[(i, j)] = draw(st.sampled_from(pool))
-    r = yb.conjugate_nyb(r, T.TensorOperator(T.shape(d), T.shape(d), phi, mode), 2)
     # the descent verifies the lift on d^(2n-1) dims: n = 4 only for d <= 3
-    return d, draw(st.integers(3, 4 if d <= 3 else 3)), r
+    return braided_case(mode, base, phi, draw(st.integers(3, 4 if d <= 3 else 3)))
+
+
+# entries near 1000: rounding moves the lift's braid sides apart by more than
+# the absolute EPS_CMP, so the lift fails its own check and cannot descend
+FLOAT_LIFT_MISSES_EPS = braided_case(
+    sc.FLOAT, "square", {(0, 0): 0.3, (0, 1): 3.1, (1, 1): 3.1, (1, 2): 3.1, (2, 2): 1 / 3}, 3
+)
 
 
 @settings(max_examples=40, deadline=None)
 @given(braided_operators())
+@example(FLOAT_LIFT_MISSES_EPS)
 def test_lift_and_descent_match_embed_chain(case):
     # entry for entry; float == compares bits, and the kernels never store a zero
     d, n, r = case
@@ -345,7 +360,13 @@ def test_lift_and_descent_match_embed_chain(case):
     chain = embed_chain(r, d, 2, n, range(n - 1))
     assert lifted.entries == chain.entries
     assert (lifted.domain_shape, lifted.codomain_shape) == (chain.domain_shape, chain.codomain_shape)
-    down = yb.ybe_from_nyb(lifted, n)
+    try:
+        down = yb.ybe_from_nyb(lifted, n)
+    except PreconditionError:
+        # only a float lift may miss EPS_CMP, and then the embed chain sees it too
+        holds, _, invertible = sparse_chain(lifted, d, n, "right")
+        assert lifted.mode == sc.FLOAT and not (holds and invertible)
+        return
     chain = embed_chain(lifted, d, n, 2 * n - 2, range(n - 2, -1, -1))
     assert down.entries == chain.entries
     assert down.domain_shape == down.codomain_shape == T.power_shape(d ** (n - 1), 2)

@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.tensor as T
 from braidforge.errors import CapExceededError, NotNilpotentError, PreconditionError, SchemaError
+from braidforge.reports import ReportBuilder, VerificationReport
 
 ONE = Fraction(1)
 
@@ -42,6 +44,111 @@ def test_distributivity_witness_is_lex_min():
     assert not report.passed
     assert report.witness["tuple"] == [0, 0, 1]
     assert report.witness["lhs"] == 1 and report.witness["rhs"] == 2
+
+
+def tuple_loop_check(t):
+    """The plain checker, one tuple at a time: the oracle of check_nrack."""
+    if t.side == nr.LEFT:
+        inner = tuple_loop_check(t.reversed_args())
+        return VerificationReport("left-nrack(via reversal)", inner.checks)
+    rb = ReportBuilder("nrack")
+    m, n = t.size, t.arity
+    ok, witness = True, None
+    for tpl in itertools.product(range(m), repeat=2 * n - 1):
+        xs, ys = tpl[:n], tpl[n:]
+        lhs = t.apply((t.apply(xs),) + ys)
+        rhs = t.apply(tuple(t.apply((x,) + ys) for x in xs))
+        if lhs != rhs:
+            ok, witness = False, {"tuple": list(tpl), "lhs": lhs, "rhs": rhs}
+            break
+    distributive = rb.record("self-distributivity", ok, witness)
+
+    ok, witness = True, None
+    for ys in itertools.product(range(m), repeat=n - 1):
+        tr = t.translation(ys)
+        if len(set(tr)) != m:
+            ok, witness = False, {"translation": list(ys), "image": list(tr)}
+            break
+    bijective = rb.record("translation-bijectivity", ok, witness)
+
+    if not (distributive and bijective):
+        rb.skip("translation-rack-homomorphism", "rack axioms failed")
+        return rb.build()
+
+    ok, witness = True, None
+    for xs in itertools.product(range(m), repeat=n - 1):
+        tx = t.translation(xs)
+        for ys in itertools.product(range(m), repeat=n - 1):
+            ty = t.translation(ys)
+            ty_inv = [0] * m
+            for i, v in enumerate(ty):
+                ty_inv[v] = i
+            conj = tuple(ty[tx[ty_inv[i]]] for i in range(m))
+            moved = tuple(t.apply((x,) + ys) for x in xs)
+            if t.translation(moved) != conj:
+                ok, witness = False, {"x": list(xs), "y": list(ys)}
+                break
+        if not ok:
+            break
+    rb.record("translation-rack-homomorphism", ok, witness)
+    return rb.build()
+
+
+def without_times(report):
+    doc = report.to_json()
+    for check in doc["checks"]:
+        del check["elapsed_ms"]
+    return doc
+
+
+GROUPS = [nr.cyclic_group(2), nr.cyclic_group(3), nr.symmetric_group(3)]
+
+
+@st.composite
+def nrack_tables(draw):
+    """Random, near-rack (one cell of a rack changed) and conjugation
+    tables, right or left, n = 2..4, up to 3^5 or 2^7 tuples (6^5 for
+    conjugation racks of Sym(3))."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["random", "near", "conjugation"]))
+    side = draw(st.sampled_from([nr.RIGHT, nr.LEFT]))
+    if kind == "conjugation":
+        rack = nr.conjugation_nrack(draw(st.sampled_from(GROUPS[:2] if n == 4 else GROUPS)), n)
+    else:
+        m = draw(st.integers(1, 3 if n < 4 else 2))
+        if kind == "random":
+            table = draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
+            return nr.FiniteNRack(m, n, table, side)
+        k = draw(st.integers(0, m - 1))
+        shift = nr.from_function(m, 2, lambda x, y: (x + k) % m, certified=True)  # x <| y = x + k
+        rack = draw(st.sampled_from([nr.trivial_nrack(m, n), nr.nrack_from_rack(shift, n)]))
+    table = list((rack if side == nr.RIGHT else rack.reversed_args()).table)
+    if kind == "near" and rack.size > 1:
+        cell = draw(st.integers(0, len(table) - 1))
+        table[cell] = (table[cell] + draw(st.integers(1, rack.size - 1))) % rack.size
+    return nr.FiniteNRack(rack.size, n, table, side)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nrack_tables())
+def test_check_nrack_matches_the_tuple_loop(t):
+    assert without_times(nr.check_nrack(t)) == without_times(tuple_loop_check(t))
+
+
+def test_check_nrack_memory_stays_blocked(s3):
+    # one block of 6^6 tuples at a time: about 1.6 MB, where full-space
+    # lhs/rhs lists alone would hold about 4.5 MB of pointers
+    import tracemalloc
+
+    t = nr.conjugation_nrack(s3, 4)
+    tracemalloc.start()
+    try:
+        report = nr.check_nrack(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 4 * 2**20
 
 
 # -- groups ------------------------------------------------------------------
