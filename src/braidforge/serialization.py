@@ -281,6 +281,8 @@ def linear_nrack_to_document(l: LinearNRack, provenance=None) -> dict:
 def linear_nrack_from_document(doc) -> LinearNRack:
     base = coalgebra_from_document(_require(doc, "base", "linear_nrack"))
     arity = _int(_require(doc, "arity", "linear_nrack"))
+    if arity < 2 or (base.dim > 1 and arity > 63):  # as for nleibniz, before power_shape allocates
+        raise SchemaError(f"linear_nrack arity must be 2 or more, and 63 at most on dim above 1; got {arity}")
     mode = base.mode
     dom = tensor.power_shape(base.dim, arity)
     cod = TensorShape((base.dim,))

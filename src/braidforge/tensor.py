@@ -17,6 +17,7 @@ routine, e.g. viewing a map on V^(2n-2) as a map on (V^(n-1))^2).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -147,15 +148,24 @@ class TensorOperator:
     def is_square(self) -> bool:
         return self.domain_shape.total == self.codomain_shape.total
 
-    def column(self, c: int) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
     def columns(self) -> dict:
         """Group entries by column: col -> list of (row, value)."""
         cols = {}
         for (r, c), v in self.entries.items():
             cols.setdefault(c, []).append((r, v))
         return cols
+
+    def integer_columns(self):
+        """(columns, scale): the columns as a list over the domain, each
+        [(row, value)] in entry order, and the factor the values carry.  In
+        exact mode the values are the integers scale * entry, scale the lcm
+        of the denominators; in float mode they are the entries, scale 1."""
+        exact = self.mode == scalars.EXACT
+        scale = math.lcm(*(v.denominator for v in self.entries.values())) if exact else 1
+        cols = [[] for _ in range(self.domain_shape.total)]
+        for (r, c), v in self.entries.items():
+            cols[c].append((r, v.numerator * (scale // v.denominator) if exact else v))
+        return cols, scale
 
     def max_abs(self):
         return max((abs(v) for v in self.entries.values()), default=scalars.zero(self.mode))

@@ -15,7 +15,6 @@ invertible is a pre-operator; reports keep the two facts separate.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,24 +90,10 @@ def _factor_dim(s: TensorOperator, n: int) -> int:
     raise ShapeMismatchError(f"operator dimension {total} is not an n-th power for n={n}")
 
 
-def _integer_columns(s: TensorOperator):
-    """(columns, scale): s's columns col -> [(row, value)] in entry order,
-    and the factor they carry.  In exact mode the values are the integers
-    scale * s, scale the lcm of the denominators; in float mode they are
-    s's own and the scale is 1."""
-    cols = s.columns()
-    if s.mode != scalars.EXACT:
-        return cols, 1
-    scale = math.lcm(*(v.denominator for v in s.entries.values()))
-    return {
-        c: [(r, v.numerator * (scale // v.denominator)) for r, v in hits] for c, hits in cols.items()
-    }, scale
-
-
 def _word_images(cols, d: int, n: int, k: int, words):
     """Yield (c, images) for each basis column e_c of V^(x)k in turn: its
     sparse image under each word, where letter i applies the n-factor map
-    with columns ``cols`` to the digits i..i+n-1 of the flat index.
+    with columns ``cols`` (a list over V^(x)n) to the digits i..i+n-1 of the flat index.
 
     Exact zeros are dropped after every letter, and every entry sums its
     terms in the order of the ``compose`` chain of the embedded letters,
@@ -118,7 +103,7 @@ def _word_images(cols, d: int, n: int, k: int, words):
     letters = {}
     for i in {i for word in words for i in word}:
         low = d ** (k - n - i)
-        letters[i] = low, [[(r * low, v) for r, v in cols.get(c, ())] for c in range(span)]
+        letters[i] = low, [[(r * low, v) for r, v in cols[c]] for c in range(span)]
     plans = [[letters[i] for i in word] for word in words]
     for c in range(d**k):
         images = []
@@ -140,7 +125,7 @@ def _word_images(cols, d: int, n: int, k: int, words):
 def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
     """The entries on V^(x)k of one word of s: those of the ``compose``
     chain of the embedded letters."""
-    cols, scale = _integer_columns(s)
+    cols, scale = s.integer_columns()
     power = scale ** len(word)
     entries = {}
     for c, (vec,) in _word_images(cols, d, n, k, [word]):
@@ -207,7 +192,7 @@ def verify_nybe(
     else:
         # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
         best = None
-        cols, _ = _integer_columns(s)
+        cols, _ = s.integer_columns()
         for c, (lhs, rhs) in _word_images(cols, d, n, 2 * n - 1, braid_words(n, side)):
             if lhs == rhs:
                 continue

@@ -222,3 +222,18 @@ def test_nrack_check_on_the_sym3_4rack(s3):
     t = nr.conjugation_nrack(s3, 4)
     with Timer("nrack check Sym(3) n=4", 1):
         assert nr.check_nrack(t).passed
+
+
+def test_linear_nrack_check_on_the_sym3_4rack(s3, tmp_path, capsys):
+    """The linearized Sym(3) conjugation 4-rack through ``check``: its laws
+    walk 6^7 = 279936 columns, within 10 s, and it passes with exit 0."""
+    import json
+
+    import braidforge.cli as cli
+    import braidforge.serialization as ser
+
+    path = tmp_path / "sym3-4.json"
+    path.write_text(json.dumps(ser.to_document(lr.linearize_nrack(nr.conjugation_nrack(s3, 4)))))
+    with Timer("linear_nrack check Sym(3) n=4", 10):
+        assert cli.main(["check", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"

@@ -412,6 +412,7 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         (["verify", "nybe-right", "{}", "--n", "0"], "flip", {}),
         (["check", "{}"], {"kind": "nrack", "size": 2.9, "arity": 2, "table": [[0, 0, 0], [0, 1.7, 0], [1, 0, True], [1, 1, 1]]}, {}),
         (["check", "{}", "--allow-large"], {"kind": "nleibniz", "arity": 10**12, "dim": 2, "bracket": []}, {}),
+        (["check", "{}", "--allow-large"], {"kind": "linear_nrack", "arity": 10**12, "base": {"kind": "coalgebra", "dim": 2, "delta": [[0, 0, 1], [3, 1, 1]], "epsilon": [[0, 0, 1], [0, 1, 1]]}, "bracket": [], "inv_bracket": []}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):

@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import braidforge.linrack as lr
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
+import braidforge.scalars as sc
 import braidforge.tensor as T
 import braidforge.ybops as yb
 from braidforge.errors import NotCertifiedError, NotClosedError, PreconditionError
@@ -101,6 +104,243 @@ def test_linearize_increment_rack(flip_rack):
     assert l.bracket.apply({s.flat((0, 1)): ONE}) == {1: ONE}
     assert l.bracket.apply({s.flat((1, 0)): ONE}) == {0: ONE}
     assert lr.check_linear_nrack(l).passed
+
+
+# -- the column kernel against the matrix identities ---------------------------------
+#
+# The oracle evaluates the same identities as matrices: id^n (x) Delta^(n)^(x)(n-1)
+# and id (x) Delta^(x)(n-1) materialized, shuffled with permute_codomain and
+# composed with compose_blocks.
+
+
+def _matrix_distributivity_sides(l):
+    c, n = l.base.dim, l.arity
+    b, idc = l.bracket, T.identity(T.shape(c), l.base.mode)
+    lhs = b @ T.tensor_many([b] + [idc] * (n - 1))
+    split = T.tensor_many([idc] * n + [l.base.iterated_delta(n)] * (n - 1))
+    perm = [0] * (n + n * (n - 1))
+    for i in range(n):
+        perm[i] = i * n
+    for j in range(n - 1):
+        for leg in range(n):
+            perm[n + j * n + leg] = leg * n + (j + 1)
+    return lhs, b @ T.compose_blocks([b] * n, split.permute_codomain(perm))
+
+
+def _matrix_inverse_side(l, first, second):
+    c, n = l.base.dim, l.arity
+    idc = T.identity(T.shape(c), l.base.mode)
+    split = T.tensor_many([idc] + [l.base.delta] * (n - 1))
+    perm = [0] * (2 * n - 1)
+    for j in range(n - 1):
+        perm[1 + 2 * j] = n + (n - 2 - j)  # leg (1), reversed order, applied second
+        perm[2 + 2 * j] = 1 + j  # leg (2), feeds the first map
+    return second @ T.compose_blocks([first] + [idc] * (n - 1), split.permute_codomain(perm))
+
+
+def _matrix_pairs(l):
+    """(law, lhs, rhs) of every matrix identity, in report order."""
+    n, base = l.arity, l.base
+    split_all = T.tensor_many([base.delta] * n).permute_codomain(T.deal_factors(n))
+    eps_n = T.tensor_many([base.counit] * n)
+    proj = T.tensor_many([T.identity(T.shape(base.dim), base.mode)] + [base.counit] * (n - 1))
+    maps = (l.bracket, l.inv_bracket)
+    return [
+        *(("coproduct-homomorphism", base.delta @ b, T.compose_blocks([b, b], split_all)) for b in maps),
+        *(("counit-homomorphism", base.counit @ b, eps_n) for b in maps),
+        ("self-distributivity", *_matrix_distributivity_sides(l)),
+        ("inverse-property", _matrix_inverse_side(l, l.bracket, l.inv_bracket), proj),
+        ("inverse-property", _matrix_inverse_side(l, l.inv_bracket, l.bracket), proj),
+    ]
+
+
+def _support(l, pairs):
+    """Every (row, col) where the two sides differ, from (col, lhs, rhs) columns."""
+    return {
+        (r, col) for col, a, b in pairs for r in a.keys() | b.keys() if not sc.eq(a.get(r, 0), b.get(r, 0), l.base.mode)
+    }
+
+
+def _kernel_support(l, sides):
+    span = l.base.dim ** (l.arity - 1)
+    return _support(l, ((x * span + t, a, b) for t, (lhs, rhs) in enumerate(sides) for x, (a, b) in enumerate(zip(lhs, rhs))))
+
+
+def _matrix_support(l, lhs, rhs):
+    a, b = lhs.columns(), rhs.columns()
+    return _support(l, ((col, dict(a.get(col, ())), dict(b.get(col, ()))) for col in a.keys() | b.keys()))
+
+
+def _matrix_report(l):
+    """The report of the matrix identities without times, whether a float
+    difference lies within 1e-12 of EPS_CMP (so summation order may flip it),
+    and the (law, lhs, rhs) of the matrix identities."""
+    base = lr.check_coalgebra(l.base)
+    if not base.passed:
+        return _without_times(base), False, []
+    checks, borderline, pairs = {}, False, _matrix_pairs(l)
+    for name, lhs, rhs in pairs:
+        if l.base.mode == sc.FLOAT:
+            diffs = (abs(lhs.entries.get(k, 0.0) - rhs.entries.get(k, 0.0)) for k in lhs.entries.keys() | rhs.entries.keys())
+            borderline = borderline or any(abs(d - sc.EPS_CMP) <= 1e-12 for d in diffs)
+        if name not in checks or "witness" not in checks[name]:
+            k = lhs.first_difference(rhs)
+            checks[name] = {"name": name, "status": "pass" if k is None else "fail"}
+            if k is not None:
+                checks[name]["witness"] = {"row": k[0], "col": k[1]}
+    doc = {"subject": f"linear-{l.arity}-rack(dim={l.base.dim})", "checks": list(checks.values())}
+    doc["overall"] = "pass" if all(c["status"] == "pass" for c in doc["checks"]) else "fail"
+    return doc, borderline, pairs
+
+
+def _without_times(report):
+    doc = report.to_json()
+    for check in doc["checks"]:
+        del check["elapsed_ms"]
+    return doc
+
+
+def _scalar(draw, mode, values=(-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2))):
+    if mode == sc.EXACT:
+        return Fraction(draw(st.sampled_from(values)))
+    return draw(st.sampled_from([-2.0, -1.0, 1.0, 2.0, 0.5, 0.3, 3e-9, 1.0000000003]))  # within and beyond EPS_CMP
+
+
+def _from_table(m, n, table, inv_table, mode):
+    """k[X] with the bracket and inverse bracket of two tables, neither checked."""
+    one, dom = sc.one(mode), T.power_shape(m, n)
+    ops = [T.TensorOperator(dom, T.shape(m), {(v, c): one for c, v in enumerate(t)}, mode) for t in (table, inv_table)]
+    return lr.LinearNRack(lr.set_coalgebra(m, mode), n, *ops)
+
+
+def _matrix_coalgebra(mode):
+    """The dual of the 2x2 matrix algebra, Delta e_ij = sum_k e_ik (x) e_kj and
+    eps e_ij = delta_ij: not cocommutative, so the order of Sweedler legs shows."""
+    one = sc.one(mode)
+    delta = {((2 * i + k) * 4 + 2 * k + j, 2 * i + j): one for i in range(2) for j in range(2) for k in range(2)}
+    return lr.Coalgebra(
+        4,
+        T.TensorOperator(T.shape(4), T.power_shape(4, 2), delta, mode),
+        T.TensorOperator(T.shape(4), T.shape(1), {(0, 0): one, (0, 3): one}, mode),
+        mode,
+    )
+
+
+def _rescaled(l, lams):
+    """The same structure in the basis lams[x] * e_x, which puts non-integer
+    entries into the coproduct and the counit."""
+    c = l.base.dim
+
+    def weight(index, k):
+        w = 1
+        for digit in T.power_shape(c, k).multi(index) if k else ():
+            w = w * lams[digit]
+        return w
+
+    def op(o, k_in, k_out):
+        entries = {(r, col): v * weight(col, k_in) / weight(r, k_out) for (r, col), v in o.entries.items()}
+        return T.TensorOperator(o.domain_shape, o.codomain_shape, entries, o.mode)
+
+    base = lr.Coalgebra(c, op(l.base.delta, 1, 2), op(l.base.counit, 1, 0), l.base.mode)
+    return lr.LinearNRack(base, l.arity, op(l.bracket, l.arity, 1), op(l.inv_bracket, l.arity, 1))
+
+
+@st.composite
+def linear_nracks(draw):
+    """Linearized conjugation, near-rack and random tables; k (+) L of
+    nilpotent and random brackets; tensor-power and (not cocommutative)
+    matrix coalgebras with the trivial bracket u eps(v_2)...eps(v_n) and
+    random changes; n = 2..4, exact and float; now and then in a rescaled
+    basis or with a scaled inverse bracket."""
+    mode = draw(st.sampled_from(sc.MODES))
+    kind = draw(st.sampled_from(["conjugation", "near", "random", "kplus", "tensor-power", "matrix"]))
+    n = draw(st.integers(2, 4))
+    if kind in ("conjugation", "near"):
+        g = draw(st.sampled_from([nr.cyclic_group(2), nr.cyclic_group(3)] + [nr.symmetric_group(3)] * (n < 4)))
+        l = lr.linearize_nrack(nr.conjugation_nrack(g, n), mode)
+        if kind == "near":
+            entries, col = dict(l.bracket.entries), draw(st.integers(0, g.size**n - 1))
+            r = next(r for r, c in entries if c == col)
+            del entries[(r, col)]
+            entries[((r + draw(st.integers(1, g.size - 1))) % g.size, col)] = sc.one(mode)
+            l = lr.LinearNRack(l.base, n, T.TensorOperator(l.bracket.domain_shape, l.bracket.codomain_shape, entries, mode), l.inv_bracket)
+    elif kind == "random":
+        m = draw(st.integers(1, 3))
+        tables = [draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n)) for _ in range(2)]
+        l = _from_table(m, n, *tables, mode)
+    elif kind == "kplus":
+        d = draw(st.integers(1, 2))
+        nilpotent = draw(st.booleans())
+        bracket = {}
+        for _ in range(draw(st.integers(0, 3))):
+            key = tuple(draw(st.integers(0, d - 1)) for _ in range(n))
+            low = max(key) + 1 if nilpotent else 0
+            if low < d:
+                bracket.setdefault(key, {})[draw(st.integers(low, d - 1))] = _scalar(draw, mode)
+        l = lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(n, d, bracket, mode), require_certified=False)
+    else:
+        n = min(n, 3)  # the oracle's split of C^(x)(n^2) must stay under the 2^31 index cap
+        if kind == "matrix":
+            base = _matrix_coalgebra(mode)
+        else:
+            base = lr.tensor_power_coalgebra(draw(st.sampled_from([lr.set_coalgebra(2, mode), lr.kplus_coalgebra(1, mode)])), 2)
+        dom = T.power_shape(4, n)
+        eps = base.counit.entries
+        trivial = {}
+        for col in range(4**n):
+            digits = dom.multi(col)
+            value = sc.one(mode)
+            for x in digits[1:]:
+                value = value * eps.get((0, x), 0)
+            if value:
+                trivial[(digits[0], col)] = value
+        maps = []
+        for _ in range(2):
+            entries = dict(trivial) if draw(st.integers(0, 3)) else {}
+            for _ in range(draw(st.sampled_from([0, 1, 1, 2, 5]))):  # few changes keep the differing entries sparse
+                entries[(draw(st.integers(0, 3)), draw(st.integers(0, 4**n - 1)))] = _scalar(draw, mode)
+            maps.append(T.TensorOperator(dom, T.shape(4), entries, mode))
+        l = lr.LinearNRack(base, n, *maps)
+    if draw(st.booleans()):
+        lams = [2, Fraction(1, 3), Fraction(-3, 2), 1] if mode == sc.EXACT else [2.0, 0.5, -4.0, 1.0]
+        l = _rescaled(l, [draw(st.sampled_from(lams)) for _ in range(l.base.dim)])
+    if draw(st.integers(0, 3)) == 0:  # scale the inverse bracket: the inverse property fails
+        l = lr.LinearNRack(l.base, l.arity, l.bracket, l.inv_bracket.scale(_scalar(draw, mode)))
+    return l
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_nracks())
+@example(lr.linear_rack_on_tensor_power(lr.linearize_nrack(nr.conjugation_nrack(nr.cyclic_group(3), 3))).as_nrack())
+@example(lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: Fraction(1, 3)}}), require_certified=False))
+def test_check_linear_nrack_matches_the_matrix_identities(l):
+    want, borderline, pairs = _matrix_report(l)
+    got = _without_times(lr.check_linear_nrack(l))
+    if borderline:  # a difference at the tolerance: only the report's own consistency is asserted
+        assert got["overall"] == ("pass" if all(c["status"] == "pass" for c in got["checks"]) else "fail")
+        assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
+        return
+    assert got == want
+    # a witness is one differing entry; the kernel's sides must differ at exactly the same entries
+    kernels = [
+        lr._distributivity_sides(l),
+        lr._inverse_sides(l, l.bracket, l.inv_bracket),
+        lr._inverse_sides(l, l.inv_bracket, l.bracket),
+    ]
+    for (name, lhs, rhs), sides in zip(pairs[-3:], kernels):
+        assert _kernel_support(l, sides) == _matrix_support(l, lhs, rhs), name
+
+
+def test_sym3_linear_4rack_check_stays_small(s3):
+    # the laws walk 6^7 columns; the split C^(x)16 the matrix form needs is beyond the index cap
+    l = lr.linearize_nrack(nr.conjugation_nrack(s3, 4))
+    tracemalloc.start()
+    try:
+        assert lr.check_linear_nrack(l).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- group-likes --------------------------------------------------------------
