@@ -178,8 +178,8 @@ def nleibniz_from_document(doc):
         mode,
         _certified(doc, "nleibniz"),
     )
-    # as for tables: no law check walks 2^63 inputs, and refusing first keeps dim**(2n-1) small
-    if a.dim > 1 and a.arity > 63:
+    # no law check walks 2^63 inputs, and on dim 1 the check's one (2n-1)-tuple would be huge
+    if a.arity > 63:
         raise SchemaError(f"nleibniz arity {a.arity} on dim {a.dim} is beyond any check")
     if "central" in doc:
         central = {
@@ -281,8 +281,8 @@ def linear_nrack_to_document(l: LinearNRack, provenance=None) -> dict:
 def linear_nrack_from_document(doc) -> LinearNRack:
     base = coalgebra_from_document(_require(doc, "base", "linear_nrack"))
     arity = _int(_require(doc, "arity", "linear_nrack"))
-    if arity < 2 or (base.dim > 1 and arity > 63):  # as for nleibniz, before power_shape allocates
-        raise SchemaError(f"linear_nrack arity must be 2 or more, and 63 at most on dim above 1; got {arity}")
+    if not 2 <= arity <= 63:  # as for nleibniz, before power_shape allocates
+        raise SchemaError(f"linear_nrack arity must be between 2 and 63, got {arity}")
     mode = base.mode
     dom = tensor.power_shape(base.dim, arity)
     cod = TensorShape((base.dim,))

@@ -323,12 +323,6 @@ def _check_enumeration_cap(m: int, n: int):
         raise CapExceededError("enumeration is capped at arity 3")
 
 
-def all_tables(m: int, n: int):
-    """Every total table X^n -> X in lexicographic order; mind the size."""
-    for values in itertools.product(range(m), repeat=m**n):
-        yield FiniteNRack(m, n, values)
-
-
 def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
     """Census of all tables passing the filter, in lexicographic order.
 
@@ -354,117 +348,115 @@ def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
     return census, found
 
 
-def _columns_meta(m: int, n: int):
-    contexts = list(itertools.product(range(m), repeat=n - 1))
-    ctx_index = {c: i for i, c in enumerate(contexts)}
-    return contexts, ctx_index
+def _watched_dfs(m: int, n: int, candidates, parked, resume):
+    """Every table whose columns (right translations by the n-1 trailing
+    arguments, in flat order) pass all law instances, in candidate order.
 
-
-def _enumerate_distributive(m: int, n: int, bijective: bool):
-    """DFS over translation columns with incremental self-distributivity cuts.
-
-    A distributivity instance (xs, ys) needs the columns (x_2..x_n), ys,
-    and (t_ys(x_2)..t_ys(x_n)); it is checked as soon as its last needed
-    column is assigned.
+    Columns are assigned in index order.  parked[k] holds the instances
+    blocked on column k, and assigning it resumes only those:
+    ``resume(state, columns)`` is True or False once both sides are
+    known, else (j, state) to park on the unassigned column j.  Parkings
+    are undone on backtrack, so an instance is compared at the depth that
+    assigns the last column it reads (watched literals, as in Chaff).
     """
-    contexts, ctx_index = _columns_meta(m, n)
-    ncols = len(contexts)
-    if bijective:
-        candidates = [p for p in itertools.product(range(m), repeat=m) if len(set(p)) == m]
-    else:
-        candidates = list(itertools.product(range(m), repeat=m))
+    ncols = m ** (n - 1)
     columns = [None] * ncols
-    xs_all = list(itertools.product(range(m), repeat=n))
-
-    def newly_checkable_ok(k):
-        for ys_idx in range(k + 1):
-            if columns[ys_idx] is None:
-                continue
-            for xs in xs_all:
-                c1 = ctx_index[xs[1:]]
-                if c1 > k or columns[c1] is None:
-                    continue
-                ty = columns[ys_idx]
-                c3 = ctx_index[tuple(ty[x] for x in xs[1:])]
-                if c3 > k:
-                    continue
-                if max(c1, ys_idx, c3) != k:
-                    continue  # checked at an earlier depth
-                inner = columns[c1][xs[0]]
-                if ty[inner] != columns[c3][ty[xs[0]]]:
-                    return False
-        return True
 
     def dfs(k):
         if k == ncols:
             # flat table in storage order (first argument most significant)
-            values = tuple(columns[ctx_index[xs[1:]]][xs[0]] for xs in xs_all)
-            yield FiniteNRack(m, n, values)
+            yield FiniteNRack(m, n, tuple(col[x] for x in range(m) for col in columns))
             return
         for cand in candidates:
             columns[k] = cand
-            if newly_checkable_ok(k):
+            trail = []
+            for state in parked[k]:
+                verdict = resume(state, columns)
+                if verdict is True:
+                    continue
+                if verdict is False:
+                    break
+                j, state = verdict
+                parked[j].append(state)
+                trail.append(j)
+            else:
                 yield from dfs(k + 1)
-            columns[k] = None
+            for j in trail:
+                parked[j].pop()
+        columns[k] = None
 
     yield from dfs(0)
+
+
+def _enumerate_distributive(m: int, n: int, bijective: bool):
+    """Tables passing self-distributivity, over translation columns.
+
+    The instance (xs, ys) reads the columns c1 of (x_2..x_n), ys, and c3
+    of (t_ys(x_2)..t_ys(x_n)): it waits on max(c1, ys), then on c3.
+    """
+    if bijective:
+        candidates = list(itertools.permutations(range(m)))
+    else:
+        candidates = list(itertools.product(range(m), repeat=m))
+    parked = [[] for _ in range(m ** (n - 1))]
+    for xs in itertools.product(range(m), repeat=n):
+        c1 = flat_index(xs[1:], m)
+        for ys in range(len(parked)):
+            parked[max(c1, ys)].append((xs[0], xs[1:], c1, ys, None))
+
+    def resume(state, columns):
+        x0, tail, c1, ys, c3 = state
+        ty = columns[ys]
+        if c3 is None:
+            c3 = flat_index([ty[x] for x in tail], m)
+            if columns[c3] is None:
+                return c3, (x0, tail, c1, ys, c3)
+        return ty[columns[c1][x0]] == columns[c3][ty[x0]]
+
+    return _watched_dfs(m, n, candidates, parked, resume)
 
 
 def _enumerate_nsolution(m: int, n: int):
-    """DFS over translation columns with incremental relation cuts.
+    """Tables whose induced map s(x) = (x_2..x_n, <x>) satisfies the right
+    relation and is bijective, over translation columns.
 
-    Bijectivity of the induced map s(x) = (x_2..x_n, <x>) forces every
-    column to be a permutation (elementary injectivity in the first
-    argument), so candidates are permutations.  Each relation instance
-    is simulated lazily: applying s at an offset needs the column of the
-    trailing n-1 entries, so an instance is checked at the first depth
-    where every application it performs has its column assigned.
+    Bijectivity of s forces every column to be a permutation (elementary
+    injectivity in the first argument), so candidates are permutations.
+    A (2n-1)-tuple's instance runs the left word, then the right one, on
+    flat indices; s at an offset reads the column of the n-1 digits after
+    the offset's head.
     """
-    contexts, ctx_index = _columns_meta(m, n)
-    ncols = len(contexts)
-    perms = list(itertools.permutations(range(m)))
-    columns = [None] * ncols
-    lhs_order, rhs_order = braid_words(n, "right")
-    base_tuples = list(itertools.product(range(m), repeat=2 * n - 1))
-    xs_all = list(itertools.product(range(m), repeat=n))
+    digits = power_shape(m, 2 * n - 1).multi
+    tuples = [digits(x) for x in range(m ** (2 * n - 1))]
+    steps = [  # per offset: (context column, head digit, index with the new digit 0, its weight)
+        (
+            [flat_index(t[off + 1 : off + n], m) for t in tuples],
+            [t[off] for t in tuples],
+            [flat_index(t[:off] + t[off + 1 : off + n] + (0,) + t[off + n :], m) for t in tuples],
+            m ** (n - 1 - off),
+        )
+        for off in range(n)
+    ]
+    lhs, rhs = braid_words(n, "right")
+    word = [steps[off] for off in lhs + rhs]
+    half, end = len(lhs), len(word)
 
-    def simulate(tup, order):
-        """(final tuple, max column index used) or (None, None) if a needed
-        column is not yet assigned."""
-        used = -1
-        for off in order:
-            args = tup[off : off + n]
-            ci = ctx_index[args[1:]]
-            col = columns[ci]
+    def resume(state, columns):
+        base, pos, x, lhs_end = state
+        while pos < end:
+            ctx, head, shifted, weight = word[pos]
+            col = columns[ctx[x]]
             if col is None:
-                return None, None
-            used = max(used, ci)
-            tup = tup[:off] + args[1:] + (col[args[0]],) + tup[off + n :]
-        return tup, used
+                return ctx[x], (base, pos, x, lhs_end)
+            x = shifted[x] + col[head[x]] * weight
+            pos += 1
+            if pos == half:
+                lhs_end, x = x, base
+        return x == lhs_end
 
-    def newly_checkable_ok(depth):
-        for tup in base_tuples:
-            lhs, lu = simulate(tup, lhs_order)
-            if lhs is None:
-                continue
-            rhs, ru = simulate(tup, rhs_order)
-            if rhs is None:
-                continue
-            if max(lu, ru) != depth:
-                continue  # fully determined earlier, already checked
-            if lhs != rhs:
-                return False
-        return True
-
-    def dfs(k):
-        if k == ncols:
-            values = tuple(columns[ctx_index[xs[1:]]][xs[0]] for xs in xs_all)
-            yield FiniteNRack(m, n, values)
-            return
-        for cand in perms:
-            columns[k] = cand
-            if newly_checkable_ok(k):
-                yield from dfs(k + 1)
-            columns[k] = None
-
-    yield from dfs(0)
+    unassigned = [None] * m ** (n - 1)
+    parked = [[] for _ in unassigned]
+    for x in range(len(tuples)):
+        j, state = resume((x, 0, x, None), unassigned)
+        parked[j].append(state)
+    return _watched_dfs(m, n, list(itertools.permutations(range(m))), parked, resume)

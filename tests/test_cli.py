@@ -8,6 +8,7 @@ import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
 from braidforge.errors import CapExceededError
+from census_oracle import CENSUS_CASES, rescan_census
 
 
 def run(capsys, *argv):
@@ -266,6 +267,14 @@ def test_enumerate(capsys):
     assert dumped["count"] == len(dumped["tables"])
 
 
+@pytest.mark.parametrize("m, n, table_filter", CENSUS_CASES)
+def test_enumerate_dump_is_the_rescan_census(capsys, m, n, table_filter):
+    code, out, _ = run(capsys, "enumerate", "--m", str(m), "--n", str(n), "--filter", table_filter, "--dump")
+    tables = [list(t) for t in rescan_census(m, n, table_filter)]
+    expected = {"filter": table_filter, "m": m, "n": n, "count": len(tables), "tables": tables}
+    assert code == 0 and out == ser.dumps(expected)
+
+
 def test_enumerate_cap_exit_code(capsys):
     code, _, err = run(capsys, "enumerate", "--m", "5", "--n", "2", "--filter", "nrack")
     assert code == 3 and "cap" in err.lower()
@@ -413,6 +422,9 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         (["check", "{}"], {"kind": "nrack", "size": 2.9, "arity": 2, "table": [[0, 0, 0], [0, 1.7, 0], [1, 0, True], [1, 1, 1]]}, {}),
         (["check", "{}", "--allow-large"], {"kind": "nleibniz", "arity": 10**12, "dim": 2, "bracket": []}, {}),
         (["check", "{}", "--allow-large"], {"kind": "linear_nrack", "arity": 10**12, "base": {"kind": "coalgebra", "dim": 2, "delta": [[0, 0, 1], [3, 1, 1]], "epsilon": [[0, 0, 1], [0, 1, 1]]}, "bracket": [], "inv_bracket": []}, {}),
+        # on a 1-dimensional base every law walks one tuple, but that tuple is arity-long
+        (["check", "{}", "--allow-large"], {"kind": "linear_nrack", "arity": 10**9, "base": {"kind": "coalgebra", "dim": 1, "delta": [[0, 0, 1]], "epsilon": [[0, 0, 1]]}, "bracket": [[0, 0, 1]], "inv_bracket": [[0, 0, 1]]}, {}),
+        (["check", "{}", "--allow-large"], {"kind": "nleibniz", "arity": 10**9, "dim": 1, "bracket": []}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):

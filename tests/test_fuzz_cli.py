@@ -89,7 +89,7 @@ COMMANDS = st.one_of(
         st.sampled_from(EQUATIONS),
         st.none() | SMALL,
     ),
-    # m stays below 3: the unpruned nshelf census of 3 points at arity 3 takes hours
+    # m stays below 3: the nshelf census of 3 points at arity 3 takes about a minute
     st.builds(
         lambda m, n, f: ["enumerate", "--m", str(m), "--n", str(n), "--filter", f],
         st.integers(-2, 2),

@@ -5,6 +5,7 @@ import pytest
 import braidforge.nrack as nr
 import braidforge.setsol as ss
 from braidforge.errors import CapExceededError, PreconditionError, SchemaError
+from census_oracle import CENSUS_CASES, all_tables, rescan_census
 
 T12, T23, T13 = 2, 1, 5  # transposition indices in Sym(3), lex order
 
@@ -98,7 +99,7 @@ def test_left_rack_gives_left_solution(conj3):
 
 def test_verdict_agreement_all_tables_m2():
     for n in (2, 3):
-        for t in ss.all_tables(2, n):
+        for t in all_tables(2, n):
             ss.solution_from_nrack(t)  # raises on any disagreement
 
 
@@ -112,7 +113,7 @@ def test_mirror_duality_exhaustive_m2():
         assert p.satisfies_right == pm.satisfies_left
         assert p.satisfies_left == pm.satisfies_right
     # all table-induced ternary maps
-    for t in ss.all_tables(2, 3):
+    for t in all_tables(2, 3):
         s = ss.from_function(2, 3, lambda *a: a[1:] + (t.apply(a),))
         p = ss.check_set_nsolution(s)
         pm = ss.check_set_nsolution(s.mirror())
@@ -239,19 +240,28 @@ def test_census_deterministic_order():
     for t in found1:
         assert nr.check_nrack(t).passed
     # and nothing was missed: compare against the raw filter
-    brute = [list(t.table) for t in ss.all_tables(2, 3) if nr.check_nrack(t).passed]
+    brute = [list(t.table) for t in all_tables(2, 3) if nr.check_nrack(t).passed]
     assert tables == brute
 
 
 def test_census_nsolution_matches_brute_force():
     got = [t.table for t in ss.enumerate_tables(2, 3, "nsolution")[1]]
     brute = []
-    for t in ss.all_tables(2, 3):
+    for t in all_tables(2, 3):
         s = ss.from_function(2, 3, lambda *a: a[1:] + (t.apply(a),))
         ok, _ = ss.satisfies(s, "right")
         if ok and s.is_bijective():
             brute.append(t.table)
     assert got == brute
+
+
+@pytest.mark.parametrize("m, n, table_filter", CENSUS_CASES)
+def test_watched_census_matches_rescan(m, n, table_filter):
+    # same tables in the same order as the DFS that rescans every instance per node
+    census, found = ss.enumerate_tables(m, n, table_filter, dump=True)
+    expected = rescan_census(m, n, table_filter)
+    assert tuple(t.table for t in found) == expected
+    assert census["tables"] == [list(t) for t in expected] and census["count"] == len(expected)
 
 
 def test_caps():
