@@ -39,11 +39,11 @@ flip_rack = nr.cyclic_rack(2)
 r = ss.solution_from_nrack(flip_rack)
 lifted = ss.nsolution_from_solution(r, 3)
 induced = ss.solution_from_nrack(nr.nrack_from_rack(flip_rack, 3))
-print("lift diagram commutes:", lifted.outputs == induced.outputs)
+print("lift diagram commutes:", lifted.image == induced.image)
 s = ss.solution_from_nrack(conj3)
 descended = ss.solution_from_nsolution(s)
 induced = ss.solution_from_nrack(nr.rack_from_nrack(conj3))
-print("descent diagram commutes:", descended.outputs == induced.outputs)
+print("descent diagram commutes:", descended.image == induced.image)
 
 # Census-level correspondence: tables passing the rack filter match maps
 # passing the relation filter, one to one on two points.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -127,16 +128,18 @@ class BuildContext:
     recheck: bool
     dim_cap: object  # int, or None when --allow-large lifts the cap
 
-    def arity(self):
-        """--param n, the arity every construction that takes one needs: at least 2."""
+    def arity(self, base):
+        """--param n, the arity every construction that takes one needs:
+        2 to 63, and base^n within the cap, as the result holds base^n entries."""
         if "n" not in self.params:
             raise SchemaError("construction needs --param n=...")
         try:
             n = int(self.params["n"])
         except ValueError:
             raise SchemaError(f"--param n must be an integer, got {self.params['n']!r}") from None
-        if n < 2:
-            raise SchemaError(f"--param n must be at least 2, got {n}")
+        if not 2 <= n <= 63:
+            raise SchemaError(f"--param n must be between 2 and 63, got {n}")
+        setsol.check_dim_cap(base**n, self.dim_cap)
         return n
 
 
@@ -162,7 +165,8 @@ def _construction(name, accepts):
 
 @_construction("nbracket-from-leibniz", _ALGEBRA)
 def _b_nbracket(obj, ctx):
-    return nleibniz.nbracket_from_leibniz(_as_algebra(obj), ctx.arity(), ctx.recheck)
+    a = _as_algebra(obj)
+    return nleibniz.nbracket_from_leibniz(a, ctx.arity(a.dim), ctx.recheck)
 
 
 @_construction("fundamental-leibniz", _ALGEBRA)
@@ -184,12 +188,12 @@ def _b_vector_nrack(obj, ctx):
 
 @_construction("conjugation-nrack", nrack.FiniteGroup)
 def _b_conj(obj, ctx):
-    return nrack.conjugation_nrack(obj, ctx.arity())
+    return nrack.conjugation_nrack(obj, ctx.arity(obj.size))
 
 
 @_construction("nrack-from-rack", nrack.FiniteNRack)
 def _b_nrack_from_rack(obj, ctx):
-    return nrack.nrack_from_rack(obj, ctx.arity(), ctx.recheck)
+    return nrack.nrack_from_rack(obj, ctx.arity(obj.size), ctx.recheck)
 
 
 @_construction("rack-from-nrack", nrack.FiniteNRack)
@@ -250,17 +254,18 @@ def _b_nyb_lnr(obj, ctx):
 
 @_construction("group-algebra-nyb", nrack.FiniteGroup)
 def _b_group_nyb(obj, ctx):
-    return ybops.group_algebra_nyb(obj, ctx.arity())
+    return ybops.group_algebra_nyb(obj, ctx.arity(obj.size))
 
 
 @_construction("sn-from-r", tensor.TensorOperator)
 def _b_sn(obj, ctx):
-    return ybops.nyb_from_ybe(obj, ctx.arity(), ctx.dim_cap)
+    return ybops.nyb_from_ybe(obj, ctx.arity(math.isqrt(obj.domain_shape.total)), ctx.dim_cap)
 
 
 @_construction("stilde-from-s", tensor.TensorOperator)
 def _b_stilde(obj, ctx):
-    return ybops.ybe_from_nyb(obj, ctx.arity(), ctx.dim_cap)
+    # verify_nybe caps d^(2n-1) before the descent builds its d^(2n-2) entries
+    return ybops.ybe_from_nyb(obj, ctx.arity(1), ctx.dim_cap)
 
 
 @_construction("solution-from-nrack", nrack.FiniteNRack)
@@ -270,7 +275,7 @@ def _b_solution(obj, ctx):
 
 @_construction("nsolution-from-solution", setsol.SetNMap)
 def _b_nsolution(obj, ctx):
-    return setsol.nsolution_from_solution(obj, ctx.arity(), ctx.dim_cap)
+    return setsol.nsolution_from_solution(obj, ctx.arity(obj.size), ctx.dim_cap)
 
 
 @_construction("solution-from-nsolution", setsol.SetNMap)

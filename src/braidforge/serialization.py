@@ -15,7 +15,7 @@ from .errors import SchemaError
 from .linrack import Coalgebra, LinearNRack, LinearRack
 from .nleibniz import CentralNLeibnizAlgebra, NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack
-from .setsol import SetNMap
+from .setsol import SetNMap, encode_outputs
 from .tensor import TensorOperator, TensorShape
 
 KINDS = ("nleibniz", "nrack", "group", "coalgebra", "linear_nrack", "operator", "set_map")
@@ -292,10 +292,8 @@ def linear_nrack_from_document(doc) -> LinearNRack:
 
 
 def set_map_to_document(s: SetNMap, provenance=None) -> dict:
-    rows = [
-        list(args) + list(s.apply(args))
-        for args in itertools.product(range(s.size), repeat=s.arity)
-    ]
+    digits = tensor.power_shape(s.size, s.arity).multi
+    rows = [list(digits(x) + digits(y)) for x, y in enumerate(s.image)]
     doc = {"kind": "set_map", "size": s.size, "arity": s.arity, "side": s.side, "map": rows}
     if provenance:
         doc["provenance"] = list(provenance)
@@ -307,8 +305,8 @@ def set_map_from_document(doc) -> SetNMap:
     arity = _int(_require(doc, "arity", "set_map"))
     rows = _list(doc, "map", "set_map", list)
     ordered = _total_table(rows, "set_map", size, arity, arity)
-    outputs = tuple(tuple(_int(v) for v in row[arity:]) for row in ordered)
-    return SetNMap(size, arity, outputs, doc.get("side", "right"))
+    image = encode_outputs(size, arity, ([_int(v) for v in row[arity:]] for row in ordered))
+    return SetNMap(size, arity, image, doc.get("side", "right"))
 
 
 def _linear_rack_to_document(r, provenance=None):

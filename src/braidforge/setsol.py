@@ -29,21 +29,20 @@ INVOLUTIVE_ORDER_CAP = 24
 
 
 def check_dim_cap(big: int, dim_cap) -> None:
-    """Refuse a braid-relation check on a space of dimension big above
+    """Refuse a check or a build on a space of dimension big above
     dim_cap, before anything is allocated; None means no cap."""
     if dim_cap is not None and big > dim_cap:
-        raise CapExceededError(
-            f"verification dimension {big} exceeds the cap {dim_cap}; raise the cap to force it"
-        )
+        raise CapExceededError(f"dimension {big} exceeds the cap {dim_cap}; raise the cap to force it")
 
 
 @dataclass(frozen=True)
 class SetNMap:
-    """A total map X^n -> X^n, stored as output tuples indexed by flat input."""
+    """A total map X^n -> X^n on X = {0..size-1}: image[x] is the flat index
+    of s(x) for each flat x, first argument most significant."""
 
     size: int
     arity: int
-    outputs: tuple
+    image: tuple
     side: str = "right"
 
     def __post_init__(self):
@@ -52,31 +51,44 @@ class SetNMap:
             raise SchemaError("need size >= 1 and arity >= 2")
         if self.side not in ("right", "left"):
             raise SchemaError("side must be 'right' or 'left'")
-        outs = tuple(tuple(int(v) for v in out) for out in self.outputs)
-        if len(outs) != m**n:
-            raise SchemaError(f"map must be total: expected {m**n} rows, got {len(outs)}")
-        for out in outs:
-            if len(out) != n or any(not 0 <= v < m for v in out):
-                raise SchemaError(f"bad output tuple {out}")
-        object.__setattr__(self, "outputs", outs)
+        image = tuple(self.image)
+        if len(image) != m**n:
+            raise SchemaError(f"map must be total: expected {m**n} rows, got {len(image)}")
+        if min(image) < 0 or max(image) >= m**n:
+            raise SchemaError("image index out of range")
+        object.__setattr__(self, "image", image)
 
     def apply(self, args) -> tuple:
-        return self.outputs[flat_index(args, self.size)]
+        return power_shape(self.size, self.arity).multi(self.image[flat_index(args, self.size)])
 
     def is_bijective(self) -> bool:
-        return len(set(self.outputs)) == len(self.outputs)
+        return len(set(self.image)) == len(self.image)
 
     def mirror(self) -> "SetNMap":
         """Conjugate by argument reversal; swaps the right and left relations."""
+        m, n = self.size, self.arity
+        digits = power_shape(m, n).multi
+        rev = [flat_index(digits(x)[::-1], m) for x in range(m**n)]
         side = "left" if self.side == "right" else "right"
-        return from_function(self.size, self.arity, lambda *a: self.apply(a[::-1])[::-1], side)
+        return SetNMap(m, n, [rev[self.image[x]] for x in rev], side)
+
+
+def encode_outputs(size: int, arity: int, outputs) -> list:
+    """The flat indices of output tuples, each of which must hold arity
+    digits in range(size): the one check on a map given by its outputs."""
+    image = []
+    for out in outputs:
+        if len(out) != arity or any(not 0 <= v < size for v in out):
+            raise SchemaError(f"bad output tuple {tuple(out)}")
+        image.append(flat_index(out, size))
+    return image
 
 
 def from_function(size: int, arity: int, fn, side="right") -> SetNMap:
     if arity < 2:  # before fn sees a tuple of the wrong length
         raise SchemaError("need arity >= 2")
-    outs = [tuple(fn(*args)) for args in itertools.product(range(size), repeat=arity)]
-    return SetNMap(size, arity, tuple(outs), side)
+    outs = (fn(*args) for args in itertools.product(range(size), repeat=arity))
+    return SetNMap(size, arity, encode_outputs(size, arity, outs), side)
 
 
 def flip_map(size: int, arity: int) -> SetNMap:
@@ -119,11 +131,6 @@ class SolutionProfile:
         return out
 
 
-def _apply_at(s: SetNMap, tup: tuple, offset: int) -> tuple:
-    n = s.arity
-    return tup[:offset] + s.apply(tup[offset : offset + n]) + tup[offset + n :]
-
-
 def braid_words(n: int, side: str):
     """Offsets (lhs, rhs) of the degree-n braid relation on (2n-1) factors,
     in order of application; the map acts at each offset in turn."""
@@ -136,37 +143,32 @@ def braid_words(n: int, side: str):
     return lhs, rhs
 
 
-def offset_maps(image, m: int, n: int):
+def offset_map(image, m: int, n: int, k: int, off: int):
     """The map sending the flat n-digit base-m index c to image[c], applied
-    at each offset 0..n-1 of the (2n-1)-digit space, as n flat index lists."""
-    big = m ** (2 * n - 1)
-    maps = []
-    for off in range(n):
-        low = m ** (n - 1 - off)
-        step = m**n * low
-        shifted = [t * low for t in image]
-        maps.append([h + t + j for h in range(0, big, step) for t in shifted for j in range(low)])
-    return maps
+    at digits off..off+n-1 of the k-digit space, as a flat index list."""
+    low = m ** (k - n - off)
+    shifted = [t * low for t in image]
+    return [h + t + j for h in range(0, m**k, m**n * low) for t in shifted for j in range(low)]
+
+
+def offset_maps(image, m: int, n: int, k: int):
+    """``offset_map`` at every offset 0..k-n of the k-digit space."""
+    return [offset_map(image, m, n, k, off) for off in range(k - n + 1)]
+
+
+def compose(maps):
+    """The composite of flat index lists, the first applied first."""
+    maps = iter(maps)
+    cur = next(maps)
+    for e in maps:
+        cur = [e[x] for x in cur]
+    return cur
 
 
 def braid_sides(maps, side: str):
     """Both words of ``braid_words(n, side)`` run on every flat index by
-    list lookup, for the n ``offset_maps``: (lhs images, rhs images)."""
-    sides = []
-    for word in braid_words(len(maps), side):
-        cur = maps[word[0]]
-        for off in word[1:]:
-            e = maps[off]
-            cur = [e[x] for x in cur]
-        sides.append(cur)
-    return tuple(sides)
-
-
-def _maps(s: SetNMap, dim_cap):
-    """The ``offset_maps`` of s, refused above dim_cap before allocation."""
-    m, n = s.size, s.arity
-    check_dim_cap(m ** (2 * n - 1), dim_cap)
-    return offset_maps([flat_index(out, m) for out in s.outputs], m, n)
+    list lookup, for the n ``offset_maps`` on 2n-1 digits: (lhs images, rhs images)."""
+    return tuple(compose(maps[off] for off in word) for word in braid_words(len(maps), side))
 
 
 def _relation(s: SetNMap, maps, side: str):
@@ -183,7 +185,9 @@ def satisfies(s: SetNMap, side: str, dim_cap=None):
     """(verdict, first witness) of the relation on ``side``, evaluated on all
     m^(2n-1) tuples.  The witness holds the first differing tuple and both
     sides' images of it.  dim_cap, when given, refuses a larger space."""
-    return _relation(s, _maps(s, dim_cap), side)
+    m, n = s.size, s.arity
+    check_dim_cap(m ** (2 * n - 1), dim_cap)
+    return _relation(s, offset_maps(s.image, m, n, 2 * n - 1), side)
 
 
 def nondegeneracy(s: SetNMap):
@@ -193,29 +197,25 @@ def nondegeneracy(s: SetNMap):
     if s.arity != 3:
         return None
     m = s.size
-    families = {"middle": True, "left": True, "right": True}
-    for a, b in itertools.product(range(m), repeat=2):
-        sigma = {s.apply((a, y, b))[0] for y in range(m)}
-        tau = {s.apply((a, b, z))[1] for z in range(m)}
-        eta = {s.apply((x, a, b))[2] for x in range(m)}
-        if len(sigma) != m:
-            families["middle"] = False
-        if len(tau) != m:
-            families["left"] = False
-        if len(eta) != m:
-            families["right"] = False
+    digits = power_shape(m, 3).multi
+    outs = [digits(y) for y in s.image]
+    families = {}
+    # sigma / tau / eta move argument pos = 1 / 2 / 0 to output digit pos - 1
+    for family, pos in (("middle", 1), ("left", 2), ("right", 0)):
+        step = m ** (2 - pos)
+        bases = [x for x in range(m**3) if x // step % m == 0]
+        families[family] = all(len({outs[x + v * step][pos - 1] for v in range(m)}) == m for x in bases)
     return families
 
 
 def involutive_order(s: SetNMap, cap: int = INVOLUTIVE_ORDER_CAP):
     """Smallest k <= cap with s^k the identity, or None."""
-    m, n = s.size, s.arity
-    ident = tuple(itertools.product(range(m), repeat=n))
-    current = s.outputs
+    ident = list(range(len(s.image)))
+    current = list(s.image)
     for k in range(1, cap + 1):
         if current == ident:
             return k
-        current = tuple(s.apply(t) for t in current)
+        current = [s.image[x] for x in current]
     return None
 
 
@@ -233,7 +233,9 @@ def check_set_nsolution(s: SetNMap, dim_cap=None) -> SolutionProfile:
 
     The check holds index lists of length m^(2n-1); dim_cap, when given,
     refuses a larger space (the CLI passes its cap here)."""
-    maps = _maps(s, dim_cap)
+    m, n = s.size, s.arity
+    check_dim_cap(m ** (2 * n - 1), dim_cap)
+    maps = offset_maps(s.image, m, n, 2 * n - 1)
     right_ok, right_wit = _relation(s, maps, "right")
     left_ok, left_wit = _relation(s, maps, "left")
     return SolutionProfile(
@@ -257,10 +259,12 @@ def solution_from_nrack(t: FiniteNRack, dim_cap=None) -> SetNMap:
     Works on raw tables; the relation verdict of s must coincide with
     the n-rack verdict of the table, and a mismatch raises.
     """
+    m, tail = t.size, t.size ** (t.arity - 1)
     if t.side == "right":
-        s = from_function(t.size, t.arity, lambda *a: a[1:] + (t.apply(a),), side="right")
+        image = [x % tail * m + v for x, v in enumerate(t.table)]
     else:
-        s = from_function(t.size, t.arity, lambda *a: (t.apply(a),) + a[:-1], side="left")
+        image = [v * tail + x // m for x, v in enumerate(t.table)]
+    s = SetNMap(m, t.arity, image, t.side)
     s_ok = satisfies(s, t.side, dim_cap)[0] and s.is_bijective()
     rack_ok = check_nrack(t).passed
     if s_ok != rack_ok:
@@ -272,41 +276,27 @@ def solution_from_nrack(t: FiniteNRack, dim_cap=None) -> SetNMap:
 
 def nsolution_from_solution(r: SetNMap, n: int, dim_cap=None) -> SetNMap:
     """Lift a binary solution to degree n on the same set:
-    s_n = r at offset 0, then offset 1, ..., then offset n-2."""
-    if r.arity != 2:
-        raise SchemaError("nsolution_from_solution starts from a binary map")
+    s_n = r at offset 0, then offset 1, ..., then offset n-2 of n digits."""
+    if r.arity != 2 or n < 2:
+        raise SchemaError("nsolution_from_solution lifts a binary map to an arity n >= 2")
     profile = check_set_nsolution(r, dim_cap)
     if not (profile.satisfies_right and profile.is_bijective):
         raise PreconditionError("input is not a set-theoretical solution", profile.to_json())
     if n == 2:
         return r
-
-    def lifted(*args):
-        tup = args
-        for off in range(n - 1):
-            tup = _apply_at(r, tup, off)
-        return tup
-
-    return from_function(r.size, n, lifted)
+    return SetNMap(r.size, n, compose(offset_map(r.image, r.size, 2, n, off) for off in range(n - 1)))
 
 
 def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
-    """Descend a degree-n solution to a binary solution on X^(n-1):
-    s applied at offsets n-2, n-3, ..., 0 of a (2n-2)-tuple, read blockwise."""
+    """Descend a degree-n solution to a binary solution on X^(n-1): s at
+    offsets n-2, n-3, ..., 0 of 2n-2 digits, whose flat index is the pair
+    index on X^(n-1)."""
     profile = check_set_nsolution(s, dim_cap)
     if not (profile.satisfies_right and profile.is_bijective):
         raise PreconditionError("input is not a set-theoretical n-solution", profile.to_json())
     m, n = s.size, s.arity
-    carrier = m ** (n - 1)
-    blocks = list(itertools.product(range(m), repeat=n - 1))
-
-    def descended(u, v):
-        tup = blocks[u] + blocks[v]
-        for off in range(n - 2, -1, -1):
-            tup = _apply_at(s, tup, off)
-        return flat_index(tup[: n - 1], m), flat_index(tup[n - 1 :], m)
-
-    return from_function(carrier, 2, descended)
+    word = range(n - 2, -1, -1)
+    return SetNMap(m ** (n - 1), 2, compose(offset_map(s.image, m, n, 2 * n - 2, off) for off in word))
 
 
 # -- exhaustive enumeration ---------------------------------------------

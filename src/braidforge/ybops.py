@@ -156,7 +156,7 @@ def _monomial_witness(image, coeff, d, n, side, mode):
     value coeff^(n+1) at one row; a value within tolerance of zero counts
     as absent, as in ``first_difference``.
     """
-    lhs, rhs = braid_sides(offset_maps(image, d, n), side)
+    lhs, rhs = braid_sides(offset_maps(image, d, n, 2 * n - 1), side)
     value = coeff
     for _ in range(n):
         value = coeff * value

@@ -180,13 +180,13 @@ def test_criterion_08_set_side_diagrams(s3, conj3, flip_rack):
             r = ss.solution_from_nrack(rack)
             lifted = ss.nsolution_from_solution(r, 3)
             induced = ss.solution_from_nrack(nr.nrack_from_rack(rack, 3))
-            assert lifted.outputs == induced.outputs
+            assert lifted.image == induced.image
         ternaries = [nr.trivial_nrack(2, 3), nr.nrack_from_rack(flip_rack, 3), conj3]
         for t in ternaries:
             s = ss.solution_from_nrack(t)
             descended = ss.solution_from_nsolution(s)
             induced = ss.solution_from_nrack(nr.rack_from_nrack(t))
-            assert descended.outputs == induced.outputs
+            assert descended.image == induced.image
 
 
 def test_criterion_09_exp_rack_consistency(t3):

@@ -193,7 +193,7 @@ def test_build_solution_from_trivial_rack_is_flip(capsys, tmp_path):
     out_path = str(tmp_path / "flip.json")
     assert run(capsys, "build", "solution-from-nrack", triv, "-o", out_path)[0] == 0
     got = ser.from_document(json.loads(open(out_path).read()))
-    assert got.outputs == ss.flip_map(2, 3).outputs
+    assert got.image == ss.flip_map(2, 3).image
 
 
 def test_verify_set_equation(capsys, tmp_path, conj3):
@@ -335,6 +335,30 @@ def test_build_allow_large_lifts_the_cap(capsys, tmp_path, monkeypatch, construc
     assert run(capsys, *argv, "--allow-large")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "construction",
+    ["nrack-from-rack", "conjugation-nrack", "group-algebra-nyb", "nbracket-from-leibniz", "nsolution-from-solution", "sn-from-r"],
+)
+def test_build_caps_the_size_of_its_result(capsys, tmp_path, monkeypatch, construction):
+    import braidforge.nleibniz as nl
+    import braidforge.ybops as yb
+
+    # every input is on two points, so the result holds 2^n entries
+    doc = {
+        "nrack-from-rack": ser.to_document(nr.cyclic_rack(2)),
+        "conjugation-nrack": ser.to_document(nr.cyclic_group(2)),
+        "group-algebra-nyb": ser.to_document(nr.cyclic_group(2)),
+        "nbracket-from-leibniz": ser.to_document(nl.NLeibnizAlgebra(2, 2, {})),
+        "nsolution-from-solution": ser.to_document(ss.flip_map(2, 2)),
+        "sn-from-r": ser.to_document(yb.cyclic_operator(2, 2)),
+    }[construction]
+    path = write(tmp_path, "in.json", doc)
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "8")
+    assert run(capsys, "build", construction, path, "--param", "n=4")[0] == 3
+    assert run(capsys, "build", construction, path, "--param", "n=4", "--allow-large")[0] == 0
+    assert run(capsys, "build", construction, path, "--param", "n=3")[0] == 0  # exactly 2^3
+
+
 def test_set_map_checks_obey_the_cap(capsys, tmp_path, monkeypatch):
     path = write(tmp_path, "flip.json", ser.to_document(ss.flip_map(2, 3)))
     monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "16")  # below 2^5 tuples
@@ -425,6 +449,15 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         # on a 1-dimensional base every law walks one tuple, but that tuple is arity-long
         (["check", "{}", "--allow-large"], {"kind": "linear_nrack", "arity": 10**9, "base": {"kind": "coalgebra", "dim": 1, "delta": [[0, 0, 1]], "epsilon": [[0, 0, 1]]}, "bracket": [[0, 0, 1]], "inv_bracket": [[0, 0, 1]]}, {}),
         (["check", "{}", "--allow-large"], {"kind": "nleibniz", "arity": 10**9, "dim": 1, "bracket": []}, {}),
+        # on one point base^n = 1 passes any cap, but the results hold n-long tuples
+        (["build", "nrack-from-rack", "{}", "--param", "n=1000000000"], {"kind": "nrack", "size": 1, "arity": 2, "table": [[0, 0, 0]]}, {}),
+        (["build", "nrack-from-rack", "{}", "--param", "n=64", "--allow-large"], {"kind": "nrack", "size": 1, "arity": 2, "table": [[0, 0, 0]]}, {}),
+        (["build", "conjugation-nrack", "{}", "--param", "n=1000000000"], {"kind": "group", "size": 1, "mul": [[0]]}, {}),
+        (["build", "group-algebra-nyb", "{}", "--param", "n=1000000000", "--allow-large"], {"kind": "group", "size": 1, "mul": [[0]]}, {}),
+        (["build", "nbracket-from-leibniz", "{}", "--param", "n=1000000000"], {"kind": "nleibniz", "arity": 2, "dim": 1, "bracket": []}, {}),
+        (["build", "nsolution-from-solution", "{}", "--param", "n=1000000000"], {"kind": "set_map", "size": 1, "arity": 2, "map": [[0, 0, 0, 0]]}, {}),
+        (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 2]]}, {}),
+        (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1]]}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):

@@ -20,6 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import braidforge.scalars as sc
@@ -60,13 +61,25 @@ def test_operator_chain_matches_set_chain_on_induced_maps():
 
 def test_operator_chain_matches_set_chain_on_raw_binary_maps():
     # every bijective binary map on two points (4! = 24 of them)
-    inputs = list(itertools.product(range(2), repeat=2))
-    for image in itertools.permutations(inputs):
-        s = ss.SetNMap(2, 2, tuple(image))
+    for image in itertools.permutations(range(4)):
+        s = ss.SetNMap(2, 2, image)
         profile = ss.check_set_nsolution(s)
         op = permutation_operator_of_map(s)
         report = yb.verify_ybe(op)
         assert report.holds == profile.satisfies_right
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_set_lift_and_descent_linearize_to_operator_lift_and_descent(n, s3, flip_rack):
+    # the binary solutions of acceptance criterion 8
+    import braidforge.nrack as nr
+
+    for rack in (nr.trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)):
+        r = ss.solution_from_nrack(rack)
+        s = ss.nsolution_from_solution(r, n)
+        assert yb.nyb_from_ybe(permutation_operator_of_map(r), n) == permutation_operator_of_map(s)
+        descended = permutation_operator_of_map(ss.solution_from_nsolution(s))
+        assert yb.ybe_from_nyb(permutation_operator_of_map(s), n) == descended
 
 
 def test_flip_map_linearizes_to_cyclic_operator():
@@ -184,8 +197,7 @@ def test_index_map_kernel_matches_sparse_chain_and_tuples(case):
     assert (report.holds, report.witness, report.invertible) == sparse_chain(op, d, n, side)
     assert (report.holds, report.witness, report.invertible) == (holds, witness, invertible)
     # the set map with the same image, whatever the coefficients
-    outputs = list(itertools.product(range(d), repeat=n))
-    profile = ss.check_set_nsolution(ss.SetNMap(d, n, tuple(outputs[r] for r in image)))
+    profile = ss.check_set_nsolution(ss.SetNMap(d, n, image))
     if side == "right":
         assert (profile.satisfies_right, profile.right_witness) == (first_tuple is None, first_tuple)
     else:

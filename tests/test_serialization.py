@@ -91,7 +91,7 @@ def test_linear_rack_serializes_as_arity_two(t3):
 def test_set_map_roundtrip(conj3):
     s = ss.solution_from_nrack(conj3)
     back = roundtrip(s)
-    assert back.outputs == s.outputs
+    assert back.image == s.image
 
 
 def test_deterministic_bytes(t3bar):

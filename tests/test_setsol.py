@@ -1,9 +1,13 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import braidforge.nrack as nr
+import braidforge.serialization as ser
 import braidforge.setsol as ss
+import setmap_oracle as oracle
 from braidforge.errors import CapExceededError, PreconditionError, SchemaError
 from census_oracle import CENSUS_CASES, all_tables, rescan_census
 
@@ -56,7 +60,7 @@ def test_conjugation_solution_nondegenerate_not_3involutive(conj3):
     p = ss.check_set_nsolution(ss.solution_from_nrack(conj3))
     assert p.is_right_solution
     assert p.nondegenerate == {"middle": True, "left": True, "right": True}
-    assert p.involutive_order != 3  # actual order is well above the flip's
+    assert p.involutive_order == 18
 
 
 def test_degenerate_classification():
@@ -75,7 +79,7 @@ def test_classify_requires_arity_3():
 
 def test_trivial_rack_gives_flip():
     s = ss.solution_from_nrack(nr.trivial_nrack(2, 3))
-    assert s.outputs == ss.flip_map(2, 3).outputs
+    assert s.image == ss.flip_map(2, 3).image
 
 
 def test_conjugation_3rack_gives_solution(conj3):
@@ -105,9 +109,8 @@ def test_verdict_agreement_all_tables_m2():
 
 def test_mirror_duality_exhaustive_m2():
     # all raw binary maps on two points
-    for flat in itertools.product(range(4), repeat=4):
-        pairs = [(v // 2, v % 2) for v in flat]
-        s = ss.SetNMap(2, 2, tuple(pairs))
+    for image in itertools.product(range(4), repeat=4):
+        s = ss.SetNMap(2, 2, image)
         p = ss.check_set_nsolution(s)
         pm = ss.check_set_nsolution(s.mirror())
         assert p.satisfies_right == pm.satisfies_left
@@ -125,7 +128,7 @@ def test_mirror_duality_exhaustive_m2():
 
 def test_lift_flip():
     s = ss.nsolution_from_solution(ss.flip_map(2, 2), 3)
-    assert s.outputs == ss.flip_map(2, 3).outputs
+    assert s.image == ss.flip_map(2, 3).image
 
 
 def test_descend_flip_is_block_flip():
@@ -147,7 +150,7 @@ def test_rack_diagram_closure(flip_rack, s3):
         r = ss.solution_from_nrack(rack)
         lhs = ss.nsolution_from_solution(r, 3)
         rhs = ss.solution_from_nrack(nr.nrack_from_rack(rack, 3))
-        assert lhs.outputs == rhs.outputs
+        assert lhs.image == rhs.image
 
 
 def test_nrack_diagram_closure(conj3, flip_rack):
@@ -157,7 +160,7 @@ def test_nrack_diagram_closure(conj3, flip_rack):
         s = ss.solution_from_nrack(t)
         lhs = ss.solution_from_nsolution(s)
         rhs = ss.solution_from_nrack(nr.rack_from_nrack(t))
-        assert lhs.outputs == rhs.outputs
+        assert lhs.image == rhs.image
 
 
 # -- enumeration ------------------------------------------------------------------
@@ -274,6 +277,101 @@ def test_caps():
 
 
 def test_involutive_order_cap():
-    # a long cycle on 25 points exceeds the default cap via a binary map
-    big = ss.from_function(5, 2, lambda x, y: (y, (x + 1) % 5))
-    assert ss.involutive_order(big) is None or ss.involutive_order(big) <= 24
+    # s^2 shifts both arguments by one, so s has order 10
+    shift = ss.from_function(5, 2, lambda x, y: (y, (x + 1) % 5))
+    assert ss.involutive_order(shift) == 10
+    assert ss.involutive_order(shift, cap=10) == 10
+    assert ss.involutive_order(shift, cap=9) is None
+    # cycles of lengths 2, 3 and 5 on X^2: order 30, above the default cap
+    image = list(range(25))
+    for cycle in ((0, 1), (2, 3, 4), (5, 6, 7, 8, 9)):
+        for i, x in enumerate(cycle):
+            image[x] = cycle[(i + 1) % len(cycle)]
+    long = ss.SetNMap(5, 2, image)
+    assert ss.involutive_order(long) is None
+    assert ss.involutive_order(long, cap=30) == 30
+
+
+def test_from_function_refuses_bad_outputs():
+    with pytest.raises(SchemaError):
+        ss.from_function(2, 3, lambda *a: a[:2])  # two digits where three are due
+    with pytest.raises(SchemaError):
+        ss.from_function(2, 3, lambda *a: a[:2] + (2,))  # digit out of range
+    with pytest.raises(SchemaError):
+        ss.SetNMap(2, 2, [0, 1, 2, 4])  # flat index out of range
+    with pytest.raises(SchemaError):
+        ss.SetNMap(2, 2, [0, 1, 2])  # not total
+
+
+# -- index lists against the tuple implementation -------------------------------
+
+
+@functools.cache
+def racks(m, n):
+    """Right n-racks on m points: the census for arity 2 and 3, lifted binary ones for 4."""
+    if n < 4:
+        return ss.enumerate_tables(m, n, "nrack")[1]
+    return [nr.nrack_from_rack(r.as_certified(), n) for r in racks(m, 2)]
+
+
+@st.composite
+def set_maps(draw):
+    """(SetNMap, the same map as a TupleMap, the table it was induced from or
+    None): random, bijective, constant or rack-induced, arity 2-4, either side."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, {2: 4, 3: 3, 4: 2}[n]))
+    side = draw(st.sampled_from(["right", "left"]))
+    total = m**n
+    kind = draw(st.sampled_from(["random", "bijective", "constant", "rack"]))
+    table = None
+    if kind == "random":
+        image = draw(st.lists(st.integers(0, total - 1), min_size=total, max_size=total))
+    elif kind == "bijective":
+        image = draw(st.permutations(range(total)))
+    elif kind == "constant":
+        image = [draw(st.integers(0, total - 1))] * total
+    else:
+        if draw(st.booleans()):
+            table = draw(st.sampled_from(racks(m, n)))
+            table = table.reversed_args() if side == "left" else table
+        else:
+            values = draw(st.lists(st.integers(0, m - 1), min_size=total, max_size=total))
+            table = nr.FiniteNRack(m, n, values, side)
+        image = oracle.solution_from_nrack(table).image()
+    return ss.SetNMap(m, n, image, side), oracle.from_image(m, n, image, side), table
+
+
+def same_or_both_refused(build, build_oracle):
+    """The built map and the oracle's agree, or both raise PreconditionError."""
+    try:
+        want = build_oracle()
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            build()
+        return
+    got = build()
+    assert (got.size, got.arity, got.image, got.side) == (want.size, want.arity, want.image(), want.side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_maps(), st.integers(2, 4))
+@example((ss.flip_map(2, 2), oracle.from_function(2, 2, lambda x, y: (y, x)), nr.trivial_nrack(2, 2)), 4)
+def test_index_lists_match_tuple_implementation(case, lift_to):
+    s, o, table = case
+    assert s.image == o.image()
+    assert ss.check_set_nsolution(s) == oracle.check_set_nsolution(o)
+    for side in ("right", "left"):
+        assert ss.satisfies(s, side) == oracle.satisfies(o, side)
+    mirrored, want = s.mirror(), o.mirror()
+    assert (mirrored.image, mirrored.side) == (want.image(), want.side)
+    assert ser.set_map_to_document(s) == oracle.to_document(o)
+    assert ser.set_map_from_document(oracle.to_document(o)) == s
+    if table is not None:
+        induced = ss.solution_from_nrack(table)
+        assert (induced.image, induced.side) == (o.image(), o.side)
+    if s.arity == 2:
+        same_or_both_refused(
+            lambda: ss.nsolution_from_solution(s, lift_to),
+            lambda: oracle.nsolution_from_solution(o, lift_to),
+        )
+    same_or_both_refused(lambda: ss.solution_from_nsolution(s), lambda: oracle.solution_from_nsolution(o))
