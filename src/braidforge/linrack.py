@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import scalars, tensor
 from .errors import NotCertifiedError, NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
-from .reports import ReportBuilder, VerificationReport, difference_witness
+from .reports import ReportBuilder, VerificationReport, column_witness, difference_witness
 from .tensor import TensorOperator, TensorShape, compose_blocks, flat_index, identity, tensor_many
 
 
@@ -126,11 +126,9 @@ def check_coalgebra(c: Coalgebra) -> VerificationReport:
     idc = identity(TensorShape((c.dim,)), c.mode)
     left = compose_blocks([c.delta, idc], c.delta)
     right = compose_blocks([idc, c.delta], c.delta)
-    rb.record("coassociativity", left == right, difference_witness(left, right))
-    lhs = compose_blocks([c.counit, idc], c.delta)
-    rb.record("counit-left", lhs == idc, difference_witness(lhs, idc))
-    rhs = compose_blocks([idc, c.counit], c.delta)
-    rb.record("counit-right", rhs == idc, difference_witness(rhs, idc))
+    rb.record_witness("coassociativity", difference_witness(left, right))
+    rb.record_witness("counit-left", difference_witness(compose_blocks([c.counit, idc], c.delta), idc))
+    rb.record_witness("counit-right", difference_witness(compose_blocks([idc, c.counit], c.delta), idc))
     rb.record(
         "cocommutativity-flag",
         (c.delta.permute_codomain((1, 0)) == c.delta) == c.cocommutative,
@@ -203,30 +201,11 @@ def _sweedler_images(outer, terms):
     return [_apply(outer, acc.items()) for acc in mid]
 
 
-def _first_unequal(pairs):
-    """The difference witness of the first unequal (lhs, rhs) operator pair, or None."""
-    return next((difference_witness(a, b) for a, b in pairs if a != b), None)
-
-
-def _first_difference(l: LinearNRack, sides):
-    """{"row", "col"} of the smallest (row, col) where two sides of a law of l
-    differ, or None.  ``sides`` yields per trailing tuple t, in flat order,
-    the images (lhs, rhs) of the leading columns x, and column (x, t) is
-    x * c^(n-1) + t.  A float difference within EPS_CMP is none."""
-    span, mode, best = l.base.dim ** (l.arity - 1), l.base.mode, None
-    for t, (lhs, rhs) in enumerate(sides):
-        for x, (a, b) in enumerate(zip(lhs, rhs)):
-            if a != b:
-                row = min((r for r in a | b if not scalars.eq(a.get(r, 0), b.get(r, 0), mode)), default=None)
-                if row is not None and (best is None or (row, x * span + t) < best):
-                    best = row, x * span + t
-    return best and {"row": best[0], "col": best[1]}
-
-
 def _distributivity_sides(l: LinearNRack):
     """Both sides of <<xs>, ys> = <<x_1, L_1>, ..., <x_n, L_n>>, L_i the i-th
-    legs of Delta^(n)(y_1), ..., Delta^(n)(y_{n-1}), per ys.  In exact mode
-    the lhs is lifted from scale_b^2 to the rhs's scale_b^(n+1) * scale_Delta^(n-1)."""
+    legs of Delta^(n)(y_1), ..., Delta^(n)(y_{n-1}), as (col, lhs, rhs) with
+    col = xs * c^(n-1) + ys, ys outer and xs inner.  In exact mode the lhs is
+    lifted from scale_b^2 to the rhs's scale_b^(n+1) * scale_Delta^(n-1)."""
     c, n = l.base.dim, l.arity
     span = c ** (n - 1)
     b, scale = l.bracket.integer_columns()
@@ -240,19 +219,20 @@ def _distributivity_sides(l: LinearNRack):
             ls = (flat_index(legs, c) for legs in zip(*(multi(r) for r, _ in combo)))  # L_1, ..., L_n
             trs = [[[(r * c ** (n - 1 - i), a) for r, a in col] for col in b[k::span]] for i, k in enumerate(ls)]
             terms.append((math.prod(v for _, v in combo), trs, 0))
-        yield [_apply(right, col) for col in b], _sweedler_images(b, terms)
+        yield from zip(itertools.count(t, span), [_apply(right, col) for col in b], _sweedler_images(b, terms))
 
 
 def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator):
     """Both sides of second(first(u, v_1^(2)..v_{n-1}^(2)), v_{n-1}^(1)..v_1^(1))
-    = eps(v_1)...eps(v_{n-1}) u, per vs, lifted to one scale in exact mode."""
+    = eps(v_1)...eps(v_{n-1}) u, as (col, lhs, rhs) with col = u * c^(n-1) + vs,
+    vs outer and u inner, lifted to one scale in exact mode."""
     c, n = l.base.dim, l.arity
     span = c ** (n - 1)
     f, fscale = first.integer_columns()
     g, gscale = second.integer_columns()
     delta, dscale = l.base.delta.integer_columns()
     counit, escale = l.base.counit.integer_columns()
-    for vs in itertools.product(range(c), repeat=n - 1):
+    for t, vs in enumerate(itertools.product(range(c), repeat=n - 1)):
         terms = []
         for combo in itertools.product(*(delta[v] for v in vs)):
             legs = [divmod(r, c) for r, _ in combo]  # (v_j^(1), v_j^(2))
@@ -260,7 +240,8 @@ def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator
             tail = flat_index([l1 for l1, _ in reversed(legs)], c)
             terms.append((math.prod((v for _, v in combo), start=escale ** (n - 1)), [tr], tail))
         eps = math.prod((sum(w for _, w in counit[v]) for v in vs), start=fscale * gscale * dscale ** (n - 1))
-        yield _sweedler_images(g, terms), [{u: eps} if eps else {} for u in range(c)]
+        rhs = [{u: eps} if eps else {} for u in range(c)]
+        yield from zip(itertools.count(t, span), _sweedler_images(g, terms), rhs)
 
 
 def check_linear_nrack(l: LinearNRack) -> VerificationReport:
@@ -280,19 +261,18 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     c, n = l.base.dim, l.arity
     rb = ReportBuilder(f"linear-{n}-rack(dim={c})")
 
+    maps, mode = (l.bracket, l.inv_bracket), l.base.mode
     split_all = tensor_many([l.base.delta] * n).permute_codomain(tensor.deal_factors(n))
-    wit = _first_unequal((l.base.delta @ b, compose_blocks([b, b], split_all)) for b in (l.bracket, l.inv_bracket))
-    rb.record("coproduct-homomorphism", wit is None, wit)
+    wits = (difference_witness(l.base.delta @ b, compose_blocks([b, b], split_all)) for b in maps)
+    rb.record_witness("coproduct-homomorphism", next(filter(None, wits), None))
     eps_n = tensor_many([l.base.counit] * n)
-    wit = _first_unequal((l.base.counit @ b, eps_n) for b in (l.bracket, l.inv_bracket))
-    rb.record("counit-homomorphism", wit is None, wit)
+    wits = (difference_witness(l.base.counit @ b, eps_n) for b in maps)
+    rb.record_witness("counit-homomorphism", next(filter(None, wits), None))
 
-    wit = _first_difference(l, _distributivity_sides(l))
-    rb.record("self-distributivity", wit is None, wit)
-
-    wit = _first_difference(l, _inverse_sides(l, l.bracket, l.inv_bracket))
-    wit = wit or _first_difference(l, _inverse_sides(l, l.inv_bracket, l.bracket))
-    rb.record("inverse-property", wit is None, wit)
+    rb.record_witness("self-distributivity", column_witness(_distributivity_sides(l), mode))
+    wit = column_witness(_inverse_sides(l, l.bracket, l.inv_bracket), mode)
+    wit = wit or column_witness(_inverse_sides(l, l.inv_bracket, l.bracket), mode)
+    rb.record_witness("inverse-property", wit)
     return rb.build()
 
 
@@ -308,14 +288,11 @@ def check_linear_nrack_homomorphism(
     if a.arity != b.arity:
         raise SchemaError("arity mismatch")
     rb = ReportBuilder("linear-nrack-homomorphism")
-    lhs = b.base.delta @ f
-    rhs = compose_blocks([f, f], a.base.delta)
-    rb.record("coproduct-compatible", lhs == rhs, difference_witness(lhs, rhs))
-    lhs = b.base.counit @ f
-    rb.record("counit-compatible", lhs == a.base.counit, difference_witness(lhs, a.base.counit))
-    lhs = f @ a.bracket
-    rhs = b.bracket @ tensor_many([f] * a.arity)
-    rb.record("bracket-compatible", lhs == rhs, difference_witness(lhs, rhs))
+    wit = difference_witness(b.base.delta @ f, compose_blocks([f, f], a.base.delta))
+    rb.record_witness("coproduct-compatible", wit)
+    rb.record_witness("counit-compatible", difference_witness(b.base.counit @ f, a.base.counit))
+    wit = difference_witness(f @ a.bracket, b.bracket @ tensor_many([f] * a.arity))
+    rb.record_witness("bracket-compatible", wit)
     return rb.build()
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SeriesNotConvergedError,
     VerdictDisagreementError,
 )
-from .reports import ReportBuilder, VerificationReport
+from .reports import ReportBuilder, VerificationReport, first_difference
 from .tensor import TensorOperator, TensorShape
 
 
@@ -37,12 +37,6 @@ def _clean_vector(vec, mode):
         if not scalars.is_zero(v, mode):
             out[int(j)] = v
     return out
-
-
-def vec_equal(a, b, mode, eps=scalars.EPS_CMP):
-    keys = set(a) | set(b)
-    z = scalars.zero(mode)
-    return all(scalars.eq(a.get(k, z), b.get(k, z), mode, eps) for k in keys)
 
 
 def vec_add(a, b, mode):
@@ -170,17 +164,19 @@ def _require_certified(a: NLeibnizAlgebra, what: str):
 # -- verification ------------------------------------------------------
 
 
-def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
-    """Brute-force the fundamental identity over all dim^(2n-1) basis tuples.
+def _first_failing_tuple(sides, mode):
+    """{"tuple", "lhs", "rhs"} of the first (tuple, lhs, rhs) of ``sides``
+    whose two vectors differ by ``first_difference``, or None."""
+    for tpl, lhs, rhs in sides:
+        if first_difference(lhs, rhs, mode) is not None:
+            return {"tuple": list(tpl), "lhs": vec_json(lhs, mode), "rhs": vec_json(rhs, mode)}
+    return None
 
-    The witness of a failure is the lexicographically smallest violating
-    tuple together with both sides' coefficient vectors.
-    """
-    rb = ReportBuilder("fundamental-identity")
-    n, d = a.arity, a.dim
-    ok = True
-    witness = None
-    for tpl in itertools.product(range(d), repeat=2 * n - 1):
+
+def _fundamental_sides(a: NLeibnizAlgebra):
+    """(tuple, lhs, rhs) of the fundamental identity at each basis tuple, in flat order."""
+    n = a.arity
+    for tpl in itertools.product(range(a.dim), repeat=2 * n - 1):
         xs, ys = tpl[:n], tpl[n:]
         lhs = {}
         for j, c in a.bracket_basis(xs).items():
@@ -190,15 +186,17 @@ def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
             for j, c in a.bracket_basis((xs[i],) + ys).items():
                 inner = a.bracket_basis(xs[:i] + (j,) + xs[i + 1 :])
                 rhs = vec_add(rhs, vec_scale(inner, c, a.mode), a.mode)
-        if not vec_equal(lhs, rhs, a.mode):
-            ok = False
-            witness = {
-                "tuple": list(tpl),
-                "lhs": vec_json(lhs, a.mode),
-                "rhs": vec_json(rhs, a.mode),
-            }
-            break
-    rb.record("fundamental-identity", ok, witness)
+        yield tpl, lhs, rhs
+
+
+def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
+    """Brute-force the fundamental identity over all dim^(2n-1) basis tuples.
+
+    The witness of a failure is the lexicographically smallest violating
+    tuple together with both sides' coefficient vectors.
+    """
+    rb = ReportBuilder("fundamental-identity")
+    rb.record_witness("fundamental-identity", _first_failing_tuple(_fundamental_sides(a), a.mode))
     return rb.build()
 
 
@@ -213,15 +211,8 @@ def certify(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
 def is_central(a: NLeibnizAlgebra, z: dict) -> bool:
     """Whether z placed in any slot kills the bracket against all basis fillings."""
     z = _clean_vector(z, a.mode)
-    for slot, row in _central_rows(a):
-        total = scalars.zero(a.mode)
-        for idx, coeff in row.items():
-            x = z.get(idx)
-            if x is not None:
-                total += coeff * x
-        if not scalars.eq(total, scalars.zero(a.mode), a.mode):
-            return False
-    return True
+    totals = {key: sum(c * z[i] for i, c in row.items() if i in z) for key, row in _central_rows(a)}
+    return first_difference(totals, {}, a.mode) is None
 
 
 def _central_rows(a: NLeibnizAlgebra):
@@ -249,24 +240,20 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
     if d_map.domain_shape.total != a.dim or d_map.codomain_shape.total != a.dim:
         raise SchemaError("derivation candidate has wrong shape")
     cols = d_map.columns()
-    ok, witness = True, None
-    for tpl in itertools.product(range(a.dim), repeat=a.arity):
-        lhs = {}
-        for j, c in a.bracket_basis(tpl).items():
-            lhs = vec_add(lhs, vec_scale(dict(cols.get(j, ())), c, a.mode), a.mode)
-        rhs = {}
-        for i in range(a.arity):
-            for j, c in cols.get(tpl[i], ()):
-                inner = a.bracket_basis(tpl[:i] + (j,) + tpl[i + 1 :])
-                rhs = vec_add(rhs, vec_scale(inner, c, a.mode), a.mode)
-        if not vec_equal(lhs, rhs, a.mode):
-            ok, witness = False, {
-                "tuple": list(tpl),
-                "lhs": vec_json(lhs, a.mode),
-                "rhs": vec_json(rhs, a.mode),
-            }
-            break
-    rb.record("derivation-law", ok, witness)
+
+    def sides():
+        for tpl in itertools.product(range(a.dim), repeat=a.arity):
+            lhs = {}
+            for j, c in a.bracket_basis(tpl).items():
+                lhs = vec_add(lhs, vec_scale(dict(cols.get(j, ())), c, a.mode), a.mode)
+            rhs = {}
+            for i in range(a.arity):
+                for j, c in cols.get(tpl[i], ()):
+                    inner = a.bracket_basis(tpl[:i] + (j,) + tpl[i + 1 :])
+                    rhs = vec_add(rhs, vec_scale(inner, c, a.mode), a.mode)
+            yield tpl, lhs, rhs
+
+    rb.record_witness("derivation-law", _first_failing_tuple(sides(), a.mode))
     return rb.build()
 
 
@@ -494,20 +481,15 @@ def is_homomorphism(a: NLeibnizAlgebra, b: NLeibnizAlgebra, phi: TensorOperator)
     rb = ReportBuilder("homomorphism")
     cols = phi.columns()
     phi_basis = [dict(cols.get(i, ())) for i in range(a.dim)]
-    ok, witness = True, None
-    for tpl in itertools.product(range(a.dim), repeat=a.arity):
-        lhs = {}
-        for j, c in a.bracket_basis(tpl).items():
-            lhs = vec_add(lhs, vec_scale(phi_basis[j], c, a.mode), a.mode)
-        rhs = b.bracket_apply([phi_basis[i] for i in tpl])
-        if not vec_equal(lhs, rhs, a.mode):
-            ok, witness = False, {
-                "tuple": list(tpl),
-                "lhs": vec_json(lhs, a.mode),
-                "rhs": vec_json(rhs, a.mode),
-            }
-            break
-    rb.record("bracket-preserving", ok, witness)
+
+    def sides():
+        for tpl in itertools.product(range(a.dim), repeat=a.arity):
+            lhs = {}
+            for j, c in a.bracket_basis(tpl).items():
+                lhs = vec_add(lhs, vec_scale(phi_basis[j], c, a.mode), a.mode)
+            yield tpl, lhs, b.bracket_apply([phi_basis[i] for i in tpl])
+
+    rb.record_witness("bracket-preserving", _first_failing_tuple(sides(), a.mode))
 
     one = scalars.one(a.mode)
     exact = a.mode == scalars.EXACT

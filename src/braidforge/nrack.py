@@ -25,8 +25,8 @@ from .errors import (
     SchemaError,
     VerdictDisagreementError,
 )
-from .nleibniz import NLeibnizAlgebra, ad, exp_ad, fundamental_leibniz, vec_equal
-from .reports import ReportBuilder, VerificationReport
+from .nleibniz import NLeibnizAlgebra, ad, exp_ad, fundamental_leibniz
+from .reports import ReportBuilder, VerificationReport, first_difference
 from .tensor import flat_index
 
 RIGHT = "right"
@@ -500,7 +500,7 @@ def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
         except NotNilpotentError:
             skipped += 1
             continue
-        if not vec_equal(lhs, rhs, rack.mode):
+        if first_difference(lhs, rhs, rack.mode) is not None:
             ok, witness = False, {"grid-tuple": list(tpl)}
             break
     rb.record("self-distributivity-on-grid", ok, witness)
@@ -540,7 +540,7 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
                 rhs = e.apply(tensor.tensor_vector(xs, shp, mode))
             except NotNilpotentError:
                 continue
-            if not vec_equal(lhs, rhs, mode):
+            if first_difference(lhs, rhs, mode) is not None:
                 ok, witness = False, {"x": list(xi), "y": list(yi)}
                 break
         if not ok:

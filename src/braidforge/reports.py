@@ -5,6 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import scalars
+
 
 @dataclass(frozen=True)
 class Check:
@@ -54,6 +56,31 @@ class VerificationReport:
         }
 
 
+def first_difference(lhs: dict, rhs: dict, mode: str):
+    """The smallest key where two sparse sides differ, or None.
+
+    This is the one difference rule behind every verdict: a missing key
+    reads as zero, and in float mode a difference within
+    ``scalars.EPS_CMP`` counts as none.
+    """
+    if lhs == rhs:
+        return None
+    keys = lhs.keys() | rhs.keys()
+    return min((k for k in keys if not scalars.eq(lhs.get(k, 0), rhs.get(k, 0), mode)), default=None)
+
+
+def column_witness(columns, mode: str):
+    """{"row", "col"} of the smallest (row, col) where a stream of
+    (col, lhs, rhs) columns differs by ``first_difference``, or None.
+    The columns may arrive in any order."""
+    best = None
+    for col, lhs, rhs in columns:
+        row = first_difference(lhs, rhs, mode)
+        if row is not None and (best is None or (row, col) < best):
+            best = row, col
+    return None if best is None else {"row": best[0], "col": best[1]}
+
+
 def difference_witness(a, b):
     """{"row", "col"} of the smallest entry where two operators differ, or None."""
     k = a.first_difference(b)
@@ -78,6 +105,10 @@ class ReportBuilder:
         status = "pass" if ok else "fail"
         self._checks.append(Check(name, status, witness if not ok else None, self._elapsed()))
         return ok
+
+    def record_witness(self, name: str, witness):
+        """Record a check whose verdict is its witness: it passes iff that is None."""
+        return self.record(name, witness is None, witness)
 
     def skip(self, name: str, reason=None):
         self._checks.append(Check(name, "skipped", reason, self._elapsed()))

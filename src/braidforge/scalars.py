@@ -4,7 +4,7 @@ Every object in braidforge carries a scalar mode, either ``"exact"``
 (``fractions.Fraction``, the default) or ``"float"`` (binary64).  Exact
 entries are canonical by construction: reduced, positive denominator,
 and never stored when zero.  Float comparisons use an absolute
-tolerance ``EPS_CMP`` = 1e-9.
+tolerance ``EPS_CMP`` = 1e-9, applied by ``reports.first_difference``.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ def is_zero(value, mode: str) -> bool:
     return value == 0
 
 
-def eq(a, b, mode: str, eps: float = EPS_CMP) -> bool:
+def eq(a, b, mode: str) -> bool:
     if mode == EXACT:
         return a == b
-    return abs(a - b) <= eps
+    return abs(a - b) <= EPS_CMP
 
 
 def format_scalar(value, mode: str):

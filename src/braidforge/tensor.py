@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import scalars
+from . import reports, scalars
 from .errors import (
     SchemaError,
     ShapeMismatchError,
@@ -64,7 +64,9 @@ class TensorShape:
         return len(self.factor_dims)
 
     def flat(self, multi) -> int:
-        """Row-major flat index of a multi-index."""
+        """Row-major flat index of a multi-index, one digit per factor."""
+        if len(multi) != len(self.factor_dims):
+            raise SchemaError(f"multi-index {tuple(multi)} needs {len(self.factor_dims)} digits")
         idx = 0
         for i, d in zip(multi, self.factor_dims):
             if not 0 <= i < d:
@@ -192,7 +194,7 @@ class TensorOperator:
 
     # -- equality ------------------------------------------------------
 
-    def equal(self, other, eps: float = scalars.EPS_CMP) -> bool:
+    def equal(self, other) -> bool:
         if self.mode != other.mode:
             raise ShapeMismatchError("cannot compare operators of different scalar modes")
         if (
@@ -200,13 +202,7 @@ class TensorOperator:
             or self.codomain_shape.total != other.codomain_shape.total
         ):
             raise ShapeMismatchError("cannot compare operators of different total dimensions")
-        if self.mode == scalars.EXACT:
-            return self.entries == other.entries
-        keys = set(self.entries) | set(other.entries)
-        zero = 0.0
-        return all(
-            abs(self.entries.get(k, zero) - other.entries.get(k, zero)) <= eps for k in keys
-        )
+        return reports.first_difference(self.entries, other.entries, self.mode) is None
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
@@ -225,12 +221,7 @@ class TensorOperator:
 
     def first_difference(self, other):
         """Smallest (row, col) where the two operators differ, or None."""
-        keys = set(self.entries) | set(other.entries)
-        z = scalars.zero(self.mode)
-        for k in sorted(keys):
-            if not scalars.eq(self.entries.get(k, z), other.entries.get(k, z), self.mode):
-                return k
-        return None
+        return reports.first_difference(self.entries, other.entries, self.mode)
 
     # -- algebra -------------------------------------------------------
 
@@ -367,15 +358,6 @@ def deal_factors(n: int) -> tuple:
         perm[2 * i] = i
         perm[2 * i + 1] = n + i
     return tuple(perm)
-
-
-def deal_permutation(n: int, d: int, mode=scalars.EXACT) -> TensorOperator:
-    """The shuffle (u_1 v_1 u_2 v_2 ...) -> (u_1 ... u_n v_1 ... v_n) on 2n factors of dim d.
-
-    This is what expresses the coproduct of a tensor-power coalgebra
-    through the coproducts of its factors.
-    """
-    return permutation_operator(power_shape(d, 2 * n), deal_factors(n), mode)
 
 
 def compose(a: TensorOperator, b: TensorOperator) -> TensorOperator:

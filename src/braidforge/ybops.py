@@ -37,7 +37,7 @@ from .nleibniz import (
     fundamental_leibniz,
 )
 from .nrack import FiniteGroup
-from .reports import ReportBuilder, difference_witness
+from .reports import ReportBuilder, column_witness, difference_witness, first_difference
 from .setsol import braid_sides, braid_words, check_dim_cap, offset_maps
 from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
 
@@ -91,7 +91,7 @@ def _factor_dim(s: TensorOperator, n: int) -> int:
 
 
 def _word_images(cols, d: int, n: int, k: int, words):
-    """Yield (c, images) for each basis column e_c of V^(x)k in turn: its
+    """Yield (c, *images) for each basis column e_c of V^(x)k in turn: its
     sparse image under each word, where letter i applies the n-factor map
     with columns ``cols`` (a list over V^(x)n) to the digits i..i+n-1 of the flat index.
 
@@ -119,7 +119,7 @@ def _word_images(cols, d: int, n: int, k: int, words):
                         out[y] = out.get(y, 0) + v * xv
                 vec = {y: v for y, v in out.items() if v != 0} if 0 in out.values() else out
             images.append(vec)
-        yield c, images
+        yield c, *images
 
 
 def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
@@ -128,7 +128,7 @@ def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
     cols, scale = s.integer_columns()
     power = scale ** len(word)
     entries = {}
-    for c, (vec,) in _word_images(cols, d, n, k, [word]):
+    for c, vec in _word_images(cols, d, n, k, [word]):
         for r, v in vec.items():
             entries[(r, c)] = Fraction(v, power) if s.mode == scalars.EXACT else v
     return entries
@@ -149,18 +149,20 @@ def _uniform_monomial(s: TensorOperator):
 
 
 def _monomial_witness(image, coeff, d, n, side, mode):
-    """The witness of the sparse chain, from index maps: the column of the
-    smallest (row, col) where the two sides differ, or None.
+    """The column of ``reports.column_witness`` on the two sides, from index
+    maps: the rule of ``reports.first_difference`` specialised to sides with
+    one entry per column.
 
     Both words have n+1 letters, so column c of each side holds the one
-    value coeff^(n+1) at one row; a value within tolerance of zero counts
-    as absent, as in ``first_difference``.
+    value coeff^(n+1) at one row.  The sides differ at column c iff the rows
+    differ and that value is not zero by the rule; the smallest (row, col)
+    is then a ``min`` over the index lists.
     """
     lhs, rhs = braid_sides(offset_maps(image, d, n, 2 * n - 1), side)
     value = coeff
     for _ in range(n):
         value = coeff * value
-    if lhs == rhs or scalars.eq(value, 0, mode):
+    if lhs == rhs or first_difference({0: value}, {}, mode) is None:
         return None
     return min((a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)[1]
 
@@ -191,16 +193,9 @@ def verify_nybe(
         witness = _monomial_witness(*monomial, d, n, side, s.mode)
     else:
         # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
-        best = None
         cols, _ = s.integer_columns()
-        for c, (lhs, rhs) in _word_images(cols, d, n, 2 * n - 1, braid_words(n, side)):
-            if lhs == rhs:
-                continue
-            keys = lhs.keys() | rhs.keys()
-            row = min((r for r in keys if not scalars.eq(lhs.get(r, 0), rhs.get(r, 0), s.mode)), default=None)
-            if row is not None and (best is None or row < best[0]):
-                best = row, c
-        witness = None if best is None else best[1]
+        wit = column_witness(_word_images(cols, d, n, 2 * n - 1, braid_words(n, side)), s.mode)
+        witness = None if wit is None else wit["col"]
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",
         n=n,
@@ -310,19 +305,13 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     rb.record("injectivity", tensor.column_rank(eta) == wdim)
     bw = bracket_operator(w_central.algebra)
     bv = bracket_operator(v_central.algebra)
-    lhs = eta @ bw
-    rhs = bv @ tensor_many([eta, eta])
-    rb.record(
-        "central-leibniz-homomorphism",
-        lhs == rhs and eta.apply(w_central.central) == v_central.central,
-        difference_witness(lhs, rhs),
-    )
+    wit = difference_witness(eta @ bw, bv @ tensor_many([eta, eta]))
+    central = first_difference(eta.apply(w_central.central), v_central.central, mode) is None
+    rb.record("central-leibniz-homomorphism", wit is None and central, wit)
     r1 = r_from_central_leibniz(w_central)
     r2 = r_from_central_leibniz(v_central)
     ee = tensor_many([eta, eta])
-    lhs = r2 @ ee
-    rhs = ee @ r1
-    rb.record("intertwining", lhs == rhs, difference_witness(lhs, rhs))
+    rb.record_witness("intertwining", difference_witness(r2 @ ee, ee @ r1))
     return eta, rb.build()
 
 

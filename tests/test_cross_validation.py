@@ -9,7 +9,8 @@ basis column at a time through both braid words; the lift
 ``nyb_from_ybe`` and the descent ``ybe_from_nyb`` build their words with
 it too.  No code in ``src/`` composes embedded operators any more, so the
 oracles live here: the sparse operator chain (``tensor.embed``, composed
-in order of application, and ``first_difference``), a dense numpy
+in order of application, and the sorted-keys rule of
+``difference_oracle``), a dense numpy
 product of Kronecker embeddings, and a plain tuple-by-tuple simulation
 of the two braid words.
 Linearizing a point map must preserve every verdict, so any convention
@@ -27,6 +28,7 @@ import braidforge.scalars as sc
 import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
+import difference_oracle
 from braidforge.errors import PreconditionError
 
 ONE = Fraction(1)
@@ -142,7 +144,7 @@ def embed_chain(op, d, n, k, word):
 def sparse_chain(op, d, n, side):
     """(holds, witness, invertible) of the sparse operator chain."""
     lhs, rhs = (embed_chain(op, d, n, 2 * n - 1, word) for word in words(n, side))
-    diff = lhs.first_difference(rhs)
+    diff = difference_oracle.first_difference(lhs, rhs)
     return diff is None, None if diff is None else diff[1], T.is_invertible(op)
 
 

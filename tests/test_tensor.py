@@ -28,6 +28,14 @@ def test_shape_flat_multi_roundtrip():
         assert s.flat(s.multi(flat)) == flat
 
 
+def test_flat_refuses_a_multi_index_of_the_wrong_length():
+    s = T.power_shape(2, 3)
+    assert s.flat((1, 1, 1)) == 7
+    for multi in [(1, 1), (1, 1, 1, 1), ()]:
+        with pytest.raises(SchemaError, match="needs 3 digits"):
+            s.flat(multi)
+
+
 def test_flat_index_is_the_row_major_layout():
     s = T.power_shape(3, 4)
     for flat in range(s.total):
@@ -225,18 +233,23 @@ def test_permute_codomain_matches_operator():
 # -- deal ----------------------------------------------------------------
 
 
+def deal_permutation(n, d):
+    """The shuffle (u_1 v_1 u_2 v_2 ...) -> (u_1 ... u_n v_1 ... v_n) on 2n factors of dim d."""
+    return T.permutation_operator(T.power_shape(d, 2 * n), T.deal_factors(n))
+
+
 def test_deal_is_identity_for_one_pair():
-    assert T.deal_permutation(1, 3) == T.identity(T.power_shape(3, 2))
+    assert deal_permutation(1, 3) == T.identity(T.power_shape(3, 2))
 
 
 def test_deal_middle_transposition():
     s4 = T.power_shape(2, 4)
-    deal = T.deal_permutation(2, 2)
+    deal = deal_permutation(2, 2)
     assert deal.apply({s4.flat((0, 1, 0, 1)): ONE}) == {s4.flat((0, 0, 1, 1)): ONE}
 
 
 def test_deal_roundtrip():
-    deal = T.deal_permutation(3, 2)
+    deal = deal_permutation(3, 2)
     assert T.invert(deal) @ deal == T.identity(T.power_shape(2, 6))
 
 
