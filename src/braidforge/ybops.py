@@ -15,6 +15,7 @@ invertible is a pre-operator; reports keep the two facts separate.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,36 +91,72 @@ def _factor_dim(s: TensorOperator, n: int) -> int:
     raise ShapeMismatchError(f"operator dimension {total} is not an n-th power for n={n}")
 
 
-def _word_images(cols, d: int, n: int, k: int, words):
-    """Yield (c, *images) for each basis column e_c of V^(x)k in turn: its
-    sparse image under each word, where letter i applies the n-factor map
-    with columns ``cols`` (a list over V^(x)n) to the digits i..i+n-1 of the flat index.
+#: basis columns the index tier carries through a word at a time
+BLOCK = 1024
 
-    Exact zeros are dropped after every letter, and every entry sums its
-    terms in the order of the ``compose`` chain of the embedded letters,
-    so float images are bit-identical to that chain's columns.
+
+def _word_images(cols, d: int, n: int, k: int, words):
+    """Yield (lo, sides, dirty) per block of ``BLOCK`` basis columns lo, ...
+    of V^(x)k; letter i of a word applies the n-factor map with columns
+    ``cols`` (a list over V^(x)n) to digits i..i+n-1.  A one-entry column
+    of S moves an index by a fixed offset, so the index tier sends a clean
+    column to {row: value} (empty at value 0), in one (rows, values) pair
+    of lists per word in ``sides``.  Any other column of S adds d^k, which
+    keeps every digit and marks the index.  Columns marked in either word
+    run through the dict tier, one sparse image per word in ``dirty[c]``.
+    Both tiers multiply and sum in the ``compose`` chain's order, bit for bit.
     """
-    span = d**n
+    span, total = d**n, d**k
+    single = [len(col) == 1 and 0 < abs(col[0][1]) < math.inf for col in cols]
+    coef = [col[0][1] if ok else 1 for col, ok in zip(cols, single)]
+    uniform = len({v for v, ok in zip(coef, single) if ok}) <= 1
+    unit = next((v for v, ok in zip(coef, single) if ok), 1)
     letters = {}
     for i in {i for word in words for i in word}:
         low = d ** (k - n - i)
-        letters[i] = low, [[(r * low, v) for r, v in cols[c]] for c in range(span)]
+        delta = [(col[0][0] - c) * low if ok else total for c, (col, ok) in enumerate(zip(cols, single))]
+        letters[i] = low, delta, [[(r * low, v) for r, v in col] for col in cols]
     plans = [[letters[i] for i in word] for word in words]
-    for c in range(d**k):
-        images = []
+    for lo in range(0, total, BLOCK):
+        block = range(lo, min(lo + BLOCK, total))
+        sides, marked = [], set()
         for plan in plans:
-            vec = {c: 1}
-            for low, lcols in plan:
-                out = {}
-                for x, xv in vec.items():
-                    mid = x // low % span
-                    base = x - mid * low
-                    for r, v in lcols[mid]:
-                        y = base + r
-                        out[y] = out.get(y, 0) + v * xv
-                vec = {y: v for y, v in out.items() if v != 0} if 0 in out.values() else out
-            images.append(vec)
-        yield c, *images
+            xs, vs, value = list(block), [1] * len(block), 1
+            for low, delta, _ in plan:
+                if not uniform:
+                    vs = [coef[x // low % span] * v for x, v in zip(xs, vs)]
+                xs = [x + delta[x // low % span] for x in xs]
+                value = unit * value
+            marked.update(c for c, x in zip(block, xs) if x >= total)
+            sides.append((xs, [value] * len(xs) if uniform else vs))
+        dirty = {c: [_dict_image(c, plan, span) for plan in plans] for c in sorted(marked)}
+        yield lo, sides, dirty
+
+
+def _dict_image(c: int, plan, span: int) -> dict:
+    """The dict tier: e_c's sparse image under one word, zeros dropped per letter."""
+    vec = {c: 1}
+    for low, _, lcols in plan:
+        out = {}
+        for x, xv in vec.items():
+            mid = x // low % span
+            for r, v in lcols[mid]:
+                y = x - mid * low + r
+                out[y] = out.get(y, 0) + v * xv
+        vec = {y: v for y, v in out.items() if v != 0}
+    return vec
+
+
+def _braid_columns(cols, d: int, n: int, side: str):
+    """(col, lhs, rhs) for each column where the braid sides on V^(x)(2n-1)
+    may differ: clean ones whose lists disagree, and every dirty one."""
+    for lo, ((a, u), (b, w)), dirty in _word_images(cols, d, n, 2 * n - 1, braid_words(n, side)):
+        if a != b or u != w:
+            for c, x, y, p, q in zip(itertools.count(lo), a, b, u, w):
+                if (x != y or p != q) and c not in dirty:
+                    yield c, {x: p}, {y: q}
+        for c, (lhs, rhs) in dirty.items():
+            yield c, lhs, rhs
 
 
 def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
@@ -128,9 +165,11 @@ def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
     cols, scale = s.integer_columns()
     power = scale ** len(word)
     entries = {}
-    for c, vec in _word_images(cols, d, n, k, [word]):
-        for r, v in vec.items():
-            entries[(r, c)] = Fraction(v, power) if s.mode == scalars.EXACT else v
+    for lo, ((rows, values),), dirty in _word_images(cols, d, n, k, [word]):
+        for c, row, value in zip(itertools.count(lo), rows, values):
+            image = dirty[c][0] if c in dirty else {row: value} if value != 0 else {}
+            for r, v in image.items():
+                entries[(r, c)] = Fraction(v, power) if s.mode == scalars.EXACT else v
     return entries
 
 
@@ -174,13 +213,14 @@ def verify_nybe(
 
     An operator with one nonzero per column, all of them equal, runs
     through the index-map kernel ``setsol.braid_sides``; any other through
-    the column kernel ``_word_images``, one basis column at a time, on
-    integers in exact mode.  Both give the report of the sparse ``embed``
-    / ``compose`` chain and its ``first_difference``.
+    the two-tier column kernel ``_word_images``, on integers in exact mode.
+    Both give the report of the sparse ``embed`` / ``compose`` chain and
+    its ``first_difference``.  n is at most 63, as every arity: on
+    dimension 1 the cap on d^(2n-1) cannot bound it.
     """
     t0 = time.perf_counter()
-    if n < 2:
-        raise SchemaError("n must be at least 2")
+    if not 2 <= n <= 63:
+        raise SchemaError(f"n must be between 2 and 63, got {n}")
     if side not in ("right", "left"):
         raise SchemaError("side must be 'right' or 'left'")
     if s.domain_shape.total != s.codomain_shape.total:
@@ -194,7 +234,7 @@ def verify_nybe(
     else:
         # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
         cols, _ = s.integer_columns()
-        wit = column_witness(_word_images(cols, d, n, 2 * n - 1, braid_words(n, side)), s.mode)
+        wit = column_witness(_braid_columns(cols, d, n, side), s.mode)
         witness = None if wit is None else wit["col"]
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",

@@ -217,6 +217,28 @@ def test_cap_scale_monomial_verification(s3):
         assert report.holds and report.invertible
 
 
+def unit_extended_ternary(bracket):
+    """The degree-3 braiding of a ternary bracket on k^15 with a unit
+    adjoined, on (k (+) k^15)^(x)3, built without certifying the bracket."""
+    lifted = {tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()} for key, out in bracket.items()}
+    return yb._nyb_formula(nl.CentralNLeibnizAlgebra(nl.NLeibnizAlgebra(3, 16, lifted), {0: ONE}))
+
+
+def test_cap_scale_general_verification():
+    """The north star for non-monomial operators: the braiding of a dim-15
+    ternary bracket with a unit adjoined is checked on all 16^5 = 2^20
+    basis vectors within 6 s, once for [e_0, e_1, e_1] = e_2, which
+    holds, and once with [e_2, e_1, e_1] = e_1 added, which fails; its
+    witness is the whole-column kernel's of ``kernel_oracle``."""
+    cases = [({(0, 1, 1): {2: 1}}, None), ({(0, 1, 1): {2: 1}, (2, 1, 1): {1: 1}}, 205602)]
+    for bracket, witness in cases:
+        s = unit_extended_ternary(bracket)
+        with Timer(f"cap-scale nybe dim-15 bracket, witness {witness}", 6):
+            report = yb.verify_nybe(s, 3, "right")
+        assert report.verification_dim == 2**20
+        assert (report.holds, report.witness) == (witness is None, witness)
+
+
 def test_nrack_check_on_the_sym3_4rack(s3):
     """The census's largest rack check: the Sym(3) conjugation 4-rack on
     all 6^7 = 279936 tuples, in blocks of flat index lists, within 1 s."""

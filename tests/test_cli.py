@@ -458,6 +458,8 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         (["build", "nsolution-from-solution", "{}", "--param", "n=1000000000"], {"kind": "set_map", "size": 1, "arity": 2, "map": [[0, 0, 0, 0]]}, {}),
         (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1, 2]]}, {}),
         (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1]]}, {}),
+        # on a 1-dimensional operator the dimension cap passes any n
+        (["verify", "nybe-right", "{}", "--n", "1000000000"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "entries": [[0, 0, "1/1"]]}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
@@ -479,6 +481,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
         capture_output=True,
         text=True,
         env={**os.environ, **env, "PYTHONPATH": src},
+        timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

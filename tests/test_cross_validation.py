@@ -4,22 +4,25 @@ Both public braid-relation checks run the one index-map kernel
 ``setsol.braid_sides``: ``ybops.verify_nybe`` for every operator with
 one nonzero per column, all of them equal, and
 ``setsol.check_set_nsolution`` for every set map.  Every other operator
-runs through the integer column kernel of ``ybops``, which streams one
-basis column at a time through both braid words; the lift
-``nyb_from_ybe`` and the descent ``ybe_from_nyb`` build their words with
-it too.  No code in ``src/`` composes embedded operators any more, so the
-oracles live here: the sparse operator chain (``tensor.embed``, composed
-in order of application, and the sorted-keys rule of
-``difference_oracle``), a dense numpy
-product of Kronecker embeddings, and a plain tuple-by-tuple simulation
-of the two braid words.
+runs through the two-tier column kernel of ``ybops``, which carries
+blocks of basis columns through both braid words as index lists and
+only the columns that meet a multi-entry column of S as sparse dicts;
+the lift ``nyb_from_ybe`` and the descent ``ybe_from_nyb`` build their
+words with it too.  No code in ``src/`` composes embedded operators any
+more, so the oracles live here: the sparse operator chain
+(``tensor.embed``, composed in order of application, and the sorted-keys
+rule of ``difference_oracle``), a dense numpy product of Kronecker
+embeddings, a plain tuple-by-tuple simulation of the two braid words,
+and the whole-column kernel of ``kernel_oracle``.
 Linearizing a point map must preserve every verdict, so any convention
 drift between the paths shows up here.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +32,7 @@ import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
 import difference_oracle
+import kernel_oracle
 from braidforge.errors import PreconditionError
 
 ONE = Fraction(1)
@@ -402,3 +406,55 @@ def test_lift_and_descent_match_embed_chain(case):
     chain = embed_chain(lifted, d, n, 2 * n - 2, range(n - 2, -1, -1))
     assert down.entries == chain.entries
     assert down.domain_shape == down.codomain_shape == T.power_shape(d ** (n - 1), 2)
+
+
+# -- the two-tier column kernel against the whole-column oracle --
+
+
+# exact: +-1 and +-2 cancel in sums, 1/2 makes the integer scale 2; float:
+# entries and products at EPS_CMP, and 1e-120 ** 3 = 1e-200 ** 2 = 0.0
+NEAR_EXACT = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(1, 2)]
+NEAR_FLOAT = [1.0, -1.0, 2.0, -2.0, sc.EPS_CMP, math.nextafter(sc.EPS_CMP, 1.0), 3e-5, 1e-120, 1e-200]
+
+
+@st.composite
+def near_monomial_operators(draw):
+    """(d, n, S): a cyclic shift or a random permutation of the basis of
+    V^(x)n, scaled by one pool value or by one per column, plus 0-4 extra
+    entries added from the pool (a sum may cancel and empty a column)."""
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 2 if n == 4 else 3))
+    mode = draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
+    values = st.sampled_from(NEAR_EXACT if mode == sc.EXACT else NEAR_FLOAT)
+    shp = T.power_shape(d, n)
+    cols = list(range(shp.total))
+    if draw(st.booleans()):
+        image = [flat(t[1:] + t[:1], d) for t in itertools.product(range(d), repeat=n)]
+    else:
+        image = draw(st.permutations(cols))
+    if draw(st.booleans()):
+        scales = [draw(values)] * len(cols)
+    else:
+        scales = draw(st.lists(values, min_size=len(cols), max_size=len(cols)))
+    entries = {(r, c): v for c, (r, v) in enumerate(zip(image, scales))}
+    keys = st.tuples(st.sampled_from(cols), st.sampled_from(cols))
+    for key, v in draw(st.lists(st.tuples(keys, values), max_size=4)):
+        entries[key] = entries.get(key, 0) + v
+    return d, n, T.TensorOperator(shp, shp, entries, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_monomial_operators(), st.sampled_from(["right", "left"]), st.sampled_from([1, 5, 64, yb.BLOCK]))
+def test_two_tier_kernel_matches_the_whole_column_oracle(case, side, block):
+    # entry for entry and in column order; float == compares bits, and neither kernel stores a zero
+    d, n, s = case
+    with mock.patch.object(yb, "BLOCK", block):
+        report = yb.verify_nybe(s, n, side)
+        witness = kernel_oracle.braid_witness(s, d, n, side)
+        assert (report.holds, report.witness) == (witness is None, witness)
+        cases = [(2 * n - 1, word) for word in words(n, side)] + [(2 * n - 2, range(n - 2, -1, -1))]
+        if n == 2:
+            cases += [(3, range(2)), (4, range(3))]  # the lift to degrees 3 and 4
+        for k, word in cases:
+            got = yb._word_entries(s, d, n, k, word)
+            assert list(got.items()) == list(kernel_oracle.word_entries(s, d, n, k, word).items())

@@ -92,6 +92,15 @@ def test_column_kernel_memory_stays_flat():
     assert peak < 2 * 2**20
 
 
+def test_verify_nybe_bounds_n_where_the_cap_cannot():
+    # on dim 1 every space has dimension 1, so the cap passes any n
+    one = T.identity(T.shape(1))
+    assert yb.verify_nybe(one, 63).is_operator
+    for n in (64, 10**9):
+        with pytest.raises(SchemaError):
+            yb.verify_nybe(one, n)
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize(
     "build",
