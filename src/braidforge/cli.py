@@ -62,14 +62,23 @@ def _dim_cap(allow_large):
 # -- check ---------------------------------------------------------------
 
 
+def _cap_laws(obj, dim_cap):
+    """Cap the laws of an n-Leibniz algebra, an n-rack or a linear n-rack,
+    which walk every (2n-1)-tuple, on d^(2n-1)."""
+    if isinstance(obj, nrack.FiniteNRack):
+        d = obj.size
+    else:
+        d = obj.base.dim if isinstance(obj, linrack.LinearNRack) else obj.dim
+    setsol.check_dim_cap(d ** (2 * obj.arity - 1), dim_cap)
+
+
 def _check_one(doc, dim_cap):
     kind = serialization.document_kind(doc)
     if kind == "group":
         return nrack.check_group_table(*serialization.group_table_from_document(doc))
     obj = serialization.from_document(doc)
-    if kind in ("nleibniz", "nrack", "linear_nrack"):  # their laws walk every (2n-1)-tuple
-        d = obj.size if kind == "nrack" else obj.base.dim if kind == "linear_nrack" else _as_algebra(obj).dim
-        setsol.check_dim_cap(d ** (2 * obj.arity - 1), dim_cap)
+    if kind in ("nleibniz", "nrack", "linear_nrack"):
+        _cap_laws(obj, dim_cap)
     if kind == "nleibniz":
         if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
             rb = ReportBuilder("central-nleibniz")
@@ -283,15 +292,17 @@ def _b_descend(obj, ctx):
     return setsol.solution_from_nsolution(obj, ctx.dim_cap)
 
 
-def _certify_input(obj):
-    """Documents not marked certified get checked before a build uses them."""
-    if isinstance(obj, nleibniz.NLeibnizAlgebra) and not obj.certified:
-        return nleibniz.certify(obj)
-    if isinstance(obj, nleibniz.CentralNLeibnizAlgebra) and not obj.algebra.certified:
-        return nleibniz.CentralNLeibnizAlgebra(nleibniz.certify(obj.algebra), obj.central)
-    if isinstance(obj, nrack.FiniteNRack) and not obj.certified:
+def _certify_input(obj, dim_cap):
+    """Documents not marked certified get checked, under the cap of `check`,
+    before a build uses them."""
+    if not isinstance(obj, _ALGEBRA + (nrack.FiniteNRack,)) or _as_algebra(obj).certified:
+        return obj
+    _cap_laws(obj, dim_cap)
+    if isinstance(obj, nrack.FiniteNRack):
         return nrack.certify(obj)
-    return obj
+    if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
+        return nleibniz.CentralNLeibnizAlgebra(nleibniz.certify(obj.algebra), obj.central)
+    return nleibniz.certify(obj)
 
 
 def cmd_build(args):
@@ -303,7 +314,7 @@ def cmd_build(args):
     obj = serialization.from_document(doc)
     if not isinstance(obj, accepts):
         raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
-    obj = _certify_input(obj)
+    obj = _certify_input(obj, args.dim_cap)
     params = {}
     for raw in args.param or ():
         key, sep, value = raw.partition("=")

@@ -485,29 +485,54 @@ def linear_nrack_from_nleibniz(algebra, require_certified: bool = True) -> Linea
     return LinearNRack(base, n, bracket, inv_bracket)
 
 
-def lebed_operator(r: LinearRack):
-    """The braiding of a cocommutative linear rack and its inverse:
+def nrack_braiding(l: LinearNRack):
+    """The degree-n braiding of a cocommutative linear n-rack and its inverse:
 
-        R(u (x) v) = v^(1) (x) (u <| v^(2))
-        R^{-1}(u (x) v) = (v inv<| u^(2)) (x) u^(1)
+        S(u_1 (x) ... (x) u_n)
+            = u_2^(1) (x) ... (x) u_n^(1) (x) <u_1, u_2^(2), ..., u_n^(2)>
+        S^{-1}(u_1 (x) ... (x) u_n)
+            = <<u_n, u_{n-1}^(2), ..., u_1^(2)>> (x) u_1^(1) (x) ... (x) u_{n-1}^(1).
 
-    Both are returned; their composition is checked to be the identity.
+    Their composition is checked to be the identity at construction.
     """
-    if not r.base.cocommutative:
+    if not l.base.cocommutative:
         raise PreconditionError("the braiding needs a cocommutative base")
-    c = r.base.dim
-    mode = r.base.mode
+    c, n = l.base.dim, l.arity
+    mode = l.base.mode
     idc = identity(TensorShape((c,)), mode)
-    fwd_split = tensor_many([idc, r.base.delta]).permute_codomain((1, 0, 2))
-    fwd = compose_blocks([idc, r.op], fwd_split)
-    bwd_split = tensor_many([r.base.delta, idc]).permute_codomain((2, 1, 0))
-    bwd = compose_blocks([r.inv_op, idc], bwd_split)
-    shp = tensor.power_shape(c, 2)
+
+    fwd_split = tensor_many([idc] + [l.base.delta] * (n - 1))
+    perm = [0] * (2 * n - 1)
+    perm[0] = n - 1
+    for j in range(n - 1):
+        perm[1 + 2 * j] = j  # legs (1) pass through, in order
+        perm[2 + 2 * j] = n + j  # legs (2) feed the bracket
+    fwd = compose_blocks([idc] * (n - 1) + [l.bracket], fwd_split.permute_codomain(perm))
+
+    bwd_split = tensor_many([l.base.delta] * (n - 1) + [idc])
+    perm = [0] * (2 * n - 1)
+    perm[2 * (n - 1)] = 0  # u_n heads the inverse bracket
+    for j in range(n - 1):
+        perm[2 * j] = n + j  # legs (1) pass through, in order
+        perm[2 * j + 1] = 1 + (n - 2 - j)  # legs (2), reversed, feed the inverse bracket
+    bwd = compose_blocks([l.inv_bracket] + [idc] * (n - 1), bwd_split.permute_codomain(perm))
+
+    shp = tensor.power_shape(c, n)
     fwd = fwd.with_shapes(shp, shp)
     bwd = bwd.with_shapes(shp, shp)
     ident = identity(shp, mode)
     if fwd @ bwd != ident or bwd @ fwd != ident:
         raise PreconditionError(
-            "inverse-mismatch: the two maps do not invert each other, so the input is not a linear rack"
+            f"inverse-mismatch: the two maps do not invert each other, so the input is not a linear {n}-rack"
         )
     return fwd, bwd
+
+
+def lebed_operator(r: LinearRack):
+    """The braiding of a cocommutative linear rack and its inverse, the n = 2
+    case of :func:`nrack_braiding`:
+
+        R(u (x) v) = v^(1) (x) (u <| v^(2))
+        R^{-1}(u (x) v) = (v inv<| u^(2)) (x) u^(1)
+    """
+    return nrack_braiding(r.as_nrack())

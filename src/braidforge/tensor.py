@@ -508,40 +508,39 @@ def is_nilpotent(a: TensorOperator) -> bool:
     return not power.entries
 
 
-def exp_float(a: TensorOperator, term_tol: float = 1e-12, max_terms: int = 64) -> TensorOperator:
+def exp_float(a: TensorOperator) -> TensorOperator:
     """Truncated exp series in float mode.
 
-    Stops when the next term's max-abs entry drops below ``term_tol``;
-    raises SeriesNotConvergedError if the term is still large after
-    ``max_terms`` terms.
+    Stops when the next term's max-abs entry drops below 1e-12; raises
+    SeriesNotConvergedError if the term is still large after 64 terms.
     """
     if not a.is_square():
         raise ShapeMismatchError("exp needs a square operator")
     a = a.to_float()
     total = identity(a.domain_shape, scalars.FLOAT)
     term = total
-    for k in range(1, max_terms + 1):
+    for k in range(1, 65):
         term = (term @ a).scale(1.0 / k)
-        if term.max_abs() < term_tol:
+        if term.max_abs() < 1e-12:
             return total
         total = total + term
     raise SeriesNotConvergedError(
-        f"exp series term still {term.max_abs():.3g} after {max_terms} terms"
+        f"exp series term still {term.max_abs():.3g} after 64 terms"
     )
 
 
 # -- elimination -------------------------------------------------------
 
 
-def _gauss_jordan(rows, cols, mode, eps: float = scalars.EPS_CMP) -> dict:
+def _gauss_jordan(rows, cols, mode) -> dict:
     """Gauss-Jordan elimination of sparse rows (dicts col -> value) in place.
 
     Columns are pivoted in the order of ``cols``.  A column -> rows index
     means each pivot step touches only the rows holding that column, so
     a permutation costs linear time.  The pivot is the free row with the
-    fewest nonzeros in exact mode and the largest |v| above ``eps`` in
+    fewest nonzeros in exact mode and the largest |v| above ``EPS_CMP`` in
     float mode, ties going to the lowest row.  A column without a pivot
-    is skipped; in float mode its entries of size at most ``eps`` count
+    is skipped; in float mode its entries of size at most ``EPS_CMP`` count
     as zero and are dropped.  Returns {pivot column: row index}; each
     pivot row ends normalized with zeros in every other pivot column.
     """
@@ -557,11 +556,11 @@ def _gauss_jordan(rows, cols, mode, eps: float = scalars.EPS_CMP) -> dict:
         if exact:
             pivot = min(free, key=lambda r: (len(rows[r]), r), default=None)
         else:
-            usable = [r for r in free if abs(rows[r][col]) > eps]
+            usable = [r for r in free if abs(rows[r][col]) > scalars.EPS_CMP]
             pivot = min(usable, key=lambda r: (-abs(rows[r][col]), r), default=None)
         if pivot is None:
             if not exact:
-                for r in [r for r in holders.get(col, ()) if abs(rows[r][col]) <= eps]:
+                for r in [r for r in holders.get(col, ()) if abs(rows[r][col]) <= scalars.EPS_CMP]:
                     del rows[r][col]
                     holders[col].discard(r)
             continue
@@ -591,7 +590,7 @@ def _square_dim(a: TensorOperator) -> int:
     return a.domain_shape.total
 
 
-def invert(a: TensorOperator, eps: float = scalars.EPS_CMP) -> TensorOperator:
+def invert(a: TensorOperator) -> TensorOperator:
     """Inverse by sparse Gauss-Jordan elimination on [A | I]; exact in exact mode.
 
     Raises SingularMatrixError when no valid pivot remains, which is
@@ -602,7 +601,7 @@ def invert(a: TensorOperator, eps: float = scalars.EPS_CMP) -> TensorOperator:
     rows = [{n + i: one} for i in range(n)]
     for (r, c), v in a.entries.items():
         rows[r][c] = v
-    pivots = _gauss_jordan(rows, range(n), a.mode, eps)
+    pivots = _gauss_jordan(rows, range(n), a.mode)
     if len(pivots) < n:
         col = next(c for c in range(n) if c not in pivots)
         raise SingularMatrixError(f"no usable pivot in column {col}")
@@ -622,14 +621,14 @@ def column_rank(a: TensorOperator) -> int:
     return len(_gauss_jordan(list(rows.values()), range(a.domain_shape.total), a.mode))
 
 
-def rref(rows, mode=scalars.EXACT, eps: float = scalars.EPS_CMP):
+def rref(rows, mode=scalars.EXACT):
     """Reduced row echelon form of sparse rows (dicts col -> value).
 
     Returns (pivots, reduced) where pivots is the sorted list of pivot
     columns and reduced maps each pivot column to its normalized row.
     """
     rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
-    pivots = _gauss_jordan(rows, sorted({c for row in rows for c in row}), mode, eps)
+    pivots = _gauss_jordan(rows, sorted({c for row in rows for c in row}), mode)
     return sorted(pivots), {col: rows[p] for col, p in pivots.items()}
 
 

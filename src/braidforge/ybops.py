@@ -28,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     VerdictDisagreementError,
 )
-from .linrack import LinearNRack, check_linear_nrack
+from .linrack import LinearNRack, check_linear_nrack, nrack_braiding
 from .nleibniz import (
     CentralNLeibnizAlgebra,
     NLeibnizAlgebra,
@@ -40,7 +40,7 @@ from .nleibniz import (
 from .nrack import FiniteGroup
 from .reports import ReportBuilder, column_witness, difference_witness, first_difference
 from .setsol import braid_sides, braid_words, check_dim_cap, offset_maps
-from .tensor import TensorOperator, TensorShape, compose_blocks, identity, tensor_many
+from .tensor import TensorOperator, TensorShape, tensor_many
 
 #: default cap on the dimension d^(2n-1) of the verification space
 DEFAULT_DIM_CAP = 2**20
@@ -206,6 +206,12 @@ def _monomial_witness(image, coeff, d, n, side, mode):
     return min((a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)[1]
 
 
+def _require_degree(n: int):
+    """n is 2 to 63, as every arity: on dimension 1 no cap on d^n bounds it."""
+    if not 2 <= n <= 63:
+        raise SchemaError(f"n must be between 2 and 63, got {n}")
+
+
 def verify_nybe(
     s: TensorOperator, n: int, side: str = "right", dim_cap: int = DEFAULT_DIM_CAP
 ) -> YBReport:
@@ -215,12 +221,10 @@ def verify_nybe(
     through the index-map kernel ``setsol.braid_sides``; any other through
     the two-tier column kernel ``_word_images``, on integers in exact mode.
     Both give the report of the sparse ``embed`` / ``compose`` chain and
-    its ``first_difference``.  n is at most 63, as every arity: on
-    dimension 1 the cap on d^(2n-1) cannot bound it.
+    its ``first_difference``.
     """
     t0 = time.perf_counter()
-    if not 2 <= n <= 63:
-        raise SchemaError(f"n must be between 2 and 63, got {n}")
+    _require_degree(n)
     if side not in ("right", "left"):
         raise SchemaError("side must be 'right' or 'left'")
     if s.domain_shape.total != s.codomain_shape.total:
@@ -420,58 +424,21 @@ def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOpera
 
 
 def nyb_from_linear_nrack(l: LinearNRack, check: bool = True):
-    """The degree-n braiding of a cocommutative linear n-rack and its inverse:
-
-        S(u_1 (x) ... (x) u_n)
-            = u_2^(1) (x) ... (x) u_n^(1) (x) <u_1, u_2^(2), ..., u_n^(2)>
-        S^{-1}(u_1 (x) ... (x) u_n)
-            = <<u_n, u_{n-1}^(2), ..., u_1^(2)>> (x) u_1^(1) (x) ... (x) u_{n-1}^(1).
-
-    Their composition is checked to be the identity at construction.
-    """
-    if not l.base.cocommutative:
-        raise PreconditionError("the braiding needs a cocommutative base")
+    """The degree-n braiding of a cocommutative linear n-rack and its inverse,
+    built by :func:`linrack.nrack_braiding` once ``check`` has certified the
+    linear n-rack laws."""
     if check:
         report = check_linear_nrack(l)
         if not report.passed:
             raise PreconditionError("input fails the linear n-rack identities", report.witness)
-    c, n = l.base.dim, l.arity
-    mode = l.base.mode
-    idc = identity(TensorShape((c,)), mode)
-
-    fwd_split = tensor_many([idc] + [l.base.delta] * (n - 1))
-    perm = [0] * (2 * n - 1)
-    perm[0] = n - 1
-    for j in range(n - 1):
-        perm[1 + 2 * j] = j  # legs (1) pass through, in order
-        perm[2 + 2 * j] = n + j  # legs (2) feed the bracket
-    fwd = compose_blocks([idc] * (n - 1) + [l.bracket], fwd_split.permute_codomain(perm))
-
-    bwd_split = tensor_many([l.base.delta] * (n - 1) + [idc])
-    perm = [0] * (2 * n - 1)
-    perm[2 * (n - 1)] = 0  # u_n heads the inverse bracket
-    for j in range(n - 1):
-        perm[2 * j] = n + j  # legs (1) pass through, in order
-        perm[2 * j + 1] = 1 + (n - 2 - j)  # legs (2), reversed, feed the inverse bracket
-    bwd = compose_blocks([l.inv_bracket] + [idc] * (n - 1), bwd_split.permute_codomain(perm))
-
-    shp = tensor.power_shape(c, n)
-    fwd = fwd.with_shapes(shp, shp)
-    bwd = bwd.with_shapes(shp, shp)
-    ident = identity(shp, mode)
-    if fwd @ bwd != ident or bwd @ fwd != ident:
-        raise PreconditionError(
-            "inverse-mismatch: the stated inverse fails, so the input is not a linear n-rack"
-        )
-    return fwd, bwd
+    return nrack_braiding(l)
 
 
 def nyb_from_ybe(r: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> TensorOperator:
     """Lift a Yang-Baxter operator to degree n on the same space:
     S_n = (Id^(x)(n-2) (x) R) ... (Id (x) R (x) Id^(x)(n-3)) (R (x) Id^(x)(n-2)),
     applied left to right."""
-    if n < 2:
-        raise SchemaError("n must be at least 2")
+    _require_degree(n)
     base = verify_ybe(r, dim_cap)
     if not base.is_operator:
         raise PreconditionError("input is not a Yang-Baxter operator", base.to_json())
@@ -511,8 +478,7 @@ def group_algebra_nyb(group: FiniteGroup, n: int) -> TensorOperator:
     Built directly from the group table; it coincides with the braiding
     of the linearized conjugation n-rack.
     """
-    if n < 2:
-        raise SchemaError("n must be at least 2")
+    _require_degree(n)
     m = group.size
     shp = tensor.power_shape(m, n)
     one = scalars.one(scalars.EXACT)

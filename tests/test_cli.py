@@ -395,6 +395,28 @@ def test_check_caps_every_kind(capsys, tmp_path, monkeypatch):
         assert run(capsys, "check", path)[0] in (0, 1), kind
 
 
+def test_build_certifies_its_input_under_the_cap_of_check(capsys, tmp_path, monkeypatch):
+    # an uncertified input is certified by the law walk of `check`, over 2^5 tuples here
+    bracket = {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []}
+    rack = {"kind": "nrack", "size": 2, "arity": 3, "table": ser.to_document(nr.trivial_nrack(2, 3))["table"]}
+    rows = [
+        ("adjoin-unit", bracket),
+        ("fundamental-leibniz", bracket),
+        ("fundamental-leibniz", {**bracket, "central": ["0/1", "0/1"]}),
+        ("rack-from-nrack", rack),
+    ]
+    for construction, doc in rows:
+        uncertified = write(tmp_path, "in.json", doc)
+        certified = write(tmp_path, "certified.json", {**doc, "certified": True})
+        monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "31")
+        assert run(capsys, "check", uncertified)[0] == 3, construction
+        assert run(capsys, "build", construction, uncertified)[0] == 3, construction
+        assert run(capsys, "build", construction, uncertified, "--allow-large")[0] == 0, construction
+        assert run(capsys, "build", construction, certified)[0] == 0, construction
+        monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "32")
+        assert run(capsys, "build", construction, uncertified)[0] == 0, construction
+
+
 def test_main_reuses_one_parser(capsys, tmp_path, s3):
     group = write(tmp_path, "s3.json", ser.group_to_document(s3))
     first = run(capsys, "build", "conjugation-nrack", group, "--param", "n=3")

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ import braidforge.nrack as nr
 import braidforge.tensor as T
 from braidforge.errors import CapExceededError, NotNilpotentError, PreconditionError, SchemaError
 from braidforge.reports import ReportBuilder, VerificationReport
+import vector_rack_oracle
 
 ONE = Fraction(1)
 
@@ -279,7 +281,7 @@ def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
 
 def test_rack_from_nrack_carrier_cap():
     with pytest.raises(CapExceededError):
-        nr.rack_from_nrack(nr.trivial_nrack(2, 3), carrier_cap=3)
+        nr.rack_from_nrack(nr.trivial_nrack(2, 11))
 
 
 def test_rack_from_nrack_composed_with_fold(flip_rack):
@@ -303,7 +305,21 @@ def test_rack_from_nrack_composed_with_fold(flip_rack):
 
 
 def test_krack_k2_matches_rack_from_nrack(conj3):
-    assert nr.krack_from_power(conj3, 2).table == nr.rack_from_nrack(conj3).table
+    # the induced rack acts componentwise: (x_1, x_2) <| ys = (<x_1, ys>, <x_2, ys>)
+    pairs = list(itertools.product(range(6), repeat=2))
+    expect = [T.flat_index([conj3.apply((x,) + ys) for x in xs], 6) for xs in pairs for ys in pairs]
+    assert nr.krack_from_power(conj3, 2).table == nr.rack_from_nrack(conj3).table == tuple(expect)
+
+
+def test_krack_blocks_match_the_definition(s3):
+    # block i of <<x, y, z>> is <x_i, y_1, y_2, z_1, z_2> on pairs of S3
+    t = nr.conjugation_nrack(s3, 5)
+    pairs = list(itertools.product(range(6), repeat=2))
+    expect = [
+        T.flat_index([t.apply((x,) + ys + zs) for x in xs], 6)
+        for xs, ys, zs in itertools.product(pairs, repeat=3)
+    ]
+    assert nr.krack_from_power(t, 3).table == tuple(expect)
 
 
 def test_krack_trivial():
@@ -436,3 +452,84 @@ def test_multinomial_power_identity(t3):
         + T.tensor_many([idc, small @ small])
     )
     assert sq == expansion.with_shapes(sq.domain_shape, sq.codomain_shape)
+
+
+# -- vector n-rack checks against the grid loops ---------------------------
+
+#: certified brackets whose grid holds non-nilpotent adjoints, so checks skip
+SKIPPING = [nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}))]
+SKIPPING += [nl.nbracket_from_leibniz(SKIPPING[0], n) for n in (3, 4)]
+COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
+
+
+@st.composite
+def vector_brackets(draw):
+    """(algebra, mode): a hand-picked skipping bracket, or a random one of
+    arity 2-4 on a dimension small enough for the grid loops, certified
+    when it passes the fundamental identity."""
+    mode = draw(st.sampled_from(["exact", "exact", "float"]))
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.sampled_from(SKIPPING)), mode
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3 if n == 2 else 2))
+    keys = st.tuples(*[st.integers(0, d - 1)] * n)
+    entries = draw(st.lists(st.tuples(keys, st.integers(0, d - 1), st.sampled_from(COEFFS)), max_size=4))
+    a = nl.NLeibnizAlgebra(n, d, {key: {j: c} for key, j, c in entries})
+    if nl.check_fundamental_identity(a).passed:
+        a = a.as_certified()
+    return a, mode
+
+
+def _outcome(check, *args):
+    """The report without elapsed_ms, or the type of the error it raised."""
+    try:
+        doc = check(*args).to_json()
+    except Exception as exc:  # both implementations must raise alike
+        return type(exc).__name__
+    for c in doc["checks"]:
+        del c["elapsed_ms"]
+    return doc
+
+
+def _agree(new, old, mode):
+    """Exact mode: identical outcomes.  Float mode checks basis columns only,
+    a subset of the grid, so the grid loop may fail where the basis passes;
+    where the grid passes or raises, the basis does the same."""
+    if mode == "exact" or not isinstance(old, dict) or old["overall"] == "pass":
+        assert new == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_brackets())
+def test_validate_vector_nrack_matches_grid_loop(case):
+    a, mode = case
+    rack = nr.VectorNRack(a, mode)
+    new = _outcome(nr.validate_vector_nrack, rack)
+    _agree(new, _outcome(vector_rack_oracle.validate_vector_nrack, rack), mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_brackets(), st.data())
+def test_verify_tensor_embedding_matches_grid_loop(case, data):
+    # the identity holds for every bracket (ad of the induced bracket is a sum
+    # of commuting one-factor terms), so a perturbed induced bracket is what
+    # reaches the witness
+    a, mode = case
+    a = a.as_certified()
+    fund = nl.fundamental_leibniz(a)
+    d = fund.dim
+    extra = data.draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1), st.integers(0, d - 1)), max_size=2))
+    bracket = {k: dict(v) for k, v in fund.bracket.items()}
+    for i, j, k in extra:
+        bracket.setdefault((i, j), {})[k] = ONE
+    perturbed = nl.NLeibnizAlgebra(2, d, bracket, certified=True)
+    with mock.patch.object(nr, "fundamental_leibniz", lambda a, recheck=False: perturbed):
+        new = _outcome(nr.verify_tensor_embedding, a, mode)
+        _agree(new, _outcome(vector_rack_oracle.verify_tensor_embedding, a, mode), mode)
+
+
+def test_validate_vector_nrack_counts_the_skips_of_the_whole_grid():
+    rack = nr.VectorNRack(SKIPPING[0])
+    new = _outcome(nr.validate_vector_nrack, rack)
+    assert new["overall"] == "pass" and new["checks"][-1]["status"] == "skipped"
+    assert new == _outcome(vector_rack_oracle.validate_vector_nrack, rack)

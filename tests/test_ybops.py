@@ -101,6 +101,18 @@ def test_verify_nybe_bounds_n_where_the_cap_cannot():
             yb.verify_nybe(one, n)
 
 
+def test_lifts_bound_n_where_the_cap_cannot():
+    # a 1-dimensional R lifts to every degree within the cap; n stays at most 63
+    one = T.identity(T.shape(1, 1))
+    assert yb.nyb_from_ybe(one, 63).domain_shape.factor_dims == (1,) * 63
+    group = nr.cyclic_group(1)
+    for n in (64, 10**9):
+        with pytest.raises(SchemaError):
+            yb.nyb_from_ybe(one, n)
+        with pytest.raises(SchemaError):
+            yb.group_algebra_nyb(group, n)
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize(
     "build",
