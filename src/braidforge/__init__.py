@@ -3,7 +3,7 @@ algebras, n-racks, linear n-racks, and the Yang-Baxter / higher
 Yang-Baxter operators and set-theoretical solutions they induce."""
 
 from . import errors, linrack, nleibniz, nrack, scalars, serialization, setsol, tensor, ybops
-from .linrack import Coalgebra, LinearNRack, LinearRack
+from .linrack import Coalgebra, LinearNRack
 from .nleibniz import CentralNLeibnizAlgebra, NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack, VectorNRack
 from .reports import Check, VerificationReport
@@ -18,7 +18,6 @@ __all__ = [
     "FiniteGroup",
     "FiniteNRack",
     "LinearNRack",
-    "LinearRack",
     "NLeibnizAlgebra",
     "SetNMap",
     "SolutionProfile",

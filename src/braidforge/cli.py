@@ -222,12 +222,12 @@ def _b_lnr(obj, ctx):
 
 @_construction("tensor-power-rack", linrack.LinearNRack)
 def _b_tensor_power(obj, ctx):
-    return linrack.linear_rack_on_tensor_power(obj, check=ctx.recheck)
+    return linrack.linear_rack_on_tensor_power(obj, ctx.recheck)
 
 
 @_construction("lebed", linrack.LinearNRack)
 def _b_lebed(obj, ctx):
-    fwd, _ = linrack.lebed_operator(obj.as_rack())
+    fwd, _ = linrack.lebed_operator(obj)
     return fwd
 
 
@@ -257,7 +257,7 @@ def _b_nyb_central(obj, ctx):
 
 @_construction("nyb-lnr", linrack.LinearNRack)
 def _b_nyb_lnr(obj, ctx):
-    fwd, _ = ybops.nyb_from_linear_nrack(obj, check=ctx.recheck)
+    fwd, _ = ybops.nyb_from_linear_nrack(obj)
     return fwd
 
 
@@ -292,17 +292,25 @@ def _b_descend(obj, ctx):
     return setsol.solution_from_nsolution(obj, ctx.dim_cap)
 
 
+#: the certify function of each kind of document that carries laws
+_CERTIFY = {
+    nleibniz.NLeibnizAlgebra: nleibniz.certify,
+    nrack.FiniteNRack: nrack.certify,
+    linrack.LinearNRack: linrack.certify,
+}
+
+
 def _certify_input(obj, dim_cap):
     """Documents not marked certified get checked, under the cap of `check`,
     before a build uses them."""
-    if not isinstance(obj, _ALGEBRA + (nrack.FiniteNRack,)) or _as_algebra(obj).certified:
+    inner = _as_algebra(obj)
+    certify = _CERTIFY.get(type(inner))
+    if certify is None or inner.certified:
         return obj
     _cap_laws(obj, dim_cap)
-    if isinstance(obj, nrack.FiniteNRack):
-        return nrack.certify(obj)
     if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
-        return nleibniz.CentralNLeibnizAlgebra(nleibniz.certify(obj.algebra), obj.central)
-    return nleibniz.certify(obj)
+        return nleibniz.CentralNLeibnizAlgebra(certify(inner), obj.central)
+    return certify(obj)
 
 
 def cmd_build(args):

@@ -42,7 +42,7 @@ class NotNilpotentError(PreconditionError):
     """Exact-mode exponential of a non-nilpotent map was requested."""
 
 
-class SeriesNotConvergedError(BraidforgeError):
+class SeriesNotConvergedError(PreconditionError):
     """Float-mode exponential series still had a large term at the iteration cap."""
 
 

@@ -1,4 +1,5 @@
-"""Finite-dimensional coalgebras, linear racks, and linear n-racks.
+"""Finite-dimensional coalgebras and linear n-racks; a linear rack is a
+linear n-rack of arity 2.
 
 A linear n-rack is a coassociative counital coalgebra C with two
 coalgebra homomorphisms C^(x)n -> C, a bracket <...> and an inverse
@@ -13,24 +14,36 @@ The coalgebra and homomorphism laws are matrix equations.  Self-distributivity
 and the inverse property stream basis columns through right translations
 v -> <v, L>, one per Sweedler leg tuple L, read off the bracket's columns on
 integers in exact mode: no split C^(x)(n^2), and no symbolic Sweedler index.
+
+As for n-Leibniz algebras and n-racks, the ``certified`` flag records that
+the laws hold: by `check_linear_nrack` through `certify`, or by the theorem
+behind a construction.  Constructions certify an uncertified input themselves.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import scalars, tensor
-from .errors import NotCertifiedError, NotClosedError, PreconditionError, SchemaError
+from .errors import NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
-from .reports import ReportBuilder, VerificationReport, column_witness, difference_witness
+from .reports import (
+    ReportBuilder,
+    VerificationReport,
+    certified,
+    column_witness,
+    confirm,
+    difference_witness,
+    refuse_uncertified,
+)
 from .tensor import TensorOperator, TensorShape, compose_blocks, flat_index, identity, tensor_many
 
 
 @dataclass(frozen=True)
 class Coalgebra:
-    """Coproduct and counit matrices, with the cocommutativity flag cached.
+    """Coproduct and counit matrices, with the cocommutativity flag derived.
 
     ``candidates`` are the vectors the group-like search is allowed to
     inspect; the default (all basis vectors) covers the set-algebra
@@ -41,7 +54,7 @@ class Coalgebra:
     delta: TensorOperator
     counit: TensorOperator
     mode: str = scalars.EXACT
-    cocommutative: bool = None
+    cocommutative: bool = field(init=False)
     candidates: tuple = None
 
     def __post_init__(self):
@@ -51,10 +64,7 @@ class Coalgebra:
             raise SchemaError("counit must map C to the ground field")
         delta = self.delta.with_shapes(TensorShape((self.dim,)), tensor.power_shape(self.dim, 2))
         object.__setattr__(self, "delta", delta)
-        if self.cocommutative is None:
-            object.__setattr__(
-                self, "cocommutative", delta.permute_codomain((1, 0)) == delta
-            )
+        object.__setattr__(self, "cocommutative", delta.permute_codomain((1, 0)) == delta)
         if self.candidates is None:
             one = scalars.one(self.mode)
             object.__setattr__(self, "candidates", tuple({i: one} for i in range(self.dim)))
@@ -116,12 +126,12 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
         tensor.tensor_vector(combo, shp, base.mode)
         for combo in itertools.product(base.candidates, repeat=k)
     )
-    return Coalgebra(base.dim**k, delta, counit, base.mode, None, candidates)
+    return Coalgebra(base.dim**k, delta, counit, base.mode, candidates=candidates)
 
 
 def check_coalgebra(c: Coalgebra) -> VerificationReport:
-    """Coassociativity, both counit laws, and consistency of the cached
-    cocommutativity flag."""
+    """Coassociativity and both counit laws.  The cocommutativity flag is
+    derived from the coproduct at construction, so its check records a pass."""
     rb = ReportBuilder(f"coalgebra(dim={c.dim}, cocommutative={c.cocommutative})")
     idc = identity(TensorShape((c.dim,)), c.mode)
     left = compose_blocks([c.delta, idc], c.delta)
@@ -129,23 +139,8 @@ def check_coalgebra(c: Coalgebra) -> VerificationReport:
     rb.record_witness("coassociativity", difference_witness(left, right))
     rb.record_witness("counit-left", difference_witness(compose_blocks([c.counit, idc], c.delta), idc))
     rb.record_witness("counit-right", difference_witness(compose_blocks([idc, c.counit], c.delta), idc))
-    rb.record(
-        "cocommutativity-flag",
-        (c.delta.permute_codomain((1, 0)) == c.delta) == c.cocommutative,
-    )
+    rb.record("cocommutativity-flag", True)
     return rb.build()
-
-
-@dataclass(frozen=True)
-class LinearRack:
-    """A coalgebra with self-distributive op and its inverse partner."""
-
-    base: Coalgebra
-    op: TensorOperator
-    inv_op: TensorOperator
-
-    def as_nrack(self) -> "LinearNRack":
-        return LinearNRack(self.base, 2, self.op, self.inv_op)
 
 
 @dataclass(frozen=True)
@@ -156,17 +151,13 @@ class LinearNRack:
     arity: int
     bracket: TensorOperator
     inv_bracket: TensorOperator
+    certified: bool = False
 
     def __post_init__(self):
         c, n = self.base.dim, self.arity
         for name, op in (("bracket", self.bracket), ("inv_bracket", self.inv_bracket)):
             if op.domain_shape.total != c**n or op.codomain_shape.total != c:
                 raise SchemaError(f"{name} must map C^(x){n} to C")
-
-    def as_rack(self) -> LinearRack:
-        if self.arity != 2:
-            raise SchemaError("only an arity-2 structure is a linear rack")
-        return LinearRack(self.base, self.bracket, self.inv_bracket)
 
 
 # -- the four defining identities ---------------------------------------
@@ -276,9 +267,9 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     return rb.build()
 
 
-def check_linear_rack(r: LinearRack) -> VerificationReport:
-    """The arity-2 specialization of check_linear_nrack."""
-    return check_linear_nrack(r.as_nrack())
+def certify(l: LinearNRack) -> LinearNRack:
+    """The linear n-rack, certified by check_linear_nrack unless it already is."""
+    return certified(l, check_linear_nrack, "input fails the linear n-rack identities")
 
 
 def check_linear_nrack_homomorphism(
@@ -306,8 +297,7 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
     <<x, y_1..y_{n-1}>> = (translation by (y_{n-1}, ..., y_1))^{-1} x,
     which is what the inverse property pins down on group-likes.
     """
-    if not t.certified:
-        raise NotCertifiedError("linearize_nrack needs a certified n-rack")
+    refuse_uncertified(t, "linearize_nrack")
     if t.side != "right":
         raise SchemaError("linearize right-side tables; reverse a left table first")
     m, n = t.size, t.arity
@@ -327,7 +317,7 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
         inv_entries[(inv[args[0]], col)] = one
     bracket = TensorOperator(dom, cod, entries, mode, validate=False)
     inv_bracket = TensorOperator(dom, cod, inv_entries, mode, validate=False)
-    return LinearNRack(base, n, bracket, inv_bracket)
+    return LinearNRack(base, n, bracket, inv_bracket, certified=True)
 
 
 def group_like_elements(c: Coalgebra):
@@ -372,17 +362,20 @@ def induced_nrack(l: LinearNRack) -> FiniteNRack:
     return FiniteNRack(m, n, tuple(table))
 
 
-def linear_nrack_from_linear_rack(r: LinearRack, arity: int, check: bool = True) -> LinearNRack:
-    """Fold a linear rack into a linear n-rack:
+def _require_rack(r: LinearNRack):
+    if r.arity != 2:
+        raise SchemaError("only an arity-2 structure is a linear rack")
+
+
+def linear_nrack_from_linear_rack(r: LinearNRack, arity: int) -> LinearNRack:
+    """Fold a linear rack (arity 2) into a linear n-rack:
     <u_1..u_n> = (...((u_1 <| u_2) <| u_3)...) <| u_n, likewise the inverse."""
+    _require_rack(r)
     if arity < 2:
         raise SchemaError("arity must be at least 2")
-    if check:
-        report = check_linear_rack(r)
-        if not report.passed:
-            raise PreconditionError("input fails the linear-rack identities", report.witness)
+    r = certify(r)
     if arity == 2:
-        return r.as_nrack()
+        return r
     idc = identity(TensorShape((r.base.dim,)), r.base.mode)
 
     def fold(op):
@@ -391,10 +384,10 @@ def linear_nrack_from_linear_rack(r: LinearRack, arity: int, check: bool = True)
             acc = op @ tensor_many([acc, idc])
         return acc
 
-    return LinearNRack(r.base, arity, fold(r.op), fold(r.inv_op))
+    return LinearNRack(r.base, arity, fold(r.bracket), fold(r.inv_bracket), certified=True)
 
 
-def linear_rack_on_tensor_power(l: LinearNRack, check: bool = False) -> LinearRack:
+def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> LinearNRack:
     """The induced linear rack on C^(x)(n-1) of a cocommutative linear n-rack:
 
         (u_1..u_{n-1}) <| (v_1..v_{n-1})
@@ -404,10 +397,11 @@ def linear_rack_on_tensor_power(l: LinearNRack, check: bool = False) -> LinearRa
     """
     if not l.base.cocommutative:
         raise PreconditionError("tensor-power rack needs a cocommutative base")
+    l = certify(l)
     c, n = l.base.dim, l.arity
     mode = l.base.mode
     if n == 2:
-        return l.as_rack()
+        return l
     idc = identity(TensorShape((c,)), mode)
     width = n - 1
     split = tensor_many([idc] * width + [l.base.iterated_delta(width)] * width)
@@ -425,25 +419,20 @@ def linear_rack_on_tensor_power(l: LinearNRack, check: bool = False) -> LinearRa
             tensor.power_shape(c**width, 2), tensor.power_shape(c, width)
         )
 
-    rack = LinearRack(
-        tensor_power_coalgebra(l.base, width),
-        assemble(l.bracket, False),
-        assemble(l.inv_bracket, True),
-    )
-    if check:
-        report = check_linear_rack(rack)
-        if not report.passed:
-            raise PreconditionError("tensor-power rack failed its recheck", report.witness)
+    base = tensor_power_coalgebra(l.base, width)
+    rack = LinearNRack(base, 2, assemble(l.bracket, False), assemble(l.inv_bracket, True), certified=True)
+    if recheck:
+        confirm(check_linear_nrack(rack))
     return rack
 
 
-def linear_nrack_from_nleibniz(algebra, require_certified: bool = True) -> LinearNRack:
-    """The cocommutative linear n-rack on k (+) L of a certified n-Leibniz algebra:
+def linear_nrack_from_nleibniz(algebra) -> LinearNRack:
+    """The cocommutative linear n-rack on k (+) L of an n-Leibniz algebra:
 
         <(l_1,x_1), ..., (l_n,x_n)> = (l_1...l_n, l_2...l_n x_1 + [x_1..x_n])
         <<(l_1,x_1), ..., (l_n,x_n)>> = (l_1...l_n, l_2...l_n x_1 - [x_1, x_n, ..., x_2])
 
-    with ``require_certified=False`` the formula is instantiated for an
+    It is certified exactly when the algebra is.  The formula takes an
     arbitrary bracket; check_linear_nrack then fails exactly where the
     fundamental identity does.
     """
@@ -451,8 +440,6 @@ def linear_nrack_from_nleibniz(algebra, require_certified: bool = True) -> Linea
 
     if not isinstance(algebra, NLeibnizAlgebra):
         raise SchemaError("expected an n-Leibniz algebra")
-    if require_certified and not algebra.certified:
-        raise NotCertifiedError("linear_nrack_from_nleibniz needs a certified algebra")
     d, n = algebra.dim, algebra.arity
     mode = algebra.mode
     base = kplus_coalgebra(d, mode)
@@ -482,7 +469,7 @@ def linear_nrack_from_nleibniz(algebra, require_certified: bool = True) -> Linea
         for j, v in out.items():
             acc[j] = acc.get(j, scalars.zero(mode)) - v
     inv_bracket = build(inv_terms)
-    return LinearNRack(base, n, bracket, inv_bracket)
+    return LinearNRack(base, n, bracket, inv_bracket, algebra.certified)
 
 
 def nrack_braiding(l: LinearNRack):
@@ -493,7 +480,8 @@ def nrack_braiding(l: LinearNRack):
         S^{-1}(u_1 (x) ... (x) u_n)
             = <<u_n, u_{n-1}^(2), ..., u_1^(2)>> (x) u_1^(1) (x) ... (x) u_{n-1}^(1).
 
-    Their composition is checked to be the identity at construction.
+    Their composition is checked to be the identity at construction; the
+    laws of ``l`` are not.
     """
     if not l.base.cocommutative:
         raise PreconditionError("the braiding needs a cocommutative base")
@@ -528,11 +516,12 @@ def nrack_braiding(l: LinearNRack):
     return fwd, bwd
 
 
-def lebed_operator(r: LinearRack):
-    """The braiding of a cocommutative linear rack and its inverse, the n = 2
-    case of :func:`nrack_braiding`:
+def lebed_operator(r: LinearNRack):
+    """The braiding of a cocommutative linear rack (arity 2) and its inverse,
+    the n = 2 case of :func:`nrack_braiding`:
 
         R(u (x) v) = v^(1) (x) (u <| v^(2))
         R^{-1}(u (x) v) = (v inv<| u^(2)) (x) u^(1)
     """
-    return nrack_braiding(r.as_nrack())
+    _require_rack(r)
+    return nrack_braiding(certify(r))

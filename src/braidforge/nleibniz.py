@@ -19,14 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import scalars, tensor
-from .errors import (
-    NotCertifiedError,
-    PreconditionError,
-    SchemaError,
-    SeriesNotConvergedError,
-    VerdictDisagreementError,
-)
-from .reports import ReportBuilder, VerificationReport, first_difference
+from .errors import PreconditionError, SchemaError, SeriesNotConvergedError, VerdictDisagreementError
+from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
 from .tensor import TensorOperator, TensorShape
 
 
@@ -156,11 +150,6 @@ def zero_algebra(arity: int, dim: int, mode=scalars.EXACT) -> NLeibnizAlgebra:
     return NLeibnizAlgebra(arity, dim, {}, mode, True)
 
 
-def _require_certified(a: NLeibnizAlgebra, what: str):
-    if not a.certified:
-        raise NotCertifiedError(f"{what} needs a certified algebra; run check_fundamental_identity first")
-
-
 # -- verification ------------------------------------------------------
 
 
@@ -201,11 +190,8 @@ def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
 
 
 def certify(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
-    """Run the fundamental-identity check and return a certified copy."""
-    report = check_fundamental_identity(a)
-    if not report.passed:
-        raise PreconditionError("bracket fails the fundamental identity", report.witness)
-    return a.as_certified()
+    """The algebra, certified by the fundamental-identity check unless it already is."""
+    return certified(a, check_fundamental_identity, "bracket fails the fundamental identity")
 
 
 def is_central(a: NLeibnizAlgebra, z: dict) -> bool:
@@ -329,11 +315,7 @@ def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) 
         raise SchemaError("nbracket_from_leibniz starts from a binary bracket")
     if n < 2:
         raise SchemaError("target arity must be at least 2")
-    if not leib.certified:
-        report = check_fundamental_identity(leib)
-        if not report.passed:
-            raise PreconditionError("input is not a Leibniz algebra", report.witness)
-        leib = leib.as_certified()
+    leib = certify(leib)
     if n == 2:
         return leib
     one = scalars.one(leib.mode)
@@ -350,7 +332,7 @@ def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) 
             new[tpl] = acc
     out = NLeibnizAlgebra(n, leib.dim, new, leib.mode, True)
     if recheck:
-        _recheck(out)
+        confirm(check_fundamental_identity(out))
     return out
 
 
@@ -367,11 +349,7 @@ def extend_bracket_by_leibniz(
         raise SchemaError("the extending algebra must be binary")
     if leib.dim != b.dim or leib.mode != b.mode:
         raise SchemaError("brackets must live on the same space")
-    if not leib.certified:
-        report = check_fundamental_identity(leib)
-        if not report.passed:
-            raise PreconditionError("input is not a Leibniz algebra", report.witness)
-        leib = leib.as_certified()
+    leib = certify(leib)
     one = scalars.one(leib.mode)
     for y in range(leib.dim):
         d_map = ad(leib, [{y: one}])
@@ -397,7 +375,7 @@ def extend_bracket_by_leibniz(
         )
     out = out.as_certified()
     if recheck:
-        _recheck(out)
+        confirm(check_fundamental_identity(out))
     return out
 
 
@@ -414,7 +392,7 @@ def fundamental_leibniz(a, recheck: bool = False):
     if isinstance(a, CentralNLeibnizAlgebra):
         central = a.central
         a = a.algebra
-    _require_certified(a, "fundamental_leibniz")
+    refuse_uncertified(a, "fundamental_leibniz")
     n, d = a.arity, a.dim
     shp = tensor.power_shape(d, n - 1)
     new = {}
@@ -436,7 +414,7 @@ def fundamental_leibniz(a, recheck: bool = False):
     new = {k: v for k, v in new.items() if v}
     out_alg = NLeibnizAlgebra(2, shp.total, new, a.mode, True)
     if recheck:
-        _recheck(out_alg)
+        confirm(check_fundamental_identity(out_alg))
     if central is not None:
         return CentralNLeibnizAlgebra(out_alg, tensor.tensor_vector([central] * (n - 1), shp, a.mode))
     return out_alg
@@ -445,23 +423,15 @@ def fundamental_leibniz(a, recheck: bool = False):
 def adjoin_unit(a: NLeibnizAlgebra, recheck: bool = False) -> CentralNLeibnizAlgebra:
     """Adjoin a central unit: on k (+) L the bracket ignores the scalar parts,
     [[(l_1,x_1), ...]] = (0, [x_1..x_n]), with central element (1, 0)."""
-    _require_certified(a, "adjoin_unit")
+    refuse_uncertified(a, "adjoin_unit")
     new = {
         tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()}
         for key, out in a.bracket.items()
     }
     out_alg = NLeibnizAlgebra(a.arity, a.dim + 1, new, a.mode, True)
     if recheck:
-        _recheck(out_alg)
+        confirm(check_fundamental_identity(out_alg))
     return CentralNLeibnizAlgebra(out_alg, {0: scalars.one(a.mode)})
-
-
-def _recheck(a: NLeibnizAlgebra):
-    report = check_fundamental_identity(a)
-    if not report.passed:
-        raise VerdictDisagreementError(
-            "a theorem-certified construction failed its recheck", report.witness
-        )
 
 
 # -- homomorphisms -----------------------------------------------------

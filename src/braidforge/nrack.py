@@ -19,15 +19,18 @@ from dataclasses import dataclass, field
 from . import scalars, tensor
 from .errors import (
     CapExceededError,
-    NotCertifiedError,
     NotNilpotentError,
     PreconditionError,
     SchemaError,
+    SeriesNotConvergedError,
     VerdictDisagreementError,
 )
 from .nleibniz import NLeibnizAlgebra, ad, exp_ad, fundamental_leibniz
-from .reports import ReportBuilder, VerificationReport, first_difference
+from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
 from .tensor import flat_index
+
+#: the errors of an adjoint without an exponential in its mode; the grid walks skip it
+_NO_EXP = (NotNilpotentError, SeriesNotConvergedError)
 
 RIGHT = "right"
 LEFT = "left"
@@ -257,15 +260,8 @@ def check_nrack(t: FiniteNRack) -> VerificationReport:
 
 
 def certify(t: FiniteNRack) -> FiniteNRack:
-    report = check_nrack(t)
-    if not report.passed:
-        raise PreconditionError("table is not an n-rack", report.witness)
-    return t.as_certified()
-
-
-def _require_certified(t: FiniteNRack, what: str):
-    if not t.certified:
-        raise NotCertifiedError(f"{what} needs a certified n-rack; run check_nrack first")
+    """The table, certified by check_nrack unless it already is."""
+    return certified(t, check_nrack, "table is not an n-rack")
 
 
 # -- constructions on tables -------------------------------------------
@@ -275,7 +271,7 @@ def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> Finite
     """Fold a rack into an n-rack: <x_1..x_n> = (...((x_1 <| x_2) <| x_3)...) <| x_n."""
     if r.arity != 2:
         raise SchemaError("nrack_from_rack starts from a binary rack")
-    _require_certified(r, "nrack_from_rack")
+    refuse_uncertified(r, "nrack_from_rack")
 
     def op(*args):
         acc = args[0]
@@ -285,7 +281,7 @@ def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> Finite
 
     out = from_function(r.size, arity, op, certified=True)
     if recheck:
-        _recheck(out)
+        confirm(check_nrack(out))
     return out
 
 
@@ -300,7 +296,7 @@ def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> 
         raise SchemaError("the extending structure must be a binary rack")
     if r.size != b.size:
         raise SchemaError("rack and operation must share the carrier")
-    _require_certified(r, "extend_rack_by_op")
+    refuse_uncertified(r, "extend_rack_by_op")
     m = r.size
     for tpl in itertools.product(range(m), repeat=b.arity + 1):
         xs, y = tpl[:-1], tpl[-1]
@@ -317,7 +313,7 @@ def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> 
 
     out = from_function(m, b.arity + 1, op, certified=True)
     if recheck:
-        _recheck(out)
+        confirm(check_nrack(out))
     return out
 
 
@@ -330,8 +326,8 @@ def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) 
     """
     if rm.size != rn.size:
         raise SchemaError("racks must share the carrier")
-    _require_certified(rm, "combine_compatible")
-    _require_certified(rn, "combine_compatible")
+    refuse_uncertified(rm, "combine_compatible")
+    refuse_uncertified(rn, "combine_compatible")
     m = rm.size
     for a, b in ((rm, rn), (rn, rm)):
         for ys in itertools.product(range(m), repeat=a.arity - 1):
@@ -349,7 +345,7 @@ def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) 
 
     out = from_function(m, rm.arity + rn.arity - 1, op, certified=True)
     if recheck:
-        _recheck(out)
+        confirm(check_nrack(out))
     return out
 
 
@@ -367,7 +363,7 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     <x_{1,i}, x_{2,1}, ..., x_{2,n-1}, ..., x_{k,1}, ..., x_{k,n-1}>.
     The output table holds carrier^k entries, at most ``CARRIER_CAP``.
     """
-    _require_certified(t, "krack_from_power")
+    refuse_uncertified(t, "krack_from_power")
     if k < 2 or (t.arity - 1) % (k - 1) != 0:
         raise SchemaError(f"arity {t.arity} is not of the form (n-1)(k-1)+1 for k={k}")
     width = (t.arity - 1) // (k - 1)  # n-1
@@ -382,14 +378,8 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     table = [flat_index([tr[x] for x in head], m) for head in tuples for tr in translations]
     out = FiniteNRack(carrier, k, tuple(table), RIGHT, True)
     if recheck:
-        _recheck(out)
+        confirm(check_nrack(out))
     return out
-
-
-def _recheck(t: FiniteNRack):
-    report = check_nrack(t)
-    if not report.passed:
-        raise VerdictDisagreementError("a theorem-certified table failed its recheck", report.witness)
 
 
 def homomorphism_check(a: FiniteNRack, b: FiniteNRack, phi) -> bool:
@@ -448,16 +438,17 @@ class VectorNRack:
 def nrack_from_nleibniz(a: NLeibnizAlgebra, mode=None) -> VectorNRack:
     """Build and grid-validate the vector n-rack of a certified algebra.
 
-    Exact mode requires every basis adjoint to be nilpotent.
+    Every basis adjoint needs an exponential: a nilpotent one in exact
+    mode, a convergent series in float mode.
     """
-    _require_certified_algebra(a)
-    mode = mode or a.mode
-    if mode == scalars.EXACT:
-        for key in itertools.product(range(a.dim), repeat=a.arity - 1):
-            m = ad(a, [{i: scalars.one(a.mode)} for i in key])
-            if not tensor.is_nilpotent(m):
-                raise NotNilpotentError(f"basis adjoint at {key} is not nilpotent")
-    rack = VectorNRack(a, mode)
+    refuse_uncertified(a, "nrack_from_nleibniz")
+    rack = VectorNRack(a, mode or a.mode)
+    one = scalars.one(rack.mode)
+    for key in itertools.product(range(a.dim), repeat=a.arity - 1):
+        try:
+            rack._exp_at([{i: one} for i in key])
+        except _NO_EXP as exc:
+            raise type(exc)(f"basis adjoint at {key}: {exc}") from None
     report = validate_vector_nrack(rack)
     if not report.passed:
         raise VerdictDisagreementError(
@@ -466,17 +457,12 @@ def nrack_from_nleibniz(a: NLeibnizAlgebra, mode=None) -> VectorNRack:
     return rack
 
 
-def _require_certified_algebra(a: NLeibnizAlgebra):
-    if not a.certified:
-        raise NotCertifiedError("needs a certified n-Leibniz algebra")
-
-
 def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
     """Self-distributivity of the vector n-rack at every sample-grid tuple.
 
     The law is linear in x_1, basis vectors lead the grid, and whether a
-    tuple is skipped (a non-nilpotent adjoint) does not depend on x_1.  So
-    x_1 runs over the basis only: the first failing tuple has a basis x_1,
+    tuple is skipped (an adjoint without an exponential) does not depend
+    on x_1.  So x_1 runs over the basis only: the first failing tuple has a basis x_1,
     and a walk that passes saw each skip once per basis vector, not once
     per grid point, so its count is rescaled to the whole grid.
     """
@@ -492,7 +478,7 @@ def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
         try:
             lhs = rack.op([rack.op(xs)] + ys)
             rhs = rack.op([rack.op([x] + ys) for x in xs])
-        except NotNilpotentError:
+        except _NO_EXP:
             skipped += 1
             continue
         if first_difference(lhs, rhs, rack.mode) is not None:
@@ -517,7 +503,7 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
     (xs, ys), xs outer, has basis xs: the smallest differing column over
     all ys, then the first ys that differs there.
     """
-    _require_certified_algebra(a)
+    refuse_uncertified(a, "verify_tensor_embedding")
     mode = mode or a.mode
     rack = VectorNRack(a, mode)
     fund = fundamental_leibniz(a)
@@ -531,7 +517,7 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
         try:
             lhs = tensor.tensor_many([rack._exp_at(ys)] * width)
             rhs = exp_ad(fund, [tensor.tensor_vector(ys, shp, mode)], mode)
-        except NotNilpotentError:
+        except _NO_EXP:
             continue
         by_column = [{(c, r): v for (r, c), v in op.entries.items()} for op in (lhs, rhs)]
         key = first_difference(*by_column, mode)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import scalars
+from .errors import NotCertifiedError, PreconditionError, VerdictDisagreementError
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,30 @@ def column_witness(columns, mode: str):
         if row is not None and (best is None or (row, col) < best):
             best = row, col
     return None if best is None else {"row": best[0], "col": best[1]}
+
+
+def refuse_uncertified(obj, what: str):
+    """Refuse an input whose laws neither a check nor a theorem has established."""
+    if not obj.certified:
+        raise NotCertifiedError(f"{what} needs a certified {type(obj).__name__}; check it first")
+
+
+def certified(obj, check, failure: str):
+    """``obj`` itself if it is certified, else a certified copy once its law
+    report ``check(obj)`` passes; a failing law raises PreconditionError
+    with the report's witness."""
+    if obj.certified:
+        return obj
+    report = check(obj)
+    if not report.passed:
+        raise PreconditionError(failure, report.witness)
+    return replace(obj, certified=True)
+
+
+def confirm(report: VerificationReport):
+    """The recheck of a theorem-certified output: its law report must pass."""
+    if not report.passed:
+        raise VerdictDisagreementError("a theorem-certified construction failed its recheck", report.witness)
 
 
 def difference_witness(a, b):

@@ -12,7 +12,7 @@ import json
 
 from . import scalars, tensor
 from .errors import SchemaError
-from .linrack import Coalgebra, LinearNRack, LinearRack
+from .linrack import Coalgebra, LinearNRack
 from .nleibniz import CentralNLeibnizAlgebra, NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack
 from .setsol import SetNMap, encode_outputs
@@ -109,17 +109,14 @@ def _entries_from_json(doc, key, kind, mode):
     return out
 
 
-def operator_to_document(op: TensorOperator, provenance=None) -> dict:
-    doc = {
+def operator_to_document(op: TensorOperator) -> dict:
+    return {
         "kind": "operator",
         "scalars": op.mode,
         "shape": list(op.domain_shape.factor_dims),
         "codomain_shape": list(op.codomain_shape.factor_dims),
         "entries": _entries_to_json(op),
     }
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
 
 
 def operator_from_document(doc) -> TensorOperator:
@@ -129,7 +126,7 @@ def operator_from_document(doc) -> TensorOperator:
     return TensorOperator(dom, cod, _entries_from_json(doc, "entries", "operator", mode), mode)
 
 
-def nleibniz_to_document(a, provenance=None) -> dict:
+def nleibniz_to_document(a) -> dict:
     central = None
     if isinstance(a, CentralNLeibnizAlgebra):
         central = a.central
@@ -154,8 +151,6 @@ def nleibniz_to_document(a, provenance=None) -> dict:
         for j, v in central.items():
             dense[j] = scalars.format_scalar(v, a.mode)
         doc["central"] = dense
-    if provenance:
-        doc["provenance"] = list(provenance)
     return doc
 
 
@@ -190,12 +185,12 @@ def nleibniz_from_document(doc):
     return a
 
 
-def nrack_to_document(t: FiniteNRack, provenance=None) -> dict:
+def nrack_to_document(t: FiniteNRack) -> dict:
     rows = [
         list(args) + [t.apply(args)]
         for args in itertools.product(range(t.size), repeat=t.arity)
     ]
-    doc = {
+    return {
         "kind": "nrack",
         "size": t.size,
         "arity": t.arity,
@@ -203,9 +198,6 @@ def nrack_to_document(t: FiniteNRack, provenance=None) -> dict:
         "certified": t.certified,
         "table": rows,
     }
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
 
 
 def nrack_from_document(doc) -> FiniteNRack:
@@ -216,11 +208,8 @@ def nrack_from_document(doc) -> FiniteNRack:
     return FiniteNRack(size, arity, table, doc.get("side", "right"), _certified(doc, "nrack"))
 
 
-def group_to_document(g: FiniteGroup, provenance=None) -> dict:
-    doc = {"kind": "group", "size": g.size, "mul": [list(row) for row in g.mul]}
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
+def group_to_document(g: FiniteGroup) -> dict:
+    return {"kind": "group", "size": g.size, "mul": [list(row) for row in g.mul]}
 
 
 def group_table_from_document(doc):
@@ -233,17 +222,14 @@ def group_from_document(doc) -> FiniteGroup:
     return FiniteGroup(*group_table_from_document(doc))
 
 
-def coalgebra_to_document(c: Coalgebra, provenance=None) -> dict:
-    doc = {
+def coalgebra_to_document(c: Coalgebra) -> dict:
+    return {
         "kind": "coalgebra",
         "dim": c.dim,
         "scalars": c.mode,
         "delta": _entries_to_json(c.delta),
         "epsilon": _entries_to_json(c.counit),
     }
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
 
 
 def coalgebra_from_document(doc) -> Coalgebra:
@@ -264,18 +250,16 @@ def coalgebra_from_document(doc) -> Coalgebra:
     return Coalgebra(dim, delta, counit, mode)
 
 
-def linear_nrack_to_document(l: LinearNRack, provenance=None) -> dict:
-    doc = {
+def linear_nrack_to_document(l: LinearNRack) -> dict:
+    return {
         "kind": "linear_nrack",
         "arity": l.arity,
         "scalars": l.base.mode,
+        "certified": l.certified,
         "base": coalgebra_to_document(l.base),
         "bracket": _entries_to_json(l.bracket),
         "inv_bracket": _entries_to_json(l.inv_bracket),
     }
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
 
 
 def linear_nrack_from_document(doc) -> LinearNRack:
@@ -288,16 +272,13 @@ def linear_nrack_from_document(doc) -> LinearNRack:
     cod = TensorShape((base.dim,))
     bracket = TensorOperator(dom, cod, _entries_from_json(doc, "bracket", "linear_nrack", mode), mode)
     inv = TensorOperator(dom, cod, _entries_from_json(doc, "inv_bracket", "linear_nrack", mode), mode)
-    return LinearNRack(base, arity, bracket, inv)
+    return LinearNRack(base, arity, bracket, inv, _certified(doc, "linear_nrack"))
 
 
-def set_map_to_document(s: SetNMap, provenance=None) -> dict:
+def set_map_to_document(s: SetNMap) -> dict:
     digits = tensor.power_shape(s.size, s.arity).multi
     rows = [list(digits(x) + digits(y)) for x, y in enumerate(s.image)]
-    doc = {"kind": "set_map", "size": s.size, "arity": s.arity, "side": s.side, "map": rows}
-    if provenance:
-        doc["provenance"] = list(provenance)
-    return doc
+    return {"kind": "set_map", "size": s.size, "arity": s.arity, "side": s.side, "map": rows}
 
 
 def set_map_from_document(doc) -> SetNMap:
@@ -309,13 +290,8 @@ def set_map_from_document(doc) -> SetNMap:
     return SetNMap(size, arity, image, doc.get("side", "right"))
 
 
-def _linear_rack_to_document(r, provenance=None):
-    return linear_nrack_to_document(r.as_nrack(), provenance)
-
-
 _TO_DOCUMENT = {
     TensorOperator: operator_to_document,
-    LinearRack: _linear_rack_to_document,
     NLeibnizAlgebra: nleibniz_to_document,
     CentralNLeibnizAlgebra: nleibniz_to_document,
     FiniteNRack: nrack_to_document,
@@ -337,9 +313,13 @@ _FROM_DOCUMENT = {
 
 
 def to_document(obj, provenance=None) -> dict:
+    """The document of ``obj``, with its ``provenance`` list if one is given."""
     for cls, fn in _TO_DOCUMENT.items():
         if isinstance(obj, cls):
-            return fn(obj, provenance)
+            doc = fn(obj)
+            if provenance:
+                doc["provenance"] = list(provenance)
+            return doc
     raise SchemaError(f"no document form for {type(obj).__name__}")
 
 

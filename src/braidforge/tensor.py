@@ -245,9 +245,6 @@ class TensorOperator:
                 out[k] = s
         return TensorOperator(self.domain_shape, self.codomain_shape, out, self.mode, validate=False)
 
-    def __sub__(self, other):
-        return self + other.scale(-scalars.one(self.mode))
-
     def scale(self, factor):
         factor = scalars.coerce(factor, self.mode)
         if scalars.is_zero(factor, self.mode):

@@ -21,14 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars, tensor
-from .errors import (
-    NotCertifiedError,
-    PreconditionError,
-    SchemaError,
-    ShapeMismatchError,
-    VerdictDisagreementError,
-)
-from .linrack import LinearNRack, check_linear_nrack, nrack_braiding
+from .errors import PreconditionError, SchemaError, ShapeMismatchError, VerdictDisagreementError
+from .linrack import LinearNRack, certify, nrack_braiding
 from .nleibniz import (
     CentralNLeibnizAlgebra,
     NLeibnizAlgebra,
@@ -38,7 +32,7 @@ from .nleibniz import (
     fundamental_leibniz,
 )
 from .nrack import FiniteGroup
-from .reports import ReportBuilder, column_witness, difference_witness, first_difference
+from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
 from .setsol import braid_sides, braid_words, check_dim_cap, offset_maps
 from .tensor import TensorOperator, TensorShape, tensor_many
 
@@ -278,8 +272,7 @@ def cyclic_operator(dim: int, k: int, mode=scalars.EXACT) -> TensorOperator:
 def _require_central(cl) -> CentralNLeibnizAlgebra:
     if not isinstance(cl, CentralNLeibnizAlgebra):
         raise SchemaError("expected a central n-Leibniz algebra")
-    if not cl.algebra.certified:
-        raise NotCertifiedError("the underlying algebra must be certified")
+    refuse_uncertified(cl.algebra, "a central n-Leibniz construction")
     from .nleibniz import is_central
 
     if not is_central(cl.algebra, cl.central):
@@ -311,16 +304,14 @@ def r_tilde_iff_leibniz(bracket: NLeibnizAlgebra):
 def r1_from_nleibniz(a: NLeibnizAlgebra) -> TensorOperator:
     """Braiding on (k (+) L^(x)(n-1))^(x)2, through the induced Leibniz
     bracket on the tensor power with a unit adjoined."""
-    if not a.certified:
-        raise NotCertifiedError("r1_from_nleibniz needs a certified algebra")
+    refuse_uncertified(a, "r1_from_nleibniz")
     return r_from_central_leibniz(adjoin_unit(fundamental_leibniz(a)))
 
 
 def r2_from_nleibniz(a: NLeibnizAlgebra) -> TensorOperator:
     """Braiding on ((k (+) L)^(x)(n-1))^(x)2, through the unit-adjoined
     algebra's induced Leibniz bracket."""
-    if not a.certified:
-        raise NotCertifiedError("r2_from_nleibniz needs a certified algebra")
+    refuse_uncertified(a, "r2_from_nleibniz")
     return r_from_central_leibniz(fundamental_leibniz(adjoin_unit(a)))
 
 
@@ -331,8 +322,7 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     central-Leibniz-homomorphism, and the intertwining of the two
     braidings R2 o (eta (x) eta) = (eta (x) eta) o R1.
     """
-    if not a.certified:
-        raise NotCertifiedError("eta_intertwiner needs a certified algebra")
+    refuse_uncertified(a, "eta_intertwiner")
     d, n, mode = a.dim, a.arity, a.mode
     w_central = adjoin_unit(fundamental_leibniz(a))
     v_central = fundamental_leibniz(adjoin_unit(a))
@@ -423,15 +413,10 @@ def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOpera
     return tensor.permutation_operator(shp, shift, mode) + TensorOperator(shp, shp, entries, mode)
 
 
-def nyb_from_linear_nrack(l: LinearNRack, check: bool = True):
+def nyb_from_linear_nrack(l: LinearNRack):
     """The degree-n braiding of a cocommutative linear n-rack and its inverse,
-    built by :func:`linrack.nrack_braiding` once ``check`` has certified the
-    linear n-rack laws."""
-    if check:
-        report = check_linear_nrack(l)
-        if not report.passed:
-            raise PreconditionError("input fails the linear n-rack identities", report.witness)
-    return nrack_braiding(l)
+    built by :func:`linrack.nrack_braiding` from the certified input."""
+    return nrack_braiding(certify(l))
 
 
 def nyb_from_ybe(r: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> TensorOperator:

@@ -83,7 +83,7 @@ def test_criterion_03_lift_descend_round(a3, t3bar):
     formula; descending the unit-extension operator reproduces the
     tensor-power braiding."""
     with Timer("3 lift-descend", 20):
-        r = lr.lebed_operator(lr.linear_nrack_from_nleibniz(a3).as_rack())[0]
+        r = lr.lebed_operator(lr.linear_nrack_from_nleibniz(a3))[0]
         s3 = yb.nyb_from_ybe(r, 3)
         assert yb.verify_nybe(s3, 3, "right").is_operator
         # the displayed degree-3 formula, assembled independently
@@ -165,7 +165,7 @@ def test_criterion_07_linear_nrack_axioms(conj3):
         l = lr.linearize_nrack(conj3)
         report = lr.check_linear_nrack(l)
         assert report.passed and len(report.checks) == 4
-        s, _ = yb.nyb_from_linear_nrack(l, check=False)
+        s, _ = yb.nyb_from_linear_nrack(l)
         verdict = yb.verify_nybe(s, 3, "right")
         assert verdict.holds and verdict.invertible
         assert verdict.verification_dim == 7776

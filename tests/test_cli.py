@@ -4,6 +4,8 @@ import json
 import pytest
 
 import braidforge.cli as cli
+import braidforge.linrack as lr
+import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
@@ -399,11 +401,14 @@ def test_build_certifies_its_input_under_the_cap_of_check(capsys, tmp_path, monk
     # an uncertified input is certified by the law walk of `check`, over 2^5 tuples here
     bracket = {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []}
     rack = {"kind": "nrack", "size": 2, "arity": 3, "table": ser.to_document(nr.trivial_nrack(2, 3))["table"]}
+    linear = {**ser.to_document(lr.linearize_nrack(nr.trivial_nrack(2, 3))), "certified": False}
     rows = [
         ("adjoin-unit", bracket),
         ("fundamental-leibniz", bracket),
         ("fundamental-leibniz", {**bracket, "central": ["0/1", "0/1"]}),
         ("rack-from-nrack", rack),
+        ("tensor-power-rack", linear),
+        ("nyb-lnr", linear),
     ]
     for construction, doc in rows:
         uncertified = write(tmp_path, "in.json", doc)
@@ -482,6 +487,9 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         (["check", "{}"], {"kind": "set_map", "size": 2, "arity": 2, "map": [[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [1, 1, 1]]}, {}),
         # on a 1-dimensional operator the dimension cap passes any n
         (["verify", "nybe-right", "{}", "--n", "1000000000"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "entries": [[0, 0, "1/1"]]}, {}),
+        (["build", "lebed", "{}"], {"kind": "linear_nrack", "certified": "yes", "arity": 2, "base": {"kind": "coalgebra", "dim": 1, "delta": [[0, 0, 1]], "epsilon": [[0, 0, 1]]}, "bracket": [[0, 0, 1]], "inv_bracket": [[0, 0, 1]]}, {}),
+        # checks pass, but the exp series of the basis adjoint [-, e_1] diverges in float mode
+        (["build", "nrack-from-nleibniz", "{}"], {"kind": "nleibniz", "arity": 2, "dim": 2, "scalars": "float", "bracket": [{"in": [0, 1], "out": {"0": 40.0}}]}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
@@ -508,6 +516,46 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+def _bad_documents():
+    """Uncertified documents that fail their laws, one per law-carrying type.
+
+    The table's right translations are y=0: (0,1,2), y=1: (1,0,2),
+    y=2: (1,2,0); it is not self-distributive, and neither is its
+    linearization.  The bracket breaks the Leibniz identity.
+    """
+
+    table = nr.FiniteNRack(3, 2, (0, 1, 1, 1, 0, 2, 2, 2, 0))
+    bracket = ser.to_document(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}}))
+    return {
+        nl.CentralNLeibnizAlgebra: {**bracket, "central": ["0/1", "0/1"]},
+        nl.NLeibnizAlgebra: bracket,
+        nr.FiniteNRack: ser.to_document(table),
+        lr.LinearNRack: {**ser.to_document(lr.linearize_nrack(table.as_certified())), "certified": False},
+    }
+
+
+def _lawful_constructions():
+    """The constructions whose input kind carries laws, with the bad document each takes."""
+    out = []
+    for name, (_, accepts) in sorted(cli._CONSTRUCTIONS.items()):
+        accepts = accepts if isinstance(accepts, tuple) else (accepts,)
+        bad = [doc for cls, doc in _bad_documents().items() if issubclass(cls, accepts)]
+        if bad:
+            out.append(pytest.param(name, bad[0], id=name))
+    return out
+
+
+@pytest.mark.parametrize("construction, doc", _lawful_constructions())
+def test_build_refuses_an_uncertified_input_that_fails_its_laws(capsys, tmp_path, construction, doc):
+    for cls, bad in _bad_documents().items():
+        assert not cli._check_one(bad, None).passed, cls
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, "build", construction, write(tmp_path, "bad.json", doc), "--param", "n=3", "-o", str(out))
+    assert code == 2, err
+    assert err.startswith("input error:") and "Traceback" not in err
+    assert stdout == "" and not out.exists()
 
 
 def test_demo(capsys):

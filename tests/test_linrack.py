@@ -81,7 +81,7 @@ def test_linearized_conjugation_3rack_passes(conj3):
 
 
 def test_non_leibniz_bracket_fails_self_distributivity(t3_bad):
-    l = lr.linear_nrack_from_nleibniz(t3_bad, require_certified=False)
+    l = lr.linear_nrack_from_nleibniz(t3_bad)
     report = lr.check_linear_nrack(l)
     statuses = {c.name: c.status for c in report.checks}
     assert statuses["self-distributivity"] == "fail"
@@ -273,7 +273,7 @@ def linear_nracks(draw):
             low = max(key) + 1 if nilpotent else 0
             if low < d:
                 bracket.setdefault(key, {})[draw(st.integers(low, d - 1))] = _scalar(draw, mode)
-        l = lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(n, d, bracket, mode), require_certified=False)
+        l = lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(n, d, bracket, mode))
     else:
         n = min(n, 3)  # the oracle's split of C^(x)(n^2) must stay under the 2^31 index cap
         if kind == "matrix":
@@ -307,8 +307,8 @@ def linear_nracks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(linear_nracks())
-@example(lr.linear_rack_on_tensor_power(lr.linearize_nrack(nr.conjugation_nrack(nr.cyclic_group(3), 3))).as_nrack())
-@example(lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: Fraction(1, 3)}}), require_certified=False))
+@example(lr.linear_rack_on_tensor_power(lr.linearize_nrack(nr.conjugation_nrack(nr.cyclic_group(3), 3))))
+@example(lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: Fraction(1, 3)}})))
 def test_check_linear_nrack_matches_the_matrix_identities(l):
     want, borderline, pairs = _matrix_report(l)
     got = _without_times(lr.check_linear_nrack(l))
@@ -373,11 +373,11 @@ def test_induced_nrack_not_closed():
 
 def test_fold_n2_is_input(flip_rack):
     l = lr.linearize_nrack(flip_rack)
-    assert lr.linear_nrack_from_linear_rack(l.as_rack(), 2).bracket == l.bracket
+    assert lr.linear_nrack_from_linear_rack(l, 2).bracket == l.bracket
 
 
 def test_fold_flip_rack_collapses(flip_rack):
-    folded = lr.linear_nrack_from_linear_rack(lr.linearize_nrack(flip_rack).as_rack(), 3)
+    folded = lr.linear_nrack_from_linear_rack(lr.linearize_nrack(flip_rack), 3)
     direct = lr.linearize_nrack(nr.nrack_from_rack(flip_rack, 3))
     assert folded.bracket == direct.bracket and folded.inv_bracket == direct.inv_bracket
     assert lr.check_linear_nrack(folded).passed
@@ -386,7 +386,7 @@ def test_fold_flip_rack_collapses(flip_rack):
 def test_fold_coincides_with_linearized_fold(s3):
     # same coincidence on a noncommutative carrier
     conj2 = nr.conjugation_nrack(s3, 2)
-    folded = lr.linear_nrack_from_linear_rack(lr.linearize_nrack(conj2).as_rack(), 3)
+    folded = lr.linear_nrack_from_linear_rack(lr.linearize_nrack(conj2), 3)
     direct = lr.linearize_nrack(nr.nrack_from_rack(conj2, 3))
     assert folded.bracket == direct.bracket and folded.inv_bracket == direct.inv_bracket
 
@@ -394,7 +394,7 @@ def test_fold_coincides_with_linearized_fold(s3):
 def test_tensor_power_rack_of_conjugation(conj3):
     rack = lr.linear_rack_on_tensor_power(lr.linearize_nrack(conj3))
     assert rack.base.dim == 36
-    assert lr.check_linear_rack(rack).passed
+    assert lr.check_linear_nrack(rack).passed
 
 
 def test_tensor_power_needs_cocommutative():
@@ -420,7 +420,7 @@ def test_psi_map_is_linear_rack_homomorphism(conj3):
     assert rhs_rack.base.counit @ psi == lhs_rack.base.counit
     # operation compatibility
     lhs = psi @ lhs_rack.bracket
-    rhs = rhs_rack.op @ T.tensor_many([psi, psi])
+    rhs = rhs_rack.bracket @ T.tensor_many([psi, psi])
     assert lhs == rhs
 
 
@@ -439,7 +439,7 @@ def test_tensor_power_functoriality(s3):
     ra = lr.linear_rack_on_tensor_power(a)
     rb = lr.linear_rack_on_tensor_power(b)
     f2 = T.tensor_many([f, f])
-    assert f2 @ ra.op == rb.op @ T.tensor_many([f2, f2])
+    assert f2 @ ra.bracket == rb.bracket @ T.tensor_many([f2, f2])
 
 
 # -- the k (+) L linear n-rack ---------------------------------------------------
@@ -471,14 +471,14 @@ def test_kplus_nrack_homomorphism(t3):
 
 
 def test_lebed_on_trivial_is_flip():
-    r, rinv = lr.lebed_operator(lr.linearize_nrack(nr.trivial_nrack(2, 2)).as_rack())
+    r, rinv = lr.lebed_operator(lr.linearize_nrack(nr.trivial_nrack(2, 2)))
     flip = T.permutation_operator(T.power_shape(2, 2), (1, 0))
     assert r == flip and rinv == flip
 
 
 def test_lebed_on_kplus_a3(a3):
     l = lr.linear_nrack_from_nleibniz(a3)
-    r, rinv = lr.lebed_operator(l.as_rack())
+    r, rinv = lr.lebed_operator(l)
     s = T.power_shape(4, 2)
     out = r.apply({s.flat((1, 2)): ONE})
     assert out == {s.flat((2, 1)): ONE, s.flat((0, 3)): ONE}
@@ -487,9 +487,9 @@ def test_lebed_on_kplus_a3(a3):
 
 def test_lebed_passes_ybe_for_every_instance(a3, t3, conj3, flip_rack):
     racks = [
-        lr.linearize_nrack(nr.trivial_nrack(2, 2)).as_rack(),
-        lr.linearize_nrack(flip_rack).as_rack(),
-        lr.linear_nrack_from_nleibniz(a3).as_rack(),
+        lr.linearize_nrack(nr.trivial_nrack(2, 2)),
+        lr.linearize_nrack(flip_rack),
+        lr.linear_nrack_from_nleibniz(a3),
         lr.linear_rack_on_tensor_power(lr.linear_nrack_from_nleibniz(t3)),
     ]
     for rack in racks:
@@ -499,8 +499,9 @@ def test_lebed_passes_ybe_for_every_instance(a3, t3, conj3, flip_rack):
 
 
 def test_lebed_inverse_mismatch_detected():
-    good = lr.linearize_nrack(nr.cyclic_rack(3)).as_rack()
-    broken = lr.LinearRack(good.base, good.op, good.op)  # x+1 is not its own inverse mod 3
+    good = lr.linearize_nrack(nr.cyclic_rack(3))
+    # x+1 is not its own inverse mod 3; marked certified, so the braiding's own inverse check must catch it
+    broken = lr.LinearNRack(good.base, 2, good.bracket, good.bracket, certified=True)
     with pytest.raises(PreconditionError):
         lr.lebed_operator(broken)
 

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.tensor as T
-from braidforge.errors import CapExceededError, NotNilpotentError, PreconditionError, SchemaError
+from braidforge.errors import (
+    CapExceededError,
+    NotNilpotentError,
+    PreconditionError,
+    SchemaError,
+    SeriesNotConvergedError,
+)
 from braidforge.reports import ReportBuilder, VerificationReport
 import vector_rack_oracle
 
@@ -388,6 +394,18 @@ def test_vector_nrack_requires_nilpotent_basis_adjoints():
     alg = nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}))
     with pytest.raises(NotNilpotentError):
         nr.nrack_from_nleibniz(alg)
+
+
+@pytest.mark.parametrize("mode, error", [("exact", NotNilpotentError), ("float", SeriesNotConvergedError)])
+def test_adjoint_without_exponential_is_refused_at_the_basis_and_skipped_on_the_grid(mode, error):
+    # [-, e_1] scales e_0 by 40: not nilpotent, and its float exp series is still large after 64 terms
+    alg = nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 40}}, mode))
+    with pytest.raises(error) as exc:
+        nr.nrack_from_nleibniz(alg)
+    assert isinstance(exc.value, PreconditionError)  # an input error, exit 2
+    report = nr.validate_vector_nrack(nr.VectorNRack(alg, mode))
+    assert report.passed and report.checks[-1].status == "skipped"
+    assert nr.verify_tensor_embedding(alg).passed
 
 
 def test_vector_nrack_float_mode():

@@ -82,6 +82,19 @@ def test_linear_nrack_roundtrip(conj3):
     assert lr.check_linear_nrack(back).passed
 
 
+def test_linear_nrack_certified_flag_roundtrip(t3_bad, conj3):
+    # certified by the linearization theorem, and not for an uncertified bracket
+    for l, flag in ((lr.linearize_nrack(conj3), True), (lr.linear_nrack_from_nleibniz(t3_bad), False)):
+        assert l.certified is flag
+        doc = ser.to_document(l)
+        assert doc["certified"] is flag
+        assert roundtrip(l).certified is flag
+    # a document without the field reads as uncertified
+    doc = ser.to_document(lr.linearize_nrack(conj3))
+    del doc["certified"]
+    assert not ser.from_document(doc).certified
+
+
 def test_linear_rack_serializes_as_arity_two(t3):
     rack = lr.linear_rack_on_tensor_power(lr.linear_nrack_from_nleibniz(t3))
     doc = ser.to_document(rack)

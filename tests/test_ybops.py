@@ -295,9 +295,10 @@ def test_nyb_from_linear_nrack_matches_formula_route(t3):
 
 def test_nyb_from_linear_nrack_inverse_mismatch(conj3):
     l = lr.linearize_nrack(conj3)
-    broken = lr.LinearNRack(l.base, 3, l.bracket, l.bracket)
+    # marked certified, so the braiding's own inverse check must catch it
+    broken = lr.LinearNRack(l.base, 3, l.bracket, l.bracket, certified=True)
     with pytest.raises(PreconditionError):
-        yb.nyb_from_linear_nrack(broken, check=False)
+        yb.nyb_from_linear_nrack(broken)
 
 
 # -- lifts and descents -----------------------------------------------------------
