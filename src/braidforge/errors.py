@@ -4,7 +4,15 @@ from __future__ import annotations
 
 
 class BraidforgeError(Exception):
-    """Base class for all errors raised by braidforge."""
+    """Base class for all errors raised by braidforge.
+
+    Carries an optional ``witness`` describing where it happened; ``str``
+    of the error is its message alone.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ShapeMismatchError(BraidforgeError):
@@ -28,14 +36,7 @@ class NotCertifiedError(BraidforgeError):
 
 
 class PreconditionError(BraidforgeError):
-    """A construction's mathematical precondition failed.
-
-    Carries an optional ``witness`` describing where it failed.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A construction's mathematical precondition failed."""
 
 
 class NotNilpotentError(PreconditionError):

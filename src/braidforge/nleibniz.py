@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import scalars, tensor
 from .errors import PreconditionError, SchemaError, SeriesNotConvergedError, VerdictDisagreementError
@@ -31,23 +32,6 @@ def _clean_vector(vec, mode):
         if not scalars.is_zero(v, mode):
             out[int(j)] = v
     return out
-
-
-def vec_add(a, b, mode):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, scalars.zero(mode)) + v
-        if scalars.is_zero(s, mode):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def vec_scale(a, f, mode):
-    if scalars.is_zero(f, mode):
-        return {}
-    return {k: v * f for k, v in a.items()}
 
 
 def vec_json(vec, mode):
@@ -153,39 +137,48 @@ def zero_algebra(arity: int, dim: int, mode=scalars.EXACT) -> NLeibnizAlgebra:
 # -- verification ------------------------------------------------------
 
 
-def _first_failing_tuple(sides, mode):
-    """{"tuple", "lhs", "rhs"} of the first (tuple, lhs, rhs) of ``sides``
-    whose two vectors differ by ``first_difference``, or None."""
-    for tpl, lhs, rhs in sides:
+def _derivation_failure(cols, dcols, d: int, n: int, mode, stop: int):
+    """(xs, lhs, rhs) at the first flat basis tuple xs below ``stop`` where
+    D[x_1..x_n] = sum_i [x_1, ..., D x_i, ..., x_n] fails, or None, for the
+    bracket of columns ``cols`` (over L^(x)n) and the map D of columns ``dcols``."""
+    weights = [d ** (n - 1 - i) for i in range(n)]
+    for xs in range(stop):
+        lhs = tensor.apply_columns(dcols, cols[xs])
+        inner = [(xs + (j - xs // w % d) * w, c) for w in weights for j, c in dcols[xs // w % d]]
+        rhs = tensor.apply_columns(cols, inner)
         if first_difference(lhs, rhs, mode) is not None:
-            return {"tuple": list(tpl), "lhs": vec_json(lhs, mode), "rhs": vec_json(rhs, mode)}
+            return xs, lhs, rhs
     return None
 
 
-def _fundamental_sides(a: NLeibnizAlgebra):
-    """(tuple, lhs, rhs) of the fundamental identity at each basis tuple, in flat order."""
-    n = a.arity
-    for tpl in itertools.product(range(a.dim), repeat=2 * n - 1):
-        xs, ys = tpl[:n], tpl[n:]
-        lhs = {}
-        for j, c in a.bracket_basis(xs).items():
-            lhs = vec_add(lhs, vec_scale(a.bracket_basis((j,) + ys), c, a.mode), a.mode)
-        rhs = {}
-        for i in range(n):
-            for j, c in a.bracket_basis((xs[i],) + ys).items():
-                inner = a.bracket_basis(xs[:i] + (j,) + xs[i + 1 :])
-                rhs = vec_add(rhs, vec_scale(inner, c, a.mode), a.mode)
-        yield tpl, lhs, rhs
+def _tuple_witness(digits, lhs, rhs, scale, mode):
+    """{"tuple", "lhs", "rhs"} of a failing basis tuple, the sides over ``scale``."""
+    exact = mode == scalars.EXACT
+    sides = [{k: Fraction(v, scale) if exact else v for k, v in vec.items() if v} for vec in (lhs, rhs)]
+    return {"tuple": list(digits), "lhs": vec_json(sides[0], mode), "rhs": vec_json(sides[1], mode)}
 
 
 def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
-    """Brute-force the fundamental identity over all dim^(2n-1) basis tuples.
+    """The fundamental identity over all dim^(2n-1) basis tuples: per trailing
+    tuple ys, the right translation ad_ys, read off the bracket's columns,
+    must be a derivation at every xs, on integers in exact mode.
 
     The witness of a failure is the lexicographically smallest violating
-    tuple together with both sides' coefficient vectors.
+    tuple (xs, ys) together with both sides' coefficient vectors.
     """
+    d, n = a.dim, a.arity
+    cols, scale = bracket_operator(a).integer_columns()
+    span, stop, hit = d ** (n - 1), d**n, None
+    for ys in range(span):
+        found = _derivation_failure(cols, cols[ys::span], d, n, a.mode, stop)
+        if found is not None:  # a later ys comes first only at a smaller xs
+            stop, hit = found[0], (ys, *found)
     rb = ReportBuilder("fundamental-identity")
-    rb.record_witness("fundamental-identity", _first_failing_tuple(_fundamental_sides(a), a.mode))
+    if hit is not None:
+        ys, xs, lhs, rhs = hit
+        digits = tensor.power_shape(d, n).multi(xs) + tensor.power_shape(d, n - 1).multi(ys)
+        hit = _tuple_witness(digits, lhs, rhs, scale**2, a.mode)
+    rb.record_witness("fundamental-identity", hit)
     return rb.build()
 
 
@@ -225,21 +218,13 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
     rb = ReportBuilder("derivation")
     if d_map.domain_shape.total != a.dim or d_map.codomain_shape.total != a.dim:
         raise SchemaError("derivation candidate has wrong shape")
-    cols = d_map.columns()
-
-    def sides():
-        for tpl in itertools.product(range(a.dim), repeat=a.arity):
-            lhs = {}
-            for j, c in a.bracket_basis(tpl).items():
-                lhs = vec_add(lhs, vec_scale(dict(cols.get(j, ())), c, a.mode), a.mode)
-            rhs = {}
-            for i in range(a.arity):
-                for j, c in cols.get(tpl[i], ()):
-                    inner = a.bracket_basis(tpl[:i] + (j,) + tpl[i + 1 :])
-                    rhs = vec_add(rhs, vec_scale(inner, c, a.mode), a.mode)
-            yield tpl, lhs, rhs
-
-    rb.record_witness("derivation-law", _first_failing_tuple(sides(), a.mode))
+    cols, scale = bracket_operator(a).integer_columns()
+    dcols, dscale = d_map.integer_columns()
+    found = _derivation_failure(cols, dcols, a.dim, a.arity, a.mode, a.dim**a.arity)
+    if found is not None:
+        xs, lhs, rhs = found
+        found = _tuple_witness(tensor.power_shape(a.dim, a.arity).multi(xs), lhs, rhs, scale * dscale, a.mode)
+    rb.record_witness("derivation-law", found)
     return rb.build()
 
 
@@ -450,16 +435,16 @@ def is_homomorphism(a: NLeibnizAlgebra, b: NLeibnizAlgebra, phi: TensorOperator)
         raise SchemaError("phi has the wrong shape")
     rb = ReportBuilder("homomorphism")
     cols = phi.columns()
-    phi_basis = [dict(cols.get(i, ())) for i in range(a.dim)]
-
-    def sides():
-        for tpl in itertools.product(range(a.dim), repeat=a.arity):
-            lhs = {}
-            for j, c in a.bracket_basis(tpl).items():
-                lhs = vec_add(lhs, vec_scale(phi_basis[j], c, a.mode), a.mode)
-            yield tpl, lhs, b.bracket_apply([phi_basis[i] for i in tpl])
-
-    rb.record_witness("bracket-preserving", _first_failing_tuple(sides(), a.mode))
+    phi_cols = [cols.get(i, []) for i in range(a.dim)]
+    phi_basis = [dict(col) for col in phi_cols]
+    witness = None
+    for tpl in itertools.product(range(a.dim), repeat=a.arity):
+        lhs = tensor.apply_columns(phi_cols, a.bracket_basis(tpl).items())
+        rhs = b.bracket_apply([phi_basis[i] for i in tpl])
+        if first_difference(lhs, rhs, a.mode) is not None:
+            witness = _tuple_witness(tpl, lhs, rhs, 1, a.mode)
+            break
+    rb.record_witness("bracket-preserving", witness)
 
     one = scalars.one(a.mode)
     exact = a.mode == scalars.EXACT

@@ -112,10 +112,6 @@ class SolutionProfile:
     def is_right_solution(self) -> bool:
         return self.satisfies_right and self.is_bijective
 
-    @property
-    def is_left_solution(self) -> bool:
-        return self.satisfies_left and self.is_bijective
-
     def to_json(self):
         out = {
             "is_bijective": self.is_bijective,
@@ -146,9 +142,12 @@ def braid_words(n: int, side: str):
 def offset_map(image, m: int, n: int, k: int, off: int):
     """The map sending the flat n-digit base-m index c to image[c], applied
     at digits off..off+n-1 of the k-digit space, as a flat index list."""
-    low = m ** (k - n - off)
-    shifted = [t * low for t in image]
-    return [h + t + j for h in range(0, m**k, m**n * low) for t in shifted for j in range(low)]
+    low, row, out = m ** (k - n - off), [], []
+    for t in image:
+        row.extend(range(t * low, t * low + low))
+    for h in range(0, m**k, m**n * low):
+        out.extend(map(h.__add__, row))
+    return out
 
 
 def offset_maps(image, m: int, n: int, k: int):

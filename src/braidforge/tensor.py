@@ -112,6 +112,16 @@ def tensor_vector(vecs, shp: TensorShape, mode=scalars.EXACT) -> dict:
     return {key: c for key, c in out.items() if not scalars.is_zero(c, mode)}
 
 
+def apply_columns(cols, vec) -> dict:
+    """The sparse vector sum of w * cols[key] over the (key, w) in vec, for
+    columns ``cols`` of (row, value) lists; zeros are kept."""
+    out = {}
+    for key, w in vec:
+        for r, a in cols[key]:
+            out[r] = out.get(r, 0) + w * a
+    return out
+
+
 class TensorOperator:
     """A sparse linear map between tensor powers.
 
@@ -174,14 +184,9 @@ class TensorOperator:
 
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse vector {index: scalar}."""
-        out = {}
         cols = self.columns()
-        for c, x in vec.items():
-            if scalars.is_zero(x, self.mode):
-                continue
-            for r, v in cols.get(c, ()):
-                out[r] = out.get(r, scalars.zero(self.mode)) + v * x
-        return {r: v for r, v in out.items() if not scalars.is_zero(v, self.mode)}
+        out = apply_columns(cols, [(c, x) for c, x in vec.items() if c in cols and x != 0])
+        return {r: v for r, v in out.items() if v != 0}
 
     def dense(self):
         """Nested-list dense form; for small operators and test oracles only."""
@@ -365,18 +370,11 @@ def compose(a: TensorOperator, b: TensorOperator) -> TensorOperator:
         raise ShapeMismatchError(
             f"composition mismatch: inner dims {b.codomain_shape.total} vs {a.domain_shape.total}"
         )
-    a_cols = a.columns()
-    out = {}
-    zero = scalars.zero(a.mode)
+    a_cols, out = a.columns(), {}
     for (j, k), bv in b.entries.items():
-        hits = a_cols.get(j)
-        if not hits:
-            continue
-        for i, av in hits:
-            key = (i, k)
-            s = out.get(key, zero) + av * bv
-            out[key] = s
-    out = {k: v for k, v in out.items() if not scalars.is_zero(v, a.mode)}
+        for i, av in a_cols.get(j, ()):
+            out[(i, k)] = out.get((i, k), 0) + av * bv
+    out = {k: v for k, v in out.items() if v != 0}
     return TensorOperator(b.domain_shape, a.codomain_shape, out, a.mode, validate=False)
 
 
@@ -391,50 +389,23 @@ def compose_blocks(blocks, b: TensorOperator) -> TensorOperator:
         return compose(blocks[0], b)
     if any(blk.mode != b.mode for blk in blocks):
         raise ShapeMismatchError("mode mismatch in block composition")
-    in_totals = [blk.domain_shape.total for blk in blocks]
-    out_totals = [blk.codomain_shape.total for blk in blocks]
-    tot_in = 1
-    for t in in_totals:
-        tot_in *= t
-    if tot_in != b.codomain_shape.total:
+    totals = [blk.domain_shape.total for blk in blocks]
+    if math.prod(totals) != b.codomain_shape.total:
         raise ShapeMismatchError("block domains do not match the inner operator's codomain")
+    inner = TensorShape(tuple(totals))
     block_cols = [blk.columns() for blk in blocks]
-    dom = b.domain_shape
-    cod_dims = ()
-    for blk in blocks:
-        cod_dims += blk.codomain_shape.factor_dims
-    cod = TensorShape(cod_dims)
-    zero = scalars.zero(b.mode)
+    out_totals = [blk.codomain_shape.total for blk in blocks]
     out = {}
     for (r, c), v in b.entries.items():
-        # decompose r into per-block column indices, most significant first
-        idxs = []
-        rest = r
-        for t in reversed(in_totals):
-            idxs.append(rest % t)
-            rest //= t
-        idxs.reverse()
-        cols = []
-        dead = False
-        for cols_map, j in zip(block_cols, idxs):
-            hit = cols_map.get(j)
-            if not hit:
-                dead = True
-                break
-            cols.append(hit)
-        if dead:
-            continue
-        for combo in itertools.product(*cols):
-            row = 0
-            val = v
+        # the per-block column indices of r, most significant first
+        for combo in itertools.product(*(cols.get(j, ()) for cols, j in zip(block_cols, inner.multi(r)))):
+            row, val = 0, v
             for (ri, vi), t in zip(combo, out_totals):
-                row = row * t + ri
-                val = val * vi
-            key = (row, c)
-            s = out.get(key, zero) + val
-            out[key] = s
-    out = {k: v for k, v in out.items() if not scalars.is_zero(v, b.mode)}
-    return TensorOperator(dom, cod, out, b.mode, validate=False)
+                row, val = row * t + ri, val * vi
+            out[(row, c)] = out.get((row, c), 0) + val
+    out = {k: v for k, v in out.items() if v != 0}
+    cod = TensorShape(tuple(d for blk in blocks for d in blk.codomain_shape.factor_dims))
+    return TensorOperator(b.domain_shape, cod, out, b.mode, validate=False)
 
 
 def tensor_many(ops) -> TensorOperator:

@@ -97,8 +97,8 @@ def _word_images(cols, d: int, n: int, k: int, words):
     column to {row: value} (empty at value 0), in one (rows, values) pair
     of lists per word in ``sides``.  Any other column of S adds d^k, which
     keeps every digit and marks the index.  Columns marked in either word
-    run through the dict tier, one sparse image per word in ``dirty[c]``.
-    Both tiers multiply and sum in the ``compose`` chain's order, bit for bit.
+    get one sparse image per word in ``dirty[c]`` from the dict tier.  Both
+    tiers multiply and sum in the ``compose`` chain's order, bit for bit.
     """
     span, total = d**n, d**k
     single = [len(col) == 1 and 0 < abs(col[0][1]) < math.inf for col in cols]
@@ -113,24 +113,30 @@ def _word_images(cols, d: int, n: int, k: int, words):
     plans = [[letters[i] for i in word] for word in words]
     for lo in range(0, total, BLOCK):
         block = range(lo, min(lo + BLOCK, total))
-        sides, marked = [], set()
+        sides, trails, marked = [], [], set()
         for plan in plans:
-            xs, vs, value = list(block), [1] * len(block), 1
+            xs, vs = list(block), 1 if uniform else [1] * len(block)  # one value if uniform
+            trail = [(xs, vs)]  # the index tier before each letter
             for low, delta, _ in plan:
-                if not uniform:
-                    vs = [coef[x // low % span] * v for x, v in zip(xs, vs)]
+                vs = unit * vs if uniform else [coef[x // low % span] * v for x, v in zip(xs, vs)]
                 xs = [x + delta[x // low % span] for x in xs]
-                value = unit * value
+                trail.append((xs, vs))
             marked.update(c for c, x in zip(block, xs) if x >= total)
-            sides.append((xs, [value] * len(xs) if uniform else vs))
-        dirty = {c: [_dict_image(c, plan, span) for plan in plans] for c in sorted(marked)}
+            sides.append((xs, [vs] * len(xs) if uniform else vs))
+            trails.append(trail)
+        dirty = {c: [_dict_image(trail, plan, c - lo, total, span, uniform) for trail, plan in zip(trails, plans)] for c in sorted(marked)}
         yield lo, sides, dirty
 
 
-def _dict_image(c: int, plan, span: int) -> dict:
-    """The dict tier: e_c's sparse image under one word, zeros dropped per letter."""
-    vec = {c: 1}
-    for low, _, lcols in plan:
+def _dict_image(trail, plan, p: int, total: int, span: int, uniform: bool) -> dict:
+    """The dict tier: the sparse image of block column p under one word,
+    resumed from the index tier's (index, value) before the letter that
+    marked it (or after the last letter), zeros dropped per letter."""
+    t = next((t for t, (xs, _) in enumerate(trail) if xs[p] >= total), len(trail)) - 1
+    xs, vs = trail[t]
+    v = vs if uniform else vs[p]
+    vec = {xs[p]: v} if v != 0 else {}
+    for low, _, lcols in plan[t:]:
         out = {}
         for x, xv in vec.items():
             mid = x // low % span

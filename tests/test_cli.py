@@ -9,7 +9,8 @@ import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
-from braidforge.errors import CapExceededError
+from braidforge.errors import CapExceededError, VerdictDisagreementError
+from braidforge.reports import ReportBuilder
 from census_oracle import CENSUS_CASES, rescan_census
 
 
@@ -91,6 +92,21 @@ def test_check_malformed_json(capsys, tmp_path):
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/file.json")
     assert code == 2
+
+
+def test_failed_recheck_prints_its_message(capsys, monkeypatch, tmp_path):
+    # a recheck that fails prints the message alone, not a (message, witness) tuple
+    failing = ReportBuilder("fundamental-identity")
+    failing.record_witness("fundamental-identity", {"tuple": [0, 0, 0]})
+    monkeypatch.setattr(nl, "check_fundamental_identity", lambda a: failing.build())
+    src = write(tmp_path, "a.json", ser.nleibniz_to_document(nl.zero_algebra(2, 1)))
+    code, out, err = run(capsys, "build", "adjoin-unit", src, "--recheck")
+    assert (code, out) == (1, "")
+    assert err == "error: a theorem-certified construction failed its recheck\n"
+    with pytest.raises(VerdictDisagreementError) as info:
+        nl.adjoin_unit(nl.zero_algebra(2, 1), recheck=True)
+    assert str(info.value) == "a theorem-certified construction failed its recheck"
+    assert info.value.witness == {"tuple": [0, 0, 0]}
 
 
 def test_check_group(capsys, tmp_path, s3):

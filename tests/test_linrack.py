@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import braidforge.scalars as sc
 import braidforge.tensor as T
 import braidforge.ybops as yb
 import difference_oracle
+import linrack_oracle
 from braidforge.errors import NotCertifiedError, NotClosedError, PreconditionError
 
 ONE = Fraction(1)
@@ -339,6 +341,94 @@ def test_sym3_linear_4rack_check_stays_small(s3):
     assert peak < 4 * 2**20
 
 
+# -- the column kernels against the matrix oracle ---------------------------------
+#
+# Every law and builder of linrack runs one basis column at a time; the oracle
+# keeps the matrix forms they replace.  Reports must be equal without times and
+# built operators equal entry for entry, float entries bit for bit: the kernels
+# multiply and sum in the order of the matrix products.
+
+
+def _same_operator(got, want):
+    assert got.mode == want.mode
+    assert (got.domain_shape.total, got.codomain_shape.total) == (want.domain_shape.total, want.codomain_shape.total)
+    assert got.entries == want.entries
+
+
+@st.composite
+def coalgebras(draw):
+    """The base coalgebras of ``linear_nracks``, now and then with a few
+    coproduct and counit entries changed, so that the laws fail."""
+    c = draw(linear_nracks()).base
+    mode, dim = c.mode, c.dim
+    delta, counit = dict(c.delta.entries), dict(c.counit.entries)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        delta[(draw(st.integers(0, dim * dim - 1)), draw(st.integers(0, dim - 1)))] = _scalar(draw, mode)
+    for _ in range(draw(st.sampled_from([0, 0, 1]))):
+        counit[(0, draw(st.integers(0, dim - 1)))] = _scalar(draw, mode)
+    ops = [T.TensorOperator(op.domain_shape, op.codomain_shape, e, mode) for op, e in ((c.delta, delta), (c.counit, counit))]
+    return lr.Coalgebra(dim, *ops, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coalgebras())
+def test_coalgebra_laws_match_the_matrix_oracle(c):
+    assert _without_times(lr.check_coalgebra(c)) == _without_times(linrack_oracle.check_coalgebra(c))
+    assert c.cocommutative == linrack_oracle.cocommutative(c.delta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_nracks())
+def test_homomorphism_laws_match_the_matrix_oracle(l):
+    if not lr.check_coalgebra(l.base).passed:
+        return
+    got = {c["name"]: c.get("witness") for c in _without_times(lr.check_linear_nrack(l))["checks"]}
+    for name, witness in linrack_oracle.homomorphism_witnesses(l).items():
+        assert got[name] == witness, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(coalgebras(), st.integers(1, 3))
+def test_tensor_power_coalgebra_matches_the_matrix_oracle(c, k):
+    k = min(k, 2) if c.dim > 2 else k
+    power = lr.tensor_power_coalgebra(c, k)
+    delta, counit = linrack_oracle.tensor_power_coalgebra(c, k)
+    _same_operator(power.delta, delta)
+    _same_operator(power.counit, counit)
+    assert power.cocommutative == linrack_oracle.cocommutative(power.delta)
+    for legs in (1, 2, 3):
+        _same_operator(c.iterated_delta(legs), linrack_oracle.iterated_delta(c, legs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(linear_nracks())
+def test_builders_match_the_matrix_oracle(l):
+    """The braiding, the tensor-power rack and the fold, on inputs whose laws
+    hold and on inputs that fail them, marked certified so the builders run."""
+    l = replace(l, certified=True)
+    if not l.base.cocommutative:
+        with pytest.raises(PreconditionError):
+            lr.nrack_braiding(l)
+        return
+    try:
+        want = linrack_oracle.nrack_braiding(l)
+    except PreconditionError:
+        with pytest.raises(PreconditionError, match="inverse-mismatch"):
+            lr.nrack_braiding(l)
+    else:
+        for got, op in zip(lr.nrack_braiding(l), want):
+            _same_operator(got, op)
+    if l.arity > 2:
+        rack = lr.linear_rack_on_tensor_power(l)
+        for got, op in zip((rack.bracket, rack.inv_bracket), linrack_oracle.linear_rack_on_tensor_power(l)):
+            _same_operator(got, op)
+    else:
+        for arity in (3, 4):
+            folded = lr.linear_nrack_from_linear_rack(l, arity)
+            for got, op in zip((folded.bracket, folded.inv_bracket), linrack_oracle.fold(l, arity)):
+                _same_operator(got, op)
+
+
 # -- group-likes --------------------------------------------------------------
 
 
@@ -435,7 +525,7 @@ def test_tensor_power_functoriality(s3):
     f = T.TensorOperator(T.shape(6), T.shape(2), {(proj[g], g): ONE for g in range(6)})
     a = lr.linearize_nrack(conj3_s3)
     b = lr.linearize_nrack(conj3_c2)
-    assert lr.check_linear_nrack_homomorphism(a, b, f).passed
+    assert linrack_oracle.check_linear_nrack_homomorphism(a, b, f).passed
     ra = lr.linear_rack_on_tensor_power(a)
     rb = lr.linear_rack_on_tensor_power(b)
     f2 = T.tensor_many([f, f])
@@ -464,7 +554,7 @@ def test_kplus_nrack_homomorphism(t3):
     # the unit extension of the identity map is a linear n-rack homomorphism
     l = lr.linear_nrack_from_nleibniz(t3)
     f = T.identity(T.shape(4))
-    assert lr.check_linear_nrack_homomorphism(l, l, f).passed
+    assert linrack_oracle.check_linear_nrack_homomorphism(l, l, f).passed
 
 
 # -- braidings ----------------------------------------------------------------

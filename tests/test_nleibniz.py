@@ -3,10 +3,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import braidforge.nleibniz as nl
+import braidforge.scalars as sc
 import braidforge.tensor as T
+import nleibniz_oracle
 from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError
 
 ONE = Fraction(1)
@@ -76,6 +78,58 @@ def test_brute_force_oracle_agreement():
     for bracket, d, n in cases:
         mine = nl.check_fundamental_identity(nl.NLeibnizAlgebra(n, d, bracket)).passed
         assert mine == oracle(bracket, d, n)
+
+
+@st.composite
+def algebras(draw):
+    """Brackets of arity 2-4 on dim 1-3, nilpotent (outputs above the inputs,
+    so the identity often holds) or random, exact and float, with values
+    within and beyond EPS_CMP of each other."""
+    mode = draw(st.sampled_from(sc.MODES))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3 if n < 4 else 2))
+    nilpotent = draw(st.booleans())
+    if mode == sc.EXACT:
+        values = st.sampled_from([ONE, -ONE, Fraction(2), Fraction(1, 2), Fraction(-3, 2)])
+    else:
+        values = st.sampled_from([1.0, -1.0, 2.0, 0.3, 1 / 3, 3e-9, 1.0000000003])
+    bracket = {}
+    for _ in range(draw(st.integers(0, 4))):
+        key = tuple(draw(st.integers(0, d - 1)) for _ in range(n))
+        low = max(key) + 1 if nilpotent else 0
+        if low < d:
+            bracket.setdefault(key, {})[draw(st.integers(low, d - 1))] = draw(values)
+    return nl.NLeibnizAlgebra(n, d, bracket, mode)
+
+
+def _without_times(report):
+    doc = report.to_json()
+    for check in doc["checks"]:
+        del check["elapsed_ms"]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras())
+@example(nl.NLeibnizAlgebra(3, 3, {(0, 2, 1): {0: ONE}, (1, 2, 1): {1: -ONE}}))  # a side cancels to zero
+@example(nl.NLeibnizAlgebra(3, 2, {(1, 1, 1): {1: 0.7}, (0, 1, 1): {0: 0.1}}, sc.FLOAT))  # slots sum in order
+def test_fundamental_identity_matches_the_tuple_walk(a):
+    """Whole reports, witness tuple and both sides' vectors included."""
+    want = nleibniz_oracle.check_fundamental_identity(a)
+    assert _without_times(nl.check_fundamental_identity(a)) == _without_times(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebras(), st.data())
+def test_is_derivation_matches_the_tuple_walk(a, data):
+    """Right translations at basis tuples, and random maps."""
+    if data.draw(st.booleans()):
+        d_map = nl.ad_basis(a, [data.draw(st.integers(0, a.dim - 1)) for _ in range(a.arity - 1)])
+    else:
+        value = st.sampled_from([ONE, Fraction(-2, 3)] if a.mode == sc.EXACT else [1.0, -0.7])
+        entries = {(data.draw(st.integers(0, a.dim - 1)), data.draw(st.integers(0, a.dim - 1))): data.draw(value) for _ in range(3)}
+        d_map = T.TensorOperator(T.shape(a.dim), T.shape(a.dim), entries, a.mode)
+    assert _without_times(nl.is_derivation(a, d_map)) == _without_times(nleibniz_oracle.is_derivation(a, d_map))
 
 
 # -- ad / derivations ------------------------------------------------------

@@ -375,3 +375,14 @@ def test_index_lists_match_tuple_implementation(case, lift_to):
             lambda: oracle.nsolution_from_solution(o, lift_to),
         )
     same_or_both_refused(lambda: ss.solution_from_nsolution(s), lambda: oracle.solution_from_nsolution(o))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 3), st.data())
+def test_offset_map_matches_the_comprehension(m, n, extra, data):
+    k = n + extra
+    off = data.draw(st.integers(0, k - n))
+    image = data.draw(st.lists(st.integers(0, m**n - 1), min_size=m**n, max_size=m**n))
+    low = m ** (k - n - off)
+    want = [h + t * low + j for h in range(0, m**k, m**n * low) for t in image for j in range(low)]
+    assert ss.offset_map(image, m, n, k, off) == want
