@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars, tensor
-from .errors import PreconditionError, SchemaError, SeriesNotConvergedError, VerdictDisagreementError
+from .errors import SchemaError
 from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
 from .tensor import TensorOperator, TensorShape
 
@@ -321,49 +321,6 @@ def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) 
     return out
 
 
-def extend_bracket_by_leibniz(
-    leib: NLeibnizAlgebra, b: NLeibnizAlgebra, recheck: bool = False
-) -> NLeibnizAlgebra:
-    """Extend a Leibniz algebra by an n-linear bracket b into an (n+1)-ary bracket
-    [[x_1..x_{n+1}]] = {x_1, b(x_2..x_{n+1})}.
-
-    Requires every right translation {-, y} of the Leibniz algebra to be
-    a derivation of b, checked exhaustively on basis tuples.
-    """
-    if leib.arity != 2:
-        raise SchemaError("the extending algebra must be binary")
-    if leib.dim != b.dim or leib.mode != b.mode:
-        raise SchemaError("brackets must live on the same space")
-    leib = certify(leib)
-    one = scalars.one(leib.mode)
-    for y in range(leib.dim):
-        d_map = ad(leib, [{y: one}])
-        report = is_derivation(b, d_map)
-        if not report.passed:
-            raise PreconditionError(
-                f"right translation by e_{y} is not a derivation of the given bracket",
-                {"y": y, **(report.witness or {})},
-            )
-    new = {}
-    for tpl in itertools.product(range(leib.dim), repeat=b.arity + 1):
-        inner = b.bracket_basis(tpl[1:])
-        if not inner:
-            continue
-        outv = leib.bracket_apply([{tpl[0]: one}, inner])
-        if outv:
-            new[tpl] = outv
-    out = NLeibnizAlgebra(b.arity + 1, leib.dim, new, leib.mode, False)
-    report = check_fundamental_identity(out)
-    if not report.passed:
-        raise VerdictDisagreementError(
-            "extension passed its preconditions but fails the fundamental identity"
-        )
-    out = out.as_certified()
-    if recheck:
-        confirm(check_fundamental_identity(out))
-    return out
-
-
 def fundamental_leibniz(a, recheck: bool = False):
     """The induced Leibniz bracket on the (n-1)-st tensor power:
 
@@ -417,60 +374,3 @@ def adjoin_unit(a: NLeibnizAlgebra, recheck: bool = False) -> CentralNLeibnizAlg
     if recheck:
         confirm(check_fundamental_identity(out_alg))
     return CentralNLeibnizAlgebra(out_alg, {0: scalars.one(a.mode)})
-
-
-# -- homomorphisms -----------------------------------------------------
-
-
-def is_homomorphism(a: NLeibnizAlgebra, b: NLeibnizAlgebra, phi: TensorOperator) -> VerificationReport:
-    """Check that phi preserves brackets, plus the exp-intertwining law
-    phi o exp(ad_y) = exp(ad_{phi y}) o phi on basis (n-1)-tuples.
-
-    The intertwining check is skipped (and reported so) when an
-    exponential is not computable in the algebras' mode.
-    """
-    if a.arity != b.arity or a.mode != b.mode:
-        raise SchemaError("homomorphism check needs algebras of equal arity and mode")
-    if phi.domain_shape.total != a.dim or phi.codomain_shape.total != b.dim:
-        raise SchemaError("phi has the wrong shape")
-    rb = ReportBuilder("homomorphism")
-    cols = phi.columns()
-    phi_cols = [cols.get(i, []) for i in range(a.dim)]
-    phi_basis = [dict(col) for col in phi_cols]
-    witness = None
-    for tpl in itertools.product(range(a.dim), repeat=a.arity):
-        lhs = tensor.apply_columns(phi_cols, a.bracket_basis(tpl).items())
-        rhs = b.bracket_apply([phi_basis[i] for i in tpl])
-        if first_difference(lhs, rhs, a.mode) is not None:
-            witness = _tuple_witness(tpl, lhs, rhs, 1, a.mode)
-            break
-    rb.record_witness("bracket-preserving", witness)
-
-    one = scalars.one(a.mode)
-    exact = a.mode == scalars.EXACT
-    computable = True
-    if exact:
-        for key in itertools.product(range(a.dim), repeat=a.arity - 1):
-            if not tensor.is_nilpotent(ad_basis(a, key)):
-                computable = False
-                break
-            if not tensor.is_nilpotent(ad(b, [phi_basis[i] for i in key])):
-                computable = False
-                break
-    if not computable:
-        rb.skip("exp-intertwining", "exponential not computable in exact mode (non-nilpotent adjoint)")
-        return rb.build()
-    ok, witness = True, None
-    for key in itertools.product(range(a.dim), repeat=a.arity - 1):
-        ys = [{i: one} for i in key]
-        try:
-            ea = exp_ad(a, ys)
-            eb = exp_ad(b, [phi_basis[i] for i in key])
-        except SeriesNotConvergedError:
-            rb.skip("exp-intertwining", f"series did not converge at basis tuple {list(key)}")
-            return rb.build()
-        if (phi @ ea) != (eb @ phi):
-            ok, witness = False, {"tuple": list(key)}
-            break
-    rb.record("exp-intertwining", ok, witness)
-    return rb.build()

@@ -25,7 +25,7 @@ from .errors import (
     SeriesNotConvergedError,
     VerdictDisagreementError,
 )
-from .nleibniz import NLeibnizAlgebra, ad, exp_ad, fundamental_leibniz
+from .nleibniz import NLeibnizAlgebra, exp_ad, fundamental_leibniz
 from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
 from .tensor import flat_index
 
@@ -126,10 +126,6 @@ class FiniteGroup:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "labels", tuple(self.labels))
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.mul[a][b] == self.mul[b][a] for a in range(self.size) for b in range(self.size)
-        )
 
 
 def _group_axioms(size: int, mul):
@@ -382,16 +378,6 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     return out
 
 
-def homomorphism_check(a: FiniteNRack, b: FiniteNRack, phi) -> bool:
-    """Whether the point map phi: X_a -> X_b preserves the operations."""
-    if a.arity != b.arity:
-        raise SchemaError("arity mismatch")
-    for xs in itertools.product(range(a.size), repeat=a.arity):
-        if phi[a.apply(xs)] != b.apply(tuple(phi[x] for x in xs)):
-            return False
-    return True
-
-
 # -- vector n-racks from n-Leibniz algebras ----------------------------
 
 
@@ -430,9 +416,6 @@ class VectorNRack:
             raise SchemaError("wrong number of arguments")
         return self._exp_at(vectors[1:]).apply(vectors[0])
 
-    def translation_inverse(self, ys):
-        """exp(-ad_{y_1..y_{n-1}}), the inverse right translation (exact mode)."""
-        return tensor.exp_nilpotent(ad(self.algebra, ys).scale(-1))
 
 
 def nrack_from_nleibniz(a: NLeibnizAlgebra, mode=None) -> VectorNRack:

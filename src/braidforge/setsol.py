@@ -166,8 +166,16 @@ def compose(maps):
 
 def braid_sides(maps, side: str):
     """Both words of ``braid_words(n, side)`` run on every flat index by
-    list lookup, for the n ``offset_maps`` on 2n-1 digits: (lhs images, rhs images)."""
-    return tuple(compose(maps[off] for off in word) for word in braid_words(len(maps), side))
+    list lookup, for the n ``offset_maps`` on 2n-1 digits: (lhs images, rhs images).
+    The words share a run of n-1 letters, composed once for both."""
+    n = len(maps)
+    lhs, rhs = braid_words(n, side)
+    i, j = next((i, j) for i in (0, 1) for j in (0, 1) if lhs[i : i + n - 1] == rhs[j : j + n - 1])
+    run = compose(maps[off] for off in lhs[i : i + n - 1])
+    return tuple(
+        compose([maps[off] for off in word[:at]] + [run] + [maps[off] for off in word[at + n - 1 :]])
+        for word, at in ((lhs, i), (rhs, j))
+    )
 
 
 def _relation(s: SetNMap, maps, side: str):
@@ -216,15 +224,6 @@ def involutive_order(s: SetNMap, cap: int = INVOLUTIVE_ORDER_CAP):
             return k
         current = [s.image[x] for x in current]
     return None
-
-
-def classify_3solution(s: SetNMap) -> SolutionProfile:
-    """Profile a ternary map, including the component families of
-    s(x,y,z) = (sigma_{x,z}(y), tau_{x,y}(z), eta_{y,z}(x)):
-    middle/left/right nondegeneracy is bijectivity of sigma/tau/eta."""
-    if s.arity != 3:
-        raise SchemaError("classification of components needs arity 3")
-    return check_set_nsolution(s)
 
 
 def check_set_nsolution(s: SetNMap, dim_cap=None) -> SolutionProfile:
@@ -327,37 +326,122 @@ def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
     if m < 1 or n < 2:
         raise SchemaError(f"a census needs m >= 1 and n >= 2, got m={m}, n={n}")
     _check_enumeration_cap(m, n)
-    if table_filter == "nsolution":
-        found = list(_enumerate_nsolution(m, n))
-    else:
-        found = list(_enumerate_distributive(m, n, bijective=table_filter == "nrack"))
+    found = _census(m, n, table_filter)
     census = {"filter": table_filter, "m": m, "n": n, "count": len(found)}
     if dump:
         census["tables"] = [list(t.table) for t in found]
     return census, found
 
 
-def _watched_dfs(m: int, n: int, candidates, parked, resume):
-    """Every table whose columns (right translations by the n-1 trailing
-    arguments, in flat order) pass all law instances, in candidate order.
+def _census(m: int, n: int, table_filter: str):
+    """Every table passing the filter: the Sym(m) orbit of each
+    representative, without repeats, sorted by column sequence in index
+    order, which is the order of a search over lexicographic candidates."""
+    candidates, relabellings = _relabellings(m, n, table_filter != "nshelf")
+    search = _enumerate_nsolution if table_filter == "nsolution" else _enumerate_distributive
+    reps = search(m, n, candidates, relabellings)
+    labelled = sorted({tuple(conj[rep[s]] for s in src) for rep in reps for src, conj in relabellings})
+    return [FiniteNRack(m, n, tuple(candidates[c][x] for x in range(m) for c in cols)) for cols in labelled]
 
-    Columns are assigned in index order.  parked[k] holds the instances
-    blocked on column k, and assigning it resumes only those:
+
+def _column_order(m: int, n: int):
+    """(order, rank) of the translation columns: the diagonal columns
+    (a, ..., a) for a = 0..m-1 first, then the others in index order.
+    Relabelling maps diagonal columns to diagonal ones, so every
+    comparison with a relabelled table can start once they are assigned."""
+    diagonal = [flat_index((a,) * (n - 1), m) for a in range(m)]
+    order = diagonal + [c for c in range(m ** (n - 1)) if c not in diagonal]
+    rank = [0] * len(order)
+    for p, c in enumerate(order):
+        rank[c] = p
+    return order, rank
+
+
+def _relabellings(m: int, n: int, bijective: bool):
+    """(candidates, relabellings): the candidate columns in lexicographic
+    order, permutations or all maps, and for every sigma in Sym(m),
+    identity first, the pair (src, conj).  The relabelled table
+    T^sigma(x) = sigma T(sigma^-1 x) has at column c the candidate
+    conj[i] = sigma t sigma^-1, where i indexes t, the column src[c] =
+    sigma^-1(c) of T."""
+    if bijective:
+        candidates = list(itertools.permutations(range(m)))
+    else:
+        candidates = list(itertools.product(range(m), repeat=m))
+    index = {c: i for i, c in enumerate(candidates)}
+    digits = power_shape(m, n - 1).multi
+    relabellings = []
+    for sigma in itertools.permutations(range(m)):
+        inv = sorted(range(m), key=sigma.__getitem__)
+        src = [flat_index([inv[a] for a in digits(c)], m) for c in range(m ** (n - 1))]
+        conj = [index[tuple(sigma[t[x]] for x in inv)] for t in candidates]
+        relabellings.append((src, conj))
+    return candidates, relabellings
+
+
+def _lex_leader(watch, p: int, chosen):
+    """Advance each relabelling's comparison of T^sigma with T over the
+    positions comparable once position p is assigned.  None when some
+    T^sigma is smaller, so no completion is an orbit minimum; else the
+    relabellings still tied, each with its first uncompared position."""
+    tied = []
+    for steps, conj, q in watch:
+        d, s, ready = steps[q]
+        while ready <= p:
+            a, b = conj[chosen[s]], chosen[d]
+            if a != b:
+                break
+            q += 1
+            d, s, ready = steps[q]
+        else:
+            tied.append((steps, conj, q))
+            continue
+        if a < b:
+            return None
+    return tied
+
+
+def _watched_dfs(m: int, n: int, candidates, relabellings, parked, resume):
+    """The lexicographically least table of each Sym(m) orbit of tables
+    whose columns (right translations by the n-1 trailing arguments) pass
+    all law instances, as candidate indices in column index order.
+
+    Columns are assigned in ``_column_order``, each running through the
+    candidates in order.  parked[k] holds the instances blocked on
+    column k, and assigning it resumes only those:
     ``resume(state, columns)`` is True or False once both sides are
     known, else (j, state) to park on the unassigned column j.  Parkings
     are undone on backtrack, so an instance is compared at the depth that
     assigns the last column it reads (watched literals, as in Chaff).
-    """
-    ncols = m ** (n - 1)
-    columns = [None] * ncols
 
-    def dfs(k):
-        if k == ncols:
-            # flat table in storage order (first argument most significant)
-            yield FiniteNRack(m, n, tuple(col[x] for x in range(m) for col in columns))
+    Tables are compared by their column sequence in assignment order.
+    Column c of T^sigma is conj[t_src[c]], so it is known once c and
+    src[c] are assigned.  Each sigma keeps the first position where T and
+    T^sigma are not yet compared: a smaller T^sigma prunes the node, a
+    larger one drops sigma for the subtree (orderly generation, as in
+    McKay, "Isomorph-free exhaustive generation", 1998).  This runs
+    before the node's instances, which cost more.  The filters are
+    invariant under relabelling, so the leaves are the orbit minima.
+    """
+    order, rank = _column_order(m, n)
+    ncols = len(order)
+    columns, chosen = [None] * ncols, [None] * ncols
+    # per position: (column, the column of T it reads in T^sigma, the position that assigns both); then a sentinel
+    watch = [
+        ([(c, src[c], max(p, rank[src[c]])) for p, c in enumerate(order)] + [(0, 0, ncols)], conj, 0)
+        for src, conj in relabellings[1:]
+    ]
+
+    def dfs(p, watch):
+        if p == ncols:
+            yield tuple(chosen)
             return
-        for cand in candidates:
-            columns[k] = cand
+        k = order[p]
+        for i, cand in enumerate(candidates):
+            columns[k], chosen[k] = cand, i
+            tied = _lex_leader(watch, p, chosen)
+            if tied is None:
+                continue
             trail = []
             for state in parked[k]:
                 verdict = resume(state, columns)
@@ -369,29 +453,29 @@ def _watched_dfs(m: int, n: int, candidates, parked, resume):
                 parked[j].append(state)
                 trail.append(j)
             else:
-                yield from dfs(k + 1)
+                yield from dfs(p + 1, tied)
             for j in trail:
                 parked[j].pop()
         columns[k] = None
 
-    yield from dfs(0)
+    yield from dfs(0, watch)
+    del dfs  # dfs refers to itself: without this, the search's lists wait for a full collection
 
 
-def _enumerate_distributive(m: int, n: int, bijective: bool):
-    """Tables passing self-distributivity, over translation columns.
+def _enumerate_distributive(m: int, n: int, candidates, relabellings):
+    """Orbit representatives of the tables passing self-distributivity,
+    with columns among the candidates (permutations for racks).
 
     The instance (xs, ys) reads the columns c1 of (x_2..x_n), ys, and c3
-    of (t_ys(x_2)..t_ys(x_n)): it waits on max(c1, ys), then on c3.
+    of (t_ys(x_2)..t_ys(x_n)): it waits on whichever of c1 and ys comes
+    later in the column order, then on c3.
     """
-    if bijective:
-        candidates = list(itertools.permutations(range(m)))
-    else:
-        candidates = list(itertools.product(range(m), repeat=m))
-    parked = [[] for _ in range(m ** (n - 1))]
+    _, rank = _column_order(m, n)
+    parked = [[] for _ in rank]
     for xs in itertools.product(range(m), repeat=n):
         c1 = flat_index(xs[1:], m)
         for ys in range(len(parked)):
-            parked[max(c1, ys)].append((xs[0], xs[1:], c1, ys, None))
+            parked[c1 if rank[c1] > rank[ys] else ys].append((xs[0], xs[1:], c1, ys, None))
 
     def resume(state, columns):
         x0, tail, c1, ys, c3 = state
@@ -402,15 +486,15 @@ def _enumerate_distributive(m: int, n: int, bijective: bool):
                 return c3, (x0, tail, c1, ys, c3)
         return ty[columns[c1][x0]] == columns[c3][ty[x0]]
 
-    return _watched_dfs(m, n, candidates, parked, resume)
+    return _watched_dfs(m, n, candidates, relabellings, parked, resume)
 
 
-def _enumerate_nsolution(m: int, n: int):
-    """Tables whose induced map s(x) = (x_2..x_n, <x>) satisfies the right
-    relation and is bijective, over translation columns.
+def _enumerate_nsolution(m: int, n: int, candidates, relabellings):
+    """Orbit representatives of the tables whose induced map
+    s(x) = (x_2..x_n, <x>) satisfies the right relation and is bijective.
 
     Bijectivity of s forces every column to be a permutation (elementary
-    injectivity in the first argument), so candidates are permutations.
+    injectivity in the first argument), so the candidates are permutations.
     A (2n-1)-tuple's instance runs the left word, then the right one, on
     flat indices; s at an offset reads the column of the n-1 digits after
     the offset's head.
@@ -448,4 +532,4 @@ def _enumerate_nsolution(m: int, n: int):
     for x in range(len(tuples)):
         j, state = resume((x, 0, x, None), unassigned)
         parked[j].append(state)
-    return _watched_dfs(m, n, list(itertools.permutations(range(m))), parked, resume)
+    return _watched_dfs(m, n, candidates, relabellings, parked, resume)

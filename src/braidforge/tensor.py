@@ -322,10 +322,6 @@ def identity(shp: TensorShape, mode=scalars.EXACT) -> TensorOperator:
     return TensorOperator(shp, shp, {(i, i): o for i in range(shp.total)}, mode, validate=False)
 
 
-def zero_operator(domain_shape, codomain_shape, mode=scalars.EXACT) -> TensorOperator:
-    return TensorOperator(domain_shape, codomain_shape, {}, mode, validate=False)
-
-
 def _check_permutation(perm, k):
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(k)):

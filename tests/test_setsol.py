@@ -65,13 +65,14 @@ def test_conjugation_solution_nondegenerate_not_3involutive(conj3):
 
 def test_degenerate_classification():
     collapse = ss.from_function(2, 3, lambda x, y, z: (y, z, 0))
-    p = ss.classify_3solution(collapse)
+    p = ss.check_set_nsolution(collapse)
     assert p.nondegenerate == {"middle": True, "left": True, "right": False}
 
 
 def test_classify_requires_arity_3():
-    with pytest.raises(SchemaError):
-        ss.classify_3solution(ss.flip_map(2, 2))
+    # the component families sigma, tau, eta exist for ternary maps only
+    assert ss.nondegeneracy(ss.flip_map(2, 2)) is None
+    assert ss.check_set_nsolution(ss.flip_map(2, 2)).nondegenerate is None
 
 
 # -- rack correspondence --------------------------------------------------------
@@ -386,3 +387,91 @@ def test_offset_map_matches_the_comprehension(m, n, extra, data):
     low = m ** (k - n - off)
     want = [h + t * low + j for h in range(0, m**k, m**n * low) for t in image for j in range(low)]
     assert ss.offset_map(image, m, n, k, off) == want
+
+
+# -- orbit representatives under relabelling ---------------------------------
+
+
+def relabel(table, m, n, sigma):
+    """T^sigma(x_1..x_n) = sigma T(sigma^-1 x_1, ..., sigma^-1 x_n), as a flat table."""
+    out = [0] * m**n
+    for xs, v in zip(itertools.product(range(m), repeat=n), table):
+        out[sum(sigma[x] * m ** (n - 1 - i) for i, x in enumerate(xs))] = sigma[v]
+    return tuple(out)
+
+
+def representatives(m, n, table_filter):
+    """The private search, past any cap: the lex-least table of each Sym(m) orbit, as flat tables."""
+    candidates, relabellings = ss._relabellings(m, n, table_filter != "nshelf")
+    search = ss._enumerate_nsolution if table_filter == "nsolution" else ss._enumerate_distributive
+    reps = search(m, n, candidates, relabellings)
+    return [tuple(candidates[c][x] for x in range(m) for c in rep) for rep in reps]
+
+
+@pytest.mark.parametrize(
+    "m, n, table_filter, classes",
+    [
+        *((m, 2, "nrack", c) for m, c in zip(range(1, 6), (1, 2, 6, 19, 74))),  # racks up to isomorphism, OEIS A181771
+        (3, 3, "nrack", 55),
+        (3, 3, "nsolution", 55),
+        (3, 2, "nshelf", 48),
+        (4, 2, "nshelf", 720),
+        (2, 3, "nshelf", 33),
+    ],
+)
+def test_orbit_representative_counts(m, n, table_filter, classes):
+    assert len(representatives(m, n, table_filter)) == classes
+
+
+@pytest.mark.parametrize("table_filter", ["nrack", "nsolution"])
+def test_labelled_census_past_the_cap(table_filter):
+    # the orbits of the 74 binary racks on five points hold 1708 labelled tables
+    assert len(ss._census(5, 2, table_filter)) == 1708
+
+
+@pytest.mark.parametrize("m, n, table_filter", CENSUS_CASES)
+def test_census_dump_is_closed_under_relabelling(m, n, table_filter):
+    tables = set(rescan_census(m, n, table_filter))
+    for table in tables:
+        assert all(relabel(table, m, n, sigma) in tables for sigma in itertools.permutations(range(m)))
+
+
+@pytest.mark.parametrize("m, n, table_filter", CENSUS_CASES)
+def test_representatives_are_the_orbit_minima(m, n, table_filter):
+    # tables compare by their columns, the diagonal columns (a, ..., a) first and then the rest in index order
+    ncols = m ** (n - 1)
+    diagonal = [sum(a * m**i for i in range(n - 1)) for a in range(m)]
+    order = diagonal + [c for c in range(ncols) if c not in diagonal]
+
+    def key(table):
+        return [table[c::ncols] for c in order]
+
+    perms = list(itertools.permutations(range(m)))
+    minima = {min((relabel(t, m, n, sigma) for sigma in perms), key=key) for t in rescan_census(m, n, table_filter)}
+    assert representatives(m, n, table_filter) == sorted(minima, key=key)
+
+
+@st.composite
+def relabelled_tables(draw):
+    """(m, n, a table, a relabelling sigma in Sym(m)): random tables and census racks."""
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 4))
+    if (n == 2 or m < 4) and draw(st.booleans()):
+        table = draw(st.sampled_from(racks(m, n))).table
+    else:
+        table = tuple(draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n)))
+    return m, n, table, draw(st.permutations(range(m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_tables())
+def test_filters_are_invariant_under_relabelling(case):
+    # the census searches one table per orbit because every verdict below is the same on T and T^sigma
+    m, n, table, sigma = case
+    t, ts = nr.FiniteNRack(m, n, table), nr.FiniteNRack(m, n, relabel(table, m, n, sigma))
+    assert [(c.name, c.status) for c in nr.check_nrack(t).checks] == [
+        (c.name, c.status) for c in nr.check_nrack(ts).checks
+    ]
+    s, ss_sigma = ss.solution_from_nrack(t), ss.solution_from_nrack(ts)
+    assert ss.satisfies(s, "right")[0] == ss.satisfies(ss_sigma, "right")[0]
+    assert s.is_bijective() == ss_sigma.is_bijective()
