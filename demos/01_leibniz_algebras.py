@@ -34,7 +34,7 @@ print("ad_{e1,e1} is a derivation:", nl.is_derivation(t3, ad).passed)
 # The adjoint is nilpotent, so its exponential is a finite exact sum.
 exp = nl.exp_ad(t3, [{1: ONE}, {1: ONE}])
 print("exp(ad) =", sorted(exp.entries.items()))
-print("exp(ad) o exp(-ad) = Id:", exp @ T.exp_nilpotent(ad.scale(-1)) == T.identity(T.shape(3)))
+print("exp(ad) o exp(-ad) = Id:", exp @ T.exp_nilpotent(ad.scaled(-1)) == T.identity(T.shape(3)))
 
 # <x_1, x_2, x_3> = exp(ad_{x_2, x_3})(x_1) makes the whole space a ternary
 # rack; self-distributivity is certified on a deterministic sample grid

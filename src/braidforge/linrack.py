@@ -27,13 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import scalars, tensor
 from .errors import NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
 from .reports import ReportBuilder, VerificationReport, certified, column_witness, confirm, refuse_uncertified
-from .tensor import TensorOperator, TensorShape, apply_columns, flat_index
+from .tensor import TensorOperator, TensorShape, apply_columns, flat_index, kron_columns
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class Coalgebra:
             raise SchemaError("counit must map C to the ground field")
         delta = self.delta.with_shapes(TensorShape((self.dim,)), tensor.power_shape(self.dim, 2))
         object.__setattr__(self, "delta", delta)
-        cols, d = delta.integer_columns()[0], self.dim
+        cols, d = delta.columns, self.dim
         swapped = ((x, dict(col), {r % d * d + r // d: v for r, v in col}) for x, col in enumerate(cols))
         object.__setattr__(self, "cocommutative", column_witness(swapped, delta.mode) is None)
         if self.candidates is None:
@@ -73,29 +72,18 @@ class Coalgebra:
         if legs < 1:
             raise SchemaError("need at least one leg")
         shp = TensorShape((self.dim,))
-        return _operator(*_iterated_columns(self, legs), shp, tensor.power_shape(self.dim, legs), self.mode)
+        cols, scale = _iterated_columns(self, legs)
+        return TensorOperator.from_columns(shp, tensor.power_shape(self.dim, legs), cols, scale, self.mode)
 
 
-# Columns are lists of (row, value) over one scale, integers in exact mode; the
-# kernels multiply and sum in the order of the matrix products, bit for bit.
-
-
-def _operator(cols, scale, domain_shape, codomain_shape, mode) -> TensorOperator:
-    """The operator whose columns are ``cols`` over ``scale``, equal exact
-    values sharing one Fraction."""
-    exact = mode == scalars.EXACT
-    value = {v: Fraction(v, scale) for v in {v for col in cols for _, v in col}} if exact else {}
-    entries = {(r, c): value[v] if exact else float(v) for c, col in enumerate(cols) for r, v in col}
-    return TensorOperator(domain_shape, codomain_shape, entries, mode, validate=False)
+# The kernels below run on the operators' stored columns, lists of (row, value)
+# over one scale, integers in exact mode; they multiply and sum in the order of
+# the matrix products, bit for bit, and build their results with
+# TensorOperator.from_columns.
 
 
 def _nonzero(vec: dict) -> list:
     return [(r, v) for r, v in vec.items() if v]
-
-
-def _kron(f, g, rows: int):
-    """The columns of f (x) g, for columns f, g and ``rows`` rows of g."""
-    return [[(s * rows + t, a * b) for s, a in f[p] for t, b in g[q]] for p in range(len(f)) for q in range(len(g))]
 
 
 def _dealt(cols, c: int, legs: int, k: int):
@@ -126,21 +114,20 @@ def _reversal(c: int, k: int):
 
 def _iterated_columns(c: Coalgebra, legs: int):
     """(columns, scale) of Delta^(legs) = (Delta (x) id^(legs-2)) Delta^(legs-1)."""
-    delta, scale = c.delta.integer_columns()
+    delta, scale = c.delta.columns, c.delta.scale
     cols = [[(x, 1)] for x in range(c.dim)]
     for k in range(1, legs):
-        step = _kron(delta, [[(x, 1)] for x in range(c.dim ** (k - 1))], c.dim ** (k - 1))
+        step = kron_columns(delta, [[(x, 1)] for x in range(c.dim ** (k - 1))], c.dim ** (k - 1))
         cols = [_nonzero(apply_columns(step, col)) for col in cols]
     return cols, scale ** (legs - 1)
 
 
 def set_coalgebra(size: int, mode=scalars.EXACT) -> Coalgebra:
     """k[X] for a finite set: Delta x = x (x) x, eps x = 1."""
-    one = scalars.one(mode)
     shp = TensorShape((size,))
-    diagonal = {(flat_index((x, x), size), x): one for x in range(size)}
-    delta = TensorOperator(shp, tensor.power_shape(size, 2), diagonal, mode, validate=False)
-    counit = TensorOperator(shp, TensorShape((1,)), {(0, x): one for x in range(size)}, mode, validate=False)
+    diagonal = [[(flat_index((x, x), size), 1)] for x in range(size)]
+    delta = TensorOperator.from_columns(shp, tensor.power_shape(size, 2), diagonal, 1, mode)
+    counit = TensorOperator.from_columns(shp, TensorShape((1,)), [[(0, 1)]] * size, 1, mode)
     return Coalgebra(size, delta, counit, mode)
 
 
@@ -151,13 +138,9 @@ def kplus_coalgebra(dim: int, mode=scalars.EXACT) -> Coalgebra:
     eps is the scalar part.
     """
     c = dim + 1
-    one = scalars.one(mode)
-    entries = {(0, 0): one}
-    for i in range(1, c):
-        entries[(flat_index((i, 0), c), i)] = one
-        entries[(flat_index((0, i), c), i)] = one
-    delta = TensorOperator(TensorShape((c,)), tensor.power_shape(c, 2), entries, mode, validate=False)
-    counit = TensorOperator(TensorShape((c,)), TensorShape((1,)), {(0, 0): one}, mode, validate=False)
+    cols = [[(0, 1)]] + [[(flat_index((i, 0), c), 1), (flat_index((0, i), c), 1)] for i in range(1, c)]
+    delta = TensorOperator.from_columns(TensorShape((c,)), tensor.power_shape(c, 2), cols, 1, mode)
+    counit = TensorOperator.from_columns(TensorShape((c,)), TensorShape((1,)), [[(0, 1)]] + [[]] * dim, 1, mode)
     return Coalgebra(c, delta, counit, mode)
 
 
@@ -168,8 +151,8 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
     if k == 1:
         return base
     c, ck = base.dim, base.dim**k
-    delta, dscale = base.delta.integer_columns()
-    counit, escale = base.counit.integer_columns()
+    delta, dscale = base.delta.columns, base.delta.scale
+    counit, escale = base.counit.columns, base.counit.scale
     dcols = [[(p * ck + q, v) for (p, q), v in col] for col in _dealt(delta, c, 2, k)]
     ecols = [[(0, v) for _, v in col] for col in _dealt(counit, c, 1, k)]
     shp = tensor.power_shape(c, k)
@@ -177,8 +160,8 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
         tensor.tensor_vector(combo, shp, base.mode)
         for combo in itertools.product(base.candidates, repeat=k)
     )
-    delta = _operator(dcols, dscale**k, shp, tensor.power_shape(ck, 2), base.mode)
-    counit = _operator(ecols, escale**k, shp, TensorShape((1,)), base.mode)
+    delta = TensorOperator.from_columns(shp, tensor.power_shape(ck, 2), dcols, dscale**k, base.mode)
+    counit = TensorOperator.from_columns(shp, TensorShape((1,)), ecols, escale**k, base.mode)
     return Coalgebra(ck, delta, counit, base.mode, candidates=candidates)
 
 
@@ -188,13 +171,13 @@ def check_coalgebra(c: Coalgebra) -> VerificationReport:
     = (id (x) eps) Delta x = x.  The cocommutativity flag is derived from the
     coproduct at construction, so its check records a pass."""
     rb = ReportBuilder(f"coalgebra(dim={c.dim}, cocommutative={c.cocommutative})")
-    delta, dscale = c.delta.integer_columns()
-    counit, escale = c.counit.integer_columns()
+    delta, dscale = c.delta.columns, c.delta.scale
+    counit, escale = c.counit.columns, c.counit.scale
     d, ident = c.dim, [[(x, 1)] for x in range(c.dim)]
     laws = {
-        "coassociativity": (_kron(delta, ident, d), _kron(ident, delta, d * d)),
-        "counit-left": (_kron(counit, ident, d), None),
-        "counit-right": (_kron(ident, counit, 1), None),
+        "coassociativity": (kron_columns(delta, ident, d), kron_columns(ident, delta, d * d)),
+        "counit-left": (kron_columns(counit, ident, d), None),
+        "counit-right": (kron_columns(ident, counit, 1), None),
     }
     for name, (left, right) in laws.items():
         sides = ((x, apply_columns(left, col), apply_columns(right, col) if right else {x: dscale * escale}) for x, col in enumerate(delta))
@@ -227,8 +210,8 @@ def _coproduct_sides(l: LinearNRack, op: TensorOperator):
     """Both sides of Delta(b(xs)) = sum b(xs^(1)) (x) b(xs^(2)), the legs of
     the x_i dealt, as (col, lhs, rhs), both over scale_b^2 * scale_Delta^n."""
     c, n = l.base.dim, l.arity
-    b, scale = op.integer_columns()
-    delta, dscale = l.base.delta.integer_columns()
+    b, scale = op.columns, op.scale
+    delta, dscale = l.base.delta.columns, l.base.delta.scale
     lift = scale * dscale ** (n - 1)
     for col, terms in enumerate(_dealt(delta, c, 2, n)):
         rhs = {}
@@ -243,8 +226,8 @@ def _counit_sides(l: LinearNRack, op: TensorOperator):
     """Both sides of eps(b(xs)) = eps(x_1)...eps(x_n) as (col, lhs, rhs),
     both over scale_b * scale_eps^n."""
     n = l.arity
-    b, scale = op.integer_columns()
-    counit, escale = l.base.counit.integer_columns()
+    b, scale = op.columns, op.scale
+    counit, escale = l.base.counit.columns, l.base.counit.scale
     lift = escale ** (n - 1)
     for col, eps in enumerate(_counit_power(counit, n)):
         yield col, apply_columns(counit, [(r, w * lift) for r, w in b[col]]), {0: eps * scale}
@@ -277,7 +260,7 @@ def _distributivity_sides(l: LinearNRack):
     lifted from scale_b^2 to the rhs's scale_b^(n+1) * scale_Delta^((n-1)^2)."""
     c, n = l.base.dim, l.arity
     span = c ** (n - 1)
-    b, scale = l.bracket.integer_columns()
+    b, scale = l.bracket.columns, l.bracket.scale
     delta, dscale = _iterated_columns(l.base, n)
     lift = (scale * dscale) ** (n - 1)
     for t, dealt in enumerate(_dealt(delta, c, n, n - 1)):
@@ -295,10 +278,10 @@ def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator
     vs outer and u inner, lifted to one scale in exact mode."""
     c, n = l.base.dim, l.arity
     span = c ** (n - 1)
-    f, fscale = first.integer_columns()
-    g, gscale = second.integer_columns()
-    delta, dscale = l.base.delta.integer_columns()
-    counit, escale = l.base.counit.integer_columns()
+    f, fscale = first.columns, first.scale
+    g, gscale = second.columns, second.scale
+    delta, dscale = l.base.delta.columns, l.base.delta.scale
+    counit, escale = l.base.counit.columns, l.base.counit.scale
     rev, eps = _reversal(c, n - 1), _counit_power(counit, n - 1)
     for t, dealt in enumerate(_dealt(delta, c, 2, n - 1)):
         terms = []
@@ -357,21 +340,18 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
         raise SchemaError("linearize right-side tables; reverse a left table first")
     m, n = t.size, t.arity
     base = set_coalgebra(m, mode)
-    one = scalars.one(mode)
     dom = tensor.power_shape(m, n)
     cod = TensorShape((m,))
-    entries = {}
-    inv_entries = {}
-    for args in itertools.product(range(m), repeat=n):
-        col = dom.flat(args)
-        entries[(t.apply(args), col)] = one
+    cols, inv_cols = [], []
+    for args in itertools.product(range(m), repeat=n):  # the columns in flat order
+        cols.append([(t.apply(args), 1)])
         rev = t.translation(tuple(reversed(args[1:])))
         inv = [0] * m
         for i, v in enumerate(rev):
             inv[v] = i
-        inv_entries[(inv[args[0]], col)] = one
-    bracket = TensorOperator(dom, cod, entries, mode, validate=False)
-    inv_bracket = TensorOperator(dom, cod, inv_entries, mode, validate=False)
+        inv_cols.append([(inv[args[0]], 1)])
+    bracket = TensorOperator.from_columns(dom, cod, cols, 1, mode)
+    inv_bracket = TensorOperator.from_columns(dom, cod, inv_cols, 1, mode)
     return LinearNRack(base, n, bracket, inv_bracket, certified=True)
 
 
@@ -434,11 +414,11 @@ def linear_nrack_from_linear_rack(r: LinearNRack, arity: int) -> LinearNRack:
     c, mode = r.base.dim, r.base.mode
 
     def fold(op):  # acc -> op o (acc (x) id)
-        b, scale = op.integer_columns()
+        b, scale = op.columns, op.scale
         cols = b
         for _ in range(arity - 2):
-            cols = [_nonzero(apply_columns(b, col)) for col in _kron(cols, [[(x, 1)] for x in range(c)], c)]
-        return _operator(cols, scale ** (arity - 1), tensor.power_shape(c, arity), TensorShape((c,)), mode)
+            cols = [_nonzero(apply_columns(b, col)) for col in kron_columns(cols, [[(x, 1)] for x in range(c)], c)]
+        return TensorOperator.from_columns(tensor.power_shape(c, arity), TensorShape((c,)), cols, scale ** (arity - 1), mode)
 
     return LinearNRack(r.base, arity, fold(r.bracket), fold(r.inv_bracket), certified=True)
 
@@ -463,7 +443,7 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
     dealt, multi, rev = _dealt(split, c, width, width), tensor.power_shape(c, width).multi, _reversal(c, width)
 
     def assemble(op, reverse_vs):
-        b, scale = op.integer_columns()
+        b, scale = op.columns, op.scale
         cols = []
         for u, v in itertools.product(range(span), repeat=2):
             out = {}
@@ -472,8 +452,9 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
                 for combo in itertools.product(*(b[k] for k in heads)):
                     row = flat_index((r for r, _ in combo), c)
                     out[row] = out.get(row, 0) + math.prod((w for _, w in combo), start=coeff)
-            cols.append(_nonzero(out))
-        return _operator(cols, (dscale * scale) ** width, tensor.power_shape(span, 2), tensor.power_shape(c, width), l.base.mode)
+            cols.append(out.items())
+        scale = (dscale * scale) ** width
+        return TensorOperator.from_columns(tensor.power_shape(span, 2), tensor.power_shape(c, width), cols, scale, l.base.mode)
 
     base = tensor_power_coalgebra(l.base, width)
     rack = LinearNRack(base, 2, assemble(l.bracket, False), assemble(l.inv_bracket, True), certified=True)
@@ -527,9 +508,9 @@ def nrack_braiding(l: LinearNRack):
         raise PreconditionError("the braiding needs a cocommutative base")
     c, n, mode = l.base.dim, l.arity, l.base.mode
     span = c ** (n - 1)
-    delta, dscale = l.base.delta.integer_columns()
-    b, bscale = l.bracket.integer_columns()
-    ib, iscale = l.inv_bracket.integer_columns()
+    delta, dscale = l.base.delta.columns, l.base.delta.scale
+    b, bscale = l.bracket.columns, l.bracket.scale
+    ib, iscale = l.inv_bracket.columns, l.inv_bracket.scale
     fwd, bwd, dealt, rev = [], [], _dealt(delta, c, 2, n - 1), _reversal(c, n - 1)
     for col in range(c**n):  # u_1 = col // span, u_n = col % c
         out = {}
@@ -550,7 +531,7 @@ def nrack_braiding(l: LinearNRack):
                 f"inverse-mismatch: the two maps do not invert each other, so the input is not a linear {n}-rack"
             )
     shp = tensor.power_shape(c, n)
-    return _operator(fwd, fscale, shp, shp, mode), _operator(bwd, gscale, shp, shp, mode)
+    return TensorOperator.from_columns(shp, shp, fwd, fscale, mode), TensorOperator.from_columns(shp, shp, bwd, gscale, mode)
 
 
 def lebed_operator(r: LinearNRack):

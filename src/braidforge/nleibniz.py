@@ -29,7 +29,7 @@ def _clean_vector(vec, mode):
     out = {}
     for j, v in vec.items():
         v = scalars.coerce(v, mode)
-        if not scalars.is_zero(v, mode):
+        if v != 0:
             out[int(j)] = v
     return out
 
@@ -84,11 +84,11 @@ class NLeibnizAlgebra:
                     factor = None
                     break
                 factor *= x
-            if factor is None or scalars.is_zero(factor, self.mode):
+            if factor is None or factor == 0:
                 continue
             for j, c in coeffs.items():
                 s = out.get(j, z) + factor * c
-                if scalars.is_zero(s, self.mode):
+                if s == 0:
                     out.pop(j, None)
                 else:
                     out[j] = s
@@ -167,7 +167,8 @@ def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
     tuple (xs, ys) together with both sides' coefficient vectors.
     """
     d, n = a.dim, a.arity
-    cols, scale = bracket_operator(a).integer_columns()
+    op = bracket_operator(a)
+    cols, scale = op.columns, op.scale
     span, stop, hit = d ** (n - 1), d**n, None
     for ys in range(span):
         found = _derivation_failure(cols, cols[ys::span], d, n, a.mode, stop)
@@ -218,8 +219,8 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
     rb = ReportBuilder("derivation")
     if d_map.domain_shape.total != a.dim or d_map.codomain_shape.total != a.dim:
         raise SchemaError("derivation candidate has wrong shape")
-    cols, scale = bracket_operator(a).integer_columns()
-    dcols, dscale = d_map.integer_columns()
+    op = bracket_operator(a)
+    cols, scale, dcols, dscale = op.columns, op.scale, d_map.columns, d_map.scale
     found = _derivation_failure(cols, dcols, a.dim, a.arity, a.mode, a.dim**a.arity)
     if found is not None:
         xs, lhs, rhs = found
@@ -231,13 +232,13 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
 # -- adjoints and exponentials ----------------------------------------
 
 
-def ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
-    """The right translation x -> [x, y_1, ..., y_{n-1}] as a dim x dim matrix."""
+def ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
+    """The right translation x -> [x, y_1, ..., y_{n-1}] as a dim x dim matrix,
+    in ``mode`` (the algebra's by default)."""
     ys = [dict(y) for y in ys]
     if len(ys) != a.arity - 1:
         raise SchemaError(f"ad needs {a.arity - 1} vectors, got {len(ys)}")
     entries = {}
-    z = scalars.zero(a.mode)
     for key, out in a.bracket.items():
         factor = scalars.one(a.mode)
         for vec, idx in zip(ys, key[1:]):
@@ -246,15 +247,13 @@ def ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
                 factor = None
                 break
             factor *= x
-        if factor is None or scalars.is_zero(factor, a.mode):
+        if factor is None or factor == 0:
             continue
         for j, c in out.items():
-            kk = (j, key[0])
-            s = entries.get(kk, z) + factor * c
-            entries[kk] = s
-    entries = {k: v for k, v in entries.items() if not scalars.is_zero(v, a.mode)}
+            entries[(j, key[0])] = entries.get((j, key[0]), 0) + factor * c
     shp = TensorShape((a.dim,))
-    return TensorOperator(shp, shp, entries, a.mode, validate=False)
+    mode = mode or a.mode
+    return TensorOperator(shp, shp, entries, mode, validate=mode != a.mode)
 
 
 def ad_basis(a: NLeibnizAlgebra, key) -> TensorOperator:
@@ -282,12 +281,10 @@ def exp_ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
     < 1e-12 or 64 terms.
     """
     mode = mode or a.mode
-    m = ad(a, ys)
-    if mode == scalars.EXACT:
-        if a.mode != scalars.EXACT:
-            raise SchemaError("exact exp requires an exact-mode algebra")
-        return tensor.exp_nilpotent(m)
-    return tensor.exp_float(m)
+    if mode == scalars.EXACT and a.mode != scalars.EXACT:
+        raise SchemaError("exact exp requires an exact-mode algebra")
+    m = ad(a, ys, mode)
+    return tensor.exp_nilpotent(m) if mode == scalars.EXACT else tensor.exp_float(m)
 
 
 # -- constructions -----------------------------------------------------
@@ -349,7 +346,7 @@ def fundamental_leibniz(a, recheck: bool = False):
                 for j, c in out.items():
                     target = shp.flat(xs[:slot] + (j,) + xs[slot + 1 :])
                     s = vec.get(target, scalars.zero(a.mode)) + c
-                    if scalars.is_zero(s, a.mode):
+                    if s == 0:
                         vec.pop(target, None)
                     else:
                         vec[target] = s

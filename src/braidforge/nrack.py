@@ -109,9 +109,8 @@ class FiniteGroup:
 
     size: int
     mul: tuple
-    inv: tuple = ()
-    identity: int = 0
-    labels: tuple = ()
+    inv: tuple = field(init=False)
+    identity: int = field(init=False)
 
     def __post_init__(self):
         mul, identity, inv, bad = _group_axioms(self.size, self.mul)
@@ -124,7 +123,6 @@ class FiniteGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", tuple(inv))
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
 
 
@@ -184,8 +182,7 @@ def symmetric_group(k: int) -> FiniteGroup:
     mul = tuple(
         tuple(index[tuple(p[q[i]] for i in range(k))] for q in elems) for p in elems
     )
-    labels = tuple("".join(map(str, p)) for p in elems)
-    return FiniteGroup(len(elems), mul, labels=labels)
+    return FiniteGroup(len(elems), mul)
 
 
 def conjugation_nrack(group: FiniteGroup, arity: int) -> FiniteNRack:

@@ -9,6 +9,8 @@ tolerance ``EPS_CMP`` = 1e-9, applied by ``reports.first_difference``.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
@@ -19,6 +21,9 @@ MODES = (EXACT, FLOAT)
 
 #: absolute comparison tolerance in float mode
 EPS_CMP = 1e-9
+
+#: the "p/q" and "p" strings that documents carry, read without a Fraction
+_PLAIN_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def check_mode(mode: str) -> str:
@@ -42,16 +47,6 @@ def zero(mode: str):
 
 def one(mode: str):
     return Fraction(1) if mode == EXACT else 1.0
-
-
-def is_zero(value, mode: str) -> bool:
-    """Whether a scalar counts as zero for storage purposes.
-
-    Exact mode drops literal zeros only; float mode likewise (a tiny
-    but nonzero float is information, dropping it is a comparison
-    concern, not a storage one).
-    """
-    return value == 0
 
 
 def eq(a, b, mode: str) -> bool:
@@ -91,3 +86,19 @@ def parse_scalar(raw, mode: str):
         except OverflowError:
             raise SchemaError(f"float scalar {raw!r} out of range") from None
     raise SchemaError(f"bad float scalar {raw!r}")
+
+
+def parse_ratio(raw) -> tuple:
+    """(numerator, denominator) in lowest terms of the exact scalar that
+    ``parse_scalar`` reads; ints and plain "p/q" strings build no Fraction."""
+    if type(raw) is int:
+        return raw, 1
+    # int() refuses more than 4300 digits; parse_scalar reports that
+    if isinstance(raw, str) and len(raw) <= 4300 and _PLAIN_RATIO.fullmatch(raw):
+        num, _, den = raw.partition("/")
+        num, den = int(num), int(den or 1)
+        if den:
+            g = math.gcd(num, den)
+            return num // g, den // g
+    f = parse_scalar(raw, EXACT)
+    return f.numerator, f.denominator

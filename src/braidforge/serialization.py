@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 from . import scalars, tensor
 from .errors import SchemaError
@@ -99,14 +100,24 @@ def _entries_to_json(op: TensorOperator):
     ]
 
 
-def _entries_from_json(doc, key, kind, mode):
-    out = {}
+def _read_operator(doc, key, kind, mode, dom, cod) -> TensorOperator:
+    """The operator dom -> cod of the [row, col, value] list ``key``, which
+    names each (row, col) once; exact values are read as numerators over the
+    lcm of their denominators."""
+    exact, entries = mode == scalars.EXACT, {}
     for item in _list(doc, key, kind, list):
         if len(item) != 3:
             raise SchemaError(f"operator entry {item!r} must be [row, col, value]")
-        r, c, v = item
-        out[(_int(r), _int(c))] = scalars.parse_scalar(v, mode)
-    return out
+        rc = _int(item[0]), _int(item[1])
+        if rc in entries:
+            raise SchemaError(f"duplicate {kind} entry ({rc[0]},{rc[1]}) in {key!r}")
+        entries[rc] = scalars.parse_ratio(item[2]) if exact else scalars.parse_scalar(item[2], mode)
+    tensor.check_entry_range(entries, dom, cod)
+    cols = tensor.empty_columns(dom)
+    scale = math.lcm(*(den for _, den in entries.values())) if exact else 1
+    for (r, c), v in entries.items():
+        cols[c].append((r, v[0] * (scale // v[1]) if exact else v))
+    return TensorOperator.from_columns(dom, cod, cols, scale, mode)
 
 
 def operator_to_document(op: TensorOperator) -> dict:
@@ -123,7 +134,7 @@ def operator_from_document(doc) -> TensorOperator:
     mode = _mode_of(doc)
     dom = TensorShape(tuple(_int(v) for v in _list(doc, "shape", "operator")))
     cod = TensorShape(tuple(_int(v) for v in _list(doc, "codomain_shape", "operator")))
-    return TensorOperator(dom, cod, _entries_from_json(doc, "entries", "operator", mode), mode)
+    return _read_operator(doc, "entries", "operator", mode, dom, cod)
 
 
 def nleibniz_to_document(a) -> dict:
@@ -235,18 +246,8 @@ def coalgebra_to_document(c: Coalgebra) -> dict:
 def coalgebra_from_document(doc) -> Coalgebra:
     dim = _int(_require(doc, "dim", "coalgebra"))
     mode = _mode_of(doc)
-    delta = TensorOperator(
-        TensorShape((dim,)),
-        tensor.power_shape(dim, 2),
-        _entries_from_json(doc, "delta", "coalgebra", mode),
-        mode,
-    )
-    counit = TensorOperator(
-        TensorShape((dim,)),
-        TensorShape((1,)),
-        _entries_from_json(doc, "epsilon", "coalgebra", mode),
-        mode,
-    )
+    delta = _read_operator(doc, "delta", "coalgebra", mode, TensorShape((dim,)), tensor.power_shape(dim, 2))
+    counit = _read_operator(doc, "epsilon", "coalgebra", mode, TensorShape((dim,)), TensorShape((1,)))
     return Coalgebra(dim, delta, counit, mode)
 
 
@@ -270,8 +271,8 @@ def linear_nrack_from_document(doc) -> LinearNRack:
     mode = base.mode
     dom = tensor.power_shape(base.dim, arity)
     cod = TensorShape((base.dim,))
-    bracket = TensorOperator(dom, cod, _entries_from_json(doc, "bracket", "linear_nrack", mode), mode)
-    inv = TensorOperator(dom, cod, _entries_from_json(doc, "inv_bracket", "linear_nrack", mode), mode)
+    bracket = _read_operator(doc, "bracket", "linear_nrack", mode, dom, cod)
+    inv = _read_operator(doc, "inv_bracket", "linear_nrack", mode, dom, cod)
     return LinearNRack(base, arity, bracket, inv, _certified(doc, "linear_nrack"))
 
 

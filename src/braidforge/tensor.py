@@ -2,10 +2,11 @@
 
 Everything downstream (algebra brackets, coalgebra structure maps,
 Yang-Baxter operators) is a :class:`TensorOperator`: a sparse matrix
-carrying the factor decomposition of its domain and codomain.  All
+carrying the factor decomposition of its domain and codomain, stored
+as one list of columns over one scale, integers in exact mode.  All
 operators arising here are permutations plus a few corrections, so
-storage and composition cost are proportional to the number of nonzero
-entries, never to the ambient dimension.
+composition cost is proportional to the number of nonzero entries, and
+storage to that number plus the domain's dimension.
 
 Flat indices are row-major over the factor list: the first factor is
 the most significant digit.  Equality compares total dimensions and
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from . import reports, scalars
 from .errors import (
+    CapExceededError,
     SchemaError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -32,6 +34,8 @@ from .errors import (
 
 #: shapes with total dimension at or above this are rejected at construction
 MAX_TOTAL_DIM = 2**31
+#: operators on domains with more columns are refused before their column list is allocated
+MAX_COLUMNS = 2**24
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def tensor_vector(vecs, shp: TensorShape, mode=scalars.EXACT) -> dict:
     out = {0: scalars.one(mode)}
     for v, d in zip(vecs, shp.factor_dims):
         out = {key * d + i: c * x for key, c in out.items() for i, x in v.items()}
-    return {key: c for key, c in out.items() if not scalars.is_zero(c, mode)}
+    return {key: c for key, c in out.items() if c != 0}
 
 
 def apply_columns(cols, vec) -> dict:
@@ -122,70 +126,99 @@ def apply_columns(cols, vec) -> dict:
     return out
 
 
+def empty_columns(domain_shape) -> list:
+    """One empty column per flat index of the domain, refused above ``MAX_COLUMNS``."""
+    if domain_shape.total > MAX_COLUMNS:
+        raise CapExceededError(f"an operator on {domain_shape.total} columns exceeds the 2^24 column cap")
+    return [[] for _ in range(domain_shape.total)]
+
+
+def check_entry_range(keys, domain_shape, codomain_shape):
+    """Refuse a (row, col) key outside the matrix codomain x domain."""
+    nrows, ncols = codomain_shape.total, domain_shape.total
+    for r, c in keys:
+        if not (0 <= r < nrows and 0 <= c < ncols):
+            raise ShapeMismatchError(f"entry ({r},{c}) outside {nrows}x{ncols}")
+
+
+def kron_columns(f, g, rows: int):
+    """The columns of f (x) g, for columns f, g and ``rows`` rows of g."""
+    return [[(s * rows + t, a * b) for s, a in fc for t, b in gc] for fc in f for gc in g]
+
+
 class TensorOperator:
     """A sparse linear map between tensor powers.
 
-    ``entries`` maps ``(row, col)`` flat-index pairs to scalars in the
-    operator's mode.  Instances are immutable by convention; every
-    operation returns a fresh operator.
+    ``columns`` is a list over the domain's flat indices; column c lists
+    the (row, value) pairs of its nonzero entries.  In exact mode the
+    values are the integers ``scale`` * entry, ``scale`` the lcm of the
+    entries' reduced denominators, so every kernel runs on integers; in
+    float mode they are the entries themselves and ``scale`` is 1.
+    Instances are immutable by convention; every operation returns a
+    fresh operator.
     """
 
-    __slots__ = ("domain_shape", "codomain_shape", "entries", "mode")
+    __slots__ = ("domain_shape", "codomain_shape", "columns", "scale", "mode")
 
     def __init__(self, domain_shape, codomain_shape, entries, mode=scalars.EXACT, validate=True):
+        """The operator of a {(row, col): scalar} dict; ``validate`` checks the
+        keys against the shapes and coerces the scalars into ``mode``."""
         scalars.check_mode(mode)
-        self.domain_shape = domain_shape
-        self.codomain_shape = codomain_shape
-        self.mode = mode
-        clean = {}
         if validate:
-            nrows = codomain_shape.total
-            ncols = domain_shape.total
-            for (r, c), v in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise ShapeMismatchError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                v = scalars.coerce(v, mode)
-                if not scalars.is_zero(v, mode):
-                    clean[(r, c)] = v
-        else:
-            clean = entries
-        self.entries = clean
+            check_entry_range(entries, domain_shape, codomain_shape)
+            entries = {k: scalars.coerce(v, mode) for k, v in entries.items()}
+        exact = mode == scalars.EXACT
+        scale = math.lcm(*(v.denominator for v in entries.values())) if exact else 1
+        cols = empty_columns(domain_shape)
+        for (r, c), v in entries.items():
+            cols[c].append((r, v.numerator * (scale // v.denominator) if exact else v))
+        self._store(domain_shape, codomain_shape, cols, scale, mode)
+
+    @classmethod
+    def from_columns(cls, domain_shape, codomain_shape, columns, scale=1, mode=scalars.EXACT):
+        """The trusted constructor: the operator whose columns of (row, value)
+        pairs are ``columns`` over ``scale``, integers in exact mode."""
+        op = cls.__new__(cls)
+        op._store(domain_shape, codomain_shape, columns, scale, mode)
+        return op
+
+    def _store(self, domain_shape, codomain_shape, columns, scale, mode):
+        """Store the columns without their zeros, over the lcm of the reduced
+        denominators in exact mode and as floats over 1 in float mode."""
+        exact = mode == scalars.EXACT
+        cols = [[(r, v if exact else float(v)) for r, v in col if v] for col in columns]
+        g = scale = scale if exact else 1
+        for _, v in itertools.chain.from_iterable(cols):
+            if g == 1:
+                break
+            g = math.gcd(g, v)
+        if g > 1:
+            cols, scale = [[(r, v // g) for r, v in col] for col in cols], scale // g
+        self.domain_shape, self.codomain_shape, self.columns, self.scale, self.mode = (
+            domain_shape, codomain_shape, cols, scale, mode)
 
     # -- basic queries -------------------------------------------------
 
     @property
+    def entries(self) -> dict:
+        """A {(row, col): scalar} dict of the nonzero entries, Fractions in
+        exact mode, built afresh on every access: read it once per operator."""
+        if self.mode == scalars.EXACT:  # one Fraction per distinct value
+            value = {v: Fraction(v, self.scale) for v in {v for col in self.columns for _, v in col}}
+            return {(r, c): value[v] for c, col in enumerate(self.columns) for r, v in col}
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col}
+
+    @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def is_square(self) -> bool:
         return self.domain_shape.total == self.codomain_shape.total
 
-    def columns(self) -> dict:
-        """Group entries by column: col -> list of (row, value)."""
-        cols = {}
-        for (r, c), v in self.entries.items():
-            cols.setdefault(c, []).append((r, v))
-        return cols
-
-    def integer_columns(self):
-        """(columns, scale): the columns as a list over the domain, each
-        [(row, value)] in entry order, and the factor the values carry.  In
-        exact mode the values are the integers scale * entry, scale the lcm
-        of the denominators; in float mode they are the entries, scale 1."""
-        exact = self.mode == scalars.EXACT
-        scale = math.lcm(*(v.denominator for v in self.entries.values())) if exact else 1
-        cols = [[] for _ in range(self.domain_shape.total)]
-        for (r, c), v in self.entries.items():
-            cols[c].append((r, v.numerator * (scale // v.denominator) if exact else v))
-        return cols, scale
-
-    def max_abs(self):
-        return max((abs(v) for v in self.entries.values()), default=scalars.zero(self.mode))
-
     def apply(self, vec: dict) -> dict:
         """Apply to a sparse vector {index: scalar}."""
-        cols = self.columns()
-        out = apply_columns(cols, [(c, x) for c, x in vec.items() if c in cols and x != 0])
+        unit, cols = Fraction(1, self.scale) if self.mode == scalars.EXACT else 1, self.columns
+        out = apply_columns(cols, [(c, x * unit) for c, x in vec.items() if 0 <= c < len(cols) and x != 0])
         return {r: v for r, v in out.items() if v != 0}
 
     def dense(self):
@@ -199,34 +232,27 @@ class TensorOperator:
 
     # -- equality ------------------------------------------------------
 
+    def _sized_like(self, other) -> bool:
+        return (self.domain_shape.total, self.codomain_shape.total) == (other.domain_shape.total, other.codomain_shape.total)
+
     def equal(self, other) -> bool:
         if self.mode != other.mode:
             raise ShapeMismatchError("cannot compare operators of different scalar modes")
-        if (
-            self.domain_shape.total != other.domain_shape.total
-            or self.codomain_shape.total != other.codomain_shape.total
-        ):
+        if not self._sized_like(other):
             raise ShapeMismatchError("cannot compare operators of different total dimensions")
-        return reports.first_difference(self.entries, other.entries, self.mode) is None
+        return _first_difference(self, other) is None
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        if self.mode != other.mode:
-            return False
-        if (
-            self.domain_shape.total != other.domain_shape.total
-            or self.codomain_shape.total != other.codomain_shape.total
-        ):
-            return False
-        return self.equal(other)
+        return self.mode == other.mode and self._sized_like(other) and _first_difference(self, other) is None
 
     def __hash__(self):
         raise TypeError("TensorOperator is unhashable")
 
     def first_difference(self, other):
         """Smallest (row, col) where the two operators differ, or None."""
-        return reports.first_difference(self.entries, other.entries, self.mode)
+        return _first_difference(self, other)
 
     # -- algebra -------------------------------------------------------
 
@@ -236,26 +262,24 @@ class TensorOperator:
     def __add__(self, other):
         if self.mode != other.mode:
             raise ShapeMismatchError("mode mismatch in operator sum")
-        if (
-            self.domain_shape.total != other.domain_shape.total
-            or self.codomain_shape.total != other.codomain_shape.total
-        ):
+        if not self._sized_like(other):
             raise ShapeMismatchError("shape mismatch in operator sum")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, scalars.zero(self.mode)) + v
-            if scalars.is_zero(s, self.mode):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return TensorOperator(self.domain_shape, self.codomain_shape, out, self.mode, validate=False)
+        scale = math.lcm(self.scale, other.scale)
+        fa, fb = scale // self.scale, scale // other.scale
+        cols = []
+        for acol, bcol in zip(self.columns, other.columns):
+            out = {r: v * fa for r, v in acol}
+            for r, v in bcol:
+                out[r] = out.get(r, 0) + v * fb
+            cols.append(out.items())
+        return TensorOperator.from_columns(self.domain_shape, self.codomain_shape, cols, scale, self.mode)
 
-    def scale(self, factor):
+    def scaled(self, factor):
+        """factor times the operator."""
         factor = scalars.coerce(factor, self.mode)
-        if scalars.is_zero(factor, self.mode):
-            return TensorOperator(self.domain_shape, self.codomain_shape, {}, self.mode, validate=False)
-        out = {k: v * factor for k, v in self.entries.items()}
-        return TensorOperator(self.domain_shape, self.codomain_shape, out, self.mode, validate=False)
+        p, q = (factor.numerator, factor.denominator) if self.mode == scalars.EXACT else (factor, 1)
+        cols = [[(r, v * p) for r, v in col] for col in self.columns]
+        return TensorOperator.from_columns(self.domain_shape, self.codomain_shape, cols, self.scale * q, self.mode)
 
     def tensor(self, other):
         """Kronecker product self (x) other; nnz multiplies, so keep factors small."""
@@ -263,22 +287,14 @@ class TensorOperator:
             raise ShapeMismatchError("mode mismatch in tensor product")
         dom = TensorShape(self.domain_shape.factor_dims + other.domain_shape.factor_dims)
         cod = TensorShape(self.codomain_shape.factor_dims + other.codomain_shape.factor_dims)
-        bdom = other.domain_shape.total
-        bcod = other.codomain_shape.total
-        out = {}
-        for (ra, ca), va in self.entries.items():
-            for (rb, cb), vb in other.entries.items():
-                out[(ra * bcod + rb, ca * bdom + cb)] = va * vb
-        return TensorOperator(dom, cod, out, self.mode, validate=False)
+        cols = kron_columns(self.columns, other.columns, other.codomain_shape.total)
+        return TensorOperator.from_columns(dom, cod, cols, self.scale * other.scale, self.mode)
 
     def with_shapes(self, domain_shape, codomain_shape):
         """Reinterpret the same matrix with a different factor split."""
-        if (
-            domain_shape.total != self.domain_shape.total
-            or codomain_shape.total != self.codomain_shape.total
-        ):
+        if (domain_shape.total, codomain_shape.total) != (self.domain_shape.total, self.codomain_shape.total):
             raise ShapeMismatchError("reshape must preserve total dimensions")
-        return TensorOperator(domain_shape, codomain_shape, self.entries, self.mode, validate=False)
+        return TensorOperator.from_columns(domain_shape, codomain_shape, self.columns, self.scale, self.mode)
 
     def permute_codomain(self, perm):
         """Relabel codomain factors: output factor perm[p] is old factor p.
@@ -288,24 +304,25 @@ class TensorOperator:
         """
         perm = _check_permutation(perm, len(self.codomain_shape))
         dims = self.codomain_shape.factor_dims
-        new_dims = [0] * len(dims)
-        for p, q in enumerate(perm):
-            new_dims[q] = dims[p]
-        new_cod = TensorShape(tuple(new_dims))
-        out = {}
-        for (r, c), v in self.entries.items():
-            m = self.codomain_shape.multi(r)
-            new_m = [0] * len(dims)
-            for p, q in enumerate(perm):
-                new_m[q] = m[p]
-            out[(new_cod.flat(new_m), c)] = v
-        return TensorOperator(self.domain_shape, new_cod, out, self.mode, validate=False)
+        new_cod = TensorShape(tuple(dims[perm.index(q)] for q in range(len(dims))))
+        # (dim, weight in new_cod) of each old factor, least significant first
+        digits = [(dims[p], math.prod(new_cod.factor_dims[perm[p] + 1 :])) for p in reversed(range(len(dims)))]
+
+        def relabel(r):
+            out = 0
+            for d, w in digits:
+                r, i = divmod(r, d)
+                out += i * w
+            return out
+
+        cols = [[(relabel(r), v) for r, v in col] for col in self.columns]
+        return TensorOperator.from_columns(self.domain_shape, new_cod, cols, self.scale, self.mode)
 
     def to_float(self):
         if self.mode == scalars.FLOAT:
             return self
-        out = {k: float(v) for k, v in self.entries.items()}
-        return TensorOperator(self.domain_shape, self.codomain_shape, out, scalars.FLOAT, validate=False)
+        cols = [[(r, v / self.scale) for r, v in col] for col in self.columns]
+        return TensorOperator.from_columns(self.domain_shape, self.codomain_shape, cols, 1, scalars.FLOAT)
 
     def __repr__(self):
         return (
@@ -314,12 +331,20 @@ class TensorOperator:
         )
 
 
+def _first_difference(a: TensorOperator, b: TensorOperator):
+    """``reports.first_difference`` of two operators' entries, on integers
+    over one common scale in exact mode."""
+    sa, sb = a.scale, b.scale
+    lhs = {(r, c): v * sb for c, col in enumerate(a.columns) for r, v in col}
+    rhs = {(r, c): v * sa for c, col in enumerate(b.columns) for r, v in col}
+    return reports.first_difference(lhs, rhs, a.mode)
+
+
 # -- constructors ------------------------------------------------------
 
 
 def identity(shp: TensorShape, mode=scalars.EXACT) -> TensorOperator:
-    o = scalars.one(mode)
-    return TensorOperator(shp, shp, {(i, i): o for i in range(shp.total)}, mode, validate=False)
+    return TensorOperator.from_columns(shp, shp, [[(i, 1)] for i in range(shp.total)], 1, mode)
 
 
 def _check_permutation(perm, k):
@@ -366,12 +391,8 @@ def compose(a: TensorOperator, b: TensorOperator) -> TensorOperator:
         raise ShapeMismatchError(
             f"composition mismatch: inner dims {b.codomain_shape.total} vs {a.domain_shape.total}"
         )
-    a_cols, out = a.columns(), {}
-    for (j, k), bv in b.entries.items():
-        for i, av in a_cols.get(j, ()):
-            out[(i, k)] = out.get((i, k), 0) + av * bv
-    out = {k: v for k, v in out.items() if v != 0}
-    return TensorOperator(b.domain_shape, a.codomain_shape, out, a.mode, validate=False)
+    cols = [apply_columns(a.columns, col).items() for col in b.columns]
+    return TensorOperator.from_columns(b.domain_shape, a.codomain_shape, cols, a.scale * b.scale, a.mode)
 
 
 def compose_blocks(blocks, b: TensorOperator) -> TensorOperator:
@@ -389,19 +410,21 @@ def compose_blocks(blocks, b: TensorOperator) -> TensorOperator:
     if math.prod(totals) != b.codomain_shape.total:
         raise ShapeMismatchError("block domains do not match the inner operator's codomain")
     inner = TensorShape(tuple(totals))
-    block_cols = [blk.columns() for blk in blocks]
     out_totals = [blk.codomain_shape.total for blk in blocks]
-    out = {}
-    for (r, c), v in b.entries.items():
-        # the per-block column indices of r, most significant first
-        for combo in itertools.product(*(cols.get(j, ()) for cols, j in zip(block_cols, inner.multi(r)))):
-            row, val = 0, v
-            for (ri, vi), t in zip(combo, out_totals):
-                row, val = row * t + ri, val * vi
-            out[(row, c)] = out.get((row, c), 0) + val
-    out = {k: v for k, v in out.items() if v != 0}
+    cols = []
+    for col in b.columns:
+        out = {}
+        for r, v in col:
+            # the per-block column indices of r, most significant first
+            for combo in itertools.product(*(blk.columns[j] for blk, j in zip(blocks, inner.multi(r)))):
+                row, val = 0, v
+                for (ri, vi), t in zip(combo, out_totals):
+                    row, val = row * t + ri, val * vi
+                out[row] = out.get(row, 0) + val
+        cols.append(out.items())
     cod = TensorShape(tuple(d for blk in blocks for d in blk.codomain_shape.factor_dims))
-    return TensorOperator(b.domain_shape, cod, out, b.mode, validate=False)
+    scale = math.prod((blk.scale for blk in blocks), start=b.scale)
+    return TensorOperator.from_columns(b.domain_shape, cod, cols, scale, b.mode)
 
 
 def tensor_many(ops) -> TensorOperator:
@@ -429,14 +452,13 @@ def embed(a: TensorOperator, left: int, right: int, factor_dim: int) -> TensorOp
     rt = factor_dim**right
     dims = (factor_dim,) * left + a.domain_shape.factor_dims + (factor_dim,) * right
     shp = TensorShape(dims)
-    out = {}
-    for (r, c), v in a.entries.items():
-        for i in range(lt):
-            rbase = (i * total + r) * rt
-            cbase = (i * total + c) * rt
-            for j in range(rt):
-                out[(rbase + j, cbase + j)] = v
-    return TensorOperator(shp, shp, out, a.mode, validate=False)
+    cols = [
+        [((i * total + r) * rt + j, v) for r, v in col]
+        for i in range(lt)
+        for col in a.columns
+        for j in range(rt)
+    ]
+    return TensorOperator.from_columns(shp, shp, cols, a.scale, a.mode)
 
 
 # -- exponentials ------------------------------------------------------
@@ -454,10 +476,10 @@ def exp_nilpotent(a: TensorOperator) -> TensorOperator:
     fact = 1
     for k in range(1, n + 1):
         power = power @ a
-        if not power.entries:
+        if not power.nnz:
             return total
         fact *= k
-        total = total + power.scale(Fraction(1, fact))
+        total = total + power.scaled(Fraction(1, fact))
     raise NotNilpotentError(f"operator is not nilpotent (A^{n} != 0)")
 
 
@@ -466,10 +488,10 @@ def is_nilpotent(a: TensorOperator) -> bool:
         return False
     power = a
     for _ in range(a.domain_shape.total):
-        if not power.entries:
+        if not power.nnz:
             return True
         power = power @ a
-    return not power.entries
+    return not power.nnz
 
 
 def exp_float(a: TensorOperator) -> TensorOperator:
@@ -484,13 +506,12 @@ def exp_float(a: TensorOperator) -> TensorOperator:
     total = identity(a.domain_shape, scalars.FLOAT)
     term = total
     for k in range(1, 65):
-        term = (term @ a).scale(1.0 / k)
-        if term.max_abs() < 1e-12:
+        term = (term @ a).scaled(1.0 / k)
+        top = max((abs(v) for col in term.columns for _, v in col), default=0.0)
+        if top < 1e-12:
             return total
         total = total + term
-    raise SeriesNotConvergedError(
-        f"exp series term still {term.max_abs():.3g} after 64 terms"
-    )
+    raise SeriesNotConvergedError(f"exp series term still {top:.3g} after 64 terms")
 
 
 # -- elimination -------------------------------------------------------
@@ -582,7 +603,7 @@ def column_rank(a: TensorOperator) -> int:
     rows = {}
     for (r, c), v in a.entries.items():
         rows.setdefault(r, {})[c] = v
-    return len(_gauss_jordan(list(rows.values()), range(a.domain_shape.total), a.mode))
+    return len(_gauss_jordan([rows[r] for r in sorted(rows)], range(a.domain_shape.total), a.mode))
 
 
 def rref(rows, mode=scalars.EXACT):

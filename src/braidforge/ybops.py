@@ -18,7 +18,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import scalars, tensor
 from .errors import PreconditionError, SchemaError, ShapeMismatchError, VerdictDisagreementError
@@ -159,32 +158,22 @@ def _braid_columns(cols, d: int, n: int, side: str):
             yield c, lhs, rhs
 
 
-def _word_entries(s: TensorOperator, d: int, n: int, k: int, word) -> dict:
-    """The entries on V^(x)k of one word of s: those of the ``compose``
-    chain of the embedded letters."""
-    cols, scale = s.integer_columns()
-    power = scale ** len(word)
-    entries = {}
-    for lo, ((rows, values),), dirty in _word_images(cols, d, n, k, [word]):
+def _word_operator(s: TensorOperator, d: int, n: int, k: int, word, domain_shape, codomain_shape) -> TensorOperator:
+    """One word of s on V^(x)k: the ``compose`` chain of the embedded letters."""
+    cols = []
+    for lo, ((rows, values),), dirty in _word_images(s.columns, d, n, k, [word]):
         for c, row, value in zip(itertools.count(lo), rows, values):
-            image = dirty[c][0] if c in dirty else {row: value} if value != 0 else {}
-            for r, v in image.items():
-                entries[(r, c)] = Fraction(v, power) if s.mode == scalars.EXACT else v
-    return entries
+            cols.append(dirty[c][0].items() if c in dirty else [(row, value)])
+    return TensorOperator.from_columns(domain_shape, codomain_shape, cols, s.scale ** len(word), s.mode)
 
 
 def _uniform_monomial(s: TensorOperator):
-    """(image, coeff) when every column c of s holds exactly one nonzero
-    s[image[c], c] and all of them equal coeff, else None."""
-    image = [None] * s.domain_shape.total
-    coeff = None
-    for (r, c), v in s.entries.items():
-        if scalars.is_zero(v, s.mode):
-            continue
-        if image[c] is not None or (coeff is not None and v != coeff):
-            return None
-        image[c], coeff = r, v
-    return None if None in image else (image, coeff)
+    """(image, coeff) when every column c of s holds exactly one entry
+    s[image[c], c] and all of them equal coeff, the stored value, else None."""
+    cols = s.columns  # at least one: every shape has a column
+    if any(len(col) != 1 for col in cols) or any(col[0][1] != cols[0][0][1] for col in cols[1:]):
+        return None
+    return [col[0][0] for col in cols], cols[0][0][1]
 
 
 def _monomial_witness(image, coeff, d, n, side, mode):
@@ -234,18 +223,21 @@ def verify_nybe(
     check_dim_cap(big, dim_cap)
     monomial = _uniform_monomial(s)
     if monomial is not None:
-        witness = _monomial_witness(*monomial, d, n, side, s.mode)
+        image, coeff = monomial
+        witness = _monomial_witness(image, coeff, d, n, side, s.mode)
+        # a permutation scaled by a usable pivot, as the elimination would find
+        invertible = len(set(image)) == len(image) and (s.mode == scalars.EXACT or abs(coeff) > scalars.EPS_CMP)
     else:
         # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
-        cols, _ = s.integer_columns()
-        wit = column_witness(_braid_columns(cols, d, n, side), s.mode)
+        wit = column_witness(_braid_columns(s.columns, d, n, side), s.mode)
         witness = None if wit is None else wit["col"]
+        invertible = tensor.is_invertible(s)
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",
         n=n,
         dim=d,
         holds=witness is None,
-        invertible=tensor.is_invertible(s),
+        invertible=invertible,
         witness=witness,
         nnz=s.nnz,
         verification_dim=big,
@@ -438,7 +430,7 @@ def nyb_from_ybe(r: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> T
     d = _factor_dim(r, 2)
     dims = r.domain_shape.factor_dims  # the shapes of the embedded first and last letters
     dom, cod = TensorShape(dims + (d,) * (n - 2)), TensorShape((d,) * (n - 2) + dims)
-    return TensorOperator(dom, cod, _word_entries(r, d, 2, n, range(n - 1)), r.mode, validate=False)
+    return _word_operator(r, d, 2, n, range(n - 1), dom, cod)
 
 
 def ybe_from_nyb(s: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> TensorOperator:
@@ -450,8 +442,7 @@ def ybe_from_nyb(s: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> T
         raise PreconditionError("input is not an n-Yang-Baxter operator", base.to_json())
     d = _factor_dim(s, n)
     pair = tensor.power_shape(d ** (n - 1), 2)
-    entries = _word_entries(s, d, n, 2 * n - 2, range(n - 2, -1, -1))
-    return TensorOperator(pair, pair, entries, s.mode, validate=False)
+    return _word_operator(s, d, n, 2 * n - 2, range(n - 2, -1, -1), pair, pair)
 
 
 def conjugate_nyb(s: TensorOperator, phi: TensorOperator, n: int) -> TensorOperator:
@@ -472,11 +463,10 @@ def group_algebra_nyb(group: FiniteGroup, n: int) -> TensorOperator:
     _require_degree(n)
     m = group.size
     shp = tensor.power_shape(m, n)
-    one = scalars.one(scalars.EXACT)
-    entries = {}
-    for args in itertools.product(range(m), repeat=n):
+    cols = []
+    for args in itertools.product(range(m), repeat=n):  # the columns in flat order
         acc = args[0]
         for x in args[1:]:
             acc = group.mul[group.mul[x][acc]][group.inv[x]]
-        entries[(shp.flat(args[1:] + (acc,)), shp.flat(args))] = one
-    return TensorOperator(shp, shp, entries, scalars.EXACT, validate=False)
+        cols.append([(shp.flat(args[1:] + (acc,)), 1)])
+    return TensorOperator.from_columns(shp, shp, cols, 1, scalars.EXACT)

@@ -14,7 +14,8 @@ import braidforge.scalars as sc
 def first_difference(a, b):
     """Smallest (row, col) where two operators differ, or None."""
     eps = sc.EPS_CMP if a.mode == sc.FLOAT else 0
-    for k in sorted(a.entries.keys() | b.entries.keys()):
-        if abs(a.entries.get(k, 0) - b.entries.get(k, 0)) > eps:
+    ea, eb = a.entries, b.entries
+    for k in sorted(ea.keys() | eb.keys()):
+        if abs(ea.get(k, 0) - eb.get(k, 0)) > eps:
             return k
     return None

@@ -42,17 +42,15 @@ def word_images(cols, d, n, k, words):
 
 def braid_witness(s, d, n, side):
     """The column of the first (row, col) where the two braid sides differ, or None."""
-    cols, _ = s.integer_columns()
-    wit = column_witness(word_images(cols, d, n, 2 * n - 1, braid_words(n, side)), s.mode)
+    wit = column_witness(word_images(s.columns, d, n, 2 * n - 1, braid_words(n, side)), s.mode)
     return None if wit is None else wit["col"]
 
 
 def word_entries(s, d, n, k, word):
     """The entries on V^(x)k of one word of s, in column order."""
-    cols, scale = s.integer_columns()
-    power = scale ** len(word)
+    power = s.scale ** len(word)
     entries = {}
-    for c, vec in word_images(cols, d, n, k, [word]):
+    for c, vec in word_images(s.columns, d, n, k, [word]):
         for r, v in vec.items():
             entries[(r, c)] = Fraction(v, power) if s.mode == sc.EXACT else v
     return entries

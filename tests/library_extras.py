@@ -8,6 +8,7 @@ sits on the public API of ``braidforge`` and adds no law of its own.
 """
 
 import itertools
+from fractions import Fraction
 
 import braidforge.scalars as sc
 import braidforge.tensor as T
@@ -45,7 +46,7 @@ def homomorphism_check(a, b, phi) -> bool:
 
 def translation_inverse(rack, ys):
     """exp(-ad_{y_1..y_{n-1}}), the inverse right translation of a vector n-rack (exact mode)."""
-    return T.exp_nilpotent(ad(rack.algebra, ys).scale(-1))
+    return T.exp_nilpotent(ad(rack.algebra, ys).scaled(-1))
 
 
 def extend_bracket_by_leibniz(leib, b, recheck: bool = False):
@@ -101,8 +102,8 @@ def is_homomorphism(a, b, phi):
     if phi.domain_shape.total != a.dim or phi.codomain_shape.total != b.dim:
         raise SchemaError("phi has the wrong shape")
     rb = ReportBuilder("homomorphism")
-    cols = phi.columns()
-    phi_cols = [cols.get(i, []) for i in range(a.dim)]
+    exact = phi.mode == sc.EXACT
+    phi_cols = [[(r, Fraction(v, phi.scale) if exact else v) for r, v in col] for col in phi.columns]
     phi_basis = [dict(col) for col in phi_cols]
     witness = None
     for tpl in itertools.product(range(a.dim), repeat=a.arity):

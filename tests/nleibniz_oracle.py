@@ -12,7 +12,9 @@ vectors included, bit for bit in float mode.
 """
 
 import itertools
+from fractions import Fraction
 
+import braidforge.scalars as sc
 from braidforge.nleibniz import vec_json
 from braidforge.reports import ReportBuilder, first_difference
 
@@ -62,16 +64,17 @@ def check_fundamental_identity(a):
 
 def is_derivation(a, d_map):
     """The derivation law D[x_1..x_n] = sum_i [x_1, ..., D x_i, ..., x_n] by the same tuple walk."""
-    cols = d_map.columns()
+    exact = d_map.mode == sc.EXACT
+    cols = [[(r, Fraction(v, d_map.scale) if exact else v) for r, v in col] for col in d_map.columns]
     rb = ReportBuilder("derivation")
     witness = None
     for tpl in itertools.product(range(a.dim), repeat=a.arity):
         lhs = {}
         for j, c in a.bracket_basis(tpl).items():
-            lhs = vec_add(lhs, vec_scale(dict(cols.get(j, ())), c))
+            lhs = vec_add(lhs, vec_scale(dict(cols[j]), c))
         rhs = {}
         for i in range(a.arity):
-            for j, c in cols.get(tpl[i], ()):
+            for j, c in cols[tpl[i]]:
                 rhs = vec_add(rhs, vec_scale(a.bracket_basis(tpl[:i] + (j,) + tpl[i + 1 :]), c))
         if first_difference(lhs, rhs, a.mode) is not None:
             witness = {"tuple": list(tpl), "lhs": vec_json(lhs, a.mode), "rhs": vec_json(rhs, a.mode)}

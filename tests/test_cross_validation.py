@@ -456,5 +456,6 @@ def test_two_tier_kernel_matches_the_whole_column_oracle(case, side, block):
         if n == 2:
             cases += [(3, range(2)), (4, range(3))]  # the lift to degrees 3 and 4
         for k, word in cases:
-            got = yb._word_entries(s, d, n, k, word)
+            shp = T.power_shape(d, k)
+            got = yb._word_operator(s, d, n, k, word, shp, shp).entries
             assert list(got.items()) == list(kernel_oracle.word_entries(s, d, n, k, word).items())

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -166,8 +167,9 @@ def _support(l, pairs):
 
 
 def _matrix_support(l, lhs, rhs):
-    a, b = lhs.columns(), rhs.columns()
-    return _support(l, ((col, dict(a.get(col, ())), dict(b.get(col, ()))) for col in a.keys() | b.keys()))
+    exact = l.base.mode == sc.EXACT
+    a, b = ([{r: Fraction(v, op.scale) if exact else v for r, v in col} for col in op.columns] for op in (lhs, rhs))
+    return _support(l, zip(itertools.count(), a, b))
 
 
 def _matrix_report(l):
@@ -180,7 +182,8 @@ def _matrix_report(l):
     checks, borderline, pairs = {}, False, _matrix_pairs(l)
     for name, lhs, rhs in pairs:
         if l.base.mode == sc.FLOAT:
-            diffs = (abs(lhs.entries.get(k, 0.0) - rhs.entries.get(k, 0.0)) for k in lhs.entries.keys() | rhs.entries.keys())
+            ea, eb = lhs.entries, rhs.entries
+            diffs = (abs(ea.get(k, 0.0) - eb.get(k, 0.0)) for k in ea.keys() | eb.keys())
             borderline = borderline or any(abs(d - sc.EPS_CMP) <= 1e-12 for d in diffs)
         if name not in checks or "witness" not in checks[name]:
             k = difference_oracle.first_difference(lhs, rhs)
@@ -304,7 +307,7 @@ def linear_nracks(draw):
         lams = [2, Fraction(1, 3), Fraction(-3, 2), 1] if mode == sc.EXACT else [2.0, 0.5, -4.0, 1.0]
         l = _rescaled(l, [draw(st.sampled_from(lams)) for _ in range(l.base.dim)])
     if draw(st.integers(0, 3)) == 0:  # scale the inverse bracket: the inverse property fails
-        l = lr.LinearNRack(l.base, l.arity, l.bracket, l.inv_bracket.scale(_scalar(draw, mode)))
+        l = lr.LinearNRack(l.base, l.arity, l.bracket, l.inv_bracket.scaled(_scalar(draw, mode)))
     return l
 
 

@@ -180,7 +180,7 @@ def test_exp_ad_t3_nilpotent(t3):
 def test_exp_ad_inverse_is_exp_of_negative(t3):
     adm = nl.ad(t3, [basis(1), basis(1)])
     fwd = nl.exp_ad(t3, [basis(1), basis(1)])
-    bwd = T.exp_nilpotent(adm.scale(-1))
+    bwd = T.exp_nilpotent(adm.scaled(-1))
     assert fwd @ bwd == T.identity(T.shape(3))
 
 

@@ -467,7 +467,7 @@ def test_multinomial_power_identity(t3):
     sq = big @ big
     expansion = (
         T.tensor_many([small @ small, idc])
-        + T.tensor_many([small, small]).scale(2)
+        + T.tensor_many([small, small]).scaled(2)
         + T.tensor_many([idc, small @ small])
     )
     assert sq == expansion.with_shapes(sq.domain_shape, sq.codomain_shape)

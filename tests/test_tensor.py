@@ -328,7 +328,7 @@ def test_float_invert_within_tolerance():
 def test_exp_nilpotent_terminates():
     n = op([3], [3], {(1, 0): 1, (2, 1): 1})
     e = T.exp_nilpotent(n)
-    expected = T.identity(T.shape(3)) + n + (n @ n).scale(Fraction(1, 2))
+    expected = T.identity(T.shape(3)) + n + (n @ n).scaled(Fraction(1, 2))
     assert e == expected
 
 

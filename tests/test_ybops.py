@@ -411,7 +411,7 @@ def test_conjugate_by_identity(t3bar):
 
 def test_conjugate_by_scalar_fixes_permutations():
     f = yb.cyclic_operator(2, 3)
-    two = T.identity(T.shape(2)).scale(2)
+    two = T.identity(T.shape(2)).scaled(2)
     assert yb.conjugate_nyb(f, two, 3) == f
 
 

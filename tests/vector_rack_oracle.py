@@ -62,7 +62,7 @@ def verify_tensor_embedding(a, mode=None):
                 lhs = tensor.tensor_vector(moved, shp, mode)
                 e = fund_exp_cache.get(yi)
                 if e is None:
-                    big = ad(fund, [tensor.tensor_vector(ys, shp, mode)])
+                    big = ad(fund, [tensor.tensor_vector(ys, shp, mode)], mode)
                     e = tensor.exp_nilpotent(big) if mode == scalars.EXACT else tensor.exp_float(big.to_float())
                     fund_exp_cache[yi] = e
                 rhs = e.apply(tensor.tensor_vector(xs, shp, mode))
