@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidforge.cli as cli
+import braidforge.linrack as lr
 import braidforge.nrack as nr
 import braidforge.scalars as sc
 import braidforge.serialization as ser
@@ -183,19 +185,18 @@ def test_repeated_operator_entries_are_refused():
 
 
 def test_repeated_coalgebra_entries_are_refused():
-    doc = ser.to_document(nr_set_coalgebra())
+    # a repeated coproduct entry used to surface as failing counit laws
+    doc = ser.to_document(lr.set_coalgebra(2))
     doc["delta"].append(list(doc["delta"][0]))
     with pytest.raises(SchemaError, match="duplicate coalgebra entry"):
         ser.from_document(doc)
-    doc = ser.to_document(nr_set_coalgebra())
+    doc = ser.to_document(lr.set_coalgebra(2))
     doc["epsilon"].append([0, 0, "2/1"])
     with pytest.raises(SchemaError, match="duplicate coalgebra entry"):
         ser.from_document(doc)
 
 
 def test_repeated_linear_nrack_entries_are_refused():
-    import braidforge.linrack as lr
-
     for key in ("bracket", "inv_bracket"):
         doc = ser.to_document(lr.linearize_nrack(nr.cyclic_rack(3)))
         doc[key].append(list(doc[key][-1]))
@@ -203,15 +204,8 @@ def test_repeated_linear_nrack_entries_are_refused():
             ser.from_document(doc)
 
 
-def nr_set_coalgebra():
-    import braidforge.linrack as lr
-
-    return lr.set_coalgebra(2)
-
-
 def test_cli_refuses_a_repeated_entry(tmp_path, capsys):
-    import braidforge.cli as cli
-
+    # the repeat used to overwrite (0,0) with 5, so verify ybe judged another operator and exited 1
     doc = _identity_doc()
     doc["entries"].append([0, 0, "5/1"])
     path = tmp_path / "op.json"
