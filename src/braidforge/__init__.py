@@ -4,7 +4,7 @@ Yang-Baxter operators and set-theoretical solutions they induce."""
 
 from . import errors, linrack, nleibniz, nrack, scalars, serialization, setsol, tensor, ybops
 from .linrack import Coalgebra, LinearNRack
-from .nleibniz import CentralNLeibnizAlgebra, NLeibnizAlgebra
+from .nleibniz import NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack, VectorNRack
 from .reports import Check, VerificationReport
 from .setsol import SetNMap, SolutionProfile
@@ -14,7 +14,6 @@ from .ybops import YBReport
 __all__ = [
     "Check",
     "Coalgebra",
-    "CentralNLeibnizAlgebra",
     "FiniteGroup",
     "FiniteNRack",
     "LinearNRack",

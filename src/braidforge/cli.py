@@ -80,10 +80,10 @@ def _check_one(doc, dim_cap):
     if kind in ("nleibniz", "nrack", "linear_nrack"):
         _cap_laws(obj, dim_cap)
     if kind == "nleibniz":
-        if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
+        if obj.central is not None:
             rb = ReportBuilder("central-nleibniz")
-            rb.extend(nleibniz.check_fundamental_identity(obj.algebra))
-            rb.record("central-element", nleibniz.is_central(obj.algebra, obj.central))
+            rb.extend(nleibniz.check_fundamental_identity(obj))
+            rb.record("central-element", nleibniz.is_central(obj, obj.central))
             return rb.build()
         return nleibniz.check_fundamental_identity(obj)
     if kind == "nrack":
@@ -152,15 +152,7 @@ class BuildContext:
         return n
 
 
-def _as_algebra(obj):
-    if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
-        return obj.algebra
-    return obj
-
-
-_ALGEBRA = (nleibniz.NLeibnizAlgebra, nleibniz.CentralNLeibnizAlgebra)
-
-#: name -> (construction, the object type or types its input document must read as)
+#: name -> (construction, the object type its input document must read as)
 _CONSTRUCTIONS = {}
 
 
@@ -172,27 +164,25 @@ def _construction(name, accepts):
     return wrap
 
 
-@_construction("nbracket-from-leibniz", _ALGEBRA)
+@_construction("nbracket-from-leibniz", nleibniz.NLeibnizAlgebra)
 def _b_nbracket(obj, ctx):
-    a = _as_algebra(obj)
-    return nleibniz.nbracket_from_leibniz(a, ctx.arity(a.dim), ctx.recheck)
+    return nleibniz.nbracket_from_leibniz(obj, ctx.arity(obj.dim), ctx.recheck)
 
 
-@_construction("fundamental-leibniz", _ALGEBRA)
+@_construction("fundamental-leibniz", nleibniz.NLeibnizAlgebra)
 def _b_fundamental(obj, ctx):
     return nleibniz.fundamental_leibniz(obj, ctx.recheck)
 
 
-@_construction("adjoin-unit", _ALGEBRA)
+@_construction("adjoin-unit", nleibniz.NLeibnizAlgebra)
 def _b_adjoin(obj, ctx):
-    return nleibniz.adjoin_unit(_as_algebra(obj), ctx.recheck)
+    return nleibniz.adjoin_unit(obj, ctx.recheck)
 
 
-@_construction("nrack-from-nleibniz", _ALGEBRA)
+@_construction("nrack-from-nleibniz", nleibniz.NLeibnizAlgebra)
 def _b_vector_nrack(obj, ctx):
-    a = _as_algebra(obj)
-    nrack.nrack_from_nleibniz(a)  # raises unless the grid validation passes
-    return a
+    nrack.nrack_from_nleibniz(obj)  # raises unless the grid validation passes
+    return obj
 
 
 @_construction("conjugation-nrack", nrack.FiniteGroup)
@@ -215,9 +205,9 @@ def _b_linearize(obj, ctx):
     return linrack.linearize_nrack(obj)
 
 
-@_construction("lnr-from-nleibniz", _ALGEBRA)
+@_construction("lnr-from-nleibniz", nleibniz.NLeibnizAlgebra)
 def _b_lnr(obj, ctx):
-    return linrack.linear_nrack_from_nleibniz(_as_algebra(obj))
+    return linrack.linear_nrack_from_nleibniz(obj)
 
 
 @_construction("tensor-power-rack", linrack.LinearNRack)
@@ -231,25 +221,25 @@ def _b_lebed(obj, ctx):
     return fwd
 
 
-@_construction("r1", _ALGEBRA)
+@_construction("r1", nleibniz.NLeibnizAlgebra)
 def _b_r1(obj, ctx):
-    return ybops.r1_from_nleibniz(_as_algebra(obj))
+    return ybops.r1_from_nleibniz(obj)
 
 
-@_construction("r2", _ALGEBRA)
+@_construction("r2", nleibniz.NLeibnizAlgebra)
 def _b_r2(obj, ctx):
-    return ybops.r2_from_nleibniz(_as_algebra(obj))
+    return ybops.r2_from_nleibniz(obj)
 
 
-@_construction("eta", _ALGEBRA)
+@_construction("eta", nleibniz.NLeibnizAlgebra)
 def _b_eta(obj, ctx):
-    eta, report = ybops.eta_intertwiner(_as_algebra(obj))
+    eta, report = ybops.eta_intertwiner(obj)
     if not report.passed:
         raise PreconditionError("eta verification failed", report.witness)
     return eta
 
 
-@_construction("nyb-central", nleibniz.CentralNLeibnizAlgebra)
+@_construction("nyb-central", nleibniz.NLeibnizAlgebra)
 def _b_nyb_central(obj, ctx):
     side = ctx.params.get("side", "right")
     return ybops.nyb_from_central_nleibniz(obj, side)
@@ -303,13 +293,10 @@ _CERTIFY = {
 def _certify_input(obj, dim_cap):
     """Documents not marked certified get checked, under the cap of `check`,
     before a build uses them."""
-    inner = _as_algebra(obj)
-    certify = _CERTIFY.get(type(inner))
-    if certify is None or inner.certified:
+    certify = _CERTIFY.get(type(obj))
+    if certify is None or obj.certified:
         return obj
     _cap_laws(obj, dim_cap)
-    if isinstance(obj, nleibniz.CentralNLeibnizAlgebra):
-        return nleibniz.CentralNLeibnizAlgebra(certify(inner), obj.central)
     return certify(obj)
 
 
@@ -420,11 +407,7 @@ def cmd_demo(args):
     stage("fundamental-identity(T3)", fi.passed)
     t3 = t3.as_certified()
     t3bar = nleibniz.adjoin_unit(t3)
-    stage(
-        "adjoin-unit(T3) central",
-        nleibniz.is_central(t3bar.algebra, t3bar.central),
-        dim=t3bar.dim,
-    )
+    stage("adjoin-unit(T3) central", nleibniz.is_central(t3bar, t3bar.central), dim=t3bar.dim)
     s = ybops.nyb_from_central_nleibniz(t3bar)
     rep = ybops.verify_nybe(s, 3, "right", args.dim_cap)
     stage("degree-3 braid relation (dim 4^5)", rep.holds and rep.invertible, **rep.to_json())

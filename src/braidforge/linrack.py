@@ -37,19 +37,13 @@ from .tensor import TensorOperator, TensorShape, apply_columns, flat_index, kron
 
 @dataclass(frozen=True)
 class Coalgebra:
-    """Coproduct and counit matrices, with the cocommutativity flag derived.
-
-    ``candidates`` are the vectors the group-like search is allowed to
-    inspect; the default (all basis vectors) covers the set-algebra
-    k[X] case, and constructions add their own canonical candidates.
-    """
+    """Coproduct and counit matrices, with the cocommutativity flag derived."""
 
     dim: int
     delta: TensorOperator
     counit: TensorOperator
     mode: str = scalars.EXACT
     cocommutative: bool = field(init=False)
-    candidates: tuple = None
 
     def __post_init__(self):
         if self.delta.domain_shape.total != self.dim or self.delta.codomain_shape.total != self.dim**2:
@@ -61,11 +55,6 @@ class Coalgebra:
         cols, d = delta.columns, self.dim
         swapped = ((x, dict(col), {r % d * d + r // d: v for r, v in col}) for x, col in enumerate(cols))
         object.__setattr__(self, "cocommutative", column_witness(swapped, delta.mode) is None)
-        if self.candidates is None:
-            one = scalars.one(self.mode)
-            object.__setattr__(self, "candidates", tuple({i: one} for i in range(self.dim)))
-        else:
-            object.__setattr__(self, "candidates", tuple(dict(c) for c in self.candidates))
 
     def iterated_delta(self, legs: int) -> TensorOperator:
         """The map C -> C^(x)legs splitting one element into `legs` Sweedler legs."""
@@ -156,13 +145,9 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
     dcols = [[(p * ck + q, v) for (p, q), v in col] for col in _dealt(delta, c, 2, k)]
     ecols = [[(0, v) for _, v in col] for col in _dealt(counit, c, 1, k)]
     shp = tensor.power_shape(c, k)
-    candidates = tuple(
-        tensor.tensor_vector(combo, shp, base.mode)
-        for combo in itertools.product(base.candidates, repeat=k)
-    )
     delta = TensorOperator.from_columns(shp, tensor.power_shape(ck, 2), dcols, dscale**k, base.mode)
     counit = TensorOperator.from_columns(shp, TensorShape((1,)), ecols, escale**k, base.mode)
-    return Coalgebra(ck, delta, counit, base.mode, candidates=candidates)
+    return Coalgebra(ck, delta, counit, base.mode)
 
 
 def check_coalgebra(c: Coalgebra) -> VerificationReport:
@@ -356,30 +341,22 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
 
 
 def group_like_elements(c: Coalgebra):
-    """All candidate vectors v with Delta v = v (x) v and v != 0.
+    """The basis vectors e_x with Delta e_x = e_x (x) e_x, as sparse vectors.
 
-    The search is restricted to the coalgebra's stored candidate set
-    (basis vectors by default); solving the full quadratic group-like
-    system is out of scope.
+    Solving the full quadratic group-like system is out of scope.
     """
     if c.mode != scalars.EXACT:
         raise SchemaError("group-like extraction is exact-mode only")
-    found = []
-    shp2 = tensor.power_shape(c.dim, 2)
-    for v in c.candidates:
-        if not v:
-            continue
-        square = tensor.tensor_vector([v, v], shp2, c.mode)
-        if c.delta.apply(v) == square and not any(f == v for f in found):
-            found.append(dict(v))
-    return found
+    shp2, one = tensor.power_shape(c.dim, 2), scalars.one(c.mode)
+    basis = [{x: one} for x in range(c.dim)]
+    return [v for v in basis if c.delta.apply(v) == tensor.tensor_vector([v, v], shp2, c.mode)]
 
 
 def induced_nrack(l: LinearNRack) -> FiniteNRack:
     """Restrict the bracket to the found group-likes; the set must be closed."""
     likes = group_like_elements(l.base)
     if not likes:
-        raise NotClosedError("no group-like elements found among the candidates")
+        raise NotClosedError("no group-like basis vector found")
     n = l.arity
     m = len(likes)
     dom = tensor.power_shape(l.base.dim, n)

@@ -16,7 +16,7 @@ backed by a theorem mark their outputs certified (re-checkable with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import scalars, tensor
@@ -25,11 +25,15 @@ from .reports import ReportBuilder, VerificationReport, certified, confirm, firs
 from .tensor import TensorOperator, TensorShape
 
 
-def _clean_vector(vec, mode):
+def _clean_vector(vec, mode, dim: int, what: str):
+    """``vec`` with its scalars in ``mode`` and its zeros dropped; a nonzero
+    entry outside range(dim) is refused as ``what`` out of range."""
     out = {}
     for j, v in vec.items():
         v = scalars.coerce(v, mode)
         if v != 0:
+            if not 0 <= int(j) < dim:
+                raise SchemaError(f"{what} out of range for dim {dim}")
             out[int(j)] = v
     return out
 
@@ -40,13 +44,19 @@ def vec_json(vec, mode):
 
 @dataclass(frozen=True)
 class NLeibnizAlgebra:
-    """Arity-n bracket on k^dim, stored as structure constants keyed by input tuple."""
+    """Arity-n bracket on k^dim, stored as structure constants keyed by input tuple.
+
+    ``central`` is an optional distinguished element, a sparse vector, as
+    the degree-n braiding needs; constructions that take one refuse it
+    unless `is_central` holds.
+    """
 
     arity: int
     dim: int
     bracket: dict = field(default_factory=dict)
     mode: str = scalars.EXACT
     certified: bool = False
+    central: dict = None
 
     def __post_init__(self):
         if self.arity < 2:
@@ -61,12 +71,12 @@ class NLeibnizAlgebra:
                 raise SchemaError(f"bracket key {key} has wrong arity")
             if any(not 0 <= i < self.dim for i in key):
                 raise SchemaError(f"bracket key {key} out of range for dim {self.dim}")
-            vec = _clean_vector(out, self.mode)
-            if any(not 0 <= j < self.dim for j in vec):
-                raise SchemaError(f"bracket output of {key} out of range")
+            vec = _clean_vector(out, self.mode, self.dim, f"bracket output of {key}")
             if vec:
                 clean[key] = vec
         object.__setattr__(self, "bracket", clean)
+        if self.central is not None:
+            object.__setattr__(self, "central", _clean_vector(self.central, self.mode, self.dim, "central element"))
 
     def bracket_basis(self, key) -> dict:
         """[e_{i_1}, ..., e_{i_n}] as a sparse coefficient vector."""
@@ -95,7 +105,7 @@ class NLeibnizAlgebra:
         return out
 
     def as_certified(self) -> "NLeibnizAlgebra":
-        return NLeibnizAlgebra(self.arity, self.dim, self.bracket, self.mode, True)
+        return replace(self, certified=True)
 
     def op_reversed(self) -> "NLeibnizAlgebra":
         """The bracket with arguments reversed: [x_1..x_n] -> [x_n..x_1].
@@ -104,30 +114,7 @@ class NLeibnizAlgebra:
         returned uncertified.
         """
         rev = {tuple(reversed(k)): dict(v) for k, v in self.bracket.items()}
-        return NLeibnizAlgebra(self.arity, self.dim, rev, self.mode, False)
-
-
-@dataclass(frozen=True)
-class CentralNLeibnizAlgebra:
-    """An n-Leibniz algebra with a distinguished central element."""
-
-    algebra: NLeibnizAlgebra
-    central: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "central", _clean_vector(self.central, self.algebra.mode))
-
-    @property
-    def arity(self):
-        return self.algebra.arity
-
-    @property
-    def dim(self):
-        return self.algebra.dim
-
-    @property
-    def mode(self):
-        return self.algebra.mode
+        return replace(self, bracket=rev, certified=False)
 
 
 def zero_algebra(arity: int, dim: int, mode=scalars.EXACT) -> NLeibnizAlgebra:
@@ -190,7 +177,7 @@ def certify(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
 
 def is_central(a: NLeibnizAlgebra, z: dict) -> bool:
     """Whether z placed in any slot kills the bracket against all basis fillings."""
-    z = _clean_vector(z, a.mode)
+    z = _clean_vector(z, a.mode, a.dim, "central element")
     totals = {key: sum(c * z[i] for i, c in row.items() if i in z) for key, row in _central_rows(a)}
     return first_difference(totals, {}, a.mode) is None
 
@@ -318,19 +305,15 @@ def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) 
     return out
 
 
-def fundamental_leibniz(a, recheck: bool = False):
+def fundamental_leibniz(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAlgebra:
     """The induced Leibniz bracket on the (n-1)-st tensor power:
 
         {x_1 (x) ... (x) x_{n-1}, y_1 (x) ... (x) y_{n-1}}
             = sum_i x_1 (x) ... (x) [x_i, y_1..y_{n-1}] (x) ... (x) x_{n-1}.
 
-    A central input yields a central output with central element the
-    (n-1)-st tensor power of the input's.
+    An input with a central element yields an output whose central
+    element is its (n-1)-st tensor power.
     """
-    central = None
-    if isinstance(a, CentralNLeibnizAlgebra):
-        central = a.central
-        a = a.algebra
     refuse_uncertified(a, "fundamental_leibniz")
     n, d = a.arity, a.dim
     shp = tensor.power_shape(d, n - 1)
@@ -351,23 +334,26 @@ def fundamental_leibniz(a, recheck: bool = False):
                     else:
                         vec[target] = s
     new = {k: v for k, v in new.items() if v}
-    out_alg = NLeibnizAlgebra(2, shp.total, new, a.mode, True)
+    central = None if a.central is None else tensor.tensor_vector([a.central] * (n - 1), shp, a.mode)
+    out_alg = NLeibnizAlgebra(2, shp.total, new, a.mode, True, central)
     if recheck:
         confirm(check_fundamental_identity(out_alg))
-    if central is not None:
-        return CentralNLeibnizAlgebra(out_alg, tensor.tensor_vector([central] * (n - 1), shp, a.mode))
     return out_alg
 
 
-def adjoin_unit(a: NLeibnizAlgebra, recheck: bool = False) -> CentralNLeibnizAlgebra:
-    """Adjoin a central unit: on k (+) L the bracket ignores the scalar parts,
-    [[(l_1,x_1), ...]] = (0, [x_1..x_n]), with central element (1, 0)."""
+def unit_extension(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
+    """k (+) L, basis 0 the unit (1, 0): the bracket ignores the scalar parts,
+    [[(l_1,x_1), ...]] = (0, [x_1..x_n]), and the central element is (1, 0).
+    It satisfies the fundamental identity exactly when ``a`` does, so it is
+    certified exactly when ``a`` is; any central element of ``a`` is dropped."""
+    new = {tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()} for key, out in a.bracket.items()}
+    return NLeibnizAlgebra(a.arity, a.dim + 1, new, a.mode, a.certified, {0: scalars.one(a.mode)})
+
+
+def adjoin_unit(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAlgebra:
+    """The unit extension k (+) L of a certified algebra, rechecked on ``recheck``."""
     refuse_uncertified(a, "adjoin_unit")
-    new = {
-        tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()}
-        for key, out in a.bracket.items()
-    }
-    out_alg = NLeibnizAlgebra(a.arity, a.dim + 1, new, a.mode, True)
+    out = unit_extension(a)
     if recheck:
-        confirm(check_fundamental_identity(out_alg))
-    return CentralNLeibnizAlgebra(out_alg, {0: scalars.one(a.mode)})
+        confirm(check_fundamental_identity(out))
+    return out

@@ -63,6 +63,13 @@ def format_scalar(value, mode: str):
     return float(value)
 
 
+def format_ratio(num: int, den: int) -> str:
+    """The "p/q" string of num/den, for den > 0, as ``format_scalar`` prints
+    it, without building a Fraction."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def parse_scalar(raw, mode: str):
     """Parse a JSON scalar: accepts "p/q", "p", or a number (ints only in exact mode)."""
     if mode == EXACT:

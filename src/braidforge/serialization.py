@@ -14,7 +14,7 @@ import math
 from . import scalars, tensor
 from .errors import SchemaError
 from .linrack import Coalgebra, LinearNRack
-from .nleibniz import CentralNLeibnizAlgebra, NLeibnizAlgebra
+from .nleibniz import NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack
 from .setsol import SetNMap, encode_outputs
 from .tensor import TensorOperator, TensorShape
@@ -94,10 +94,11 @@ def _total_table(rows, kind, size, arity, width):
 
 
 def _entries_to_json(op: TensorOperator):
-    return [
-        [r, c, scalars.format_scalar(v, op.mode)]
-        for (r, c), v in sorted(op.entries.items())
-    ]
+    """[row, col, value] in (row, col) order, exact values printed from the
+    stored integers over the scale."""
+    exact = op.mode == scalars.EXACT
+    entries = sorted((r, c, v) for c, col in enumerate(op.columns) for r, v in col)
+    return [[r, c, scalars.format_ratio(v, op.scale) if exact else v] for r, c, v in entries]
 
 
 def _read_operator(doc, key, kind, mode, dom, cod) -> TensorOperator:
@@ -137,11 +138,7 @@ def operator_from_document(doc) -> TensorOperator:
     return _read_operator(doc, "entries", "operator", mode, dom, cod)
 
 
-def nleibniz_to_document(a) -> dict:
-    central = None
-    if isinstance(a, CentralNLeibnizAlgebra):
-        central = a.central
-        a = a.algebra
+def nleibniz_to_document(a: NLeibnizAlgebra) -> dict:
     doc = {
         "kind": "nleibniz",
         "arity": a.arity,
@@ -156,18 +153,14 @@ def nleibniz_to_document(a) -> dict:
             for key, out in sorted(a.bracket.items())
         ],
     }
-    if central is not None:
-        zero = scalars.format_scalar(scalars.zero(a.mode), a.mode)
-        dense = [zero] * a.dim
-        for j, v in central.items():
-            dense[j] = scalars.format_scalar(v, a.mode)
-        doc["central"] = dense
+    if a.central is not None:
+        doc["central"] = [scalars.format_scalar(a.central.get(j, 0), a.mode) for j in range(a.dim)]
     return doc
 
 
-def nleibniz_from_document(doc):
+def nleibniz_from_document(doc) -> NLeibnizAlgebra:
     mode = _mode_of(doc)
-    bracket = {}
+    bracket, central = {}, None
     for item in _list(doc, "bracket", "nleibniz", dict):
         key = tuple(_int(i) for i in _list(item, "in", "bracket term"))
         out = _require(item, "out", "bracket term")
@@ -177,22 +170,16 @@ def nleibniz_from_document(doc):
         if key in bracket:
             raise SchemaError(f"duplicate bracket key {key}")
         bracket[key] = out
-    a = NLeibnizAlgebra(
-        _int(_require(doc, "arity", "nleibniz")),
-        _int(_require(doc, "dim", "nleibniz")),
-        bracket,
-        mode,
-        _certified(doc, "nleibniz"),
-    )
+    dim = _int(_require(doc, "dim", "nleibniz"))
+    if "central" in doc:
+        raw = _list(doc, "central", "nleibniz")
+        if len(raw) != dim:
+            raise SchemaError(f"nleibniz field 'central' must hold {dim} entries, got {len(raw)}")
+        central = {j: scalars.parse_scalar(v, mode) for j, v in enumerate(raw)}
+    a = NLeibnizAlgebra(_int(_require(doc, "arity", "nleibniz")), dim, bracket, mode, _certified(doc, "nleibniz"), central)
     # no law check walks 2^63 inputs, and on dim 1 the check's one (2n-1)-tuple would be huge
     if a.arity > 63:
         raise SchemaError(f"nleibniz arity {a.arity} on dim {a.dim} is beyond any check")
-    if "central" in doc:
-        central = {
-            j: scalars.parse_scalar(v, mode)
-            for j, v in enumerate(_list(doc, "central", "nleibniz"))
-        }
-        return CentralNLeibnizAlgebra(a, central)
     return a
 
 
@@ -294,7 +281,6 @@ def set_map_from_document(doc) -> SetNMap:
 _TO_DOCUMENT = {
     TensorOperator: operator_to_document,
     NLeibnizAlgebra: nleibniz_to_document,
-    CentralNLeibnizAlgebra: nleibniz_to_document,
     FiniteNRack: nrack_to_document,
     FiniteGroup: group_to_document,
     Coalgebra: coalgebra_to_document,

@@ -312,7 +312,8 @@ def _check_enumeration_cap(m: int, n: int):
 
 
 def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
-    """Census of all tables passing the filter, in lexicographic order.
+    """Census of all tables passing the filter, in lexicographic order, and
+    the list of those tables, each a tuple laid out as ``FiniteNRack.table``.
 
     Filters:
       nshelf    self-distributivity only
@@ -329,19 +330,19 @@ def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):
     found = _census(m, n, table_filter)
     census = {"filter": table_filter, "m": m, "n": n, "count": len(found)}
     if dump:
-        census["tables"] = [list(t.table) for t in found]
+        census["tables"] = [list(t) for t in found]
     return census, found
 
 
 def _census(m: int, n: int, table_filter: str):
-    """Every table passing the filter: the Sym(m) orbit of each
-    representative, without repeats, sorted by column sequence in index
+    """Every table passing the filter, as a flat tuple: the Sym(m) orbit of
+    each representative, without repeats, sorted by column sequence in index
     order, which is the order of a search over lexicographic candidates."""
     candidates, relabellings = _relabellings(m, n, table_filter != "nshelf")
     search = _enumerate_nsolution if table_filter == "nsolution" else _enumerate_distributive
     reps = search(m, n, candidates, relabellings)
     labelled = sorted({tuple(conj[rep[s]] for s in src) for rep in reps for src, conj in relabellings})
-    return [FiniteNRack(m, n, tuple(candidates[c][x] for x in range(m) for c in cols)) for cols in labelled]
+    return [tuple(candidates[c][x] for x in range(m) for c in cols) for cols in labelled]
 
 
 def _column_order(m: int, n: int):

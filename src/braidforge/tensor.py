@@ -374,15 +374,6 @@ def cyclic_permutation(k: int) -> tuple:
     return tuple([k - 1] + list(range(k - 1)))
 
 
-def deal_factors(n: int) -> tuple:
-    """Factor permutation for the shuffle (u_1 v_1 u_2 v_2 ...) -> (u_1..u_n v_1..v_n)."""
-    perm = [0] * (2 * n)
-    for i in range(n):
-        perm[2 * i] = i
-        perm[2 * i + 1] = n + i
-    return tuple(perm)
-
-
 def compose(a: TensorOperator, b: TensorOperator) -> TensorOperator:
     """a after b.  Cost is proportional to matching nonzeros, not dimension."""
     if a.mode != b.mode:
@@ -481,17 +472,6 @@ def exp_nilpotent(a: TensorOperator) -> TensorOperator:
         fact *= k
         total = total + power.scaled(Fraction(1, fact))
     raise NotNilpotentError(f"operator is not nilpotent (A^{n} != 0)")
-
-
-def is_nilpotent(a: TensorOperator) -> bool:
-    if not a.is_square():
-        return False
-    power = a
-    for _ in range(a.domain_shape.total):
-        if not power.nnz:
-            return True
-        power = power @ a
-    return not power.nnz
 
 
 def exp_float(a: TensorOperator) -> TensorOperator:

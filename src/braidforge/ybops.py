@@ -23,12 +23,13 @@ from . import scalars, tensor
 from .errors import PreconditionError, SchemaError, ShapeMismatchError, VerdictDisagreementError
 from .linrack import LinearNRack, certify, nrack_braiding
 from .nleibniz import (
-    CentralNLeibnizAlgebra,
     NLeibnizAlgebra,
     adjoin_unit,
     bracket_operator,
     check_fundamental_identity,
     fundamental_leibniz,
+    is_central,
+    unit_extension,
 )
 from .nrack import FiniteGroup
 from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
@@ -267,18 +268,16 @@ def cyclic_operator(dim: int, k: int, mode=scalars.EXACT) -> TensorOperator:
 # -- operators from (central) Leibniz structures ------------------------
 
 
-def _require_central(cl) -> CentralNLeibnizAlgebra:
-    if not isinstance(cl, CentralNLeibnizAlgebra):
+def _require_central(cl: NLeibnizAlgebra) -> NLeibnizAlgebra:
+    if cl.central is None:
         raise SchemaError("expected a central n-Leibniz algebra")
-    refuse_uncertified(cl.algebra, "a central n-Leibniz construction")
-    from .nleibniz import is_central
-
-    if not is_central(cl.algebra, cl.central):
+    refuse_uncertified(cl, "a central n-Leibniz construction")
+    if not is_central(cl, cl.central):
         raise PreconditionError("the distinguished element is not central")
     return cl
 
 
-def r_from_central_leibniz(cl: CentralNLeibnizAlgebra) -> TensorOperator:
+def r_from_central_leibniz(cl: NLeibnizAlgebra) -> TensorOperator:
     """The braiding R(x (x) y) = y (x) x + 1 (x) {x,y} of a central Leibniz algebra."""
     cl = _require_central(cl)
     if cl.arity != 2:
@@ -335,8 +334,8 @@ def eta_intertwiner(a: NLeibnizAlgebra):
 
     rb = ReportBuilder("eta")
     rb.record("injectivity", tensor.column_rank(eta) == wdim)
-    bw = bracket_operator(w_central.algebra)
-    bv = bracket_operator(v_central.algebra)
+    bw = bracket_operator(w_central)
+    bv = bracket_operator(v_central)
     wit = difference_witness(eta @ bw, bv @ tensor_many([eta, eta]))
     central = first_difference(eta.apply(w_central.central), v_central.central, mode) is None
     rb.record("central-leibniz-homomorphism", wit is None and central, wit)
@@ -347,7 +346,7 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     return eta, rb.build()
 
 
-def nyb_from_central_nleibniz(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOperator:
+def nyb_from_central_nleibniz(cl: NLeibnizAlgebra, side: str = "right") -> TensorOperator:
     """The degree-n braiding of a central n-Leibniz algebra:
 
         S(x_1 (x) ... (x) x_n) = x_2 (x) ... (x) x_n (x) x_1
@@ -368,19 +367,8 @@ def nyb_iff_nleibniz(bracket: NLeibnizAlgebra, dim_cap: int = DEFAULT_DIM_CAP):
     return (S, its n-YB report, the bracket's fundamental-identity report).
 
     The theorem forces the verdicts to agree; disagreement raises."""
-    d, n, mode = bracket.dim, bracket.arity, bracket.mode
-    lifted = NLeibnizAlgebra(
-        n,
-        d + 1,
-        {
-            tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()}
-            for key, out in bracket.bracket.items()
-        },
-        mode,
-    )
-    cl = CentralNLeibnizAlgebra(lifted, {0: scalars.one(mode)})
-    s = _nyb_formula(cl)
-    report = verify_nybe(s, n, "right", dim_cap)
+    s = _nyb_formula(unit_extension(bracket))
+    report = verify_nybe(s, bracket.arity, "right", dim_cap)
     fi = check_fundamental_identity(bracket)
     if report.is_operator != fi.passed:
         raise VerdictDisagreementError(
@@ -389,7 +377,7 @@ def nyb_iff_nleibniz(bracket: NLeibnizAlgebra, dim_cap: int = DEFAULT_DIM_CAP):
     return s, report, fi
 
 
-def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOperator:
+def _nyb_formula(cl: NLeibnizAlgebra, side: str = "right") -> TensorOperator:
     """The degree-n braiding formula of either side without certifying the bracket first."""
     d, n, mode = cl.dim, cl.arity, cl.mode
     shp = tensor.power_shape(d, n)
@@ -397,10 +385,10 @@ def _nyb_formula(cl: CentralNLeibnizAlgebra, side: str = "right") -> TensorOpera
     # (power coefficient) * (bracket coefficient) on both sides, in float mode too
     units = tensor.tensor_vector([cl.central] * (n - 1), tensor.power_shape(d, n - 1), mode)
     if side == "right":
-        shift, bracket = tensor.cyclic_permutation(n), cl.algebra
+        shift, bracket = tensor.cyclic_permutation(n), cl
         pair = tensor.shape(d ** (n - 1), d)
     else:
-        shift, bracket = tuple(range(1, n)) + (0,), cl.algebra.op_reversed()
+        shift, bracket = tuple(range(1, n)) + (0,), cl.op_reversed()
         pair = tensor.shape(d, d ** (n - 1))
     entries = {}
     for key, out in bracket.bracket.items():

@@ -8,13 +8,23 @@ one basis column at a time from the columns of Delta, eps and the
 brackets, and must give the same reports and the same entries, bit for
 bit in float mode.
 
-``check_linear_nrack_homomorphism`` lives only here: no library path
-calls it, and the tests use it to check maps between linear n-racks.
+``check_linear_nrack_homomorphism`` and ``deal_factors`` live only here:
+no library path calls them, and the tests use them to check maps between
+linear n-racks and to deal Sweedler legs.
 """
 
 import braidforge.tensor as T
 from braidforge.errors import PreconditionError, SchemaError
 from braidforge.reports import ReportBuilder, difference_witness
+
+
+def deal_factors(n: int) -> tuple:
+    """Factor permutation for the shuffle (u_1 v_1 u_2 v_2 ...) -> (u_1..u_n v_1..v_n)."""
+    perm = [0] * (2 * n)
+    for i in range(n):
+        perm[2 * i] = i
+        perm[2 * i + 1] = n + i
+    return tuple(perm)
 
 
 def _idc(c):
@@ -49,7 +59,7 @@ def homomorphism_witnesses(l):
     the bracket's witness first, then the inverse bracket's."""
     n, base = l.arity, l.base
     maps = (l.bracket, l.inv_bracket)
-    split_all = T.tensor_many([base.delta] * n).permute_codomain(T.deal_factors(n))
+    split_all = T.tensor_many([base.delta] * n).permute_codomain(deal_factors(n))
     wits = (difference_witness(base.delta @ b, T.compose_blocks([b, b], split_all)) for b in maps)
     coproduct = next(filter(None, wits), None)
     eps_n = T.tensor_many([base.counit] * n)
@@ -59,7 +69,7 @@ def homomorphism_witnesses(l):
 
 def tensor_power_coalgebra(base, k):
     """(Delta, eps) of C^(x)k."""
-    delta = T.tensor_many([base.delta] * k).permute_codomain(T.deal_factors(k))
+    delta = T.tensor_many([base.delta] * k).permute_codomain(deal_factors(k))
     return delta, T.tensor_many([base.counit] * k)
 
 

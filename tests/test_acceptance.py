@@ -91,7 +91,7 @@ def test_criterion_03_lift_descend_round(a3, t3bar):
         d = 4
         shp = T.power_shape(d, 3)
         expected = {}
-        br = cl.algebra.bracket_basis
+        br = cl.bracket_basis
         for x, y, z in itertools.product(range(d), repeat=3):
             col = shp.flat((x, y, z))
 
@@ -220,8 +220,7 @@ def test_cap_scale_monomial_verification(s3):
 def unit_extended_ternary(bracket):
     """The degree-3 braiding of a ternary bracket on k^15 with a unit
     adjoined, on (k (+) k^15)^(x)3, built without certifying the bracket."""
-    lifted = {tuple(i + 1 for i in key): {j + 1: v for j, v in out.items()} for key, out in bracket.items()}
-    return yb._nyb_formula(nl.CentralNLeibnizAlgebra(nl.NLeibnizAlgebra(3, 16, lifted), {0: ONE}))
+    return yb._nyb_formula(nl.unit_extension(nl.NLeibnizAlgebra(3, 15, bracket)))
 
 
 def test_cap_scale_general_verification():

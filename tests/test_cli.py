@@ -137,6 +137,34 @@ def test_build_verify_pipeline(capsys, tmp_path, t3_doc):
     assert any("nyb-central" in p for p in doc["provenance"])
 
 
+def test_central_vector_must_hold_dim_entries(capsys, tmp_path):
+    bracket = {"kind": "nleibniz", "arity": 2, "dim": 2, "bracket": [{"in": [0, 0], "out": {"1": "1/1"}}]}
+    for central in (["0/1", "0/1", "1/1"], ["1/1"], []):
+        path = write(tmp_path, "c.json", {**bracket, "central": central})
+        for argv in (["check", path], ["build", "nyb-central", path]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"input error: nleibniz field 'central' must hold 2 entries, got {len(central)}\n"
+    for central in (["0/1", "1/1"], ["0/1", "0/1"]):
+        code, out, _ = run(capsys, "check", write(tmp_path, "c.json", {**bracket, "central": central}))
+        assert code == 0 and json.loads(out)["subject"] == "central-nleibniz"
+
+
+def test_nyb_central_refuses_a_document_without_a_central_element(capsys, t3_doc):
+    assert run(capsys, "build", "nyb-central", t3_doc) == (2, "", "input error: expected a central n-Leibniz algebra\n")
+
+
+def test_builds_that_return_their_input_keep_its_central_element(capsys, tmp_path):
+    doc = {"kind": "nleibniz", "arity": 2, "dim": 3, "bracket": [{"in": [0, 1], "out": {"2": "1/1"}}], "central": ["0/1", "0/1", "1/1"]}
+    path = write(tmp_path, "a3.json", doc)
+    for argv in (["nbracket-from-leibniz", path, "--param", "n=2"], ["nrack-from-nleibniz", path]):
+        code, out, _ = run(capsys, "build", *argv)
+        assert code == 0
+        assert json.loads(out)["central"] == doc["central"] and json.loads(out)["certified"]
+    code, out, _ = run(capsys, "build", "nbracket-from-leibniz", path, "--param", "n=3")
+    assert code == 0 and "central" not in json.loads(out)
+
+
 def test_build_unknown_construction(capsys, t3_doc):
     code, _, err = run(capsys, "build", "no-such-thing", t3_doc)
     assert code == 2 and "unknown construction" in err
@@ -535,7 +563,8 @@ def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
 
 
 def _bad_documents():
-    """Uncertified documents that fail their laws, one per law-carrying type.
+    """(type, document) of uncertified documents that fail their laws, for
+    each law-carrying type; the central bracket comes first.
 
     The table's right translations are y=0: (0,1,2), y=1: (1,0,2),
     y=2: (1,2,0); it is not self-distributive, and neither is its
@@ -544,20 +573,19 @@ def _bad_documents():
 
     table = nr.FiniteNRack(3, 2, (0, 1, 1, 1, 0, 2, 2, 2, 0))
     bracket = ser.to_document(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}}))
-    return {
-        nl.CentralNLeibnizAlgebra: {**bracket, "central": ["0/1", "0/1"]},
-        nl.NLeibnizAlgebra: bracket,
-        nr.FiniteNRack: ser.to_document(table),
-        lr.LinearNRack: {**ser.to_document(lr.linearize_nrack(table.as_certified())), "certified": False},
-    }
+    return [
+        (nl.NLeibnizAlgebra, {**bracket, "central": ["0/1", "0/1"]}),
+        (nl.NLeibnizAlgebra, bracket),
+        (nr.FiniteNRack, ser.to_document(table)),
+        (lr.LinearNRack, {**ser.to_document(lr.linearize_nrack(table.as_certified())), "certified": False}),
+    ]
 
 
 def _lawful_constructions():
     """The constructions whose input kind carries laws, with the bad document each takes."""
     out = []
     for name, (_, accepts) in sorted(cli._CONSTRUCTIONS.items()):
-        accepts = accepts if isinstance(accepts, tuple) else (accepts,)
-        bad = [doc for cls, doc in _bad_documents().items() if issubclass(cls, accepts)]
+        bad = [doc for cls, doc in _bad_documents() if cls is accepts]
         if bad:
             out.append(pytest.param(name, bad[0], id=name))
     return out
@@ -565,7 +593,7 @@ def _lawful_constructions():
 
 @pytest.mark.parametrize("construction, doc", _lawful_constructions())
 def test_build_refuses_an_uncertified_input_that_fails_its_laws(capsys, tmp_path, construction, doc):
-    for cls, bad in _bad_documents().items():
+    for cls, bad in _bad_documents():
         assert not cli._check_one(bad, None).passed, cls
     out = tmp_path / "out.json"
     code, stdout, err = run(capsys, "build", construction, write(tmp_path, "bad.json", doc), "--param", "n=3", "-o", str(out))

@@ -28,7 +28,7 @@ import braidforge.ybops as yb
 
 DOCS = {
     "nleibniz": ser.to_document(
-        nl.CentralNLeibnizAlgebra(nl.certify(nl.NLeibnizAlgebra(2, 3, {(0, 1): {2: 1}})), {2: 1})
+        nl.NLeibnizAlgebra(2, 3, {(0, 1): {2: 1}}, certified=True, central={2: 1})
     ),
     "nrack": ser.to_document(nr.cyclic_rack(3)),
     "group": ser.to_document(nr.cyclic_group(3)),

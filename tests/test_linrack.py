@@ -146,7 +146,7 @@ def _matrix_inverse_side(l, first, second):
 def _matrix_pairs(l):
     """(law, lhs, rhs) of every matrix identity, in report order."""
     n, base = l.arity, l.base
-    split_all = T.tensor_many([base.delta] * n).permute_codomain(T.deal_factors(n))
+    split_all = T.tensor_many([base.delta] * n).permute_codomain(linrack_oracle.deal_factors(n))
     eps_n = T.tensor_many([base.counit] * n)
     proj = T.tensor_many([T.identity(T.shape(base.dim), base.mode)] + [base.counit] * (n - 1))
     maps = (l.bracket, l.inv_bracket)
@@ -451,15 +451,24 @@ def test_induced_nrack_roundtrip(conj3, flip_rack):
         assert lr.induced_nrack(lr.linearize_nrack(t)).table == t.table
 
 
+def test_group_likes_of_tensor_powers():
+    # the group-like basis vectors of C^(x)k are the products of those of C
+    for k in (1, 2, 3):
+        assert lr.group_like_elements(lr.tensor_power_coalgebra(lr.set_coalgebra(2), k)) == [{x: ONE} for x in range(2**k)]
+        assert lr.group_like_elements(lr.tensor_power_coalgebra(lr.kplus_coalgebra(1), k)) == [{0: ONE}]
+    nested = lr.tensor_power_coalgebra(lr.tensor_power_coalgebra(lr.set_coalgebra(2), 2), 2)
+    assert lr.group_like_elements(nested) == [{x: ONE} for x in range(16)]
+
+
 def test_induced_nrack_not_closed():
-    # k (+) L of the zero algebra: only (1,0) is group-like and the bracket
-    # keeps it, so restricting works; force failure with an empty candidate set
-    c = lr.kplus_coalgebra(1)
-    starved = lr.Coalgebra(c.dim, c.delta, c.counit, candidates=())
-    l = lr.linear_nrack_from_nleibniz(nl.zero_algebra(2, 1))
-    broken = lr.LinearNRack(starved, 2, l.bracket, l.inv_bracket)
+    # Delta e_0 = 2 e_0 (x) e_0: the one basis vector is not group-like
+    one = T.TensorShape((1,))
+    doubled = T.TensorOperator(one, T.power_shape(1, 2), {(0, 0): 2})
+    c = lr.Coalgebra(1, doubled, T.TensorOperator(one, one, {(0, 0): Fraction(1, 2)}))
+    assert lr.group_like_elements(c) == []
+    bracket = T.TensorOperator(T.power_shape(1, 2), one, {(0, 0): 1})
     with pytest.raises(NotClosedError):
-        lr.induced_nrack(broken)
+        lr.induced_nrack(lr.LinearNRack(c, 2, bracket, bracket))
 
 
 # -- folding and tensor powers --------------------------------------------------

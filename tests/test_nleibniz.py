@@ -10,7 +10,7 @@ import braidforge.scalars as sc
 import braidforge.tensor as T
 import nleibniz_oracle
 from library_extras import extend_bracket_by_leibniz, is_homomorphism, zero_operator
-from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError
+from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError, SchemaError
 
 ONE = Fraction(1)
 
@@ -250,10 +250,9 @@ def test_fundamental_leibniz_t3_slot_terms(t3):
 
 def test_fundamental_leibniz_propagates_central(t3bar):
     out = nl.fundamental_leibniz(t3bar)
-    assert isinstance(out, nl.CentralNLeibnizAlgebra)
     s = T.power_shape(4, 2)
     assert out.central == {s.flat((0, 0)): ONE}
-    assert nl.is_central(out.algebra, out.central)
+    assert nl.is_central(out, out.central)
 
 
 def test_fundamental_requires_certified(t3_bad):
@@ -275,15 +274,42 @@ def test_composition_closure(a3):
 
 def test_adjoin_unit_zero_algebra():
     out = nl.adjoin_unit(nl.zero_algebra(3, 2))
-    assert out.dim == 3 and out.algebra.bracket == {}
+    assert out.dim == 3 and out.bracket == {}
     assert out.central == {0: ONE}
+
+
+def test_central_element_is_range_checked():
+    with pytest.raises(SchemaError, match="central element out of range"):
+        nl.NLeibnizAlgebra(2, 2, {}, central={2: 1})
+    with pytest.raises(SchemaError, match="central element out of range"):
+        nl.NLeibnizAlgebra(2, 2, {}, central={-1: 1})
+    assert nl.NLeibnizAlgebra(2, 2, {}, central={1: 0}).central == {}
+    assert nl.NLeibnizAlgebra(2, 2, {}).central is None
+    with pytest.raises(SchemaError, match="central element out of range"):
+        nl.is_central(nl.zero_algebra(2, 2), {2: 1})
+
+
+def test_central_element_survives_certification_and_reversal(a3):
+    a = nl.NLeibnizAlgebra(2, 3, a3.bracket, central={2: 1})
+    for b in (nl.certify(a), a.as_certified(), a.op_reversed()):
+        assert b.central == {2: ONE}
+    assert nl.certify(a).certified and not a.op_reversed().certified
+
+
+def test_unit_extension_certified_as_its_input(t3, t3_bad):
+    assert nl.unit_extension(t3) == nl.adjoin_unit(t3)
+    bad = nl.unit_extension(t3_bad)
+    assert not bad.certified and bad.central == {0: ONE}
+    assert not nl.check_fundamental_identity(bad).passed
+    with pytest.raises(NotCertifiedError):
+        nl.adjoin_unit(t3_bad)
 
 
 def test_adjoin_unit_t3(t3, t3bar):
     assert t3bar.dim == 4
-    assert t3bar.algebra.bracket == {(1, 2, 2): {3: ONE}}
-    assert nl.is_central(t3bar.algebra, {0: ONE})
-    assert nl.check_fundamental_identity(t3bar.algebra).passed
+    assert t3bar.bracket == {(1, 2, 2): {3: ONE}}
+    assert nl.is_central(t3bar, {0: ONE})
+    assert nl.check_fundamental_identity(t3bar).passed
 
 
 def test_central_elements_zero_bracket_full_space():
@@ -297,7 +323,7 @@ def test_central_elements_t3(t3):
 
 
 def test_central_elements_t3bar(t3bar):
-    center = nl.central_elements(t3bar.algebra)
+    center = nl.central_elements(t3bar)
     assert {0: ONE} in center and {3: ONE} in center
 
 

@@ -170,7 +170,7 @@ def test_nrack_diagram_closure(conj3, flip_rack):
 def test_census_m2_n2_racks():
     census, found = ss.enumerate_tables(2, 2, "nrack")
     assert census["count"] == 2
-    assert sorted(t.table for t in found) == [(0, 0, 1, 1), (1, 1, 0, 0)]
+    assert sorted(found) == [(0, 0, 1, 1), (1, 1, 0, 0)]
 
 
 def test_census_m1():
@@ -201,7 +201,7 @@ def test_census_known_rack_counts():
 def test_census_isomorphism_classes():
     for m, expected in ((2, 2), (3, 6), (4, 19)):
         _, found = ss.enumerate_tables(m, 2, "nrack")
-        tables = {t.table for t in found}
+        tables = set(found)
         perms = list(itertools.permutations(range(m)))
         seen, classes = set(), 0
         for table in sorted(tables):
@@ -242,14 +242,14 @@ def test_census_deterministic_order():
     assert tables == sorted(tables)
     # every reported table really is an n-rack
     for t in found1:
-        assert nr.check_nrack(t).passed
+        assert nr.check_nrack(nr.FiniteNRack(2, 3, t)).passed
     # and nothing was missed: compare against the raw filter
     brute = [list(t.table) for t in all_tables(2, 3) if nr.check_nrack(t).passed]
     assert tables == brute
 
 
 def test_census_nsolution_matches_brute_force():
-    got = [t.table for t in ss.enumerate_tables(2, 3, "nsolution")[1]]
+    got = ss.enumerate_tables(2, 3, "nsolution")[1]
     brute = []
     for t in all_tables(2, 3):
         s = ss.from_function(2, 3, lambda *a: a[1:] + (t.apply(a),))
@@ -264,7 +264,7 @@ def test_watched_census_matches_rescan(m, n, table_filter):
     # same tables in the same order as the DFS that rescans every instance per node
     census, found = ss.enumerate_tables(m, n, table_filter, dump=True)
     expected = rescan_census(m, n, table_filter)
-    assert tuple(t.table for t in found) == expected
+    assert tuple(found) == expected
     assert census["tables"] == [list(t) for t in expected] and census["count"] == len(expected)
 
 
@@ -311,7 +311,7 @@ def test_from_function_refuses_bad_outputs():
 def racks(m, n):
     """Right n-racks on m points: the census for arity 2 and 3, lifted binary ones for 4."""
     if n < 4:
-        return ss.enumerate_tables(m, n, "nrack")[1]
+        return [nr.FiniteNRack(m, n, t) for t in ss.enumerate_tables(m, n, "nrack")[1]]
     return [nr.nrack_from_rack(r.as_certified(), n) for r in racks(m, 2)]
 
 

@@ -174,7 +174,7 @@ def test_central_tensor_power_theorem(t3bar):
             key = (small.flat(ys) * big + small.flat(xs), col)
             expected[key] = expected.get(key, Fraction(0)) + ONE
             for i in range(n - 1):
-                for j, c in t3bar.algebra.bracket_basis((xs[i],) + ys).items():
+                for j, c in t3bar.bracket_basis((xs[i],) + ys).items():
                     row = unit_power * big + small.flat(xs[:i] + (j,) + xs[i + 1 :])
                     expected[(row, col)] = expected.get((row, col), Fraction(0)) + c
     shp = T.power_shape(big, 2)
@@ -244,6 +244,15 @@ def test_eta_intertwines_for_several_algebras(a3):
 def test_nyb_central_zero_is_cyclic():
     cl = nl.adjoin_unit(nl.zero_algebra(3, 2))
     assert yb.nyb_from_central_nleibniz(cl) == yb.cyclic_operator(3, 3)
+
+
+def test_central_constructions_refuse_an_algebra_without_one(t3, a3):
+    with pytest.raises(SchemaError, match="^expected a central n-Leibniz algebra$"):
+        yb.nyb_from_central_nleibniz(t3)
+    with pytest.raises(SchemaError, match="^expected a central n-Leibniz algebra$"):
+        yb.r_from_central_leibniz(a3)
+    with pytest.raises(PreconditionError, match="not central"):
+        yb.r_from_central_leibniz(nl.NLeibnizAlgebra(2, 3, a3.bracket, certified=True, central={0: 1}))
 
 
 def test_nyb_central_t3bar_spot_value(t3bar):
@@ -333,7 +342,7 @@ def test_lift_lebed_matches_nested_bracket_formula(a3):
             expected[(row, col)] = expected.get((row, col), Fraction(0)) + coeff
 
         add(shp.flat((y, z, x)), ONE)
-        br = cl.algebra.bracket_basis
+        br = cl.bracket_basis
         for j, c in br((x, z)).items():
             add(shp.flat((y, 0, j)), c)
         for j, c in br((x, y)).items():
