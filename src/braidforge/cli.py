@@ -152,13 +152,14 @@ class BuildContext:
         return n
 
 
-#: name -> (construction, the object type its input document must read as)
+#: name -> (construction, the object type its input document must read as,
+#: and a refusal of what else it lacks, run before the input's laws are walked)
 _CONSTRUCTIONS = {}
 
 
-def _construction(name, accepts):
+def _construction(name, accepts, refuse=lambda obj: None):
     def wrap(fn):
-        _CONSTRUCTIONS[name] = (fn, accepts)
+        _CONSTRUCTIONS[name] = (fn, accepts, refuse)
         return fn
 
     return wrap
@@ -239,7 +240,7 @@ def _b_eta(obj, ctx):
     return eta
 
 
-@_construction("nyb-central", nleibniz.NLeibnizAlgebra)
+@_construction("nyb-central", nleibniz.NLeibnizAlgebra, ybops.require_central_element)
 def _b_nyb_central(obj, ctx):
     side = ctx.params.get("side", "right")
     return ybops.nyb_from_central_nleibniz(obj, side)
@@ -304,11 +305,12 @@ def cmd_build(args):
     if args.construction not in _CONSTRUCTIONS:
         known = ", ".join(sorted(_CONSTRUCTIONS))
         raise SchemaError(f"unknown construction {args.construction!r}; known: {known}")
-    build, accepts = _CONSTRUCTIONS[args.construction]
+    build, accepts, refuse = _CONSTRUCTIONS[args.construction]
     doc = _load_json(args.file)
     obj = serialization.from_document(doc)
     if not isinstance(obj, accepts):
         raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
+    refuse(obj)
     obj = _certify_input(obj, args.dim_cap)
     params = {}
     for raw in args.param or ():

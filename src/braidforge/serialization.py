@@ -104,15 +104,21 @@ def _entries_to_json(op: TensorOperator):
 def _read_operator(doc, key, kind, mode, dom, cod) -> TensorOperator:
     """The operator dom -> cod of the [row, col, value] list ``key``, which
     names each (row, col) once; exact values are read as numerators over the
-    lcm of their denominators."""
-    exact, entries = mode == scalars.EXACT, {}
+    lcm of their denominators.  Each distinct value string is parsed once."""
+    exact, entries, parsed = mode == scalars.EXACT, {}, {}
     for item in _list(doc, key, kind, list):
         if len(item) != 3:
             raise SchemaError(f"operator entry {item!r} must be [row, col, value]")
         rc = _int(item[0]), _int(item[1])
         if rc in entries:
             raise SchemaError(f"duplicate {kind} entry ({rc[0]},{rc[1]}) in {key!r}")
-        entries[rc] = scalars.parse_ratio(item[2]) if exact else scalars.parse_scalar(item[2], mode)
+        raw = item[2]
+        value = parsed.get(raw) if type(raw) is str else None  # a list still reaches the parser's refusal
+        if value is None:
+            value = scalars.parse_ratio(raw) if exact else scalars.parse_scalar(raw, mode)
+            if type(raw) is str:
+                parsed[raw] = value
+        entries[rc] = value
     tensor.check_entry_range(entries, dom, cod)
     cols = tensor.empty_columns(dom)
     scale = math.lcm(*(den for _, den in entries.values())) if exact else 1

@@ -18,6 +18,7 @@ without being bijective, and the profile records both facts.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import CapExceededError, PreconditionError, SchemaError, VerdictDisagreementError
@@ -142,48 +143,58 @@ def braid_words(n: int, side: str):
 def offset_map(image, m: int, n: int, k: int, off: int):
     """The map sending the flat n-digit base-m index c to image[c], applied
     at digits off..off+n-1 of the k-digit space, as a flat index list."""
-    low, row, out = m ** (k - n - off), [], []
-    for t in image:
-        row.extend(range(t * low, t * low + low))
-    for h in range(0, m**k, m**n * low):
-        out.extend(map(h.__add__, row))
-    return out
+    return word_map(image, m, n, k, [off])
 
 
-def offset_maps(image, m: int, n: int, k: int):
-    """``offset_map`` at every offset 0..k-n of the k-digit space."""
-    return [offset_map(image, m, n, k, off) for off in range(k - n + 1)]
-
-
-def compose(maps):
-    """The composite of flat index lists, the first applied first."""
-    maps = iter(maps)
-    cur = next(maps)
-    for e in maps:
-        cur = [e[x] for x in cur]
+def word_map(image, m: int, n: int, k: int, word, then=None):
+    """x -> then[w(x)] on the k-digit space, as a flat index list: w applies
+    the map ``image`` at each offset of ``word`` in turn, and ``then`` is the
+    identity when None.  The word is built backwards from its last letter
+    E, cur -> cur[E(x)]: a letter whose ``low`` trailing digits span 8 or
+    more indices moves slices of cur, a shorter one gathers each block of
+    cur through its table on the block."""
+    cur = list(range(m**k)) if then is None else then
+    for off in reversed(word):
+        low, span, out = m ** (k - n - off), m ** (k - off), []
+        if low >= 8:
+            for a in [h + t * low for h in range(0, m**k, span) for t in image]:
+                out += cur[a : a + low]
+        else:
+            local = image if low == 1 else [a for t in image for a in range(t * low, t * low + low)]
+            for h in range(0, m**k, span):
+                out += map(cur[h : h + span].__getitem__, local)
+        cur = out
     return cur
 
 
-def braid_sides(maps, side: str):
-    """Both words of ``braid_words(n, side)`` run on every flat index by
-    list lookup, for the n ``offset_maps`` on 2n-1 digits: (lhs images, rhs images).
-    The words share a run of n-1 letters, composed once for both."""
-    n = len(maps)
-    lhs, rhs = braid_words(n, side)
-    i, j = next((i, j) for i in (0, 1) for j in (0, 1) if lhs[i : i + n - 1] == rhs[j : j + n - 1])
-    run = compose(maps[off] for off in lhs[i : i + n - 1])
-    return tuple(
-        compose([maps[off] for off in word[:at]] + [run] + [maps[off] for off in word[at + n - 1 :]])
-        for word, at in ((lhs, i), (rhs, j))
-    )
+def braid_sides(image, m: int, n: int, sides=("right", "left")):
+    """Both words of ``braid_words(n, side)`` on every flat index of 2n-1
+    digits, (lhs images, rhs images), for each of ``sides`` in turn.  The
+    end tables of E_0 and E_{n-1} are built once for all sides, and each
+    side's words share an n-letter core: P = E_{n-1}..E_0 on the right,
+    whose lhs is P read through E_0 and whose rhs is E_{n-1} read at P;
+    Q = E_0..E_{n-1} on the left, whose lhs is E_0 read at Q and whose
+    rhs is Q read through E_{n-1}."""
+    k = 2 * n - 1
+    first, last = offset_map(image, m, n, k, 0), offset_map(image, m, n, k, n - 1)
+    for side in sides:
+        if side == "right":
+            core = word_map(image, m, n, k, range(n - 1, 0, -1), first)
+            pair = word_map(image, m, n, k, [0], core), list(map(last.__getitem__, core))
+        else:
+            core = word_map(image, m, n, k, range(n - 1), last)
+            pair = list(map(first.__getitem__, core)), word_map(image, m, n, k, [n - 1], core)
+        del core  # so that no side's lists are alive while the next side's are built
+        yield pair
+        del pair
 
 
-def _relation(s: SetNMap, maps, side: str):
-    """(verdict, first witness) of the relation on ``side``, from the offset maps of s."""
-    lhs, rhs = braid_sides(maps, side)
+def _relation(s: SetNMap, sides):
+    """(verdict, first witness) of a relation of s from its two sides."""
+    lhs, rhs = sides
     if lhs == rhs:
         return True, None
-    x = next(x for x, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    x = next(itertools.compress(itertools.count(), map(operator.ne, lhs, rhs)))
     digits = power_shape(s.size, 2 * s.arity - 1).multi
     return False, {"tuple": list(digits(x)), "lhs": list(digits(lhs[x])), "rhs": list(digits(rhs[x]))}
 
@@ -194,7 +205,7 @@ def satisfies(s: SetNMap, side: str, dim_cap=None):
     sides' images of it.  dim_cap, when given, refuses a larger space."""
     m, n = s.size, s.arity
     check_dim_cap(m ** (2 * n - 1), dim_cap)
-    return _relation(s, offset_maps(s.image, m, n, 2 * n - 1), side)
+    return _relation(s, next(braid_sides(s.image, m, n, (side,))))
 
 
 def nondegeneracy(s: SetNMap):
@@ -233,9 +244,7 @@ def check_set_nsolution(s: SetNMap, dim_cap=None) -> SolutionProfile:
     refuses a larger space (the CLI passes its cap here)."""
     m, n = s.size, s.arity
     check_dim_cap(m ** (2 * n - 1), dim_cap)
-    maps = offset_maps(s.image, m, n, 2 * n - 1)
-    right_ok, right_wit = _relation(s, maps, "right")
-    left_ok, left_wit = _relation(s, maps, "left")
+    (right_ok, right_wit), (left_ok, left_wit) = map(_relation, itertools.repeat(s), braid_sides(s.image, m, n))
     return SolutionProfile(
         is_bijective=s.is_bijective(),
         satisfies_right=right_ok,
@@ -282,7 +291,7 @@ def nsolution_from_solution(r: SetNMap, n: int, dim_cap=None) -> SetNMap:
         raise PreconditionError("input is not a set-theoretical solution", profile.to_json())
     if n == 2:
         return r
-    return SetNMap(r.size, n, compose(offset_map(r.image, r.size, 2, n, off) for off in range(n - 1)))
+    return SetNMap(r.size, n, word_map(r.image, r.size, 2, n, range(n - 1)))
 
 
 def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
@@ -293,8 +302,7 @@ def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
     if not (profile.satisfies_right and profile.is_bijective):
         raise PreconditionError("input is not a set-theoretical n-solution", profile.to_json())
     m, n = s.size, s.arity
-    word = range(n - 2, -1, -1)
-    return SetNMap(m ** (n - 1), 2, compose(offset_map(s.image, m, n, 2 * n - 2, off) for off in word))
+    return SetNMap(m ** (n - 1), 2, word_map(s.image, m, n, 2 * n - 2, range(n - 2, -1, -1)))
 
 
 # -- exhaustive enumeration ---------------------------------------------

@@ -14,8 +14,10 @@ invertible is a pre-operator; reports keep the two facts separate.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -33,7 +35,7 @@ from .nleibniz import (
 )
 from .nrack import FiniteGroup
 from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
-from .setsol import braid_sides, braid_words, check_dim_cap, offset_maps
+from .setsol import braid_sides, braid_words, check_dim_cap
 from .tensor import TensorOperator, TensorShape, tensor_many
 
 #: default cap on the dimension d^(2n-1) of the verification space
@@ -184,16 +186,25 @@ def _monomial_witness(image, coeff, d, n, side, mode):
 
     Both words have n+1 letters, so column c of each side holds the one
     value coeff^(n+1) at one row.  The sides differ at column c iff the rows
-    differ and that value is not zero by the rule; the smallest (row, col)
-    is then a ``min`` over the index lists.
+    differ and that value is not zero by the rule; the witness is then the
+    smallest such c among those whose smaller row is the smallest, found
+    by whole-list passes (``list.index`` from the left on each side).
     """
-    lhs, rhs = braid_sides(offset_maps(image, d, n, 2 * n - 1), side)
+    lhs, rhs = next(braid_sides(image, d, n, (side,)))
     value = coeff
     for _ in range(n):
         value = coeff * value
     if lhs == rhs or first_difference({0: value}, {}, mode) is None:
         return None
-    return min((a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)[1]
+    diff = list(map(operator.ne, lhs, rhs))
+    row, col = min(min(itertools.compress(ys, diff)) for ys in (lhs, rhs)), len(diff)
+    for ys in (lhs, rhs):  # the first differing column at which either side holds row
+        with contextlib.suppress(ValueError):
+            c = ys.index(row, 0, col)
+            while not diff[c]:
+                c = ys.index(row, c + 1, col)
+            col = c
+    return col
 
 
 def _require_degree(n: int):
@@ -208,8 +219,9 @@ def verify_nybe(
     """Build both sides of the degree-n braid relation on V^(x)(2n-1) and compare.
 
     An operator with one nonzero per column, all of them equal, runs
-    through the index-map kernel ``setsol.braid_sides``; any other through
-    the two-tier column kernel ``_word_images``, on integers in exact mode.
+    through the index-map kernel ``setsol.braid_sides`` (words built backwards
+    from their last letter around one shared n-letter core); any other
+    through the two-tier column kernel ``_word_images``, on integers in exact mode.
     Both give the report of the sparse ``embed`` / ``compose`` chain and
     its ``first_difference``.
     """
@@ -268,9 +280,14 @@ def cyclic_operator(dim: int, k: int, mode=scalars.EXACT) -> TensorOperator:
 # -- operators from (central) Leibniz structures ------------------------
 
 
-def _require_central(cl: NLeibnizAlgebra) -> NLeibnizAlgebra:
+def require_central_element(cl: NLeibnizAlgebra) -> None:
+    """Refuse an algebra without the distinguished element a braiding needs, whatever its laws."""
     if cl.central is None:
         raise SchemaError("expected a central n-Leibniz algebra")
+
+
+def _require_central(cl: NLeibnizAlgebra) -> NLeibnizAlgebra:
+    require_central_element(cl)
     refuse_uncertified(cl, "a central n-Leibniz construction")
     if not is_central(cl, cl.central):
         raise PreconditionError("the distinguished element is not central")

@@ -73,6 +73,25 @@ def _apply_at(s: TupleMap, tup: tuple, offset: int) -> tuple:
     return tup[:offset] + s.apply(tup[offset : offset + n]) + tup[offset + n :]
 
 
+def word_images(s: TupleMap, word, k: int) -> list:
+    """The flat index of the image of every k-tuple, in flat order, under s
+    applied at each offset of ``word`` in turn."""
+    out = []
+    for tup in itertools.product(range(s.size), repeat=k):
+        for off in word:
+            tup = _apply_at(s, tup, off)
+        out.append(flat(tup, s.size))
+    return out
+
+
+def smallest_row_witness(lhs, rhs):
+    """The column of the smallest differing (row, col) of two sides with one
+    entry per column, given as their row lists, or None: the generator rule
+    ``ybops._monomial_witness`` used before it scanned index lists."""
+    pairs = [(a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
+    return min(pairs)[1] if pairs else None
+
+
 def satisfies(s: TupleMap, side: str):
     """(verdict, first witness), running both words on every (2n-1)-tuple."""
     lhs_word, rhs_word = braid_words(s.arity, side)

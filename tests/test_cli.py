@@ -154,6 +154,26 @@ def test_nyb_central_refuses_a_document_without_a_central_element(capsys, t3_doc
     assert run(capsys, "build", "nyb-central", t3_doc) == (2, "", "input error: expected a central n-Leibniz algebra\n")
 
 
+def test_nyb_central_refuses_a_missing_central_element_before_the_laws(capsys, tmp_path):
+    failing = ser.to_document(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}, (1, 0): {1: 1}}))
+    assert not cli._check_one(failing, None).passed
+    path = write(tmp_path, "failing.json", failing)
+    assert run(capsys, "build", "nyb-central", path) == (2, "", "input error: expected a central n-Leibniz algebra\n")
+
+
+def test_nyb_central_refuses_a_missing_central_element_before_the_cap(capsys, tmp_path, monkeypatch):
+    path = write(tmp_path, "big.json", {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []})
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "31")  # below 2^5, the space its laws walk
+    assert run(capsys, "check", path)[0] == 3
+    assert run(capsys, "build", "nyb-central", path) == (2, "", "input error: expected a central n-Leibniz algebra\n")
+
+
+def test_an_operator_value_that_is_a_list_is_an_input_error(capsys, tmp_path):
+    doc = {"kind": "operator", "shape": [2], "codomain_shape": [2], "entries": [[0, 0, "1/1"], [1, 1, ["1/1"]]]}
+    code, out, err = run(capsys, "check", write(tmp_path, "op.json", doc))
+    assert (code, out) == (2, "") and err.startswith("input error: bad exact scalar")
+
+
 def test_builds_that_return_their_input_keep_its_central_element(capsys, tmp_path):
     doc = {"kind": "nleibniz", "arity": 2, "dim": 3, "bracket": [{"in": [0, 1], "out": {"2": "1/1"}}], "central": ["0/1", "0/1", "1/1"]}
     path = write(tmp_path, "a3.json", doc)
@@ -584,7 +604,7 @@ def _bad_documents():
 def _lawful_constructions():
     """The constructions whose input kind carries laws, with the bad document each takes."""
     out = []
-    for name, (_, accepts) in sorted(cli._CONSTRUCTIONS.items()):
+    for name, (_, accepts, _) in sorted(cli._CONSTRUCTIONS.items()):
         bad = [doc for cls, doc in _bad_documents() if cls is accepts]
         if bad:
             out.append(pytest.param(name, bad[0], id=name))

@@ -132,6 +132,26 @@ def test_float_entries_rejected_in_exact_mode():
         ser.from_document(doc)
 
 
+def test_each_distinct_value_string_is_parsed_once(monkeypatch):
+    calls = []
+    parse = ser.scalars.parse_ratio
+    monkeypatch.setattr(ser.scalars, "parse_ratio", lambda raw: calls.append(raw) or parse(raw))
+    entries = [[r, c, "1/2" if (r + c) % 2 else "-3"] for r in range(3) for c in range(3)] + [[0, 3, 2]]
+    op = ser.from_document({"kind": "operator", "shape": [4], "codomain_shape": [3], "entries": entries})
+    assert calls == ["-3", "1/2", 2]
+    assert op.entries == {(r, c): Fraction(v) for r, c, v in entries}
+
+
+def test_unhashable_values_are_refused_as_input_errors():
+    """A list or an object where a scalar belongs is a SchemaError in both
+    modes, not a TypeError from the value-string memo."""
+    for mode in ("exact", "float"):
+        for value in ([1], {"1": 2}, ["1/2"]):
+            doc = {"kind": "operator", "scalars": mode, "shape": [2], "codomain_shape": [2], "entries": [[0, 0, "1/2"], [1, 1, value]]}
+            with pytest.raises(SchemaError):
+                ser.from_document(doc)
+
+
 def test_integer_fields_reject_booleans_and_fractional_floats():
     def nrack(size, value):
         return {"kind": "nrack", "size": size, "arity": 2, "table": [[0, 0, 0], [0, 1, 0], [1, 0, value], [1, 1, 1]]}

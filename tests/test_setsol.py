@@ -389,6 +389,77 @@ def test_offset_map_matches_the_comprehension(m, n, extra, data):
     assert ss.offset_map(image, m, n, k, off) == want
 
 
+# -- the backward word builder against the tuple words ---------------------------
+
+#: (m, n) of the words below; m=2 with n >= 4, m=3 with n=3 and m=4 with n=3
+#: have letters with a trailing block of 8 or more indices (moved as slices)
+WORD_SIZES = [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5), (3, 4)]
+
+
+@st.composite
+def images(draw, m, n):
+    """A bijective, arbitrary, few-valued or constant image of X^n, X of size m."""
+    total = m**n
+    kind = draw(st.sampled_from(["bijective", "arbitrary", "few", "constant"]))
+    if kind == "bijective":
+        return tuple(draw(st.permutations(range(total))))
+    if kind == "constant":
+        return (draw(st.integers(0, total - 1)),) * total
+    values = draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=total if kind == "arbitrary" else 2))
+    return tuple(draw(st.lists(st.sampled_from(values), min_size=total, max_size=total)))
+
+
+@st.composite
+def sized_images(draw, sizes=WORD_SIZES):
+    m, n = draw(st.sampled_from(sizes))
+    return m, n, draw(images(m, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sized_images())
+@example((2, 4, tuple(range(15, -1, -1))))
+@example((3, 3, (0,) * 27))
+def test_braid_sides_match_the_tuple_words(case):
+    m, n, image = case
+    o = oracle.from_image(m, n, image)
+    want = {side: tuple(oracle.word_images(o, word, 2 * n - 1) for word in ss.braid_words(n, side)) for side in ("right", "left")}
+    assert dict(zip(("right", "left"), ss.braid_sides(image, m, n))) == want
+    for side in ("left", "right"):  # one side alone, from its own end tables
+        assert next(ss.braid_sides(image, m, n, (side,))) == want[side]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sized_images(), st.integers(0, 2), st.data())
+def test_word_map_matches_the_tuple_words(case, extra, data):
+    m, n, image = case
+    k = n + extra
+    word = data.draw(st.lists(st.integers(0, k - n), min_size=1, max_size=4))
+    then = data.draw(st.none() | st.permutations(range(m**k)) | st.lists(st.integers(0, m**k - 1), min_size=m**k, max_size=m**k))
+    want = oracle.word_images(oracle.from_image(m, n, image), word, k)
+    if then is not None:
+        want = [then[y] for y in want]
+    assert ss.word_map(image, m, n, k, word, then) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_images([(1, 2), (2, 2), (3, 2), (4, 2)]), st.integers(3, 6))
+def test_lift_word_matches_the_tuple_word(case, lift_to):
+    """The lift's word, offsets 0..n-2 of n digits, on any binary map (m=2
+    from n=5 on, m=3 from n=4 on, moves slices)."""
+    m, _, image = case
+    want = oracle.word_images(oracle.from_image(m, 2, image), range(lift_to - 1), lift_to)
+    assert ss.word_map(image, m, 2, lift_to, range(lift_to - 1)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_images())
+def test_descent_word_matches_the_tuple_word(case):
+    """The descent's word, offsets n-2..0 of 2n-2 digits, on any map."""
+    m, n, image = case
+    want = oracle.word_images(oracle.from_image(m, n, image), range(n - 2, -1, -1), 2 * n - 2)
+    assert ss.word_map(image, m, n, 2 * n - 2, range(n - 2, -1, -1)) == want
+
+
 # -- orbit representatives under relabelling ---------------------------------
 
 

@@ -2,13 +2,16 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import braidforge.linrack as lr
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
+import braidforge.scalars as sc
 import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
+import setmap_oracle
 from braidforge.errors import CapExceededError, PreconditionError, SchemaError, SingularMatrixError
 
 ONE = Fraction(1)
@@ -480,3 +483,56 @@ def test_float_mode_central_operator_end_to_end(t3bar):
     s = yb.nyb_from_central_nleibniz(t3bar).to_float()
     report = yb.verify_nybe(s, 3, "right")
     assert report.holds and report.invertible
+
+
+# -- the monomial witness against the generator rule ----------------------------
+
+
+def _tuple_sides(image, d, n, side):
+    o = setmap_oracle.from_image(d, n, image)
+    return [setmap_oracle.word_images(o, word, 2 * n - 1) for word in ss.braid_words(n, side)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4)]), st.sampled_from(["right", "left"]), st.data())
+@example((3, 3), "right", None)
+@example((2, 4), "left", None)
+def test_monomial_witness_matches_the_generator_rule(size, side, data):
+    """Constant and few-valued maps send many columns to one row, so the
+    smallest row is often shared: the witness is the smallest such column."""
+    d, n = size
+    total = d**n
+    if data is None:
+        image = [total - 1] * total
+    else:
+        values = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=3))
+        image = data.draw(st.lists(st.sampled_from(values), min_size=total, max_size=total))
+    want = setmap_oracle.smallest_row_witness(*_tuple_sides(image, d, n, side))
+    for coeff, mode in ((1, sc.EXACT), (-3, sc.EXACT), (0.5, sc.FLOAT)):
+        assert yb._monomial_witness(image, coeff, d, n, side, mode) == want
+
+
+@pytest.mark.parametrize(
+    "d, n, side, image",
+    [
+        (3, 2, "left", [0, 6, 0, 5, 0, 6, 6, 6, 5]),  # the smallest row is on the rhs first (column 4, lhs at 8)
+        (2, 3, "right", [7, 7, 1, 1, 1, 1, 7, 7]),  # and on the lhs first (column 0, rhs at 2)
+    ],
+)
+def test_monomial_witness_takes_the_earlier_side(d, n, side, image):
+    lhs, rhs = _tuple_sides(image, d, n, side)
+    assert yb._monomial_witness(image, 1, d, n, side, sc.EXACT) == setmap_oracle.smallest_row_witness(lhs, rhs)
+
+
+def test_monomial_witness_ties_are_broken_by_column():
+    """A constant map whose sides differ at several columns sharing the
+    smallest row: the generator rule and the kernel pick the same one."""
+    tied = 0
+    for d, n, side in itertools.product((2, 3), (2, 3), ("right", "left")):
+        for value in range(d**n):
+            image = [value] * d**n
+            lhs, rhs = _tuple_sides(image, d, n, side)
+            low = [min(a, b) for a, b in zip(lhs, rhs) if a != b]
+            tied += low.count(min(low, default=None)) > 1
+            assert yb._monomial_witness(image, 1, d, n, side, sc.EXACT) == setmap_oracle.smallest_row_witness(lhs, rhs)
+    assert tied
