@@ -117,10 +117,6 @@ class NLeibnizAlgebra:
         return replace(self, bracket=rev, certified=False)
 
 
-def zero_algebra(arity: int, dim: int, mode=scalars.EXACT) -> NLeibnizAlgebra:
-    return NLeibnizAlgebra(arity, dim, {}, mode, True)
-
-
 # -- verification ------------------------------------------------------
 
 
@@ -146,9 +142,10 @@ def _tuple_witness(digits, lhs, rhs, scale, mode):
 
 
 def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
-    """The fundamental identity over all dim^(2n-1) basis tuples: per trailing
-    tuple ys, the right translation ad_ys, read off the bracket's columns,
-    must be a derivation at every xs, on integers in exact mode.
+    """The fundamental identity over all dim^(2n-1) basis tuples: the right
+    translation ad_ys, read off the bracket's columns, must be a derivation
+    at every xs, on integers in exact mode; each distinct nonzero ad_ys is
+    walked once, at its first trailing tuple ys, and a zero one passes.
 
     The witness of a failure is the lexicographically smallest violating
     tuple (xs, ys) together with both sides' coefficient vectors.
@@ -157,10 +154,15 @@ def check_fundamental_identity(a: NLeibnizAlgebra) -> VerificationReport:
     op = bracket_operator(a)
     cols, scale = op.columns, op.scale
     span, stop, hit = d ** (n - 1), d**n, None
+    seen = {((),) * d}  # a zero ad_ys: both sides vanish at every xs
     for ys in range(span):
-        found = _derivation_failure(cols, cols[ys::span], d, n, a.mode, stop)
-        if found is not None:  # a later ys comes first only at a smaller xs
-            stop, hit = found[0], (ys, *found)
+        dcols = cols[ys::span]
+        key = tuple(map(tuple, dcols))
+        if key not in seen:  # a repeated ad_ys would fail at the same xs as its first ys
+            seen.add(key)
+            found = _derivation_failure(cols, dcols, d, n, a.mode, stop)
+            if found is not None:  # a later ys comes first only at a smaller xs
+                stop, hit = found[0], (ys, *found)
     rb = ReportBuilder("fundamental-identity")
     if hit is not None:
         ys, xs, lhs, rhs = hit
@@ -241,12 +243,6 @@ def ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
     shp = TensorShape((a.dim,))
     mode = mode or a.mode
     return TensorOperator(shp, shp, entries, mode, validate=mode != a.mode)
-
-
-def ad_basis(a: NLeibnizAlgebra, key) -> TensorOperator:
-    """ad at a basis (n-1)-tuple."""
-    one = scalars.one(a.mode)
-    return ad(a, [{int(i): one} for i in key])
 
 
 def bracket_operator(a: NLeibnizAlgebra) -> TensorOperator:

@@ -39,6 +39,16 @@ LEFT = "left"
 CARRIER_CAP = 10**6
 
 
+def _table_int(v) -> int:
+    """A table value as an int; a bool, a string or a non-integral number is refused, not truncated."""
+    try:
+        if not isinstance(v, (bool, str)) and int(v) == v:
+            return int(v)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"table value {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class FiniteNRack:
     """Total n-ary operation table on {0..size-1}; flat, first argument most significant."""
@@ -54,12 +64,14 @@ class FiniteNRack:
             raise SchemaError("need size >= 1 and arity >= 2")
         if self.side not in (RIGHT, LEFT):
             raise SchemaError(f"side must be 'right' or 'left', got {self.side!r}")
-        table = tuple(int(v) for v in self.table)
+        table = tuple(self.table)
+        if set(map(type, table)) != {int}:
+            table = tuple(map(_table_int, table))
         if len(table) != self.size**self.arity:
             raise SchemaError(
                 f"table has {len(table)} entries, expected {self.size**self.arity} (tables must be total)"
             )
-        if any(not 0 <= v < self.size for v in table):
+        if min(table) < 0 or max(table) >= self.size:
             raise SchemaError("table value out of range")
         object.__setattr__(self, "table", table)
 
@@ -68,9 +80,7 @@ class FiniteNRack:
 
     def translation(self, ys) -> tuple:
         """The right translation x -> <x, y_1..y_{n-1}> as a tuple over x."""
-        base = flat_index(ys, self.size)
-        step = self.size ** (self.arity - 1)
-        return tuple(self.table[base + x * step] for x in range(self.size))
+        return self.table[flat_index(ys, self.size) :: self.size ** (self.arity - 1)]
 
     def reversed_args(self) -> "FiniteNRack":
         """Swap argument order; turns a right structure into a left one and back."""
@@ -84,15 +94,8 @@ class FiniteNRack:
 def from_function(size: int, arity: int, fn, side=RIGHT, certified=False) -> FiniteNRack:
     if arity < 2:  # before fn sees a tuple of the wrong length
         raise SchemaError("need arity >= 2")
-    table = [
-        fn(*args) for args in itertools.product(range(size), repeat=arity)
-    ]
-    return FiniteNRack(size, arity, tuple(table), side, certified)
-
-
-def trivial_nrack(size: int, arity: int) -> FiniteNRack:
-    """<x_1, ..., x_n> = x_1."""
-    return from_function(size, arity, lambda *a: a[0], certified=True)
+    table = tuple(itertools.starmap(fn, itertools.product(range(size), repeat=arity)))
+    return FiniteNRack(size, arity, table, side, certified)
 
 
 def cyclic_rack(size: int) -> FiniteNRack:
@@ -125,12 +128,11 @@ class FiniteGroup:
         object.__setattr__(self, "identity", identity)
 
 
-
 def _group_axioms(size: int, mul):
     """Check that mul is a size x size table over range(size), then return
     (table as a tuple of rows, identity or None, inverses with None where
     missing, first non-associative triple or None)."""
-    mul = tuple(tuple(int(v) for v in row) for row in mul)
+    mul = tuple(tuple(map(_table_int, row)) for row in mul)
     if len(mul) != size or any(len(row) != size for row in mul):
         raise SchemaError("multiplication table must be size x size")
     if any(not 0 <= v < size for row in mul for v in row):
@@ -170,11 +172,6 @@ def check_group_table(size: int, mul) -> VerificationReport:
     return rb.build()
 
 
-def cyclic_group(k: int) -> FiniteGroup:
-    mul = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
-    return FiniteGroup(k, mul)
-
-
 def symmetric_group(k: int) -> FiniteGroup:
     """S_k on permutation tuples in lexicographic order; (p*q)(i) = p(q(i))."""
     elems = sorted(itertools.permutations(range(k)))
@@ -207,10 +204,12 @@ def check_nrack(t: FiniteNRack) -> VerificationReport:
     in lexicographic order.
 
     With M = m^(n-1), the right translation by ys (flat index b) is
-    table[b::M].  Self-distributivity runs as flat index lists, one block
-    of M^2 tuples per leading x_1, so a table that fails early pays for
-    few blocks.  Left-side tables are checked through their argument
-    reversal.
+    table[b::M].  Both laws see ys only through that column, so they run
+    once per distinct column, at its first ys, which fails wherever a later
+    ys with it does, with the same sides.  Self-distributivity runs as flat
+    index lists, one block of M·k tuples per leading x_1 for k distinct
+    columns, so a table that fails early pays for few blocks.  Left-side
+    tables are checked through their argument reversal.
 
     The homomorphism law t_{xbar <| ybar} o t_ybar = t_ybar o t_xbar is
     self-distributivity at (i, xbar, ybar), so it passes unevaluated when
@@ -224,26 +223,31 @@ def check_nrack(t: FiniteNRack) -> VerificationReport:
     ncols = m ** (n - 1)  # one translation column per ys
     rows = [t.table[v * ncols : (v + 1) * ncols] for v in range(m)]  # rows[v][b] = <v, ys>
     translations = [t.table[b::ncols] for b in range(ncols)]
-    # moved[r][b]: flat index of (<r_1, ys>, ..., <r_{n-1}, ys>), r_i the digits of r
-    moved = [[0] * ncols]
+    # the distinct columns in the order of their first ys; cols[v][j] = <v, ys> at the j-th
+    distinct = translations if len(set(translations)) == ncols else list(dict.fromkeys(translations))
+    cols, k = rows if distinct is translations else list(zip(*distinct)), len(distinct)
+    # moved[r][j]: flat index of (<r_1, ys>, ..., <r_{n-1}, ys>), r_i the digits of r
+    moved = [[0] * k]
     for _ in range(n - 1):
-        moved = [[p * m + v for p, v in zip(row, rows[d])] for row in moved for d in range(m)]
+        moved = [[p * m + v for p, v in zip(row, cols[d])] for row in moved for d in range(m)]
     witness = None
     for x1, head in enumerate(rows):
         # block x_1, over (x_2..x_n, ys): lhs <<xs>, ys>, rhs <<x_1, ys>, <x_2, ys>, ...>
-        lhs = list(itertools.chain.from_iterable(map(rows.__getitem__, head)))
-        rhs = [rows[v][p] for row in moved for v, p in zip(head, row)]
+        lhs = list(itertools.chain.from_iterable(map(cols.__getitem__, head)))
+        rhs = [rows[v][p] for row in moved for v, p in zip(cols[x1], row)]
         if lhs != rhs:
             c = next(c for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            tpl = tensor.power_shape(m, 2 * n - 1).multi(x1 * ncols * ncols + c)
+            b = translations.index(distinct[c % k])
+            tpl = tensor.power_shape(m, 2 * n - 1).multi((x1 * ncols + c // k) * ncols + b)
             witness = {"tuple": list(tpl), "lhs": lhs[c], "rhs": rhs[c]}
             break
     distributive = rb.record("self-distributivity", witness is None, witness)
 
-    digits = tensor.power_shape(m, n - 1).multi
-    b = next((b for b, tr in enumerate(translations) if len(set(tr)) != m), None)
-    witness = None if b is None else {"translation": list(digits(b)), "image": list(translations[b])}
-    bijective = rb.record("translation-bijectivity", b is None, witness)
+    tr, witness = next((tr for tr in distinct if len(set(tr)) != m), None), None
+    if tr is not None:
+        ys = tensor.power_shape(m, n - 1).multi(translations.index(tr))
+        witness = {"translation": list(ys), "image": list(tr)}
+    bijective = rb.record("translation-bijectivity", tr is None, witness)
 
     if distributive and bijective:
         rb.record("translation-rack-homomorphism", True)

@@ -3,7 +3,8 @@ reaches, kept for the tests that use them.
 
 They check maps between structures (n-rack and n-Leibniz homomorphisms),
 read off a group property, invert a vector n-rack's translation, test an
-operator for nilpotency, build the zero operator and extend a Leibniz
+operator for nilpotency, build the zero operator, the trivial n-rack, the
+cyclic group, the zero bracket and basis adjoints, and extend a Leibniz
 algebra by an n-bracket.  Each sits on the public API of ``braidforge``
 and adds no law of its own.
 """
@@ -18,13 +19,33 @@ from braidforge.nleibniz import (
     NLeibnizAlgebra,
     _tuple_witness,
     ad,
-    ad_basis,
     certify,
     check_fundamental_identity,
     exp_ad,
     is_derivation,
 )
+from braidforge.nrack import FiniteGroup, from_function
 from braidforge.reports import ReportBuilder, confirm, first_difference
+
+
+def trivial_nrack(size: int, arity: int):
+    """<x_1, ..., x_n> = x_1."""
+    return from_function(size, arity, lambda *a: a[0], certified=True)
+
+
+def cyclic_group(k: int):
+    mul = tuple(tuple((a + b) % k for b in range(k)) for a in range(k))
+    return FiniteGroup(k, mul)
+
+
+def zero_algebra(arity: int, dim: int, mode=sc.EXACT):
+    return NLeibnizAlgebra(arity, dim, {}, mode, True)
+
+
+def ad_basis(a, key):
+    """ad at a basis (n-1)-tuple."""
+    one = sc.one(a.mode)
+    return ad(a, [{int(i): one} for i in key])
 
 
 def is_nilpotent(a) -> bool:

@@ -20,6 +20,7 @@ import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
 from census_oracle import all_tables
+from library_extras import trivial_nrack, zero_algebra
 
 ONE = Fraction(1)
 
@@ -56,7 +57,7 @@ def test_criterion_01_identity_iff_braid_equation(t3):
     braid relation over 50 random sparse brackets plus T3 and zero."""
     with Timer("1 identity-iff-braiding", 30):
         rng = random.Random(20250810)
-        instances = [t3, nl.zero_algebra(3, 2)]
+        instances = [t3, zero_algebra(3, 2)]
         while len(instances) < 52:
             instances.append(random_bracket(rng, rng.randint(1, 3)))
         verdicts = {True: 0, False: 0}
@@ -175,13 +176,13 @@ def test_criterion_08_set_side_diagrams(s3, conj3, flip_rack):
     """Both lift/descend diagrams hold as exact table equalities for the
     trivial rack, the two-point increment rack, and Sym(3) conjugation."""
     with Timer("8 set-diagrams", 5):
-        racks = [nr.trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)]
+        racks = [trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)]
         for rack in racks:
             r = ss.solution_from_nrack(rack)
             lifted = ss.nsolution_from_solution(r, 3)
             induced = ss.solution_from_nrack(nr.nrack_from_rack(rack, 3))
             assert lifted.image == induced.image
-        ternaries = [nr.trivial_nrack(2, 3), nr.nrack_from_rack(flip_rack, 3), conj3]
+        ternaries = [trivial_nrack(2, 3), nr.nrack_from_rack(flip_rack, 3), conj3]
         for t in ternaries:
             s = ss.solution_from_nrack(t)
             descended = ss.solution_from_nsolution(s)

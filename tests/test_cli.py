@@ -12,6 +12,7 @@ import braidforge.setsol as ss
 from braidforge.errors import CapExceededError, VerdictDisagreementError
 from braidforge.reports import ReportBuilder
 from census_oracle import CENSUS_CASES, rescan_census
+from library_extras import cyclic_group, trivial_nrack, zero_algebra
 
 
 def run(capsys, *argv):
@@ -99,12 +100,12 @@ def test_failed_recheck_prints_its_message(capsys, monkeypatch, tmp_path):
     failing = ReportBuilder("fundamental-identity")
     failing.record_witness("fundamental-identity", {"tuple": [0, 0, 0]})
     monkeypatch.setattr(nl, "check_fundamental_identity", lambda a: failing.build())
-    src = write(tmp_path, "a.json", ser.nleibniz_to_document(nl.zero_algebra(2, 1)))
+    src = write(tmp_path, "a.json", ser.nleibniz_to_document(zero_algebra(2, 1)))
     code, out, err = run(capsys, "build", "adjoin-unit", src, "--recheck")
     assert (code, out) == (1, "")
     assert err == "error: a theorem-certified construction failed its recheck\n"
     with pytest.raises(VerdictDisagreementError) as info:
-        nl.adjoin_unit(nl.zero_algebra(2, 1), recheck=True)
+        nl.adjoin_unit(zero_algebra(2, 1), recheck=True)
     assert str(info.value) == "a theorem-certified construction failed its recheck"
     assert info.value.witness == {"tuple": [0, 0, 0]}
 
@@ -255,7 +256,7 @@ def test_build_lift_route(capsys, tmp_path):
 
 
 def test_build_solution_from_trivial_rack_is_flip(capsys, tmp_path):
-    triv = write(tmp_path, "triv.json", ser.nrack_to_document(nr.trivial_nrack(2, 3)))
+    triv = write(tmp_path, "triv.json", ser.nrack_to_document(trivial_nrack(2, 3)))
     out_path = str(tmp_path / "flip.json")
     assert run(capsys, "build", "solution-from-nrack", triv, "-o", out_path)[0] == 0
     got = ser.from_document(json.loads(open(out_path).read()))
@@ -412,8 +413,8 @@ def test_build_caps_the_size_of_its_result(capsys, tmp_path, monkeypatch, constr
     # every input is on two points, so the result holds 2^n entries
     doc = {
         "nrack-from-rack": ser.to_document(nr.cyclic_rack(2)),
-        "conjugation-nrack": ser.to_document(nr.cyclic_group(2)),
-        "group-algebra-nyb": ser.to_document(nr.cyclic_group(2)),
+        "conjugation-nrack": ser.to_document(cyclic_group(2)),
+        "group-algebra-nyb": ser.to_document(cyclic_group(2)),
         "nbracket-from-leibniz": ser.to_document(nl.NLeibnizAlgebra(2, 2, {})),
         "nsolution-from-solution": ser.to_document(ss.flip_map(2, 2)),
         "sn-from-r": ser.to_document(yb.cyclic_operator(2, 2)),
@@ -444,13 +445,13 @@ def test_check_caps_every_kind(capsys, tmp_path, monkeypatch):
 
     monkeypatch.delenv("BRAIDFORGE_DIM_CAP", raising=False)
     # 8^4 = 4096 rows, but the rack laws walk 8^7 > 2^20 tuples
-    big = write(tmp_path, "big.json", ser.to_document(nr.trivial_nrack(8, 4)))
+    big = write(tmp_path, "big.json", ser.to_document(trivial_nrack(8, 4)))
     assert run(capsys, "check", big)[0] == 3
     assert run(capsys, "check", big, "--allow-large")[0] in (0, 1)
     small = {
-        "nrack": ser.to_document(nr.trivial_nrack(2, 3)),  # 2^5 tuples
+        "nrack": ser.to_document(trivial_nrack(2, 3)),  # 2^5 tuples
         "nleibniz": {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []},  # 2^5
-        "linear_nrack": ser.to_document(lr.linearize_nrack(nr.trivial_nrack(2, 3))),  # 2^5
+        "linear_nrack": ser.to_document(lr.linearize_nrack(trivial_nrack(2, 3))),  # 2^5
     }
     for kind, doc in small.items():
         path = write(tmp_path, f"{kind}.json", doc)
@@ -464,8 +465,8 @@ def test_check_caps_every_kind(capsys, tmp_path, monkeypatch):
 def test_build_certifies_its_input_under_the_cap_of_check(capsys, tmp_path, monkeypatch):
     # an uncertified input is certified by the law walk of `check`, over 2^5 tuples here
     bracket = {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": []}
-    rack = {"kind": "nrack", "size": 2, "arity": 3, "table": ser.to_document(nr.trivial_nrack(2, 3))["table"]}
-    linear = {**ser.to_document(lr.linearize_nrack(nr.trivial_nrack(2, 3))), "certified": False}
+    rack = {"kind": "nrack", "size": 2, "arity": 3, "table": ser.to_document(trivial_nrack(2, 3))["table"]}
+    linear = {**ser.to_document(lr.linearize_nrack(trivial_nrack(2, 3))), "certified": False}
     rows = [
         ("adjoin-unit", bracket),
         ("fundamental-leibniz", bracket),

@@ -34,6 +34,7 @@ import braidforge.ybops as yb
 import difference_oracle
 import kernel_oracle
 from braidforge.errors import PreconditionError
+from library_extras import trivial_nrack
 
 ONE = Fraction(1)
 
@@ -80,7 +81,7 @@ def test_set_lift_and_descent_linearize_to_operator_lift_and_descent(n, s3, flip
     # the binary solutions of acceptance criterion 8
     import braidforge.nrack as nr
 
-    for rack in (nr.trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)):
+    for rack in (trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)):
         r = ss.solution_from_nrack(rack)
         s = ss.nsolution_from_solution(r, n)
         assert yb.nyb_from_ybe(permutation_operator_of_map(r), n) == permutation_operator_of_map(s)

@@ -25,13 +25,14 @@ import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
 import braidforge.ybops as yb
+from library_extras import cyclic_group
 
 DOCS = {
     "nleibniz": ser.to_document(
         nl.NLeibnizAlgebra(2, 3, {(0, 1): {2: 1}}, certified=True, central={2: 1})
     ),
     "nrack": ser.to_document(nr.cyclic_rack(3)),
-    "group": ser.to_document(nr.cyclic_group(3)),
+    "group": ser.to_document(cyclic_group(3)),
     "coalgebra": ser.to_document(lr.kplus_coalgebra(1, "float")),
     "linear_nrack": ser.to_document(lr.linearize_nrack(nr.cyclic_rack(3))),
     "operator": ser.to_document(yb.cyclic_operator(2, 2)),

@@ -14,7 +14,7 @@ import braidforge.tensor as T
 import braidforge.ybops as yb
 import difference_oracle
 import linrack_oracle
-from library_extras import homomorphism_check, zero_operator
+from library_extras import cyclic_group, homomorphism_check, trivial_nrack, zero_algebra, zero_operator
 from braidforge.errors import NotCertifiedError, NotClosedError, PreconditionError
 
 ONE = Fraction(1)
@@ -68,7 +68,7 @@ def test_non_cocommutative_flag():
 
 
 def test_linearized_trivial_nrack_passes():
-    l = lr.linearize_nrack(nr.trivial_nrack(2, 3))
+    l = lr.linearize_nrack(trivial_nrack(2, 3))
     assert lr.check_linear_nrack(l).passed
 
 
@@ -99,7 +99,7 @@ def test_linearize_needs_certified():
 
 
 def test_linearize_singleton():
-    l = lr.linearize_nrack(nr.trivial_nrack(1, 2))
+    l = lr.linearize_nrack(trivial_nrack(1, 2))
     assert l.base.dim == 1 and l.bracket.entries == {(0, 0): ONE}
 
 
@@ -258,7 +258,7 @@ def linear_nracks(draw):
     kind = draw(st.sampled_from(["conjugation", "near", "random", "kplus", "tensor-power", "matrix"]))
     n = draw(st.integers(2, 4))
     if kind in ("conjugation", "near"):
-        g = draw(st.sampled_from([nr.cyclic_group(2), nr.cyclic_group(3)] + [nr.symmetric_group(3)] * (n < 4)))
+        g = draw(st.sampled_from([cyclic_group(2), cyclic_group(3)] + [nr.symmetric_group(3)] * (n < 4)))
         l = lr.linearize_nrack(nr.conjugation_nrack(g, n), mode)
         if kind == "near":
             entries, col = dict(l.bracket.entries), draw(st.integers(0, g.size**n - 1))
@@ -313,7 +313,7 @@ def linear_nracks(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(linear_nracks())
-@example(lr.linear_rack_on_tensor_power(lr.linearize_nrack(nr.conjugation_nrack(nr.cyclic_group(3), 3))))
+@example(lr.linear_rack_on_tensor_power(lr.linearize_nrack(nr.conjugation_nrack(cyclic_group(3), 3))))
 @example(lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: Fraction(1, 3)}})))
 def test_check_linear_nrack_matches_the_matrix_identities(l):
     want, borderline, pairs = _matrix_report(l)
@@ -447,7 +447,7 @@ def test_group_likes_of_kplus():
 
 
 def test_induced_nrack_roundtrip(conj3, flip_rack):
-    for t in (conj3, flip_rack, nr.trivial_nrack(3, 3)):
+    for t in (conj3, flip_rack, trivial_nrack(3, 3)):
         assert lr.induced_nrack(lr.linearize_nrack(t)).table == t.table
 
 
@@ -533,7 +533,7 @@ def test_tensor_power_functoriality(s3):
     even = {0, 3, 4}  # identity and the two 3-cycles
     proj = [0 if g in even else 1 for g in range(6)]
     conj3_s3 = nr.conjugation_nrack(s3, 3)
-    conj3_c2 = nr.conjugation_nrack(nr.cyclic_group(2), 3)
+    conj3_c2 = nr.conjugation_nrack(cyclic_group(2), 3)
     assert homomorphism_check(conj3_s3, conj3_c2, proj)
     f = T.TensorOperator(T.shape(6), T.shape(2), {(proj[g], g): ONE for g in range(6)})
     a = lr.linearize_nrack(conj3_s3)
@@ -559,7 +559,7 @@ def test_kplus_nrack_t3(t3):
 
 
 def test_kplus_nrack_zero_algebra():
-    l = lr.linear_nrack_from_nleibniz(nl.zero_algebra(3, 2))
+    l = lr.linear_nrack_from_nleibniz(zero_algebra(3, 2))
     assert lr.check_linear_nrack(l).passed
 
 
@@ -574,7 +574,7 @@ def test_kplus_nrack_homomorphism(t3):
 
 
 def test_lebed_on_trivial_is_flip():
-    r, rinv = lr.lebed_operator(lr.linearize_nrack(nr.trivial_nrack(2, 2)))
+    r, rinv = lr.lebed_operator(lr.linearize_nrack(trivial_nrack(2, 2)))
     flip = T.permutation_operator(T.power_shape(2, 2), (1, 0))
     assert r == flip and rinv == flip
 
@@ -590,7 +590,7 @@ def test_lebed_on_kplus_a3(a3):
 
 def test_lebed_passes_ybe_for_every_instance(a3, t3, conj3, flip_rack):
     racks = [
-        lr.linearize_nrack(nr.trivial_nrack(2, 2)),
+        lr.linearize_nrack(trivial_nrack(2, 2)),
         lr.linearize_nrack(flip_rack),
         lr.linear_nrack_from_nleibniz(a3),
         lr.linear_rack_on_tensor_power(lr.linear_nrack_from_nleibniz(t3)),

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ import braidforge.nleibniz as nl
 import braidforge.scalars as sc
 import braidforge.tensor as T
 import nleibniz_oracle
-from library_extras import extend_bracket_by_leibniz, is_homomorphism, zero_operator
+from library_extras import ad_basis, extend_bracket_by_leibniz, is_homomorphism, zero_algebra, zero_operator
 from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError, SchemaError
 
 ONE = Fraction(1)
@@ -24,7 +25,7 @@ def basis(i):
 
 def test_zero_bracket_passes_any_shape():
     for n, d in ((2, 1), (3, 4), (4, 2)):
-        assert nl.check_fundamental_identity(nl.zero_algebra(n, d)).passed
+        assert nl.check_fundamental_identity(zero_algebra(n, d)).passed
 
 
 def test_t3_passes(t3):
@@ -120,12 +121,59 @@ def test_fundamental_identity_matches_the_tuple_walk(a):
     assert _without_times(nl.check_fundamental_identity(a)) == _without_times(want)
 
 
+@st.composite
+def repeated_adjoint_algebras(draw):
+    """Brackets whose adjoints ad_ys take 1-3 distinct values, zero among
+    them or not, each trailing tuple ys taking one: nilpotent (each ad_ys
+    strictly raises the index) or random, exact and float, arity 2-4 on
+    dim 1-3."""
+    mode = draw(st.sampled_from(sc.MODES))
+    n = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3 if n < 4 else 2))
+    nilpotent = draw(st.booleans())
+    if mode == sc.EXACT:
+        values = st.sampled_from([ONE, -ONE, Fraction(2), Fraction(1, 2)])
+    else:
+        values = st.sampled_from([1.0, -1.0, 0.3, 1 / 3, 3e-9])
+    adjoints = []  # each a map i -> [e_i, ys] as a sparse vector
+    for _ in range(draw(st.integers(1, 3))):
+        adjoint = {}
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, d - 1))
+            low = i + 1 if nilpotent else 0
+            if low < d:
+                adjoint.setdefault(i, {})[draw(st.integers(low, d - 1))] = draw(values)
+        adjoints.append(adjoint)
+    bracket = {}
+    for ys in itertools.product(range(d), repeat=n - 1):
+        for i, out in adjoints[draw(st.integers(0, len(adjoints) - 1))].items():
+            bracket[(i,) + ys] = out
+    return nl.NLeibnizAlgebra(n, d, bracket, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_adjoint_algebras())
+def test_fundamental_identity_matches_the_tuple_walk_on_repeated_adjoints(a):
+    """Whole reports, where each distinct nonzero ad_ys is walked once."""
+    want = nleibniz_oracle.check_fundamental_identity(a)
+    assert _without_times(nl.check_fundamental_identity(a)) == _without_times(want)
+
+
+def test_zero_and_repeated_adjoints_are_walked_once():
+    # ad_0 = 0 and ad_1 = ad_2 = (e_0 -> e_1): one walk, at ys = 1
+    a = nl.NLeibnizAlgebra(2, 3, {(0, 1): {1: ONE}, (0, 2): {1: ONE}})
+    with mock.patch.object(nl, "_derivation_failure", wraps=nl._derivation_failure) as walk:
+        report = nl.check_fundamental_identity(a)
+    assert walk.call_count == 1
+    assert _without_times(report) == _without_times(nleibniz_oracle.check_fundamental_identity(a))
+
+
 @settings(max_examples=100, deadline=None)
 @given(algebras(), st.data())
 def test_is_derivation_matches_the_tuple_walk(a, data):
     """Right translations at basis tuples, and random maps."""
     if data.draw(st.booleans()):
-        d_map = nl.ad_basis(a, [data.draw(st.integers(0, a.dim - 1)) for _ in range(a.arity - 1)])
+        d_map = ad_basis(a, [data.draw(st.integers(0, a.dim - 1)) for _ in range(a.arity - 1)])
     else:
         value = st.sampled_from([ONE, Fraction(-2, 3)] if a.mode == sc.EXACT else [1.0, -0.7])
         entries = {(data.draw(st.integers(0, a.dim - 1)), data.draw(st.integers(0, a.dim - 1))): data.draw(value) for _ in range(3)}
@@ -142,7 +190,7 @@ def test_ad_reads_structure_constants(t3):
 
 
 def test_ad_zero_bracket():
-    assert nl.ad(nl.zero_algebra(3, 4), [basis(0), basis(1)]).nnz == 0
+    assert nl.ad(zero_algebra(3, 4), [basis(0), basis(1)]).nnz == 0
 
 
 def test_zero_map_is_derivation(t3):
@@ -162,7 +210,7 @@ def test_identity_not_derivation_on_t3(t3):
 def test_every_basis_adjoint_is_derivation(t3, a3):
     for alg in (t3, a3):
         for key in itertools.product(range(alg.dim), repeat=alg.arity - 1):
-            assert nl.is_derivation(alg, nl.ad_basis(alg, key)).passed
+            assert nl.is_derivation(alg, ad_basis(alg, key)).passed
 
 
 # -- exponentials ----------------------------------------------------------
@@ -197,7 +245,7 @@ def test_exp_ad_non_nilpotent_exact_fails_float_works():
 
 
 def test_nbracket_zero_stays_zero():
-    z = nl.zero_algebra(2, 3)
+    z = zero_algebra(2, 3)
     assert nl.nbracket_from_leibniz(z, 4).bracket == {}
 
 
@@ -217,7 +265,7 @@ def test_nbracket_rejects_non_leibniz():
 
 
 def test_extend_bracket_zero(a3):
-    z = nl.zero_algebra(3, 3)
+    z = zero_algebra(3, 3)
     out = extend_bracket_by_leibniz(a3, z)
     assert out.arity == 4 and out.bracket == {}
 
@@ -236,7 +284,7 @@ def test_extend_bracket_derivation_failure_witness(a3):
 
 
 def test_fundamental_leibniz_zero():
-    out = nl.fundamental_leibniz(nl.zero_algebra(3, 2))
+    out = nl.fundamental_leibniz(zero_algebra(3, 2))
     assert out.arity == 2 and out.dim == 4 and out.bracket == {}
 
 
@@ -273,7 +321,7 @@ def test_composition_closure(a3):
 
 
 def test_adjoin_unit_zero_algebra():
-    out = nl.adjoin_unit(nl.zero_algebra(3, 2))
+    out = nl.adjoin_unit(zero_algebra(3, 2))
     assert out.dim == 3 and out.bracket == {}
     assert out.central == {0: ONE}
 
@@ -286,7 +334,7 @@ def test_central_element_is_range_checked():
     assert nl.NLeibnizAlgebra(2, 2, {}, central={1: 0}).central == {}
     assert nl.NLeibnizAlgebra(2, 2, {}).central is None
     with pytest.raises(SchemaError, match="central element out of range"):
-        nl.is_central(nl.zero_algebra(2, 2), {2: 1})
+        nl.is_central(zero_algebra(2, 2), {2: 1})
 
 
 def test_central_element_survives_certification_and_reversal(a3):
@@ -313,7 +361,7 @@ def test_adjoin_unit_t3(t3, t3bar):
 
 
 def test_central_elements_zero_bracket_full_space():
-    assert len(nl.central_elements(nl.zero_algebra(3, 4))) == 4
+    assert len(nl.central_elements(zero_algebra(3, 4))) == 4
 
 
 def test_central_elements_t3(t3):
@@ -335,7 +383,7 @@ def test_identity_homomorphism(t3):
 
 
 def test_zero_map_into_zero_algebra(t3):
-    z = nl.zero_algebra(3, 2)
+    z = zero_algebra(3, 2)
     phi = zero_operator(T.shape(3), T.shape(2))
     assert is_homomorphism(t3, z, phi).passed
 
@@ -383,7 +431,7 @@ def test_adjoints_are_derivations_iff_certified(bracket):
     alg = nl.NLeibnizAlgebra(3, 3, bracket)
     passed = nl.check_fundamental_identity(alg).passed
     adjoint_derivations = all(
-        nl.is_derivation(alg, nl.ad_basis(alg, key)).passed
+        nl.is_derivation(alg, ad_basis(alg, key)).passed
         for key in itertools.product(range(3), repeat=2)
     )
     # the fundamental identity says exactly that right translations are derivations

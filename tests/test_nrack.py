@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
@@ -17,7 +17,7 @@ from braidforge.errors import (
 )
 from braidforge.reports import ReportBuilder, VerificationReport
 import vector_rack_oracle
-from library_extras import is_abelian, is_homomorphism, translation_inverse
+from library_extras import ad_basis, cyclic_group, is_abelian, is_homomorphism, translation_inverse, trivial_nrack, zero_algebra
 
 ONE = Fraction(1)
 
@@ -30,7 +30,7 @@ T12, T23, T13 = 2, 1, 5
 
 
 def test_trivial_table_passes():
-    assert nr.check_nrack(nr.trivial_nrack(3, 3)).passed
+    assert nr.check_nrack(trivial_nrack(3, 3)).passed
 
 
 def test_increment_rack_passes():
@@ -110,7 +110,7 @@ def without_times(report):
     return doc
 
 
-GROUPS = [nr.cyclic_group(2), nr.cyclic_group(3), nr.symmetric_group(3)]
+GROUPS = [cyclic_group(2), cyclic_group(3), nr.symmetric_group(3)]
 
 
 @st.composite
@@ -130,7 +130,7 @@ def nrack_tables(draw):
             return nr.FiniteNRack(m, n, table, side)
         k = draw(st.integers(0, m - 1))
         shift = nr.from_function(m, 2, lambda x, y: (x + k) % m, certified=True)  # x <| y = x + k
-        rack = draw(st.sampled_from([nr.trivial_nrack(m, n), nr.nrack_from_rack(shift, n)]))
+        rack = draw(st.sampled_from([trivial_nrack(m, n), nr.nrack_from_rack(shift, n)]))
     table = list((rack if side == nr.RIGHT else rack.reversed_args()).table)
     if kind == "near" and rack.size > 1:
         cell = draw(st.integers(0, len(table) - 1))
@@ -144,9 +144,53 @@ def test_check_nrack_matches_the_tuple_loop(t):
     assert without_times(nr.check_nrack(t)) == without_times(tuple_loop_check(t))
 
 
+@st.composite
+def repeated_translation_tables(draw):
+    """Tables built from 1-3 distinct translation columns, each ys taking
+    one of them: permutations (so often lawful, a single one always) or
+    arbitrary maps, the identity first or not, right or left, n = 2..4, up
+    to 3^5 or 2^7 tuples."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3 if n < 4 else 2))
+    side = draw(st.sampled_from([nr.RIGHT, nr.LEFT]))
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        columns = [draw(st.permutations(range(m))) for _ in range(k)]
+    else:
+        columns = [draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m)) for _ in range(k)]
+    if draw(st.booleans()):
+        columns[0] = list(range(m))  # a lawful column at ys = 0 puts the first failure later
+    ncols = m ** (n - 1)
+    pick = draw(st.lists(st.integers(0, k - 1), min_size=ncols, max_size=ncols))
+    table = [columns[j][x] for x in range(m) for j in pick]
+    t = nr.FiniteNRack(m, n, table)
+    return t if side == nr.RIGHT else nr.FiniteNRack(m, n, t.reversed_args().table, nr.LEFT)
+
+
+#: its first failure, ((0, 0, 1), (1, 2)), is at a repeated column other than that of ys = 0
+LATE_FAILURE = nr.FiniteNRack(3, 3, [0, 2, 0, 2, 0, 1, 1, 2, 0, 1, 1, 1, 1, 1, 2, 2, 1, 1, 2, 0, 2, 0, 2, 0, 0, 0, 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_translation_tables())
+@example(LATE_FAILURE)
+def test_check_nrack_matches_the_tuple_loop_on_repeated_translations(t):
+    """Whole reports, where the laws run once per distinct translation column."""
+    assert without_times(nr.check_nrack(t)) == without_times(tuple_loop_check(t))
+
+
+def test_first_failure_at_a_repeated_translation_keeps_its_place():
+    translations = [LATE_FAILURE.table[b::9] for b in range(9)]
+    assert len(set(translations)) == 3 and translations.count(translations[5]) > 1
+    report = nr.check_nrack(LATE_FAILURE)
+    assert report.witness == {"tuple": [0, 0, 1, 1, 2], "lhs": 0, "rhs": 2}
+    assert without_times(report) == without_times(tuple_loop_check(LATE_FAILURE))
+
+
 def test_check_nrack_memory_stays_blocked(s3):
-    # one block of 6^6 tuples at a time: about 1.6 MB, where full-space
-    # lhs/rhs lists alone would hold about 4.5 MB of pointers
+    # 6 distinct translations among 6^3 ys: each block's lists hold 6^3 x 6
+    # entries and the whole check peaks near 0.1 MB, where one block over
+    # every ys would hold 6^6 entries (about 1.6 MB)
     import tracemalloc
 
     t = nr.conjugation_nrack(s3, 4)
@@ -157,7 +201,7 @@ def test_check_nrack_memory_stays_blocked(s3):
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert peak < 4 * 2**20
+    assert peak < 2**19  # 512 kB: a walk over every ys would not fit
 
 
 # -- groups ------------------------------------------------------------------
@@ -178,6 +222,19 @@ def test_check_group_table_reports():
     assert not bad.passed
 
 
+def test_table_values_are_refused_not_truncated():
+    for bad in (1.7, True, "1", None, float("nan"), float("inf"), Fraction(1, 2)):
+        with pytest.raises(SchemaError):
+            nr.FiniteNRack(2, 2, (0, bad, 1, 0))
+        with pytest.raises(SchemaError):
+            nr.FiniteGroup(2, ((0, 1), (1, bad)))
+    with pytest.raises(SchemaError):
+        nr.FiniteNRack(2, 2, (0, 1, 1, 2))  # out of range
+    # integral numbers of any type are read as ints
+    t = nr.FiniteNRack(2, 2, (0, 1.0, Fraction(1), 0))
+    assert t.table == (0, 1, 1, 0) and set(map(type, t.table)) == {int}
+
+
 def test_group_rejects_non_associative():
     with pytest.raises(PreconditionError):
         nr.FiniteGroup(3, ((0, 1, 2), (1, 2, 2), (2, 0, 1)))
@@ -187,8 +244,8 @@ def test_group_rejects_non_associative():
 
 
 def test_conjugation_nrack_abelian_is_trivial():
-    c4 = nr.cyclic_group(4)
-    assert nr.conjugation_nrack(c4, 3).table == nr.trivial_nrack(4, 3).table
+    c4 = cyclic_group(4)
+    assert nr.conjugation_nrack(c4, 3).table == trivial_nrack(4, 3).table
 
 
 def test_conjugation_3rack_s3_spot_value(s3, conj3):
@@ -211,12 +268,12 @@ def test_conjugation_n2_is_plain_conjugation(s3):
 
 
 def test_nrack_from_rack_trivial():
-    assert nr.nrack_from_rack(nr.trivial_nrack(3, 2), 4).table == nr.trivial_nrack(3, 4).table
+    assert nr.nrack_from_rack(trivial_nrack(3, 2), 4).table == trivial_nrack(3, 4).table
 
 
 def test_nrack_from_rack_increments_cancel(flip_rack):
     out = nr.nrack_from_rack(flip_rack, 3)
-    assert out.table == nr.trivial_nrack(2, 3).table
+    assert out.table == trivial_nrack(2, 3).table
 
 
 def test_nrack_from_rack_conjugation_coincides(s3, conj3):
@@ -225,10 +282,10 @@ def test_nrack_from_rack_conjugation_coincides(s3, conj3):
 
 
 def test_extend_rack_by_constant_on_trivial():
-    triv = nr.trivial_nrack(3, 2)
+    triv = trivial_nrack(3, 2)
     const = nr.from_function(3, 2, lambda x, y: 1)
     out = nr.extend_rack_by_op(triv, const)
-    assert out.table == nr.trivial_nrack(3, 3).table
+    assert out.table == trivial_nrack(3, 3).table
 
 
 def test_extend_rack_reproduces_conjugation(s3, conj3):
@@ -244,9 +301,9 @@ def test_extend_rack_equivariance_failure(flip_rack):
 
 
 def test_combine_trivial():
-    a = nr.trivial_nrack(3, 2)
-    b = nr.trivial_nrack(3, 3)
-    assert nr.combine_compatible(a, b).table == nr.trivial_nrack(3, 4).table
+    a = trivial_nrack(3, 2)
+    b = trivial_nrack(3, 3)
+    assert nr.combine_compatible(a, b).table == trivial_nrack(3, 4).table
 
 
 def test_combine_conjugation_racks(s3, conj3):
@@ -270,8 +327,8 @@ def test_combine_incompatible_pair():
 
 
 def test_rack_from_nrack_trivial():
-    out = nr.rack_from_nrack(nr.trivial_nrack(2, 3))
-    assert out.size == 4 and out.table == nr.trivial_nrack(4, 2).table
+    out = nr.rack_from_nrack(trivial_nrack(2, 3))
+    assert out.size == 4 and out.table == trivial_nrack(4, 2).table
 
 
 def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
@@ -288,12 +345,12 @@ def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
 
 def test_rack_from_nrack_carrier_cap():
     with pytest.raises(CapExceededError):
-        nr.rack_from_nrack(nr.trivial_nrack(2, 11))
+        nr.rack_from_nrack(trivial_nrack(2, 11))
 
 
 def test_rack_from_nrack_composed_with_fold(flip_rack):
     # rack -> n-rack -> rack on tuples is componentwise iterated product, m <= 3
-    for rack in (nr.trivial_nrack(3, 2), nr.cyclic_rack(3), nr.cyclic_rack(2)):
+    for rack in (trivial_nrack(3, 2), nr.cyclic_rack(3), nr.cyclic_rack(2)):
         n = 3
         lifted = nr.nrack_from_rack(rack, n)
         back = nr.rack_from_nrack(lifted)
@@ -330,9 +387,9 @@ def test_krack_blocks_match_the_definition(s3):
 
 
 def test_krack_trivial():
-    t = nr.trivial_nrack(2, 3)
+    t = trivial_nrack(2, 3)
     out = nr.krack_from_power(t, 2)
-    assert out.table == nr.trivial_nrack(4, 2).table
+    assert out.table == trivial_nrack(4, 2).table
 
 
 def test_krack_singleton_blocks(conj3):
@@ -373,7 +430,7 @@ def test_left_table_that_is_not_right(conj3):
 
 
 def test_vector_nrack_zero_algebra_is_projection():
-    v = nr.nrack_from_nleibniz(nl.zero_algebra(3, 2))
+    v = nr.nrack_from_nleibniz(zero_algebra(3, 2))
     x = {0: ONE, 1: Fraction(2)}
     assert v.op([x, {1: ONE}, {0: ONE}]) == x
 
@@ -435,7 +492,7 @@ def test_vector_nrack_homomorphism_functoriality(t3):
 
 
 def test_verify_tensor_embedding_zero():
-    assert nr.verify_tensor_embedding(nl.zero_algebra(3, 2)).passed
+    assert nr.verify_tensor_embedding(zero_algebra(3, 2)).passed
 
 
 def test_verify_tensor_embedding_t3(t3):
@@ -462,7 +519,7 @@ def test_multinomial_power_identity(t3):
     s = T.power_shape(3, 2)
     y = (1, 1)
     big = nl.ad(fund, [{s.flat(y): ONE}])
-    small = nl.ad_basis(t3, y)
+    small = ad_basis(t3, y)
     idc = T.identity(T.shape(3))
     sq = big @ big
     expansion = (

@@ -19,6 +19,7 @@ import braidforge.ybops as yb
 from braidforge.errors import SchemaError, SingularMatrixError
 
 import operator_oracle as oo
+from library_extras import cyclic_group
 
 EXACT_VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 FLOAT_VALUES = st.sampled_from([1.0, -1.0, 0.5, 0.1, -0.3, 2.5, 1e-3, 3.0]) | st.floats(-4, 4).filter(lambda x: abs(x) > 1e-3)
@@ -251,7 +252,7 @@ def test_a_repeated_image_is_not_invertible():
 
 
 def test_group_inverses_and_identity_are_derived_not_passed():
-    mul = nr.cyclic_group(2).mul
+    mul = cyclic_group(2).mul
     g = nr.FiniteGroup(2, mul)
     assert g.inv == (0, 1) and g.identity == 0
     with pytest.raises(TypeError):

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 import braidforge.linrack as lr
-import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
 import braidforge.tensor as T
 import braidforge.ybops as yb
 from braidforge.errors import SchemaError
+from library_extras import trivial_nrack
 
 ONE = Fraction(1)
 
@@ -165,7 +165,7 @@ def test_integer_fields_reject_booleans_and_fractional_floats():
 
 
 def test_provenance_carried():
-    doc = ser.to_document(nr.trivial_nrack(2, 2), provenance=["made-by-hand"])
+    doc = ser.to_document(trivial_nrack(2, 2), provenance=["made-by-hand"])
     assert doc["provenance"] == ["made-by-hand"]
 
 

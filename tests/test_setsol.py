@@ -10,6 +10,7 @@ import braidforge.setsol as ss
 import setmap_oracle as oracle
 from braidforge.errors import CapExceededError, PreconditionError, SchemaError
 from census_oracle import CENSUS_CASES, all_tables, rescan_census
+from library_extras import trivial_nrack
 
 T12, T23, T13 = 2, 1, 5  # transposition indices in Sym(3), lex order
 
@@ -79,7 +80,7 @@ def test_classify_requires_arity_3():
 
 
 def test_trivial_rack_gives_flip():
-    s = ss.solution_from_nrack(nr.trivial_nrack(2, 3))
+    s = ss.solution_from_nrack(trivial_nrack(2, 3))
     assert s.image == ss.flip_map(2, 3).image
 
 
@@ -147,7 +148,7 @@ def test_lift_rejects_non_solution():
 
 def test_rack_diagram_closure(flip_rack, s3):
     # lifting the rack solution = inducing from the folded rack
-    for rack in (nr.trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)):
+    for rack in (trivial_nrack(2, 2), flip_rack, nr.conjugation_nrack(s3, 2)):
         r = ss.solution_from_nrack(rack)
         lhs = ss.nsolution_from_solution(r, 3)
         rhs = ss.solution_from_nrack(nr.nrack_from_rack(rack, 3))
@@ -156,7 +157,7 @@ def test_rack_diagram_closure(flip_rack, s3):
 
 def test_nrack_diagram_closure(conj3, flip_rack):
     # descending the induced solution = the solution of the induced rack
-    cases = [nr.trivial_nrack(2, 3), nr.nrack_from_rack(flip_rack, 3), conj3]
+    cases = [trivial_nrack(2, 3), nr.nrack_from_rack(flip_rack, 3), conj3]
     for t in cases:
         s = ss.solution_from_nrack(t)
         lhs = ss.solution_from_nsolution(s)
@@ -356,7 +357,7 @@ def same_or_both_refused(build, build_oracle):
 
 @settings(max_examples=150, deadline=None)
 @given(set_maps(), st.integers(2, 4))
-@example((ss.flip_map(2, 2), oracle.from_function(2, 2, lambda x, y: (y, x)), nr.trivial_nrack(2, 2)), 4)
+@example((ss.flip_map(2, 2), oracle.from_function(2, 2, lambda x, y: (y, x)), trivial_nrack(2, 2)), 4)
 def test_index_lists_match_tuple_implementation(case, lift_to):
     s, o, table = case
     assert s.image == o.image()

@@ -11,6 +11,7 @@ from braidforge.errors import NotNilpotentError, SchemaError, ShapeMismatchError
 
 from conftest import dense_equal, to_dense
 from linrack_oracle import deal_factors
+from library_extras import zero_algebra
 
 ONE = Fraction(1)
 
@@ -163,7 +164,7 @@ def test_embed_nonzero_count_pattern(t3bar):
     assert e.domain_shape.total == 4**5
     assert e.nnz == s.nnz * 16
     # validated against the dense Kronecker oracle at d=2
-    small = yb.nyb_from_central_nleibniz(nl.adjoin_unit(nl.zero_algebra(3, 1)))
+    small = yb.nyb_from_central_nleibniz(nl.adjoin_unit(zero_algebra(3, 1)))
     e2 = T.embed(small, 2, 0, 2)
     eye = np.empty((4, 4), dtype=object)
     eye[:] = Fraction(0)

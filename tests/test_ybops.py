@@ -13,6 +13,7 @@ import braidforge.tensor as T
 import braidforge.ybops as yb
 import setmap_oracle
 from braidforge.errors import CapExceededError, PreconditionError, SchemaError, SingularMatrixError
+from library_extras import cyclic_group, trivial_nrack, zero_algebra
 
 ONE = Fraction(1)
 
@@ -108,7 +109,7 @@ def test_lifts_bound_n_where_the_cap_cannot():
     # a 1-dimensional R lifts to every degree within the cap; n stays at most 63
     one = T.identity(T.shape(1, 1))
     assert yb.nyb_from_ybe(one, 63).domain_shape.factor_dims == (1,) * 63
-    group = nr.cyclic_group(1)
+    group = cyclic_group(1)
     for n in (64, 10**9):
         with pytest.raises(SchemaError):
             yb.nyb_from_ybe(one, n)
@@ -148,7 +149,7 @@ def test_tau_duality_on_built_operators(t3bar):
 
 
 def test_r_from_zero_bracket_is_flip():
-    cl = nl.adjoin_unit(nl.zero_algebra(2, 2))
+    cl = nl.adjoin_unit(zero_algebra(2, 2))
     assert yb.r_from_central_leibniz(cl) == T.permutation_operator(T.power_shape(3, 2), (1, 0))
 
 
@@ -189,12 +190,12 @@ def test_r_tilde_iff_examples(a3):
     assert ybrep.is_operator and fi.passed
     r, ybrep, fi = yb.r_tilde_iff_leibniz(nl.NLeibnizAlgebra(2, 1, {(0, 0): {0: 1}}))
     assert not ybrep.holds and not fi.passed
-    r, ybrep, fi = yb.r_tilde_iff_leibniz(nl.zero_algebra(2, 3))
+    r, ybrep, fi = yb.r_tilde_iff_leibniz(zero_algebra(2, 3))
     assert ybrep.is_operator and fi.passed
 
 
 def test_r1_r2_zero_algebra_are_flips():
-    z = nl.zero_algebra(3, 2)
+    z = zero_algebra(3, 2)
     r1 = yb.r1_from_nleibniz(z)
     r2 = yb.r2_from_nleibniz(z)
     assert r1 == T.permutation_operator(T.power_shape(5, 2), (1, 0))
@@ -215,7 +216,7 @@ def test_r1_spot_value(t3):
 
 
 def test_r2_equals_coalgebra_route(t3, a3):
-    for alg in (t3, a3, nl.zero_algebra(3, 2)):
+    for alg in (t3, a3, zero_algebra(3, 2)):
         r2 = yb.r2_from_nleibniz(alg)
         lnr = lr.linear_nrack_from_nleibniz(alg)
         rack = lr.linear_rack_on_tensor_power(lnr)
@@ -236,7 +237,7 @@ def test_eta_unit_and_tensor_values(t3):
 
 
 def test_eta_intertwines_for_several_algebras(a3):
-    for alg in (a3, nl.zero_algebra(3, 3), nl.certify(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: 0}}))):
+    for alg in (a3, zero_algebra(3, 3), nl.certify(nl.NLeibnizAlgebra(3, 2, {(0, 1, 1): {1: 0}}))):
         eta, report = yb.eta_intertwiner(alg)
         assert report.passed, report.to_json()
 
@@ -245,7 +246,7 @@ def test_eta_intertwines_for_several_algebras(a3):
 
 
 def test_nyb_central_zero_is_cyclic():
-    cl = nl.adjoin_unit(nl.zero_algebra(3, 2))
+    cl = nl.adjoin_unit(zero_algebra(3, 2))
     assert yb.nyb_from_central_nleibniz(cl) == yb.cyclic_operator(3, 3)
 
 
@@ -281,12 +282,12 @@ def test_nyb_iff_agreement_cases(t3, t3_bad):
     assert report.is_operator and fi.passed
     s, report, fi = yb.nyb_iff_nleibniz(t3_bad)
     assert not report.holds and not fi.passed
-    s, report, fi = yb.nyb_iff_nleibniz(nl.zero_algebra(3, 3))
+    s, report, fi = yb.nyb_iff_nleibniz(zero_algebra(3, 3))
     assert report.is_operator and fi.passed
 
 
 def test_nyb_from_linear_nrack_trivial_is_cyclic():
-    fwd, bwd = yb.nyb_from_linear_nrack(lr.linearize_nrack(nr.trivial_nrack(2, 3)))
+    fwd, bwd = yb.nyb_from_linear_nrack(lr.linearize_nrack(trivial_nrack(2, 3)))
     assert fwd == yb.cyclic_operator(2, 3)
     assert bwd == T.invert(yb.cyclic_operator(2, 3))
 
@@ -408,7 +409,7 @@ def test_float_mode_verification_flow():
 
 def test_descend_diagram_closure_more():
     for dim in (1, 2):
-        alg = nl.adjoin_unit(nl.zero_algebra(3, dim))
+        alg = nl.adjoin_unit(zero_algebra(3, dim))
         s = yb.nyb_from_central_nleibniz(alg)
         assert yb.ybe_from_nyb(s, 3) == yb.r_from_central_leibniz(nl.fundamental_leibniz(alg))
 
@@ -444,7 +445,7 @@ def test_conjugate_rejects_singular():
 
 
 def test_group_algebra_abelian_is_cyclic():
-    assert yb.group_algebra_nyb(nr.cyclic_group(3), 3) == yb.cyclic_operator(3, 3)
+    assert yb.group_algebra_nyb(cyclic_group(3), 3) == yb.cyclic_operator(3, 3)
 
 
 def test_group_algebra_s3_spot_value(s3):
@@ -471,7 +472,7 @@ def test_every_builder_reverifies(t3, a3, t3bar, conj3):
         (yb.r2_from_nleibniz(t3), 2, "right"),
         (yb.nyb_from_central_nleibniz(t3bar), 3, "right"),
         (yb.nyb_from_central_nleibniz(t3bar, side="left"), 3, "left"),
-        (yb.group_algebra_nyb(nr.cyclic_group(2), 3), 3, "right"),
+        (yb.group_algebra_nyb(cyclic_group(2), 3), 3, "right"),
     ]
     for op, n, side in checks:
         report = yb.verify_nybe(op, n, side)
