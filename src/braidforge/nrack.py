@@ -39,14 +39,15 @@ LEFT = "left"
 CARRIER_CAP = 10**6
 
 
-def _table_int(v) -> int:
-    """A table value as an int; a bool, a string or a non-integral number is refused, not truncated."""
-    try:
-        if not isinstance(v, (bool, str)) and int(v) == v:
-            return int(v)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise SchemaError(f"table value {v!r} is not an integer")
+def _table(values, size: int, what: str) -> tuple:
+    """values as a tuple of ints in range(size), read by ``scalars.as_int``;
+    the type test and the range test are C-level passes."""
+    table = tuple(values)
+    if set(map(type, table)) != {int}:
+        table = tuple(map(scalars.as_int, table))
+    if table and (min(table) < 0 or max(table) >= size):
+        raise SchemaError(f"{what} value out of range")
+    return table
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,11 @@ class FiniteNRack:
         if self.side not in (RIGHT, LEFT):
             raise SchemaError(f"side must be 'right' or 'left', got {self.side!r}")
         table = tuple(self.table)
-        if set(map(type, table)) != {int}:
-            table = tuple(map(_table_int, table))
         if len(table) != self.size**self.arity:
             raise SchemaError(
                 f"table has {len(table)} entries, expected {self.size**self.arity} (tables must be total)"
             )
-        if min(table) < 0 or max(table) >= self.size:
-            raise SchemaError("table value out of range")
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _table(table, self.size, "table"))
 
     def apply(self, args) -> int:
         return self.table[flat_index(args, self.size)]
@@ -132,11 +129,10 @@ def _group_axioms(size: int, mul):
     """Check that mul is a size x size table over range(size), then return
     (table as a tuple of rows, identity or None, inverses with None where
     missing, first non-associative triple or None)."""
-    mul = tuple(tuple(map(_table_int, row)) for row in mul)
+    mul = tuple(map(tuple, mul))
     if len(mul) != size or any(len(row) != size for row in mul):
         raise SchemaError("multiplication table must be size x size")
-    if any(not 0 <= v < size for row in mul for v in row):
-        raise SchemaError("multiplication table value out of range")
+    mul = tuple(_table(row, size, "multiplication table") for row in mul)
     identity = next(
         (e for e in range(size) if all(mul[e][x] == x and mul[x][e] == x for x in range(size))),
         None,
@@ -224,8 +220,8 @@ def check_nrack(t: FiniteNRack) -> VerificationReport:
     rows = [t.table[v * ncols : (v + 1) * ncols] for v in range(m)]  # rows[v][b] = <v, ys>
     translations = [t.table[b::ncols] for b in range(ncols)]
     # the distinct columns in the order of their first ys; cols[v][j] = <v, ys> at the j-th
-    distinct = translations if len(set(translations)) == ncols else list(dict.fromkeys(translations))
-    cols, k = rows if distinct is translations else list(zip(*distinct)), len(distinct)
+    distinct = list(dict.fromkeys(translations))
+    cols, k = list(zip(*distinct)), len(distinct)
     # moved[r][j]: flat index of (<r_1, ys>, ..., <r_{n-1}, ys>), r_i the digits of r
     moved = [[0] * k]
     for _ in range(n - 1):

@@ -41,6 +41,19 @@ def coerce(value, mode: str):
     return float(value)
 
 
+def as_int(raw) -> int:
+    """raw as an int: an int, or a number of integral value.  A bool, a
+    string or a non-integral number is refused, not truncated or parsed."""
+    if type(raw) is int:
+        return raw
+    try:
+        if not isinstance(raw, (bool, str)) and int(raw) == raw:
+            return int(raw)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"expected an integer, got {raw!r}")
+
+
 def zero(mode: str):
     return Fraction(0) if mode == EXACT else 0.0
 

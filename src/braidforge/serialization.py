@@ -45,15 +45,16 @@ def _list(doc, key, kind, item=None):
 
 
 def _int(raw) -> int:
+    """A document integer: a number as ``scalars.as_int`` reads it, or a
+    string that int() reads (object keys are strings)."""
     if type(raw) is int:
         return raw
-    # int() would read true as 1 and truncate 2.9 to 2
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise SchemaError(f"expected an integer, got {raw!r}")
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"expected an integer, got {raw!r}") from None
+    if type(raw) is str:
+        try:
+            return int(raw)
+        except ValueError:
+            raise SchemaError(f"expected an integer, got {raw!r}") from None
+    return scalars.as_int(raw)
 
 
 def _mode_of(doc) -> str:

@@ -38,6 +38,14 @@ def cyclic_group(k: int):
     return FiniteGroup(k, mul)
 
 
+def alternating_group(k: int):
+    """A_k on the even permutation tuples in lexicographic order; (p*q)(i) = p(q(i))."""
+    pairs = list(itertools.combinations(range(k), 2))
+    elems = [p for p in itertools.permutations(range(k)) if sum(p[i] > p[j] for i, j in pairs) % 2 == 0]
+    index = {p: i for i, p in enumerate(elems)}
+    return FiniteGroup(len(elems), tuple(tuple(index[tuple(p[i] for i in q)] for q in elems) for p in elems))
+
+
 def zero_algebra(arity: int, dim: int, mode=sc.EXACT):
     return NLeibnizAlgebra(arity, dim, {}, mode, True)
 

@@ -69,8 +69,8 @@ MUTANTS = [
     Mutant(
         "nrack-distinct-in-reverse-order",
         NRACK,
-        "else list(dict.fromkeys(translations))",
-        "else list(dict.fromkeys(reversed(translations)))",
+        "distinct = list(dict.fromkeys(translations))",
+        "distinct = list(dict.fromkeys(reversed(translations)))",
         NRACK_TESTS,
         "killed",
     ),
@@ -83,17 +83,27 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "nrack-always-deduplicate",
+        "nrack-all-blocks-at-once",
         NRACK,
-        "translations if len(set(translations)) == ncols else list(dict.fromkeys(translations))",
-        "list(dict.fromkeys(translations))",
-        NRACK_TESTS,
-        "survives: with every column distinct the deduplicated lists equal the plain ones; only the cost changes",
+        """    for x1, head in enumerate(rows):
+        # block x_1, over (x_2..x_n, ys): lhs <<xs>, ys>, rhs <<x_1, ys>, <x_2, ys>, ...>
+        lhs = list(itertools.chain.from_iterable(map(cols.__getitem__, head)))
+        rhs = [rows[v][p] for row in moved for v, p in zip(cols[x1], row)]
+""",
+        """    blocks = [
+        (list(itertools.chain.from_iterable(map(cols.__getitem__, head))),
+         [rows[v][p] for row in moved for v, p in zip(cols[x1], row)])
+        for x1, head in enumerate(rows)
+    ]
+    for x1, (lhs, rhs) in enumerate(blocks):
+""",
+        ("tests/test_nrack.py::test_check_nrack_memory_stays_blocked_on_distinct_translations",),
+        "killed",
     ),
     Mutant(
         "nrack-table-values-truncated",
         NRACK,
-        "table = tuple(map(_table_int, table))",
+        "table = tuple(map(scalars.as_int, table))",
         "table = tuple(map(int, table))",
         ("tests/test_nrack.py::test_table_values_are_refused_not_truncated",),
         "killed",

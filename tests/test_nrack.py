@@ -17,7 +17,7 @@ from braidforge.errors import (
 )
 from braidforge.reports import ReportBuilder, VerificationReport
 import vector_rack_oracle
-from library_extras import ad_basis, cyclic_group, is_abelian, is_homomorphism, translation_inverse, trivial_nrack, zero_algebra
+from library_extras import ad_basis, alternating_group, cyclic_group, is_abelian, is_homomorphism, translation_inverse, trivial_nrack, zero_algebra
 
 ONE = Fraction(1)
 
@@ -187,21 +187,37 @@ def test_first_failure_at_a_repeated_translation_keeps_its_place():
     assert without_times(report) == without_times(tuple_loop_check(LATE_FAILURE))
 
 
-def test_check_nrack_memory_stays_blocked(s3):
-    # 6 distinct translations among 6^3 ys: each block's lists hold 6^3 x 6
-    # entries and the whole check peaks near 0.1 MB, where one block over
-    # every ys would hold 6^6 entries (about 1.6 MB)
+def _check_nrack_peak(t):
+    """check_nrack(t) and its tracemalloc peak in bytes."""
     import tracemalloc
 
-    t = nr.conjugation_nrack(s3, 4)
     tracemalloc.start()
     try:
         report = nr.check_nrack(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return report, peak
+
+
+def test_check_nrack_memory_stays_blocked(s3):
+    # 6 distinct translations among 6^3 ys: each block's lists hold 6^3 x 6
+    # entries and the whole check peaks near 0.1 MB, where one block over
+    # every ys would hold 6^6 entries (about 1.6 MB).  With so few distinct
+    # translations, all six blocks at once would fit too; the A_5 case below
+    # is the one that sees the blocking.
+    report, peak = _check_nrack_peak(nr.conjugation_nrack(s3, 4))
     assert report.passed
     assert peak < 2**19  # 512 kB: a walk over every ys would not fit
+
+
+def test_check_nrack_memory_stays_blocked_on_distinct_translations():
+    # A_5 has a trivial centre, so its 60 conjugations are 60 distinct
+    # translations, one per ys: each x_1 block's lists hold 60 x 60 entries,
+    # where the lists of all 60 blocks at once would hold 60^3 (about 1.7 MB each)
+    report, peak = _check_nrack_peak(nr.conjugation_nrack(alternating_group(5), 2))
+    assert report.passed
+    assert peak < 2**19  # 512 kB
 
 
 # -- groups ------------------------------------------------------------------
