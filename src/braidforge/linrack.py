@@ -32,7 +32,7 @@ from . import scalars, tensor
 from .errors import NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
 from .reports import ReportBuilder, VerificationReport, certified, column_witness, confirm, refuse_uncertified
-from .tensor import TensorOperator, TensorShape, apply_columns, flat_index, kron_columns
+from .tensor import TensorOperator, TensorShape, apply_columns, digit_reversal, flat_index, kron_columns
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,6 @@ def _counit_power(counit, k: int):
     for _ in range(k):
         out = [p * e for p in out for e in eps]
     return out
-
-
-def _reversal(c: int, k: int):
-    """The flat index of the reversed digits, at each flat index of C^(x)k."""
-    multi = tensor.power_shape(c, k).multi
-    return [flat_index(reversed(multi(f)), c) for f in range(c**k)]
 
 
 def _iterated_columns(c: Coalgebra, legs: int):
@@ -267,7 +261,7 @@ def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator
     g, gscale = second.columns, second.scale
     delta, dscale = l.base.delta.columns, l.base.delta.scale
     counit, escale = l.base.counit.columns, l.base.counit.scale
-    rev, eps = _reversal(c, n - 1), _counit_power(counit, n - 1)
+    rev, eps = digit_reversal(c, n - 1), _counit_power(counit, n - 1)
     for t, dealt in enumerate(_dealt(delta, c, 2, n - 1)):
         terms = []
         for (p, q), coeff in dealt:  # the first and second legs of vs
@@ -417,7 +411,7 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
     width = n - 1
     span = c**width
     split, dscale = _iterated_columns(l.base, width)
-    dealt, multi, rev = _dealt(split, c, width, width), tensor.power_shape(c, width).multi, _reversal(c, width)
+    dealt, multi, rev = _dealt(split, c, width, width), tensor.power_shape(c, width).multi, digit_reversal(c, width)
 
     def assemble(op, reverse_vs):
         b, scale = op.columns, op.scale
@@ -488,7 +482,7 @@ def nrack_braiding(l: LinearNRack):
     delta, dscale = l.base.delta.columns, l.base.delta.scale
     b, bscale = l.bracket.columns, l.bracket.scale
     ib, iscale = l.inv_bracket.columns, l.inv_bracket.scale
-    fwd, bwd, dealt, rev = [], [], _dealt(delta, c, 2, n - 1), _reversal(c, n - 1)
+    fwd, bwd, dealt, rev = [], [], _dealt(delta, c, 2, n - 1), digit_reversal(c, n - 1)
     for col in range(c**n):  # u_1 = col // span, u_n = col % c
         out = {}
         for (first, second), coeff in dealt[col % span]:

@@ -39,17 +39,6 @@ LEFT = "left"
 CARRIER_CAP = 10**6
 
 
-def _table(values, size: int, what: str) -> tuple:
-    """values as a tuple of ints in range(size), read by ``scalars.as_int``;
-    the type test and the range test are C-level passes."""
-    table = tuple(values)
-    if set(map(type, table)) != {int}:
-        table = tuple(map(scalars.as_int, table))
-    if table and (min(table) < 0 or max(table) >= size):
-        raise SchemaError(f"{what} value out of range")
-    return table
-
-
 @dataclass(frozen=True)
 class FiniteNRack:
     """Total n-ary operation table on {0..size-1}; flat, first argument most significant."""
@@ -70,7 +59,7 @@ class FiniteNRack:
             raise SchemaError(
                 f"table has {len(table)} entries, expected {self.size**self.arity} (tables must be total)"
             )
-        object.__setattr__(self, "table", _table(table, self.size, "table"))
+        object.__setattr__(self, "table", scalars.int_table(table, self.size, "table"))
 
     def apply(self, args) -> int:
         return self.table[flat_index(args, self.size)]
@@ -82,7 +71,8 @@ class FiniteNRack:
     def reversed_args(self) -> "FiniteNRack":
         """Swap argument order; turns a right structure into a left one and back."""
         side = LEFT if self.side == RIGHT else RIGHT
-        return from_function(self.size, self.arity, lambda *a: self.apply(a[::-1]), side, self.certified)
+        table = tuple(map(self.table.__getitem__, tensor.digit_reversal(self.size, self.arity)))
+        return FiniteNRack(self.size, self.arity, table, side, self.certified)
 
     def as_certified(self) -> "FiniteNRack":
         return FiniteNRack(self.size, self.arity, self.table, self.side, True)
@@ -132,7 +122,7 @@ def _group_axioms(size: int, mul):
     mul = tuple(map(tuple, mul))
     if len(mul) != size or any(len(row) != size for row in mul):
         raise SchemaError("multiplication table must be size x size")
-    mul = tuple(_table(row, size, "multiplication table") for row in mul)
+    mul = tuple(scalars.int_table(row, size, "multiplication table") for row in mul)
     identity = next(
         (e for e in range(size) if all(mul[e][x] == x and mul[x][e] == x for x in range(size))),
         None,

@@ -54,6 +54,17 @@ def as_int(raw) -> int:
     raise SchemaError(f"expected an integer, got {raw!r}")
 
 
+def int_table(values, size: int, what: str) -> tuple:
+    """values as a tuple of ints in range(size), read by ``as_int``; the
+    type test and the range test are C-level passes."""
+    table = tuple(values)
+    if set(map(type, table)) != {int}:
+        table = tuple(map(as_int, table))
+    if table and (min(table) < 0 or max(table) >= size):
+        raise SchemaError(f"{what} value out of range")
+    return table
+
+
 def zero(mode: str):
     return Fraction(0) if mode == EXACT else 0.0
 

@@ -105,6 +105,17 @@ def flat_index(digits, base: int) -> int:
     return idx
 
 
+def digit_reversal(base: int, k: int) -> list:
+    """rev[x] = the flat index of x's k base-``base`` digits in reverse
+    order, built one digit at a time: x's i-th digit from the left has
+    weight base^i in rev[x]."""
+    rev = [0]
+    for i in range(k):
+        weights = range(0, base ** (i + 1), base**i)
+        rev = [r + w for r in rev for w in weights]
+    return rev
+
+
 def tensor_vector(vecs, shp: TensorShape, mode=scalars.EXACT) -> dict:
     """The sparse product v_1 (x) ... (x) v_k of vectors {index: scalar},
     keyed by flat index in ``shp`` (one factor per vector), exact zeros dropped."""

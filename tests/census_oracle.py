@@ -13,7 +13,8 @@ from braidforge.nrack import FiniteNRack
 from braidforge.setsol import braid_words
 
 
-#: (m, n, filter) of the benchmark's census rounds, then m = 1 and the 3,2 rack filters
+#: (m, n, filter) of the benchmark's census rounds, then m = 1, the 3,2 rack filters and the 2,2 solutions;
+#: nsolution covers every size that enumerate admits, so its rack search is compared with the map-based rescan
 CENSUS_CASES = [
     (2, 2, "nrack"),
     (2, 3, "nshelf"),
@@ -27,6 +28,7 @@ CENSUS_CASES = [
     *((1, n, f) for n in (2, 3) for f in ("nshelf", "nrack", "nsolution")),
     (3, 2, "nrack"),
     (3, 2, "nsolution"),
+    (2, 2, "nsolution"),
 ]
 
 

@@ -33,6 +33,8 @@ Mutant = collections.namedtuple("Mutant", "name file old new tests expected")
 NRACK = "src/braidforge/nrack.py"
 NLEIBNIZ = "src/braidforge/nleibniz.py"
 SETSOL = "src/braidforge/setsol.py"
+SCALARS = "src/braidforge/scalars.py"
+TENSOR = "src/braidforge/tensor.py"
 
 NRACK_TESTS = (
     "tests/test_nrack.py::test_check_nrack_matches_the_tuple_loop_on_repeated_translations",
@@ -47,6 +49,17 @@ NLEIBNIZ_TESTS = (
 WORD_TESTS = (
     "tests/test_setsol.py::test_word_map_matches_the_tuple_words",
     "tests/test_setsol.py::test_braid_sides_match_the_tuple_words",
+)
+NSOLUTION_RESCAN_TESTS = tuple(
+    f"tests/test_setsol.py::test_watched_census_matches_rescan[{m}-{n}-nsolution]" for m, n in ((2, 2), (2, 3), (3, 3))
+)
+ORBIT_TESTS = (
+    "tests/test_setsol.py::test_representatives_are_the_orbit_minima",
+    "tests/test_setsol.py::test_orbit_representative_counts",
+)
+INT_RULE_TESTS = (
+    "tests/test_setsol.py::test_set_map_images_are_refused_not_truncated",
+    "tests/test_nrack.py::test_table_values_are_refused_not_truncated",
 )
 
 MUTANTS = [
@@ -101,11 +114,19 @@ MUTANTS = [
         "killed",
     ),
     Mutant(
-        "nrack-table-values-truncated",
-        NRACK,
-        "table = tuple(map(scalars.as_int, table))",
+        "int-table-values-truncated",
+        SCALARS,
+        "table = tuple(map(as_int, table))",
         "table = tuple(map(int, table))",
-        ("tests/test_nrack.py::test_table_values_are_refused_not_truncated",),
+        INT_RULE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "int-table-type-test-dropped",
+        SCALARS,
+        "if set(map(type, table)) != {int}:",
+        "if False:",
+        INT_RULE_TESTS,
         "killed",
     ),
     Mutant(
@@ -131,6 +152,33 @@ MUTANTS = [
         "if True:",
         NLEIBNIZ_TESTS,
         "killed",  # the verdicts stay the same; the count of walks shows the change
+    ),
+    Mutant(
+        "census-resume-comparison-flipped",
+        SETSOL,
+        "return ty[columns[c1][x0]] == columns[c3][ty[x0]]",
+        "return ty[columns[c1][x0]] != columns[c3][ty[x0]]",
+        NSOLUTION_RESCAN_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "census-lex-leader-comparison-flipped",
+        SETSOL,
+        "if a < b:",
+        "if a > b:",
+        ORBIT_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "digit-reversal-weight-off-by-one",
+        TENSOR,
+        "weights = range(0, base ** (i + 1), base**i)",
+        "weights = range(0, base ** (i + 2), base ** (i + 1))",
+        (
+            "tests/test_tensor.py::test_digit_reversal_matches_the_per_index_form",
+            "tests/test_nrack.py::test_reversed_args_matches_the_per_entry_form",
+        ),
+        "killed",
     ),
     Mutant(
         "setsol-word-map-branches-swapped",

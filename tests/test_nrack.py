@@ -435,6 +435,15 @@ def test_reversal_duality(conj3):
     assert left.reversed_args().table == conj3.table
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 4), st.sampled_from([nr.RIGHT, nr.LEFT]), st.booleans(), st.data())
+def test_reversed_args_matches_the_per_entry_form(m, n, side, certified, data):
+    table = data.draw(st.lists(st.integers(0, m - 1), min_size=m**n, max_size=m**n))
+    t = nr.FiniteNRack(m, n, table, side, certified)
+    flipped = nr.LEFT if side == nr.RIGHT else nr.RIGHT
+    assert t.reversed_args() == nr.from_function(m, n, lambda *a: t.apply(a[::-1]), flipped, certified)
+
+
 def test_left_table_that_is_not_right(conj3):
     left = conj3.reversed_args()
     as_right = nr.FiniteNRack(left.size, left.arity, left.table, "right")

@@ -44,6 +44,13 @@ def test_flat_index_is_the_row_major_layout():
         assert T.flat_index(s.multi(flat), 3) == flat
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5))
+def test_digit_reversal_matches_the_per_index_form(m, k):
+    multi = T.power_shape(m, k).multi
+    assert T.digit_reversal(m, k) == [T.flat_index(multi(x)[::-1], m) for x in range(m**k)]
+
+
 def test_tensor_vector_matches_kron():
     u = {0: Fraction(2), 2: Fraction(-1, 3)}
     v = {1: Fraction(5), 0: Fraction(0)}
