@@ -48,6 +48,8 @@ def _load_json(path):
         raise SchemaError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, not UTF-8, nested too deep
+        raise SchemaError(f"cannot read {path}: {exc}") from None
 
 
 def _dim_cap(allow_large):
@@ -306,18 +308,18 @@ def cmd_build(args):
         known = ", ".join(sorted(_CONSTRUCTIONS))
         raise SchemaError(f"unknown construction {args.construction!r}; known: {known}")
     build, accepts, refuse = _CONSTRUCTIONS[args.construction]
-    doc = _load_json(args.file)
-    obj = serialization.from_document(doc)
-    if not isinstance(obj, accepts):
-        raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
-    refuse(obj)
-    obj = _certify_input(obj, args.dim_cap)
     params = {}
     for raw in args.param or ():
         key, sep, value = raw.partition("=")
         if not sep:
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
+    doc = _load_json(args.file)
+    obj = serialization.from_document(doc)
+    if not isinstance(obj, accepts):
+        raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
+    refuse(obj)
+    obj = _certify_input(obj, args.dim_cap)
     result = build(obj, BuildContext(params, args.recheck, args.dim_cap))
     provenance = doc.get("provenance", [])
     if not isinstance(provenance, list):
@@ -326,8 +328,11 @@ def cmd_build(args):
     out = serialization.to_document(result, provenance)
     text = serialization.dumps(out)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {args.output}: {exc.strerror}") from None
         _diag(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

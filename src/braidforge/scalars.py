@@ -95,7 +95,8 @@ def format_ratio(num: int, den: int) -> str:
 
 
 def parse_scalar(raw, mode: str):
-    """Parse a JSON scalar: accepts "p/q", "p", or a number (ints only in exact mode)."""
+    """Parse a JSON scalar: accepts "p/q", "p", or a number (ints only in
+    exact mode); a float must be finite."""
     if mode == EXACT:
         if isinstance(raw, str):
             try:
@@ -108,15 +109,19 @@ def parse_scalar(raw, mode: str):
     if isinstance(raw, str):
         num, _, den = raw.partition("/")
         try:
-            return float(num) / float(den) if den else float(num)
+            value = float(num) / float(den) if den else float(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad float scalar {raw!r}: {exc}") from None
-    if isinstance(raw, (int, float)):
+    elif isinstance(raw, (int, float)):
         try:
-            return float(raw)
+            value = float(raw)
         except OverflowError:
             raise SchemaError(f"float scalar {raw!r} out of range") from None
-    raise SchemaError(f"bad float scalar {raw!r}")
+    else:
+        raise SchemaError(f"bad float scalar {raw!r}")
+    if not math.isfinite(value):  # NaN and infinities have no JSON form
+        raise SchemaError(f"float scalar {raw!r} is not finite")
+    return value
 
 
 def parse_ratio(raw) -> tuple:

@@ -352,19 +352,6 @@ def _census(m: int, n: int, table_filter: str):
     return [tuple(candidates[c][x] for x in range(m) for c in cols) for cols in labelled]
 
 
-def _column_order(m: int, n: int):
-    """(order, rank) of the translation columns: the diagonal columns
-    (a, ..., a) for a = 0..m-1 first, then the others in index order.
-    Relabelling maps diagonal columns to diagonal ones, so every
-    comparison with a relabelled table can start once they are assigned."""
-    diagonal = [flat_index((a,) * (n - 1), m) for a in range(m)]
-    order = diagonal + [c for c in range(m ** (n - 1)) if c not in diagonal]
-    rank = [0] * len(order)
-    for p, c in enumerate(order):
-        rank[c] = p
-    return order, rank
-
-
 def _relabellings(m: int, n: int, bijective: bool):
     """(candidates, relabellings): the candidate columns in lexicographic
     order, permutations or all maps, and for every sigma in Sym(m),
@@ -409,30 +396,42 @@ def _lex_leader(watch, p: int, chosen):
     return tied
 
 
-def _watched_dfs(m: int, n: int, candidates, relabellings, parked, resume):
+def _enumerate_distributive(m: int, n: int, candidates, relabellings):
     """The lexicographically least table of each Sym(m) orbit of tables
-    whose columns (right translations by the n-1 trailing arguments) pass
-    all law instances, as candidate indices in column index order.
+    passing self-distributivity, with columns (right translations by the
+    n-1 trailing arguments) among the candidates (permutations for racks),
+    as candidate indices in column index order.
 
-    Columns are assigned in ``_column_order``, each running through the
-    candidates in order.  parked[k] holds the instances blocked on
-    column k, and assigning it resumes only those:
-    ``resume(state, columns)`` is True or False once both sides are
-    known, else (j, state) to park on the unassigned column j.  Parkings
-    are undone on backtrack, so an instance is compared at the depth that
-    assigns the last column it reads (watched literals, as in Chaff).
+    The diagonal columns (a, ..., a) are assigned first, then the others
+    in index order, each running through the candidates in order.  The
+    law instance (xs, ys) reads the columns c1 of (x_2..x_n), ys, and c3
+    of (t_ys(x_2)..t_ys(x_n)).  parked[k] holds the instances blocked on
+    column k: each waits on whichever of c1 and ys comes later, then on
+    c3, and assigning column k compares only those.  Parkings are undone
+    on backtrack, so an instance is compared at the depth that assigns
+    the last column it reads (watched literals, as in Moskewicz et al.,
+    "Chaff: engineering an efficient SAT solver", 2001).
 
     Tables are compared by their column sequence in assignment order.
     Column c of T^sigma is conj[t_src[c]], so it is known once c and
-    src[c] are assigned.  Each sigma keeps the first position where T and
-    T^sigma are not yet compared: a smaller T^sigma prunes the node, a
-    larger one drops sigma for the subtree (orderly generation, as in
-    McKay, "Isomorph-free exhaustive generation", 1998).  This runs
-    before the node's instances, which cost more.  The filters are
-    invariant under relabelling, so the leaves are the orbit minima.
+    src[c] are assigned; relabelling maps diagonal columns to diagonal
+    ones, so every comparison can start once those are assigned.  Each
+    sigma keeps the first position where T and T^sigma are not yet
+    compared: a smaller T^sigma prunes the node, a larger one drops sigma
+    for the subtree (orderly generation, as in McKay, "Isomorph-free
+    exhaustive generation", 1998).  This runs before the node's
+    instances, which cost more.  The law is invariant under relabelling,
+    so the leaves are the orbit minima.
     """
-    order, rank = _column_order(m, n)
+    diagonal = [flat_index((a,) * (n - 1), m) for a in range(m)]
+    order = diagonal + [c for c in range(m ** (n - 1)) if c not in diagonal]
     ncols = len(order)
+    rank = sorted(range(ncols), key=order.__getitem__)  # the position of each column in the order
+    parked = [[] for _ in order]
+    for xs in itertools.product(range(m), repeat=n):
+        c1 = flat_index(xs[1:], m)
+        for ys in range(ncols):
+            parked[c1 if rank[c1] > rank[ys] else ys].append((xs[0], xs[1:], c1, ys, None))
     columns, chosen = [None] * ncols, [None] * ncols
     # per position: (column, the column of T it reads in T^sigma, the position that assigns both); then a sentinel
     watch = [
@@ -451,15 +450,16 @@ def _watched_dfs(m: int, n: int, candidates, relabellings, parked, resume):
             if tied is None:
                 continue
             trail = []
-            for state in parked[k]:
-                verdict = resume(state, columns)
-                if verdict is True:
-                    continue
-                if verdict is False:
+            for x0, tail, c1, ys, c3 in parked[k]:
+                ty = columns[ys]
+                if c3 is None:
+                    c3 = flat_index([ty[x] for x in tail], m)
+                    if columns[c3] is None:
+                        parked[c3].append((x0, tail, c1, ys, c3))
+                        trail.append(c3)
+                        continue
+                if ty[columns[c1][x0]] != columns[c3][ty[x0]]:
                     break
-                j, state = verdict
-                parked[j].append(state)
-                trail.append(j)
             else:
                 yield from dfs(p + 1, tied)
             for j in trail:
@@ -468,30 +468,3 @@ def _watched_dfs(m: int, n: int, candidates, relabellings, parked, resume):
 
     yield from dfs(0, watch)
     del dfs  # dfs refers to itself: without this, the search's lists wait for a full collection
-
-
-def _enumerate_distributive(m: int, n: int, candidates, relabellings):
-    """Orbit representatives of the tables passing self-distributivity,
-    with columns among the candidates (permutations for racks).
-
-    The instance (xs, ys) reads the columns c1 of (x_2..x_n), ys, and c3
-    of (t_ys(x_2)..t_ys(x_n)): it waits on whichever of c1 and ys comes
-    later in the column order, then on c3.
-    """
-    _, rank = _column_order(m, n)
-    parked = [[] for _ in rank]
-    for xs in itertools.product(range(m), repeat=n):
-        c1 = flat_index(xs[1:], m)
-        for ys in range(len(parked)):
-            parked[c1 if rank[c1] > rank[ys] else ys].append((xs[0], xs[1:], c1, ys, None))
-
-    def resume(state, columns):
-        x0, tail, c1, ys, c3 = state
-        ty = columns[ys]
-        if c3 is None:
-            c3 = flat_index([ty[x] for x in tail], m)
-            if columns[c3] is None:
-                return c3, (x0, tail, c1, ys, c3)
-        return ty[columns[c1][x0]] == columns[c3][ty[x0]]
-
-    return _watched_dfs(m, n, candidates, relabellings, parked, resume)

@@ -33,7 +33,7 @@ from .nleibniz import (
     is_central,
     unit_extension,
 )
-from .nrack import FiniteGroup
+from .nrack import FiniteGroup, conjugation_nrack
 from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
 from .setsol import braid_sides, braid_words, check_dim_cap
 from .tensor import TensorOperator, TensorShape, tensor_many
@@ -460,18 +460,12 @@ def conjugate_nyb(s: TensorOperator, phi: TensorOperator, n: int) -> TensorOpera
 
 def group_algebra_nyb(group: FiniteGroup, n: int) -> TensorOperator:
     """The degree-n braiding on k[G]:
-    g_1 (x) ... (x) g_n -> g_2 (x) ... (x) g_n (x) (g_n ... g_2 g_1 g_2^{-1} ... g_n^{-1}).
-
-    Built directly from the group table; it coincides with the braiding
-    of the linearized conjugation n-rack.
+    g_1 (x) ... (x) g_n -> g_2 (x) ... (x) g_n (x) (g_n ... g_2 g_1 g_2^{-1} ... g_n^{-1}),
+    the braiding of the linearized conjugation n-rack: column x is the
+    single entry (x_2..x_n, <x>), read from ``conjugation_nrack``.
     """
     _require_degree(n)
     m = group.size
-    shp = tensor.power_shape(m, n)
-    cols = []
-    for args in itertools.product(range(m), repeat=n):  # the columns in flat order
-        acc = args[0]
-        for x in args[1:]:
-            acc = group.mul[group.mul[x][acc]][group.inv[x]]
-        cols.append([(shp.flat(args[1:] + (acc,)), 1)])
+    tail, shp = m ** (n - 1), tensor.power_shape(m, n)
+    cols = [[(x % tail * m + v, 1)] for x, v in enumerate(conjugation_nrack(group, n).table)]
     return TensorOperator.from_columns(shp, shp, cols, 1, scalars.EXACT)

@@ -53,6 +53,9 @@ WORD_TESTS = (
 NSOLUTION_RESCAN_TESTS = tuple(
     f"tests/test_setsol.py::test_watched_census_matches_rescan[{m}-{n}-nsolution]" for m, n in ((2, 2), (2, 3), (3, 3))
 )
+CENSUS_RESCAN_TESTS = tuple(
+    f"tests/test_setsol.py::test_watched_census_matches_rescan[{m}-{n}-{f}]" for m, n, f in ((2, 3, "nshelf"), (3, 2, "nrack"))
+)
 ORBIT_TESTS = (
     "tests/test_setsol.py::test_representatives_are_the_orbit_minima",
     "tests/test_setsol.py::test_orbit_representative_counts",
@@ -154,11 +157,27 @@ MUTANTS = [
         "killed",  # the verdicts stay the same; the count of walks shows the change
     ),
     Mutant(
-        "census-resume-comparison-flipped",
+        "census-law-comparison-flipped",
         SETSOL,
-        "return ty[columns[c1][x0]] == columns[c3][ty[x0]]",
-        "return ty[columns[c1][x0]] != columns[c3][ty[x0]]",
+        "if ty[columns[c1][x0]] != columns[c3][ty[x0]]:",
+        "if ty[columns[c1][x0]] == columns[c3][ty[x0]]:",
         NSOLUTION_RESCAN_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "census-parkings-kept-on-backtrack",
+        SETSOL,
+        "parked[j].pop()",
+        "pass",
+        CENSUS_RESCAN_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "census-parked-on-the-earlier-column",
+        SETSOL,
+        "parked[c1 if rank[c1] > rank[ys] else ys]",
+        "parked[c1 if rank[c1] < rank[ys] else ys]",
+        CENSUS_RESCAN_TESTS,
         "killed",
     ),
     Mutant(

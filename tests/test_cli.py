@@ -95,6 +95,34 @@ def test_check_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault", ["directory", "not-utf8", "nested-too-deep", "unwritable-output"])
+def test_file_faults_are_input_errors(capsys, tmp_path, fault):
+    path = tmp_path / "input.json"
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    elif fault == "nested-too-deep":
+        path.write_text("[" * 100000 + "]" * 100000)
+    else:
+        path.write_text(json.dumps(ser.to_document(nr.cyclic_rack(2))))
+    argv = ["check", str(path)]
+    if fault == "unwritable-output":
+        argv = ["build", "rack-from-nrack", str(path), "-o", str(tmp_path / "no-such-dir" / "x.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and err.count("\n") == 1, err
+
+
+def test_build_parses_its_params_before_the_laws_of_its_input(capsys, tmp_path, monkeypatch):
+    # an uncertified table that is not a rack: the malformed --param is reported first, also under a cap below 3^3
+    bad = write(tmp_path, "bad.json", ser.to_document(nr.FiniteNRack(3, 2, (0, 1, 1, 1, 0, 2, 2, 2, 0))))
+    expected = (2, "", "input error: --param needs key=value, got 'n'\n")
+    assert run(capsys, "build", "nrack-from-rack", bad, "--param", "n") == expected
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "4")
+    assert run(capsys, "build", "nrack-from-rack", bad, "--param", "n") == expected
+
+
 def test_failed_recheck_prints_its_message(capsys, monkeypatch, tmp_path):
     # a recheck that fails prints the message alone, not a (message, witness) tuple
     failing = ReportBuilder("fundamental-identity")
@@ -555,6 +583,12 @@ def test_main_reuses_one_parser(capsys, tmp_path, s3):
         (["build", "lebed", "{}"], {"kind": "linear_nrack", "certified": "yes", "arity": 2, "base": {"kind": "coalgebra", "dim": 1, "delta": [[0, 0, 1]], "epsilon": [[0, 0, 1]]}, "bracket": [[0, 0, 1]], "inv_bracket": [[0, 0, 1]]}, {}),
         # checks pass, but the exp series of the basis adjoint [-, e_1] diverges in float mode
         (["build", "nrack-from-nleibniz", "{}"], {"kind": "nleibniz", "arity": 2, "dim": 2, "scalars": "float", "bracket": [{"in": [0, 1], "out": {"0": 40.0}}]}, {}),
+        # non-finite float scalars have no JSON form
+        (["check", "{}"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "scalars": "float", "entries": [[0, 0, "nan"]]}, {}),
+        (["check", "{}"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "scalars": "float", "entries": [[0, 0, "1e999"]]}, {}),
+        (["check", "{}"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "scalars": "float", "entries": [[0, 0, float("-inf")]]}, {}),
+        # a certified float linear rack whose bracket holds NaN, which the build printed back as the non-JSON token NaN
+        (["build", "tensor-power-rack", "{}"], {"kind": "linear_nrack", "arity": 2, "scalars": "float", "certified": True, "base": {"kind": "coalgebra", "dim": 2, "scalars": "float", "delta": [[0, 0, 1.0], [3, 1, 1.0]], "epsilon": [[0, 0, 1.0], [0, 1, 1.0]]}, "bracket": [[0, 0, 1.0], [0, 1, 1.0], [1, 2, float("nan")], [1, 3, 1.0]], "inv_bracket": [[0, 0, 1.0], [0, 1, 1.0], [1, 2, 1.0], [1, 3, 1.0]]}, {}),
     ],
 )
 def test_input_errors_exit_2_without_traceback(tmp_path, argv, doc, env):
