@@ -26,7 +26,7 @@ print("extension by the product coincides:", nr.extend_rack_by_op(conj2, prod).t
 print("compatible merge coincides:", nr.combine_compatible(conj2, conj2).table == conj3.table)
 
 # An n-rack induces a rack on (n-1)-tuples, componentwise.
-pairs = nr.rack_from_nrack(conj3)
+pairs = nr.krack_from_power(conj3, 2)
 print("induced rack on pairs: carrier", pairs.size, "-", nr.check_nrack(pairs).to_json()["overall"])
 
 # Block-feeding generalizes this: a ((n-1)(k-1)+1)-ary rack gives a k-ary

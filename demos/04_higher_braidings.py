@@ -53,7 +53,7 @@ print("tau conjugation swaps the two relations:", yb.verify_nybe(tau @ s @ tau, 
 # Ordinary solutions lift: the braiding of k (+) A3 lifted to degree 3
 # expands into the nested-bracket sum with unit corrections.
 a3 = nl.certify(nl.NLeibnizAlgebra(2, 3, {(0, 1): {2: 1}}))
-r = yb.r_from_central_leibniz(nl.adjoin_unit(a3))
+r = yb.nyb_from_central_nleibniz(nl.adjoin_unit(a3))
 s3 = yb.nyb_from_ybe(r, 3)
 print("lifted braiding:", yb.verify_nybe(s3, 3, "right").holds)
 
@@ -62,13 +62,13 @@ print("lifted braiding:", yb.verify_nybe(s3, 3, "right").holds)
 st = yb.ybe_from_nyb(s, 3)
 print(
     "descended operator equals the tensor-power braiding:",
-    st == yb.r_from_central_leibniz(nl.fundamental_leibniz(t3bar)),
+    st == yb.nyb_from_central_nleibniz(nl.fundamental_leibniz(t3bar)),
 )
 
 # Group algebras: iterated conjugation behind a cyclic shift.
 s3_group = nr.symmetric_group(3)
 sh = yb.group_algebra_nyb(s3_group, 3)
-fwd, _ = yb.nyb_from_linear_nrack(lr.linearize_nrack(nr.conjugation_nrack(s3_group, 3)))
+fwd, _ = lr.nrack_braiding(lr.linearize_nrack(nr.conjugation_nrack(s3_group, 3)))
 print("group algebra route = linearized conjugation route:", sh == fwd)
 
 # Conjugating by any automorphism of the ground space preserves solutions.

@@ -46,7 +46,7 @@ lbad = lr.linear_nrack_from_nleibniz(bad)
 statuses = {c.name: c.status for c in lr.check_linear_nrack(lbad).checks}
 print("non-Leibniz bracket:", statuses, "certified:", lbad.certified)
 try:
-    yb.nyb_from_linear_nrack(lbad)
+    lr.nrack_braiding(lbad)
 except E.PreconditionError as exc:
     print("its braiding is refused:", exc, exc.witness)
 
@@ -54,8 +54,8 @@ except E.PreconditionError as exc:
 # whose braiding is an honest Yang-Baxter operator.
 rack36 = lr.linear_rack_on_tensor_power(l6)
 print("tensor-power rack on dim", rack36.base.dim, ":", lr.check_linear_nrack(rack36).passed)
-r, rinv = lr.lebed_operator(rack36)
-print("its braiding:", yb.verify_ybe(r).holds)
+r, rinv = lr.nrack_braiding(rack36)
+print("its braiding:", yb.verify_nybe(r, 2).holds)
 
 # Folding works in the other direction: a linear rack generates a linear
 # n-rack by iterated application, matching the linearized fold.
@@ -66,5 +66,5 @@ print("fold coincides with the linearized fold:", folded.bracket == direct.brack
 
 # The degree-3 braiding of a cocommutative linear 3-rack, with the
 # stated inverse, verified on the 6^5-dimensional space.
-s, sinv = yb.nyb_from_linear_nrack(l6)
+s, sinv = lr.nrack_braiding(l6)
 print("degree-3 braiding of the linearization:", yb.verify_nybe(s, 3, "right").to_json())

@@ -42,7 +42,7 @@ induced = ss.solution_from_nrack(nr.nrack_from_rack(flip_rack, 3))
 print("lift diagram commutes:", lifted.image == induced.image)
 s = ss.solution_from_nrack(conj3)
 descended = ss.solution_from_nsolution(s)
-induced = ss.solution_from_nrack(nr.rack_from_nrack(conj3))
+induced = ss.solution_from_nrack(nr.krack_from_power(conj3, 2))
 print("descent diagram commutes:", descended.image == induced.image)
 
 # Census-level correspondence: tables passing the rack filter match maps

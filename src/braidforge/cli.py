@@ -66,12 +66,13 @@ def _dim_cap(allow_large):
 
 def _cap_laws(obj, dim_cap):
     """Cap the laws of an n-Leibniz algebra, an n-rack or a linear n-rack,
-    which walk every (2n-1)-tuple, on d^(2n-1)."""
+    which walk every (2n-1)-tuple, on d^(2n-1), and those of a coalgebra,
+    which live on C^(x)3 as a linear rack's base does, on dim^3."""
     if isinstance(obj, nrack.FiniteNRack):
         d = obj.size
     else:
         d = obj.base.dim if isinstance(obj, linrack.LinearNRack) else obj.dim
-    setsol.check_dim_cap(d ** (2 * obj.arity - 1), dim_cap)
+    setsol.check_dim_cap(d ** (2 * getattr(obj, "arity", 2) - 1), dim_cap)
 
 
 def _check_one(doc, dim_cap):
@@ -79,7 +80,7 @@ def _check_one(doc, dim_cap):
     if kind == "group":
         return nrack.check_group_table(*serialization.group_table_from_document(doc))
     obj = serialization.from_document(doc)
-    if kind in ("nleibniz", "nrack", "linear_nrack"):
+    if kind in ("nleibniz", "nrack", "coalgebra", "linear_nrack"):
         _cap_laws(obj, dim_cap)
     if kind == "nleibniz":
         if obj.central is not None:
@@ -155,19 +156,19 @@ class BuildContext:
 
 
 #: name -> (construction, the object type its input document must read as,
-#: and a refusal of what else it lacks, run before the input's laws are walked)
+#: and the refusals of what else it lacks, run before the input's laws are walked)
 _CONSTRUCTIONS = {}
 
 
-def _construction(name, accepts, refuse=lambda obj: None):
+def _construction(name, accepts, *refusals):
     def wrap(fn):
-        _CONSTRUCTIONS[name] = (fn, accepts, refuse)
+        _CONSTRUCTIONS[name] = (fn, accepts, refusals)
         return fn
 
     return wrap
 
 
-@_construction("nbracket-from-leibniz", nleibniz.NLeibnizAlgebra)
+@_construction("nbracket-from-leibniz", nleibniz.NLeibnizAlgebra, nleibniz.require_binary)
 def _b_nbracket(obj, ctx):
     return nleibniz.nbracket_from_leibniz(obj, ctx.arity(obj.dim), ctx.recheck)
 
@@ -193,17 +194,17 @@ def _b_conj(obj, ctx):
     return nrack.conjugation_nrack(obj, ctx.arity(obj.size))
 
 
-@_construction("nrack-from-rack", nrack.FiniteNRack)
+@_construction("nrack-from-rack", nrack.FiniteNRack, nrack.require_binary)
 def _b_nrack_from_rack(obj, ctx):
     return nrack.nrack_from_rack(obj, ctx.arity(obj.size), ctx.recheck)
 
 
 @_construction("rack-from-nrack", nrack.FiniteNRack)
-def _b_rack_from_nrack(obj, ctx):
-    return nrack.rack_from_nrack(obj)
+def _b_induced_rack(obj, ctx):
+    return nrack.krack_from_power(obj, 2)
 
 
-@_construction("linearize", nrack.FiniteNRack)
+@_construction("linearize", nrack.FiniteNRack, linrack.require_right_side)
 def _b_linearize(obj, ctx):
     return linrack.linearize_nrack(obj)
 
@@ -213,14 +214,14 @@ def _b_lnr(obj, ctx):
     return linrack.linear_nrack_from_nleibniz(obj)
 
 
-@_construction("tensor-power-rack", linrack.LinearNRack)
+@_construction("tensor-power-rack", linrack.LinearNRack, functools.partial(linrack.require_cocommutative, what="tensor-power rack"))
 def _b_tensor_power(obj, ctx):
     return linrack.linear_rack_on_tensor_power(obj, ctx.recheck)
 
 
-@_construction("lebed", linrack.LinearNRack)
-def _b_lebed(obj, ctx):
-    fwd, _ = linrack.lebed_operator(obj)
+@_construction("lebed", linrack.LinearNRack, linrack.require_rack, linrack.require_cocommutative)
+def _b_braiding(obj, ctx):
+    fwd, _ = linrack.nrack_braiding(obj)
     return fwd
 
 
@@ -248,10 +249,7 @@ def _b_nyb_central(obj, ctx):
     return ybops.nyb_from_central_nleibniz(obj, side)
 
 
-@_construction("nyb-lnr", linrack.LinearNRack)
-def _b_nyb_lnr(obj, ctx):
-    fwd, _ = ybops.nyb_from_linear_nrack(obj)
-    return fwd
+_construction("nyb-lnr", linrack.LinearNRack, linrack.require_cocommutative)(_b_braiding)  # lebed at any arity
 
 
 @_construction("group-algebra-nyb", nrack.FiniteGroup)
@@ -307,7 +305,7 @@ def cmd_build(args):
     if args.construction not in _CONSTRUCTIONS:
         known = ", ".join(sorted(_CONSTRUCTIONS))
         raise SchemaError(f"unknown construction {args.construction!r}; known: {known}")
-    build, accepts, refuse = _CONSTRUCTIONS[args.construction]
+    build, accepts, refusals = _CONSTRUCTIONS[args.construction]
     params = {}
     for raw in args.param or ():
         key, sep, value = raw.partition("=")
@@ -318,7 +316,8 @@ def cmd_build(args):
     obj = serialization.from_document(doc)
     if not isinstance(obj, accepts):
         raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
-    refuse(obj)
+    for refuse in refusals:
+        refuse(obj)
     obj = _certify_input(obj, args.dim_cap)
     result = build(obj, BuildContext(params, args.recheck, args.dim_cap))
     provenance = doc.get("provenance", [])
@@ -349,15 +348,12 @@ def cmd_verify(args):
     if equation in ("ybe", "nybe-right", "nybe-left"):
         if not isinstance(obj, tensor.TensorOperator):
             raise SchemaError(f"{equation} needs an operator document")
-        if equation == "ybe":
-            report = ybops.verify_ybe(obj, args.dim_cap)
-        else:
-            n = args.n
-            if n is None:
-                n = len(obj.domain_shape.factor_dims)
-                if n < 2:
-                    raise SchemaError("cannot infer n from a flat shape; pass --n")
-            report = ybops.verify_nybe(obj, n, equation.split("-")[1], args.dim_cap)
+        n, side = (2, "right") if equation == "ybe" else (args.n, equation.split("-")[1])
+        if n is None:
+            n = len(obj.domain_shape.factor_dims)
+            if n < 2:
+                raise SchemaError("cannot infer n from a flat shape; pass --n")
+        report = ybops.verify_nybe(obj, n, side, args.dim_cap)
         _emit(report.to_json())
         ok = report.holds and (report.invertible or args.allow_pre)
         return EXIT_PASS if ok else EXIT_FAIL
@@ -419,14 +415,14 @@ def cmd_demo(args):
     rep = ybops.verify_nybe(s, 3, "right", args.dim_cap)
     stage("degree-3 braid relation (dim 4^5)", rep.holds and rep.invertible, **rep.to_json())
     stilde = ybops.ybe_from_nyb(s, 3, args.dim_cap)
-    rep2 = ybops.verify_ybe(stilde, args.dim_cap)
+    rep2 = ybops.verify_nybe(stilde, 2, "right", args.dim_cap)
     stage("descended Yang-Baxter operator", rep2.holds and rep2.invertible)
-    rfund = ybops.r_from_central_leibniz(nleibniz.fundamental_leibniz(t3bar))
+    rfund = ybops.nyb_from_central_nleibniz(nleibniz.fundamental_leibniz(t3bar))
     stage("descent diagram: S~ equals the tensor-power braiding", stilde == rfund)
     r2 = ybops.r2_from_nleibniz(t3)
     lnr = linrack.linear_nrack_from_nleibniz(t3)
     rack = linrack.linear_rack_on_tensor_power(lnr)
-    lebed, _ = linrack.lebed_operator(rack)
+    lebed, _ = linrack.nrack_braiding(rack)
     stage("coalgebra route reproduces the tensor-power braiding", r2 == lebed)
     eta, eta_report = ybops.eta_intertwiner(t3)
     stage("eta intertwines the two braidings", eta_report.passed)

@@ -314,9 +314,8 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
     <<x, y_1..y_{n-1}>> = (translation by (y_{n-1}, ..., y_1))^{-1} x,
     which is what the inverse property pins down on group-likes.
     """
+    require_right_side(t)
     refuse_uncertified(t, "linearize_nrack")
-    if t.side != "right":
-        raise SchemaError("linearize right-side tables; reverse a left table first")
     m, n = t.size, t.arity
     base = set_coalgebra(m, mode)
     dom = tensor.power_shape(m, n)
@@ -368,15 +367,28 @@ def induced_nrack(l: LinearNRack) -> FiniteNRack:
     return FiniteNRack(m, n, tuple(table))
 
 
-def _require_rack(r: LinearNRack):
+def require_right_side(t: FiniteNRack):
+    """Refuse a left-side table, whatever its laws: linearize_nrack reads right translations."""
+    if t.side != "right":
+        raise SchemaError("linearize right-side tables; reverse a left table first")
+
+
+def require_rack(r: LinearNRack):
+    """Refuse an arity other than 2, whatever the laws of r."""
     if r.arity != 2:
         raise SchemaError("only an arity-2 structure is a linear rack")
+
+
+def require_cocommutative(l: LinearNRack, what: str = "the braiding"):
+    """Refuse a base that is not cocommutative, whatever the laws of l."""
+    if not l.base.cocommutative:
+        raise PreconditionError(f"{what} needs a cocommutative base")
 
 
 def linear_nrack_from_linear_rack(r: LinearNRack, arity: int) -> LinearNRack:
     """Fold a linear rack (arity 2) into a linear n-rack:
     <u_1..u_n> = (...((u_1 <| u_2) <| u_3)...) <| u_n, likewise the inverse."""
-    _require_rack(r)
+    require_rack(r)
     if arity < 2:
         raise SchemaError("arity must be at least 2")
     r = certify(r)
@@ -402,8 +414,7 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
 
     with the inverse op feeding legs to <<...>> in reversed v-order.
     """
-    if not l.base.cocommutative:
-        raise PreconditionError("tensor-power rack needs a cocommutative base")
+    require_cocommutative(l, "tensor-power rack")
     l = certify(l)
     c, n = l.base.dim, l.arity
     if n == 2:
@@ -469,14 +480,15 @@ def nrack_braiding(l: LinearNRack):
         S(u_1 (x) ... (x) u_n)
             = u_2^(1) (x) ... (x) u_n^(1) (x) <u_1, u_2^(2), ..., u_n^(2)>
         S^{-1}(u_1 (x) ... (x) u_n)
-            = <<u_n, u_{n-1}^(2), ..., u_1^(2)>> (x) u_1^(1) (x) ... (x) u_{n-1}^(1).
+            = <<u_n, u_{n-1}^(2), ..., u_1^(2)>> (x) u_1^(1) (x) ... (x) u_{n-1}^(1),
+
+    at n = 2 Lebed's braiding R(u (x) v) = v^(1) (x) (u <| v^(2)) of a linear rack.
 
     Each column is read off the coproducts of the u_i and the bracket's
-    columns.  Their composition is checked to be the identity at
-    construction; the laws of ``l`` are not.
+    columns, and their composition is checked to be the identity.
     """
-    if not l.base.cocommutative:
-        raise PreconditionError("the braiding needs a cocommutative base")
+    require_cocommutative(l)
+    l = certify(l)
     c, n, mode = l.base.dim, l.arity, l.base.mode
     span = c ** (n - 1)
     delta, dscale = l.base.delta.columns, l.base.delta.scale
@@ -503,14 +515,3 @@ def nrack_braiding(l: LinearNRack):
             )
     shp = tensor.power_shape(c, n)
     return TensorOperator.from_columns(shp, shp, fwd, fscale, mode), TensorOperator.from_columns(shp, shp, bwd, gscale, mode)
-
-
-def lebed_operator(r: LinearNRack):
-    """The braiding of a cocommutative linear rack (arity 2) and its inverse,
-    the n = 2 case of :func:`nrack_braiding`:
-
-        R(u (x) v) = v^(1) (x) (u <| v^(2))
-        R^{-1}(u (x) v) = (v inv<| u^(2)) (x) u^(1)
-    """
-    _require_rack(r)
-    return nrack_braiding(certify(r))

@@ -273,11 +273,16 @@ def exp_ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
 # -- constructions -----------------------------------------------------
 
 
+def require_binary(leib: NLeibnizAlgebra):
+    """Refuse a bracket that is not binary, whatever its laws: nbracket_from_leibniz nests a Leibniz bracket."""
+    if leib.arity != 2:
+        raise SchemaError("nbracket_from_leibniz starts from a binary bracket")
+
+
 def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) -> NLeibnizAlgebra:
     """Nest a binary Leibniz bracket into an n-ary one:
     [x_1..x_n] = {x_1, {x_2, ... {x_{n-1}, x_n} ...}}."""
-    if leib.arity != 2:
-        raise SchemaError("nbracket_from_leibniz starts from a binary bracket")
+    require_binary(leib)
     if n < 2:
         raise SchemaError("target arity must be at least 2")
     leib = certify(leib)

@@ -250,10 +250,15 @@ def certify(t: FiniteNRack) -> FiniteNRack:
 # -- constructions on tables -------------------------------------------
 
 
-def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> FiniteNRack:
-    """Fold a rack into an n-rack: <x_1..x_n> = (...((x_1 <| x_2) <| x_3)...) <| x_n."""
+def require_binary(r: FiniteNRack):
+    """Refuse a table that is not binary, whatever its laws: nrack_from_rack folds a rack."""
     if r.arity != 2:
         raise SchemaError("nrack_from_rack starts from a binary rack")
+
+
+def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> FiniteNRack:
+    """Fold a rack into an n-rack: <x_1..x_n> = (...((x_1 <| x_2) <| x_3)...) <| x_n."""
+    require_binary(r)
     refuse_uncertified(r, "nrack_from_rack")
 
     def op(*args):
@@ -332,18 +337,13 @@ def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) 
     return out
 
 
-def rack_from_nrack(t: FiniteNRack) -> FiniteNRack:
-    """The induced rack on X^(n-1):
-    (x_1..x_{n-1}) <| (y_1..y_{n-1}) = (<x_i, y_1..y_{n-1}>)_i,
-    the k = 2 case of :func:`krack_from_power`."""
-    return krack_from_power(t, 2)
-
-
 def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRack:
     """Feed an ((n-1)(k-1)+1)-ary rack blockwise to get a k-rack on X^(n-1).
 
     Block i of the output operation is
-    <x_{1,i}, x_{2,1}, ..., x_{2,n-1}, ..., x_{k,1}, ..., x_{k,n-1}>.
+    <x_{1,i}, x_{2,1}, ..., x_{2,n-1}, ..., x_{k,1}, ..., x_{k,n-1}>;
+    at k = 2 the induced rack on X^(n-1) of an n-rack,
+    (x_1..x_{n-1}) <| (y_1..y_{n-1}) = (<x_i, y_1..y_{n-1}>)_i.
     The output table holds carrier^k entries, at most ``CARRIER_CAP``.
     """
     refuse_uncertified(t, "krack_from_power")

@@ -96,7 +96,9 @@ def format_ratio(num: int, den: int) -> str:
 
 def parse_scalar(raw, mode: str):
     """Parse a JSON scalar: accepts "p/q", "p", or a number (ints only in
-    exact mode); a float must be finite."""
+    exact mode); a float must be finite, and a boolean is no number."""
+    if isinstance(raw, bool):
+        raise SchemaError(f"bad {mode} scalar {raw!r} (booleans are not scalars)")
     if mode == EXACT:
         if isinstance(raw, str):
             try:

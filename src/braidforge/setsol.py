@@ -137,12 +137,6 @@ def braid_words(n: int, side: str):
     return lhs, rhs
 
 
-def offset_map(image, m: int, n: int, k: int, off: int):
-    """The map sending the flat n-digit base-m index c to image[c], applied
-    at digits off..off+n-1 of the k-digit space, as a flat index list."""
-    return word_map(image, m, n, k, [off])
-
-
 def word_map(image, m: int, n: int, k: int, word, then=None):
     """x -> then[w(x)] on the k-digit space, as a flat index list: w applies
     the map ``image`` at each offset of ``word`` in turn, and ``then`` is the
@@ -173,7 +167,7 @@ def braid_sides(image, m: int, n: int, sides=("right", "left")):
     Q = E_0..E_{n-1} on the left, whose lhs is E_0 read at Q and whose
     rhs is Q read through E_{n-1}."""
     k = 2 * n - 1
-    first, last = offset_map(image, m, n, k, 0), offset_map(image, m, n, k, n - 1)
+    first, last = word_map(image, m, n, k, [0]), word_map(image, m, n, k, [n - 1])
     for side in sides:
         if side == "right":
             core = word_map(image, m, n, k, range(n - 1, 0, -1), first)

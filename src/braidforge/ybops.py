@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from . import scalars, tensor
 from .errors import PreconditionError, SchemaError, ShapeMismatchError, VerdictDisagreementError
-from .linrack import LinearNRack, certify, nrack_braiding
 from .nleibniz import (
     NLeibnizAlgebra,
     adjoin_unit,
@@ -216,7 +215,8 @@ def _require_degree(n: int):
 def verify_nybe(
     s: TensorOperator, n: int, side: str = "right", dim_cap: int = DEFAULT_DIM_CAP
 ) -> YBReport:
-    """Build both sides of the degree-n braid relation on V^(x)(2n-1) and compare.
+    """Build both sides of the degree-n braid relation on V^(x)(2n-1) and
+    compare; at n = 2 this is the Yang-Baxter equation of the module docstring.
 
     An operator with one nonzero per column, all of them equal, runs
     through the index-map kernel ``setsol.braid_sides`` (words built backwards
@@ -258,11 +258,6 @@ def verify_nybe(
     )
 
 
-def verify_ybe(r: TensorOperator, dim_cap: int = DEFAULT_DIM_CAP) -> YBReport:
-    """The Yang-Baxter equation (R(x)Id)(Id(x)R)(R(x)Id) = (Id(x)R)(R(x)Id)(Id(x)R)."""
-    return verify_nybe(r, 2, "right", dim_cap)
-
-
 def reverse_operator(dim: int, k: int, mode=scalars.EXACT) -> TensorOperator:
     """tau: x_1 (x) ... (x) x_k -> x_k (x) ... (x) x_1 on equal factors."""
     return tensor.permutation_operator(
@@ -286,47 +281,18 @@ def require_central_element(cl: NLeibnizAlgebra) -> None:
         raise SchemaError("expected a central n-Leibniz algebra")
 
 
-def _require_central(cl: NLeibnizAlgebra) -> NLeibnizAlgebra:
-    require_central_element(cl)
-    refuse_uncertified(cl, "a central n-Leibniz construction")
-    if not is_central(cl, cl.central):
-        raise PreconditionError("the distinguished element is not central")
-    return cl
-
-
-def r_from_central_leibniz(cl: NLeibnizAlgebra) -> TensorOperator:
-    """The braiding R(x (x) y) = y (x) x + 1 (x) {x,y} of a central Leibniz algebra."""
-    cl = _require_central(cl)
-    if cl.arity != 2:
-        raise SchemaError("r_from_central_leibniz needs a binary bracket")
-    return _nyb_formula(cl)
-
-
-def r_tilde_iff_leibniz(bracket: NLeibnizAlgebra):
-    """Build R~ on (k (+) L)^(x)2 from an arbitrary bilinear bracket and
-    return (R~, its YB report, the bracket's Leibniz report): the n = 2
-    case of :func:`nyb_iff_nleibniz`.
-
-    The two verdicts are forced to agree; disagreement is an internal
-    error, not a result.
-    """
-    if bracket.arity != 2:
-        raise SchemaError("r_tilde_iff_leibniz needs a bilinear bracket")
-    return nyb_iff_nleibniz(bracket)
-
-
 def r1_from_nleibniz(a: NLeibnizAlgebra) -> TensorOperator:
     """Braiding on (k (+) L^(x)(n-1))^(x)2, through the induced Leibniz
     bracket on the tensor power with a unit adjoined."""
     refuse_uncertified(a, "r1_from_nleibniz")
-    return r_from_central_leibniz(adjoin_unit(fundamental_leibniz(a)))
+    return nyb_from_central_nleibniz(adjoin_unit(fundamental_leibniz(a)))
 
 
 def r2_from_nleibniz(a: NLeibnizAlgebra) -> TensorOperator:
     """Braiding on ((k (+) L)^(x)(n-1))^(x)2, through the unit-adjoined
     algebra's induced Leibniz bracket."""
     refuse_uncertified(a, "r2_from_nleibniz")
-    return r_from_central_leibniz(fundamental_leibniz(adjoin_unit(a)))
+    return nyb_from_central_nleibniz(fundamental_leibniz(adjoin_unit(a)))
 
 
 def eta_intertwiner(a: NLeibnizAlgebra):
@@ -356,8 +322,8 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     wit = difference_witness(eta @ bw, bv @ tensor_many([eta, eta]))
     central = first_difference(eta.apply(w_central.central), v_central.central, mode) is None
     rb.record("central-leibniz-homomorphism", wit is None and central, wit)
-    r1 = r_from_central_leibniz(w_central)
-    r2 = r_from_central_leibniz(v_central)
+    r1 = nyb_from_central_nleibniz(w_central)
+    r2 = nyb_from_central_nleibniz(v_central)
     ee = tensor_many([eta, eta])
     rb.record_witness("intertwining", difference_witness(r2 @ ee, ee @ r1))
     return eta, rb.build()
@@ -367,13 +333,17 @@ def nyb_from_central_nleibniz(cl: NLeibnizAlgebra, side: str = "right") -> Tenso
     """The degree-n braiding of a central n-Leibniz algebra:
 
         S(x_1 (x) ... (x) x_n) = x_2 (x) ... (x) x_n (x) x_1
-                                  + 1^(x)(n-1) (x) [x_1, ..., x_n].
+                                  + 1^(x)(n-1) (x) [x_1, ..., x_n],
 
-    side="left" builds the mirror operator from the argument-reversed
-    bracket: S_l = x_n (x) x_1 (x) ... (x) x_{n-1} + [...] (x) 1^(x)(n-1),
-    a solution of the left-variant equation.
+    at n = 2 the braiding R(x (x) y) = y (x) x + 1 (x) {x,y} of a central
+    Leibniz algebra.  side="left" builds the mirror operator from the
+    argument-reversed bracket: S_l = x_n (x) x_1 (x) ... (x) x_{n-1}
+    + [...] (x) 1^(x)(n-1), a solution of the left-variant equation.
     """
-    cl = _require_central(cl)
+    require_central_element(cl)
+    refuse_uncertified(cl, "a central n-Leibniz construction")
+    if not is_central(cl, cl.central):
+        raise PreconditionError("the distinguished element is not central")
     if side not in ("right", "left"):
         raise SchemaError("side must be 'right' or 'left'")
     return _nyb_formula(cl, side)
@@ -381,7 +351,8 @@ def nyb_from_central_nleibniz(cl: NLeibnizAlgebra, side: str = "right") -> Tenso
 
 def nyb_iff_nleibniz(bracket: NLeibnizAlgebra, dim_cap: int = DEFAULT_DIM_CAP):
     """Build S on (k (+) L)^(x)n from an arbitrary n-linear bracket and
-    return (S, its n-YB report, the bracket's fundamental-identity report).
+    return (S, its n-YB report, the bracket's fundamental-identity report);
+    at n = 2, R~ and the Leibniz identity.
 
     The theorem forces the verdicts to agree; disagreement raises."""
     s = _nyb_formula(unit_extension(bracket))
@@ -416,18 +387,12 @@ def _nyb_formula(cl: NLeibnizAlgebra, side: str = "right") -> TensorOperator:
     return tensor.permutation_operator(shp, shift, mode) + TensorOperator(shp, shp, entries, mode)
 
 
-def nyb_from_linear_nrack(l: LinearNRack):
-    """The degree-n braiding of a cocommutative linear n-rack and its inverse,
-    built by :func:`linrack.nrack_braiding` from the certified input."""
-    return nrack_braiding(certify(l))
-
-
 def nyb_from_ybe(r: TensorOperator, n: int, dim_cap: int = DEFAULT_DIM_CAP) -> TensorOperator:
     """Lift a Yang-Baxter operator to degree n on the same space:
     S_n = (Id^(x)(n-2) (x) R) ... (Id (x) R (x) Id^(x)(n-3)) (R (x) Id^(x)(n-2)),
     applied left to right."""
     _require_degree(n)
-    base = verify_ybe(r, dim_cap)
+    base = verify_nybe(r, 2, "right", dim_cap)
     if not base.is_operator:
         raise PreconditionError("input is not a Yang-Baxter operator", base.to_json())
     if n == 2:

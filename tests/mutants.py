@@ -35,6 +35,8 @@ NLEIBNIZ = "src/braidforge/nleibniz.py"
 SETSOL = "src/braidforge/setsol.py"
 SCALARS = "src/braidforge/scalars.py"
 TENSOR = "src/braidforge/tensor.py"
+LINRACK = "src/braidforge/linrack.py"
+CLI = "src/braidforge/cli.py"
 
 NRACK_TESTS = (
     "tests/test_nrack.py::test_check_nrack_matches_the_tuple_loop_on_repeated_translations",
@@ -206,6 +208,38 @@ MUTANTS = [
         "if low < 8:",
         WORD_TESTS,
         "survives: slices and the per-block gather are two exact ways to pre-compose a letter; only the cost changes",
+    ),
+    Mutant(
+        "braiding-certify-dropped",
+        LINRACK,
+        "    require_cocommutative(l)\n    l = certify(l)\n",
+        "    require_cocommutative(l)\n",
+        ("tests/test_linrack.py::test_braiding_certifies_an_uncertified_input",),
+        "killed",
+    ),
+    Mutant(
+        "lebed-arity-refusal-dropped",
+        CLI,
+        '@_construction("lebed", linrack.LinearNRack, linrack.require_rack, linrack.require_cocommutative)',
+        '@_construction("lebed", linrack.LinearNRack, linrack.require_cocommutative)',
+        ("tests/test_cli.py::test_build_refuses_a_wrongly_shaped_input_before_its_laws[lebed-ternary]",),
+        "killed",
+    ),
+    Mutant(
+        "coalgebra-cap-dropped",
+        CLI,
+        'if kind in ("nleibniz", "nrack", "coalgebra", "linear_nrack"):',
+        'if kind in ("nleibniz", "nrack", "linear_nrack"):',
+        ("tests/test_cli.py::test_check_caps_a_coalgebra_on_the_cube_of_its_dimension",),
+        "killed",
+    ),
+    Mutant(
+        "boolean-scalar-accepted",
+        SCALARS,
+        "if isinstance(raw, bool):",
+        "if False:",
+        tuple(f"tests/test_cli.py::test_a_json_boolean_is_no_scalar[{case}]" for case in ("operator-exact", "operator-float", "bracket-value", "central")),
+        "killed",
     ),
 ]
 

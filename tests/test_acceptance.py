@@ -84,7 +84,7 @@ def test_criterion_03_lift_descend_round(a3, t3bar):
     formula; descending the unit-extension operator reproduces the
     tensor-power braiding."""
     with Timer("3 lift-descend", 20):
-        r = lr.lebed_operator(lr.linear_nrack_from_nleibniz(a3))[0]
+        r = lr.nrack_braiding(lr.linear_nrack_from_nleibniz(a3))[0]
         s3 = yb.nyb_from_ybe(r, 3)
         assert yb.verify_nybe(s3, 3, "right").is_operator
         # the displayed degree-3 formula, assembled independently
@@ -110,8 +110,8 @@ def test_criterion_03_lift_descend_round(a3, t3bar):
 
         s = yb.nyb_from_central_nleibniz(t3bar)
         st = yb.ybe_from_nyb(s, 3)
-        assert yb.verify_ybe(st).is_operator
-        assert st == yb.r_from_central_leibniz(nl.fundamental_leibniz(t3bar))
+        assert yb.verify_nybe(st, 2).is_operator
+        assert st == yb.nyb_from_central_nleibniz(nl.fundamental_leibniz(t3bar))
 
 
 def test_criterion_04_tensor_power_coincidence(t3):
@@ -121,7 +121,7 @@ def test_criterion_04_tensor_power_coincidence(t3):
         direct = yb.r2_from_nleibniz(t3)
         lnr = lr.linear_nrack_from_nleibniz(t3)
         rack = lr.linear_rack_on_tensor_power(lnr)
-        via_coalgebra = lr.lebed_operator(rack)[0]
+        via_coalgebra = lr.nrack_braiding(rack)[0]
         assert direct == via_coalgebra
 
 
@@ -166,7 +166,7 @@ def test_criterion_07_linear_nrack_axioms(conj3):
         l = lr.linearize_nrack(conj3)
         report = lr.check_linear_nrack(l)
         assert report.passed and len(report.checks) == 4
-        s, _ = yb.nyb_from_linear_nrack(l)
+        s, _ = lr.nrack_braiding(l)
         verdict = yb.verify_nybe(s, 3, "right")
         assert verdict.holds and verdict.invertible
         assert verdict.verification_dim == 7776
@@ -186,7 +186,7 @@ def test_criterion_08_set_side_diagrams(s3, conj3, flip_rack):
         for t in ternaries:
             s = ss.solution_from_nrack(t)
             descended = ss.solution_from_nsolution(s)
-            induced = ss.solution_from_nrack(nr.rack_from_nrack(t))
+            induced = ss.solution_from_nrack(nr.krack_from_power(t, 2))
             assert descended.image == induced.image
 
 

@@ -679,3 +679,66 @@ def test_check_coalgebra_document(capsys, tmp_path):
     path = write(tmp_path, "badcoalg.json", doc)
     code, out, _ = run(capsys, "check", path)
     assert code == 1
+
+
+_TERNARY = {"kind": "nleibniz", "arity": 3, "dim": 2, "bracket": [{"in": [0, 0, 1], "out": {"0": "1/1"}}, {"in": [1, 0, 1], "out": {"1": "1/1"}}]}
+# an arity-2 linear rack on a base that is not cocommutative: delta e0 = e0 (x) e1, delta e1 = e1 (x) e1
+_NOT_COCOMMUTATIVE = {
+    "kind": "linear_nrack",
+    "arity": 2,
+    "base": {"kind": "coalgebra", "dim": 2, "delta": [[1, 0, "1/1"], [3, 1, "1/1"]], "epsilon": [[0, 0, "1/1"], [0, 1, "1/1"]]},
+    "bracket": [[0, 0, "1/1"], [0, 1, "1/1"], [1, 2, "1/1"], [1, 3, "1/1"]],
+    "inv_bracket": [[0, 0, "1/1"], [0, 1, "1/1"], [1, 2, "1/1"], [1, 3, "1/1"]],
+}
+
+
+def _wrongly_shaped():
+    ternary_lnr = {**ser.to_document(lr.linear_nrack_from_nleibniz(ser.from_document(_TERNARY))), "certified": False}
+    cases = [
+        ("nbracket-from-leibniz", _TERNARY, "nbracket_from_leibniz starts from a binary bracket", "ternary"),
+        ("nrack-from-rack", ser.to_document(nr.FiniteNRack(2, 3, (0,) * 8)), "nrack_from_rack starts from a binary rack", "ternary"),
+        ("linearize", ser.to_document(nr.FiniteNRack(2, 2, (0,) * 4, "left")), "linearize right-side tables; reverse a left table first", "left"),
+        ("lebed", ternary_lnr, "only an arity-2 structure is a linear rack", "ternary"),
+        ("lebed", _NOT_COCOMMUTATIVE, "the braiding needs a cocommutative base", "not-cocommutative"),
+        ("nyb-lnr", _NOT_COCOMMUTATIVE, "the braiding needs a cocommutative base", "not-cocommutative"),
+        ("tensor-power-rack", _NOT_COCOMMUTATIVE, "tensor-power rack needs a cocommutative base", "not-cocommutative"),
+    ]
+    return [pytest.param(name, doc, message, id=f"{name}-{fault}") for name, doc, message, fault in cases]
+
+
+@pytest.mark.parametrize("construction, doc, message", _wrongly_shaped())
+def test_build_refuses_a_wrongly_shaped_input_before_its_laws(capsys, tmp_path, monkeypatch, construction, doc, message):
+    assert not cli._check_one(doc, None).passed  # the laws fail too, and would be reported if walked first
+    path = write(tmp_path, "in.json", doc)
+    expected = (2, "", f"input error: {message}\n")
+    assert run(capsys, "build", construction, path, "--param", "n=3") == expected
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "4")  # below every space those laws walk
+    assert run(capsys, "build", construction, path, "--param", "n=3") == expected
+
+
+def test_check_caps_a_coalgebra_on_the_cube_of_its_dimension(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "1000")
+    big = write(tmp_path, "big.json", {"kind": "coalgebra", "dim": 200, "delta": [], "epsilon": []})
+    code, out, err = run(capsys, "check", big)
+    assert (code, out) == (3, "")
+    assert err == "cap exceeded: dimension 8000000 exceeds the cap 1000; raise the cap to force it\n"
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "27")  # exactly 3^3
+    small = write(tmp_path, "small.json", ser.coalgebra_to_document(lr.kplus_coalgebra(2)))
+    code, out, _ = run(capsys, "check", small)
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["verify", "ybe"], {"kind": "operator", "shape": [1], "codomain_shape": [1], "entries": [[0, 0, True]]}),
+        (["verify", "ybe"], {"kind": "operator", "scalars": "float", "shape": [1], "codomain_shape": [1], "entries": [[0, 0, True]]}),
+        (["check"], {"kind": "nleibniz", "arity": 2, "dim": 1, "bracket": [{"in": [0, 0], "out": {"0": False}}]}),
+        (["check"], {"kind": "nleibniz", "arity": 2, "dim": 1, "bracket": [], "central": [True]}),
+    ],
+    ids=["operator-exact", "operator-float", "bracket-value", "central"],
+)
+def test_a_json_boolean_is_no_scalar(capsys, tmp_path, argv, doc):
+    code, out, err = run(capsys, *argv, write(tmp_path, "in.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad ") and "(booleans are not scalars)" in err, err

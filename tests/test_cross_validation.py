@@ -72,7 +72,7 @@ def test_operator_chain_matches_set_chain_on_raw_binary_maps():
         s = ss.SetNMap(2, 2, image)
         profile = ss.check_set_nsolution(s)
         op = permutation_operator_of_map(s)
-        report = yb.verify_ybe(op)
+        report = yb.verify_nybe(op, 2)
         assert report.holds == profile.satisfies_right
 
 
@@ -339,7 +339,7 @@ def braided_case(mode, base, phi, n):
     else:
         bracket = {(0, 0): {1: 1}} if base == "square" else {(0, 1): {2: 1}}
         a = nl.certify(nl.NLeibnizAlgebra(2, 2 if base == "square" else 3, bracket, mode))
-        r = yb.r_from_central_leibniz(nl.adjoin_unit(a))
+        r = yb.nyb_from_central_nleibniz(nl.adjoin_unit(a))
         d = a.dim + 1
     return d, n, yb.conjugate_nyb(r, T.TensorOperator(T.shape(d), T.shape(d), phi, mode), 2)
 

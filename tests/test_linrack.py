@@ -514,7 +514,7 @@ def test_tensor_power_needs_cocommutative():
 def test_psi_map_is_linear_rack_homomorphism(conj3):
     # psi: k[X^(n-1)] -> k[X]^(x)(n-1) on basis tuples is numerically the identity,
     # and it intertwines the rack of tuples with the tensor-power rack
-    tuple_rack = nr.rack_from_nrack(conj3)
+    tuple_rack = nr.krack_from_power(conj3, 2)
     lhs_rack = lr.linearize_nrack(tuple_rack)  # on k[X^2], dim 36
     rhs_rack = lr.linear_rack_on_tensor_power(lr.linearize_nrack(conj3))
     psi = T.identity(T.shape(36))
@@ -574,18 +574,18 @@ def test_kplus_nrack_homomorphism(t3):
 
 
 def test_lebed_on_trivial_is_flip():
-    r, rinv = lr.lebed_operator(lr.linearize_nrack(trivial_nrack(2, 2)))
+    r, rinv = lr.nrack_braiding(lr.linearize_nrack(trivial_nrack(2, 2)))
     flip = T.permutation_operator(T.power_shape(2, 2), (1, 0))
     assert r == flip and rinv == flip
 
 
 def test_lebed_on_kplus_a3(a3):
     l = lr.linear_nrack_from_nleibniz(a3)
-    r, rinv = lr.lebed_operator(l)
+    r, rinv = lr.nrack_braiding(l)
     s = T.power_shape(4, 2)
     out = r.apply({s.flat((1, 2)): ONE})
     assert out == {s.flat((2, 1)): ONE, s.flat((0, 3)): ONE}
-    assert yb.verify_ybe(r).is_operator
+    assert yb.verify_nybe(r, 2).is_operator
 
 
 def test_lebed_passes_ybe_for_every_instance(a3, t3, conj3, flip_rack):
@@ -596,8 +596,8 @@ def test_lebed_passes_ybe_for_every_instance(a3, t3, conj3, flip_rack):
         lr.linear_rack_on_tensor_power(lr.linear_nrack_from_nleibniz(t3)),
     ]
     for rack in racks:
-        r, rinv = lr.lebed_operator(rack)
-        report = yb.verify_ybe(r)
+        r, rinv = lr.nrack_braiding(rack)
+        report = yb.verify_nybe(r, 2)
         assert report.holds and report.invertible
 
 
@@ -606,7 +606,18 @@ def test_lebed_inverse_mismatch_detected():
     # x+1 is not its own inverse mod 3; marked certified, so the braiding's own inverse check must catch it
     broken = lr.LinearNRack(good.base, 2, good.bracket, good.bracket, certified=True)
     with pytest.raises(PreconditionError):
-        lr.lebed_operator(broken)
+        lr.nrack_braiding(broken)
+
+
+def test_braiding_certifies_an_uncertified_input():
+    # neither is self-distributive, and the inverse of each bracket is right, so only the laws tell
+    table = nr.FiniteNRack(3, 2, (0, 1, 1, 1, 0, 2, 2, 2, 0), certified=True)
+    not_leibniz = nl.NLeibnizAlgebra(3, 3, {(0, 1, 1): {2: 1}, (2, 1, 1): {1: 1}})
+    for l in (replace(lr.linearize_nrack(table), certified=False), lr.linear_nrack_from_nleibniz(not_leibniz)):
+        assert not l.certified and not lr.check_linear_nrack(l).passed
+        with pytest.raises(PreconditionError, match="^input fails the linear n-rack identities$"):
+            lr.nrack_braiding(l)
+        lr.nrack_braiding(replace(l, certified=True))  # the braiding itself is built without complaint
 
 
 def test_tensor_power_braiding_matches_direct_assembly(conj3):
@@ -614,7 +625,7 @@ def test_tensor_power_braiding_matches_direct_assembly(conj3):
     # operator v^(1)-legs (x) brackets on C^(x)(n-1), and so does its inverse
     l = lr.linearize_nrack(conj3)
     rack = lr.linear_rack_on_tensor_power(l)
-    lebed_fwd, lebed_bwd = lr.lebed_operator(rack)
+    lebed_fwd, lebed_bwd = lr.nrack_braiding(rack)
     c, n = 6, 3
     idc = T.identity(T.shape(c))
     width = n - 1

@@ -343,12 +343,12 @@ def test_combine_incompatible_pair():
 
 
 def test_rack_from_nrack_trivial():
-    out = nr.rack_from_nrack(trivial_nrack(2, 3))
+    out = nr.krack_from_power(trivial_nrack(2, 3), 2)
     assert out.size == 4 and out.table == trivial_nrack(4, 2).table
 
 
 def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
-    out = nr.rack_from_nrack(conj3)
+    out = nr.krack_from_power(conj3, 2)
     assert out.size == 36
     assert nr.check_nrack(out).passed
     # ((12),(13)) <| ((23), (123)-style pair): componentwise <x_i, y_1, y_2>
@@ -361,7 +361,7 @@ def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
 
 def test_rack_from_nrack_carrier_cap():
     with pytest.raises(CapExceededError):
-        nr.rack_from_nrack(trivial_nrack(2, 11))
+        nr.krack_from_power(trivial_nrack(2, 11), 2)
 
 
 def test_rack_from_nrack_composed_with_fold(flip_rack):
@@ -369,7 +369,7 @@ def test_rack_from_nrack_composed_with_fold(flip_rack):
     for rack in (trivial_nrack(3, 2), nr.cyclic_rack(3), nr.cyclic_rack(2)):
         n = 3
         lifted = nr.nrack_from_rack(rack, n)
-        back = nr.rack_from_nrack(lifted)
+        back = nr.krack_from_power(lifted, 2)
         m = rack.size
         tuples = list(itertools.product(range(m), repeat=n - 1))
         for xi, xs in enumerate(tuples):
@@ -388,7 +388,7 @@ def test_krack_k2_matches_rack_from_nrack(conj3):
     # the induced rack acts componentwise: (x_1, x_2) <| ys = (<x_1, ys>, <x_2, ys>)
     pairs = list(itertools.product(range(6), repeat=2))
     expect = [T.flat_index([conj3.apply((x,) + ys) for x in xs], 6) for xs in pairs for ys in pairs]
-    assert nr.krack_from_power(conj3, 2).table == nr.rack_from_nrack(conj3).table == tuple(expect)
+    assert nr.krack_from_power(conj3, 2).table == tuple(expect)
 
 
 def test_krack_blocks_match_the_definition(s3):

@@ -244,7 +244,7 @@ def test_the_monomial_shortcut_agrees_with_the_rank(data):
 def test_a_repeated_image_is_not_invertible():
     shp = T.power_shape(2, 2)
     s = T.TensorOperator(shp, shp, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (2, 3): 1})
-    report = yb.verify_ybe(s)
+    report = yb.verify_nybe(s, 2)
     assert not report.invertible and T.column_rank(s) == 3
 
 
@@ -269,4 +269,4 @@ def test_a_document_keeps_the_columns_and_the_verdict():
     # a document lists the entries in (row, col) order, so each column's rows come sorted
     assert back == op and back.scale == op.scale
     assert back.columns == [sorted(col) for col in op.columns]
-    assert yb.verify_ybe(back).to_json() | {"elapsed_ms": 0} == yb.verify_ybe(op).to_json() | {"elapsed_ms": 0}
+    assert yb.verify_nybe(back, 2).to_json() | {"elapsed_ms": 0} == yb.verify_nybe(op, 2).to_json() | {"elapsed_ms": 0}

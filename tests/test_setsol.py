@@ -161,7 +161,7 @@ def test_nrack_diagram_closure(conj3, flip_rack):
     for t in cases:
         s = ss.solution_from_nrack(t)
         lhs = ss.solution_from_nsolution(s)
-        rhs = ss.solution_from_nrack(nr.rack_from_nrack(t))
+        rhs = ss.solution_from_nrack(nr.krack_from_power(t, 2))
         assert lhs.image == rhs.image
 
 
@@ -411,7 +411,7 @@ def test_offset_map_matches_the_comprehension(m, n, extra, data):
     image = data.draw(st.lists(st.integers(0, m**n - 1), min_size=m**n, max_size=m**n))
     low = m ** (k - n - off)
     want = [h + t * low + j for h in range(0, m**k, m**n * low) for t in image for j in range(low)]
-    assert ss.offset_map(image, m, n, k, off) == want
+    assert ss.word_map(image, m, n, k, [off]) == want
 
 
 # -- the backward word builder against the tuple words ---------------------------

@@ -87,7 +87,7 @@ def test_flip_is_involution():
 
 def test_compose_against_dense_oracle(a3):
     # (R (x) Id) o (Id (x) R) for the braiding of the unit extension of A3
-    r = yb.r_from_central_leibniz(nl.adjoin_unit(a3))
+    r = yb.nyb_from_central_nleibniz(nl.adjoin_unit(a3))
     left = T.embed(r, 0, 1, 4)
     right = T.embed(r, 1, 0, 4)
     composed = left @ right

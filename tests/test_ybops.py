@@ -36,8 +36,8 @@ def dual_numbers_pre_operator():
 
 def test_flip_and_identity_satisfy_ybe():
     flip = T.permutation_operator(T.power_shape(2, 2), (1, 0))
-    assert yb.verify_ybe(flip).is_operator
-    assert yb.verify_ybe(T.identity(T.power_shape(2, 2))).holds
+    assert yb.verify_nybe(flip, 2).is_operator
+    assert yb.verify_nybe(T.identity(T.power_shape(2, 2)), 2).holds
 
 
 def test_cyclic_shift_satisfies_right_equation():
@@ -150,22 +150,22 @@ def test_tau_duality_on_built_operators(t3bar):
 
 def test_r_from_zero_bracket_is_flip():
     cl = nl.adjoin_unit(zero_algebra(2, 2))
-    assert yb.r_from_central_leibniz(cl) == T.permutation_operator(T.power_shape(3, 2), (1, 0))
+    assert yb.nyb_from_central_nleibniz(cl) == T.permutation_operator(T.power_shape(3, 2), (1, 0))
 
 
 def test_r_on_kplus_a3(a3):
-    r = yb.r_from_central_leibniz(nl.adjoin_unit(a3))
+    r = yb.nyb_from_central_nleibniz(nl.adjoin_unit(a3))
     s = T.power_shape(4, 2)
     assert r.apply({s.flat((1, 2)): ONE}) == {s.flat((2, 1)): ONE, s.flat((0, 3)): ONE}
-    assert yb.verify_ybe(r).is_operator
+    assert yb.verify_nybe(r, 2).is_operator
 
 
 def test_central_tensor_power_theorem(t3bar):
     # the braiding of the induced bracket on the tensor power equals, term by
     # term, the flip plus the unit-power-tensored slot corrections
     fund = nl.fundamental_leibniz(t3bar)
-    r = yb.r_from_central_leibniz(fund)
-    assert yb.verify_ybe(r).is_operator
+    r = yb.nyb_from_central_nleibniz(fund)
+    assert yb.verify_nybe(r, 2).is_operator
     assert r.domain_shape.total == 256
     d, n = 4, 3
     small = T.power_shape(d, n - 1)
@@ -186,11 +186,11 @@ def test_central_tensor_power_theorem(t3bar):
 
 
 def test_r_tilde_iff_examples(a3):
-    r, ybrep, fi = yb.r_tilde_iff_leibniz(nl.NLeibnizAlgebra(2, 3, dict(a3.bracket)))
+    r, ybrep, fi = yb.nyb_iff_nleibniz(nl.NLeibnizAlgebra(2, 3, dict(a3.bracket)))
     assert ybrep.is_operator and fi.passed
-    r, ybrep, fi = yb.r_tilde_iff_leibniz(nl.NLeibnizAlgebra(2, 1, {(0, 0): {0: 1}}))
+    r, ybrep, fi = yb.nyb_iff_nleibniz(nl.NLeibnizAlgebra(2, 1, {(0, 0): {0: 1}}))
     assert not ybrep.holds and not fi.passed
-    r, ybrep, fi = yb.r_tilde_iff_leibniz(zero_algebra(2, 3))
+    r, ybrep, fi = yb.nyb_iff_nleibniz(zero_algebra(2, 3))
     assert ybrep.is_operator and fi.passed
 
 
@@ -212,7 +212,7 @@ def test_r1_spot_value(t3):
         0 * w + (1 + s9.flat((2, 1))): ONE,
     }
     assert r1.apply({col: ONE}) == expect
-    assert yb.verify_ybe(r1).is_operator
+    assert yb.verify_nybe(r1, 2).is_operator
 
 
 def test_r2_equals_coalgebra_route(t3, a3):
@@ -220,7 +220,7 @@ def test_r2_equals_coalgebra_route(t3, a3):
         r2 = yb.r2_from_nleibniz(alg)
         lnr = lr.linear_nrack_from_nleibniz(alg)
         rack = lr.linear_rack_on_tensor_power(lnr)
-        lebed, _ = lr.lebed_operator(rack)
+        lebed, _ = lr.nrack_braiding(rack)
         assert r2 == lebed
 
 
@@ -254,9 +254,9 @@ def test_central_constructions_refuse_an_algebra_without_one(t3, a3):
     with pytest.raises(SchemaError, match="^expected a central n-Leibniz algebra$"):
         yb.nyb_from_central_nleibniz(t3)
     with pytest.raises(SchemaError, match="^expected a central n-Leibniz algebra$"):
-        yb.r_from_central_leibniz(a3)
+        yb.nyb_from_central_nleibniz(a3)
     with pytest.raises(PreconditionError, match="not central"):
-        yb.r_from_central_leibniz(nl.NLeibnizAlgebra(2, 3, a3.bracket, certified=True, central={0: 1}))
+        yb.nyb_from_central_nleibniz(nl.NLeibnizAlgebra(2, 3, a3.bracket, certified=True, central={0: 1}))
 
 
 def test_nyb_central_t3bar_spot_value(t3bar):
@@ -287,13 +287,13 @@ def test_nyb_iff_agreement_cases(t3, t3_bad):
 
 
 def test_nyb_from_linear_nrack_trivial_is_cyclic():
-    fwd, bwd = yb.nyb_from_linear_nrack(lr.linearize_nrack(trivial_nrack(2, 3)))
+    fwd, bwd = lr.nrack_braiding(lr.linearize_nrack(trivial_nrack(2, 3)))
     assert fwd == yb.cyclic_operator(2, 3)
     assert bwd == T.invert(yb.cyclic_operator(2, 3))
 
 
 def test_nyb_from_linear_nrack_conjugation(conj3):
-    fwd, bwd = yb.nyb_from_linear_nrack(lr.linearize_nrack(conj3))
+    fwd, bwd = lr.nrack_braiding(lr.linearize_nrack(conj3))
     assert fwd.domain_shape.total == 216
     report = yb.verify_nybe(fwd, 3, "right")
     assert report.holds and report.invertible
@@ -301,7 +301,7 @@ def test_nyb_from_linear_nrack_conjugation(conj3):
 
 
 def test_nyb_from_linear_nrack_matches_formula_route(t3):
-    fwd, _ = yb.nyb_from_linear_nrack(lr.linear_nrack_from_nleibniz(t3))
+    fwd, _ = lr.nrack_braiding(lr.linear_nrack_from_nleibniz(t3))
     s, _, _ = yb.nyb_iff_nleibniz(t3)
     assert fwd == s
 
@@ -311,7 +311,7 @@ def test_nyb_from_linear_nrack_inverse_mismatch(conj3):
     # marked certified, so the braiding's own inverse check must catch it
     broken = lr.LinearNRack(l.base, 3, l.bracket, l.bracket, certified=True)
     with pytest.raises(PreconditionError):
-        yb.nyb_from_linear_nrack(broken)
+        lr.nrack_braiding(broken)
 
 
 # -- lifts and descents -----------------------------------------------------------
@@ -324,7 +324,7 @@ def test_lift_flip_is_cyclic():
 
 
 def test_lift_n2_is_input(a3):
-    r = yb.r_from_central_leibniz(nl.adjoin_unit(a3))
+    r = yb.nyb_from_central_nleibniz(nl.adjoin_unit(a3))
     assert yb.nyb_from_ybe(r, 2) is r
 
 
@@ -332,7 +332,7 @@ def test_lift_lebed_matches_nested_bracket_formula(a3):
     # S_3(x,y,z) = y (x) z (x) x + y (x) 1 (x) {x,z}
     #              + 1 (x) z (x) {x,y} + 1 (x) 1 (x) {{x,y},z}
     cl = nl.adjoin_unit(a3)
-    r = yb.r_from_central_leibniz(cl)
+    r = yb.nyb_from_central_nleibniz(cl)
     s3 = yb.nyb_from_ybe(r, 3)
     assert yb.verify_nybe(s3, 3, "right").is_operator
     d = 4
@@ -378,8 +378,8 @@ def test_descend_diagram_closure(t3bar):
     # induced bracket on the tensor power
     s = yb.nyb_from_central_nleibniz(t3bar)
     st = yb.ybe_from_nyb(s, 3)
-    assert yb.verify_ybe(st).is_operator
-    assert st == yb.r_from_central_leibniz(nl.fundamental_leibniz(t3bar))
+    assert yb.verify_nybe(st, 2).is_operator
+    assert st == yb.nyb_from_central_nleibniz(nl.fundamental_leibniz(t3bar))
 
 
 def test_descend_chain_shape_pinned_n3_n4(t3bar):
@@ -403,7 +403,7 @@ def test_lift_chain_shape_pinned_n3_n4():
 
 def test_float_mode_verification_flow():
     flip = T.permutation_operator(T.power_shape(2, 2), (1, 0)).to_float()
-    report = yb.verify_ybe(flip)
+    report = yb.verify_nybe(flip, 2)
     assert report.holds and report.invertible
 
 
@@ -411,7 +411,7 @@ def test_descend_diagram_closure_more():
     for dim in (1, 2):
         alg = nl.adjoin_unit(zero_algebra(3, dim))
         s = yb.nyb_from_central_nleibniz(alg)
-        assert yb.ybe_from_nyb(s, 3) == yb.r_from_central_leibniz(nl.fundamental_leibniz(alg))
+        assert yb.ybe_from_nyb(s, 3) == yb.nyb_from_central_nleibniz(nl.fundamental_leibniz(alg))
 
 
 # -- conjugation -------------------------------------------------------------------
@@ -458,7 +458,7 @@ def test_group_algebra_s3_spot_value(s3):
 
 def test_group_algebra_coincides_with_linear_nrack_route(s3, conj3):
     sh = yb.group_algebra_nyb(s3, 3)
-    fwd, _ = yb.nyb_from_linear_nrack(lr.linearize_nrack(conj3))
+    fwd, _ = lr.nrack_braiding(lr.linearize_nrack(conj3))
     assert sh == fwd
 
 
@@ -467,7 +467,7 @@ def test_group_algebra_coincides_with_linear_nrack_route(s3, conj3):
 
 def test_every_builder_reverifies(t3, a3, t3bar, conj3):
     checks = [
-        (yb.r_from_central_leibniz(nl.adjoin_unit(a3)), 2, "right"),
+        (yb.nyb_from_central_nleibniz(nl.adjoin_unit(a3)), 2, "right"),
         (yb.r1_from_nleibniz(t3), 2, "right"),
         (yb.r2_from_nleibniz(t3), 2, "right"),
         (yb.nyb_from_central_nleibniz(t3bar), 3, "right"),
