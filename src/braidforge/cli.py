@@ -75,8 +75,15 @@ def _cap_laws(obj, dim_cap):
     setsol.check_dim_cap(d ** (2 * getattr(obj, "arity", 2) - 1), dim_cap)
 
 
+def _cap_group(doc, dim_cap):
+    """doc, once a group document is capped on size^3, the triples its axioms walk."""
+    if serialization.document_kind(doc) == "group":
+        setsol.check_dim_cap(serialization.group_table_from_document(doc)[0] ** 3, dim_cap)
+    return doc
+
+
 def _check_one(doc, dim_cap):
-    kind = serialization.document_kind(doc)
+    kind = serialization.document_kind(_cap_group(doc, dim_cap))
     if kind == "group":
         return nrack.check_group_table(*serialization.group_table_from_document(doc))
     obj = serialization.from_document(doc)
@@ -312,7 +319,7 @@ def cmd_build(args):
         if not sep:
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
-    doc = _load_json(args.file)
+    doc = _cap_group(_load_json(args.file), args.dim_cap)
     obj = serialization.from_document(doc)
     if not isinstance(obj, accepts):
         raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
@@ -342,12 +349,13 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
-    doc = _load_json(args.file)
-    obj = serialization.from_document(doc)
+    obj = serialization.from_document(_cap_group(_load_json(args.file), args.dim_cap))
     equation = args.equation
     if equation in ("ybe", "nybe-right", "nybe-left"):
         if not isinstance(obj, tensor.TensorOperator):
             raise SchemaError(f"{equation} needs an operator document")
+        if equation == "ybe" and args.n not in (None, 2):
+            raise SchemaError(f"ybe is the degree-2 equation; got --n {args.n}")
         n, side = (2, "right") if equation == "ybe" else (args.n, equation.split("-")[1])
         if n is None:
             n = len(obj.domain_shape.factor_dims)
@@ -362,6 +370,8 @@ def cmd_verify(args):
             raise SchemaError(f"{equation} needs a set_map document")
         if equation == "set-ybe" and obj.arity != 2:
             raise SchemaError("set-ybe needs a binary map")
+        if args.n not in (None, obj.arity):
+            raise SchemaError(f"--n {args.n} contradicts the map's arity {obj.arity}")
         holds, witness = setsol.satisfies(obj, obj.side, args.dim_cap)
         bijective = obj.is_bijective()
         _emit(

@@ -140,20 +140,29 @@ def braid_words(n: int, side: str):
 def word_map(image, m: int, n: int, k: int, word, then=None):
     """x -> then[w(x)] on the k-digit space, as a flat index list: w applies
     the map ``image`` at each offset of ``word`` in turn, and ``then`` is the
-    identity when None.  The word is built backwards from its last letter
-    E, cur -> cur[E(x)]: a letter whose ``low`` trailing digits span 8 or
-    more indices moves slices of cur, a shorter one gathers each block of
-    cur through its table on the block."""
-    cur = list(range(m**k)) if then is None else then
+    identity when None.  An image value of m**n sends an index to m**k, an
+    absorbing index that every letter fixes, the list's last entry.  The word
+    is built backwards from its last letter E, cur -> cur[E(x)]: a letter
+    whose ``low`` trailing digits span 8 or more indices moves slices of
+    cur, a shorter one gathers each block of cur through its table on it."""
+    total, top = m**k, m**n
+    absorbed = [j for j, t in enumerate(image) if t == top] if top in image else []
+    image = [t % top for t in image] if absorbed else image  # read as 0, then overwritten
+    cur = list(range(total + bool(absorbed))) if then is None else then
     for off in reversed(word):
         low, span, out = m ** (k - n - off), m ** (k - off), []
         if low >= 8:
-            for a in [h + t * low for h in range(0, m**k, span) for t in image]:
+            for a in [h + t * low for h in range(0, total, span) for t in image]:
                 out += cur[a : a + low]
         else:
             local = image if low == 1 else [a for t in image for a in range(t * low, t * low + low)]
-            for h in range(0, m**k, span):
+            for h in range(0, total, span):
                 out += map(cur[h : h + span].__getitem__, local)
+        if absorbed:
+            fill = [total] * low
+            for a in [h + j * low for h in range(0, total, span) for j in absorbed]:
+                out[a : a + low] = fill
+            out.append(total)
         cur = out
     return cur
 
@@ -167,7 +176,9 @@ def braid_sides(image, m: int, n: int, sides=("right", "left")):
     Q = E_0..E_{n-1} on the left, whose lhs is E_0 read at Q and whose
     rhs is Q read through E_{n-1}."""
     k = 2 * n - 1
-    first, last = word_map(image, m, n, k, [0]), word_map(image, m, n, k, [n - 1])
+    ident = list(range(m**k + 1))  # one set of index objects for both end tables
+    first, last = word_map(image, m, n, k, [0], ident), word_map(image, m, n, k, [n - 1], ident)
+    del ident
     for side in sides:
         if side == "right":
             core = word_map(image, m, n, k, range(n - 1, 0, -1), first)

@@ -34,7 +34,7 @@ from .nleibniz import (
 )
 from .nrack import FiniteGroup, conjugation_nrack
 from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
-from .setsol import braid_sides, braid_words, check_dim_cap
+from .setsol import braid_sides, braid_words, check_dim_cap, word_map
 from .tensor import TensorOperator, TensorShape, tensor_many
 
 #: default cap on the dimension d^(2n-1) of the verification space
@@ -61,17 +61,7 @@ class YBReport:
         return self.holds and self.invertible
 
     def to_json(self):
-        return {
-            "equation": self.equation,
-            "n": self.n,
-            "dim": self.dim,
-            "holds": self.holds,
-            "invertible": self.invertible,
-            "witness": self.witness,
-            "nnz": self.nnz,
-            "verification_dim": self.verification_dim,
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
+        return dict(vars(self), elapsed_ms=round(self.elapsed_ms, 3))
 
 
 def _factor_dim(s: TensorOperator, n: int) -> int:
@@ -86,124 +76,126 @@ def _factor_dim(s: TensorOperator, n: int) -> int:
     raise ShapeMismatchError(f"operator dimension {total} is not an n-th power for n={n}")
 
 
-#: basis columns the index tier carries through a word at a time
+#: marked basis columns that one dict pass carries through a word
 BLOCK = 1024
 
 
-def _word_images(cols, d: int, n: int, k: int, words):
-    """Yield (lo, sides, dirty) per block of ``BLOCK`` basis columns lo, ...
-    of V^(x)k; letter i of a word applies the n-factor map with columns
-    ``cols`` (a list over V^(x)n) to digits i..i+n-1.  A one-entry column
-    of S moves an index by a fixed offset, so the index tier sends a clean
-    column to {row: value} (empty at value 0), in one (rows, values) pair
-    of lists per word in ``sides``.  Any other column of S adds d^k, which
-    keeps every digit and marks the index.  Columns marked in either word
-    get one sparse image per word in ``dirty[c]`` from the dict tier.  Both
-    tiers multiply and sum in the ``compose`` chain's order, bit for bit.
-    """
+def _index_form(s: TensorOperator, span: int):
+    """(image, coef, unit) of s for ``setsol.word_map``: a plain column (one
+    entry, in float mode equal to the first such, so that a float chain keeps
+    the ``compose`` order) has its row and value there, any other maps to
+    span, the absorbing index; unit is the plain value, None if they differ."""
+    cols, exact = s.columns, s.mode == scalars.EXACT
+    unit = next((col[0][1] for col in cols if len(col) == 1), 1)
+    image = [col[0][0] if len(col) == 1 and (exact or col[0][1] == unit) else span for col in cols]
+    coef = [col[0][1] if row < span else unit for col, row in zip(cols, image)]
+    return image, coef, unit if len(set(coef)) == 1 else None
+
+
+def _word_values(image, coef, unit, d: int, n: int, k: int, word):
+    """The value each plain path through ``word`` on V^(x)k carries: unit^len
+    when uniform, else (exact mode) the product of the values it meets,
+    gathered backwards like ``word_map``'s indices; absorbed ones mean nothing."""
+    if unit is not None:
+        return itertools.repeat(math.prod([unit] * len(word)))
+    values = [1] * d**k
+    for off in reversed(word):
+        met = [v for v in coef for _ in range(d ** (k - n - off))] * d**off
+        values = list(map(operator.mul, met, word_map(image, d, n, k, [off], values)))
+    return values
+
+
+def _absorbed(rows, total: int) -> list:
+    """The basis columns a word's index list sends to the absorbing index."""
+    found = []
+    with contextlib.suppress(ValueError):
+        while True:
+            found.append(rows.index(total, found[-1] + 1 if found else 0, total))
+    return found
+
+
+def _dict_passes(cols, d: int, n: int, k: int, words, marked):
+    """(batch, one dict per word) for each ``BLOCK`` marked basis columns of
+    V^(x)k: one dict keyed c * d^k + row, whose letter i rewrites digits
+    i..i+n-1 through the columns of S in the ``compose`` chain's order of
+    products and sums and drops zeros, so float entries are bit for bit."""
+    if not marked:
+        return
     span, total = d**n, d**k
-    single = [len(col) == 1 and 0 < abs(col[0][1]) < math.inf for col in cols]
-    coef = [col[0][1] if ok else 1 for col, ok in zip(cols, single)]
-    uniform = len({v for v, ok in zip(coef, single) if ok}) <= 1
-    unit = next((v for v, ok in zip(coef, single) if ok), 1)
-    letters = {}
-    for i in {i for word in words for i in word}:
-        low = d ** (k - n - i)
-        delta = [(col[0][0] - c) * low if ok else total for c, (col, ok) in enumerate(zip(cols, single))]
-        letters[i] = low, delta, [[(r * low, v) for r, v in col] for col in cols]
-    plans = [[letters[i] for i in word] for word in words]
-    for lo in range(0, total, BLOCK):
-        block = range(lo, min(lo + BLOCK, total))
-        sides, trails, marked = [], [], set()
-        for plan in plans:
-            xs, vs = list(block), 1 if uniform else [1] * len(block)  # one value if uniform
-            trail = [(xs, vs)]  # the index tier before each letter
-            for low, delta, _ in plan:
-                vs = unit * vs if uniform else [coef[x // low % span] * v for x, v in zip(xs, vs)]
-                xs = [x + delta[x // low % span] for x in xs]
-                trail.append((xs, vs))
-            marked.update(c for c, x in zip(block, xs) if x >= total)
-            sides.append((xs, [vs] * len(xs) if uniform else vs))
-            trails.append(trail)
-        dirty = {c: [_dict_image(trail, plan, c - lo, total, span, uniform) for trail, plan in zip(trails, plans)] for c in sorted(marked)}
-        yield lo, sides, dirty
+    lows = {i: d ** (k - n - i) for i in set().union(*words)}
+    letters = {i: (low, [[((r - mid) * low, v) for r, v in col] for mid, col in enumerate(cols)]) for i, low in lows.items()}
+    for lo in range(0, len(marked), BLOCK):
+        batch, vecs = marked[lo : lo + BLOCK], []
+        for word in words:
+            vec = {c * total + c: 1 for c in batch}
+            for low, lcols in map(letters.get, word):
+                out = {}
+                for x, xv in vec.items():
+                    for step, v in lcols[x // low % span]:
+                        y = x + step
+                        out[y] = out.get(y, 0) + v * xv
+                vec = {y: v for y, v in out.items() if v != 0} if 0 in out.values() else out
+            vecs.append(vec)
+        yield batch, vecs
 
 
-def _dict_image(trail, plan, p: int, total: int, span: int, uniform: bool) -> dict:
-    """The dict tier: the sparse image of block column p under one word,
-    resumed from the index tier's (index, value) before the letter that
-    marked it (or after the last letter), zeros dropped per letter."""
-    t = next((t for t, (xs, _) in enumerate(trail) if xs[p] >= total), len(trail)) - 1
-    xs, vs = trail[t]
-    v = vs if uniform else vs[p]
-    vec = {xs[p]: v} if v != 0 else {}
-    for low, _, lcols in plan[t:]:
-        out = {}
-        for x, xv in vec.items():
-            mid = x // low % span
-            for r, v in lcols[mid]:
-                y = x - mid * low + r
-                out[y] = out.get(y, 0) + v * xv
-        vec = {y: v for y, v in out.items() if v != 0}
-    return vec
+def _columns(vec: dict, batch, total: int):
+    """The image of each column of ``batch`` in a dict pass's dict, in order."""
+    image = {c: {} for c in batch}
+    for x, v in vec.items():
+        image[x // total][x % total] = v
+    return image.values()
 
 
-def _braid_columns(cols, d: int, n: int, side: str):
-    """(col, lhs, rhs) for each column where the braid sides on V^(x)(2n-1)
-    may differ: clean ones whose lists disagree, and every dirty one."""
-    for lo, ((a, u), (b, w)), dirty in _word_images(cols, d, n, 2 * n - 1, braid_words(n, side)):
-        if a != b or u != w:
-            for c, x, y, p, q in zip(itertools.count(lo), a, b, u, w):
-                if (x != y or p != q) and c not in dirty:
-                    yield c, {x: p}, {y: q}
-        for c, (lhs, rhs) in dirty.items():
-            yield c, lhs, rhs
-
-
-def _word_operator(s: TensorOperator, d: int, n: int, k: int, word, domain_shape, codomain_shape) -> TensorOperator:
-    """One word of s on V^(x)k: the ``compose`` chain of the embedded letters."""
-    cols = []
-    for lo, ((rows, values),), dirty in _word_images(s.columns, d, n, k, [word]):
-        for c, row, value in zip(itertools.count(lo), rows, values):
-            cols.append(dirty[c][0].items() if c in dirty else [(row, value)])
-    return TensorOperator.from_columns(domain_shape, codomain_shape, cols, s.scale ** len(word), s.mode)
-
-
-def _uniform_monomial(s: TensorOperator):
-    """(image, coeff) when every column c of s holds exactly one entry
-    s[image[c], c] and all of them equal coeff, the stored value, else None."""
-    cols = s.columns  # at least one: every shape has a column
-    if any(len(col) != 1 for col in cols) or any(col[0][1] != cols[0][0][1] for col in cols[1:]):
+def _list_witness(lhs, rhs, diff):
+    """(row, col) of the smallest entry where sides with one nonzero entry
+    per column differ where diff holds, at row min(lhs[c], rhs[c]) by
+    ``reports.first_difference``'s rule, or None, by whole-list passes."""
+    if not any(diff):
         return None
-    return [col[0][0] for col in cols], cols[0][0][1]
-
-
-def _monomial_witness(image, coeff, d, n, side, mode):
-    """The column of ``reports.column_witness`` on the two sides, from index
-    maps: the rule of ``reports.first_difference`` specialised to sides with
-    one entry per column.
-
-    Both words have n+1 letters, so column c of each side holds the one
-    value coeff^(n+1) at one row.  The sides differ at column c iff the rows
-    differ and that value is not zero by the rule; the witness is then the
-    smallest such c among those whose smaller row is the smallest, found
-    by whole-list passes (``list.index`` from the left on each side).
-    """
-    lhs, rhs = next(braid_sides(image, d, n, (side,)))
-    value = coeff
-    for _ in range(n):
-        value = coeff * value
-    if lhs == rhs or first_difference({0: value}, {}, mode) is None:
-        return None
-    diff = list(map(operator.ne, lhs, rhs))
     row, col = min(min(itertools.compress(ys, diff)) for ys in (lhs, rhs)), len(diff)
-    for ys in (lhs, rhs):  # the first differing column at which either side holds row
+    for ys in (lhs, rhs):
         with contextlib.suppress(ValueError):
             c = ys.index(row, 0, col)
             while not diff[c]:
                 c = ys.index(row, c + 1, col)
             col = c
-    return col
+    return row, col
+
+
+def _braid_witness(s: TensorOperator, image, coef, unit, d: int, n: int, side: str):
+    """(row, col) of the smallest entry where the braid sides of s differ, or
+    None.  Both words have n+1 letters, so a uniform chain's value is the
+    same on both sides; the dict pass judges the absorbed columns."""
+    k, total = 2 * n - 1, d ** (2 * n - 1)
+    lhs, rhs = next(braid_sides(image, d, n, (side,)))
+    if unit is None:
+        lv, rv = (_word_values(image, coef, unit, d, n, k, word) for word in braid_words(n, side))
+        diff = list(map(operator.or_, map(operator.ne, lhs, rhs), map(operator.ne, lv, rv)))
+    elif lhs == rhs or first_difference({0: math.prod([unit] * (n + 1))}, {}, s.mode) is None:
+        diff = []  # the same rows, or a chain value that is zero by the rule
+    else:
+        diff = list(map(operator.ne, lhs, rhs))
+    if len(lhs) == total:  # nothing absorbed
+        return _list_witness(lhs, rhs, diff)
+    marked = sorted({*_absorbed(lhs, total), *_absorbed(rhs, total)})
+    for c in marked if diff else ():  # judged by the dict pass
+        diff[c] = False
+    passes = _dict_passes(s.columns, d, n, k, braid_words(n, side), marked)
+    columns = (zip(batch, _columns(a, batch, total), _columns(b, batch, total)) for batch, (a, b) in passes if a != b)
+    dirty = column_witness(itertools.chain.from_iterable(columns), s.mode)
+    return min(filter(None, (dirty and (dirty["row"], dirty["col"]), _list_witness(lhs, rhs, diff))), default=None)
+
+
+def _word_operator(s: TensorOperator, d: int, n: int, k: int, word, domain_shape, codomain_shape) -> TensorOperator:
+    """One word of s on V^(x)k: the ``compose`` chain of the embedded letters."""
+    total, (image, coef, unit) = d**k, _index_form(s, d**n)
+    rows, dirty = word_map(image, d, n, k, word), {}
+    for batch, (vec,) in _dict_passes(s.columns, d, n, k, [word], _absorbed(rows, total)):
+        dirty.update(zip(batch, _columns(vec, batch, total)))
+    values = _word_values(image, coef, unit, d, n, k, word)
+    cols = [dirty[c].items() if row == total else [(row, v)] for c, row, v in zip(range(total), rows, values)]
+    return TensorOperator.from_columns(domain_shape, codomain_shape, cols, s.scale ** len(word), s.mode)
 
 
 def _require_degree(n: int):
@@ -218,12 +210,9 @@ def verify_nybe(
     """Build both sides of the degree-n braid relation on V^(x)(2n-1) and
     compare; at n = 2 this is the Yang-Baxter equation of the module docstring.
 
-    An operator with one nonzero per column, all of them equal, runs
-    through the index-map kernel ``setsol.braid_sides`` (words built backwards
-    from their last letter around one shared n-letter core); any other
-    through the two-tier column kernel ``_word_images``, on integers in exact mode.
-    Both give the report of the sparse ``embed`` / ``compose`` chain and
-    its ``first_difference``.
+    The index lists of ``braid_sides`` carry every path through plain
+    columns, the dict pass the others, on integer columns in exact mode: the
+    report of the sparse ``embed`` / ``compose`` chain's ``first_difference``.
     """
     t0 = time.perf_counter()
     _require_degree(n)
@@ -234,17 +223,12 @@ def verify_nybe(
     d = _factor_dim(s, n)
     big = d ** (2 * n - 1)
     check_dim_cap(big, dim_cap)
-    monomial = _uniform_monomial(s)
-    if monomial is not None:
-        image, coeff = monomial
-        witness = _monomial_witness(image, coeff, d, n, side, s.mode)
-        # a permutation scaled by a usable pivot, as the elimination would find
-        invertible = len(set(image)) == len(image) and (s.mode == scalars.EXACT or abs(coeff) > scalars.EPS_CMP)
-    else:
-        # both words have n+1 letters, so in exact mode both sides carry scale^(n+1)
-        wit = column_witness(_braid_columns(s.columns, d, n, side), s.mode)
-        witness = None if wit is None else wit["col"]
+    image, coef, unit = _index_form(s, d**n)
+    witness = (_braid_witness(s, image, coef, unit, d, n, side) or (None, None))[1]
+    if d**n in image:
         invertible = tensor.is_invertible(s)
+    else:  # a permutation scaled by usable pivots, as the elimination would find
+        invertible = len(set(image)) == len(image) and (s.mode == scalars.EXACT or abs(unit) > scalars.EPS_CMP)
     return YBReport(
         equation="ybe" if n == 2 else f"n_ybe_{side}",
         n=n,

@@ -3,9 +3,10 @@
 It pushes every basis column e_c of V^(x)k through each word as one
 sparse dict, letter by letter, dropping exact zeros after every letter
 and summing every entry in the order of the ``compose`` chain of the
-embedded letters.  ``ybops._word_images`` carries the columns whose path
-meets only single-entry columns of S as flat index lists, and must give
-the same verdicts, witnesses and entries, bit for bit.
+embedded letters.  ``ybops`` carries the columns whose path meets only
+plain single-entry columns of S as flat index lists (``setsol.word_map``)
+and the others through its batched dict pass, and must give the same
+verdicts, witnesses and entries, bit for bit.
 """
 
 from fractions import Fraction

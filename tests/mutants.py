@@ -37,6 +37,7 @@ SCALARS = "src/braidforge/scalars.py"
 TENSOR = "src/braidforge/tensor.py"
 LINRACK = "src/braidforge/linrack.py"
 CLI = "src/braidforge/cli.py"
+YBOPS = "src/braidforge/ybops.py"
 
 NRACK_TESTS = (
     "tests/test_nrack.py::test_check_nrack_matches_the_tuple_loop_on_repeated_translations",
@@ -62,6 +63,14 @@ ORBIT_TESTS = (
     "tests/test_setsol.py::test_representatives_are_the_orbit_minima",
     "tests/test_setsol.py::test_orbit_representative_counts",
 )
+KERNEL_ORACLE_TESTS = ("tests/test_cross_validation.py::test_two_tier_kernel_matches_the_whole_column_oracle",)
+PINNED_KERNEL_TESTS = tuple(
+    f"tests/test_cross_validation.py::test_pinned_kernel_cases_match_the_whole_column_oracle[{name}-{mode}-{block}]"
+    for name in ("absorbed-at-the-last-lhs-letter", "absorbed-at-the-last-rhs-letter", "absorbed-on-one-side-only", "all-scalars-differ-left", "all-scalars-differ-right")
+    for mode in ("exact", "float")
+    for block in (1, 1024)
+)
+ABSORBING_WORD_TESTS = ("tests/test_setsol.py::test_word_map_absorbs_what_meets_a_marked_value",)
 INT_RULE_TESTS = (
     "tests/test_setsol.py::test_set_map_images_are_refused_not_truncated",
     "tests/test_nrack.py::test_table_values_are_refused_not_truncated",
@@ -208,6 +217,54 @@ MUTANTS = [
         "if low < 8:",
         WORD_TESTS,
         "survives: slices and the per-block gather are two exact ways to pre-compose a letter; only the cost changes",
+    ),
+    Mutant(
+        "kernel-absorbing-read-as-clean",
+        YBOPS,
+        "image = [col[0][0] if len(col) == 1 and (exact or col[0][1] == unit) else span for col in cols]",
+        "image = [col[0][0] for col in cols]",
+        KERNEL_ORACLE_TESTS + PINNED_KERNEL_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "kernel-zero-drop-removed",
+        YBOPS,
+        "vec = {y: v for y, v in out.items() if v != 0} if 0 in out.values() else out",
+        "vec = out",
+        KERNEL_ORACLE_TESTS,
+        "killed",  # a kept zero moves its key ahead in the column's entry order
+    ),
+    Mutant(
+        "kernel-rhs-only-absorption-skips-the-dict-pass",
+        YBOPS,
+        "marked = sorted({*_absorbed(lhs, total), *_absorbed(rhs, total)})",
+        "marked = _absorbed(lhs, total)",
+        PINNED_KERNEL_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "kernel-lhs-only-absorption-skips-the-dict-pass",
+        YBOPS,
+        "marked = sorted({*_absorbed(lhs, total), *_absorbed(rhs, total)})",
+        "marked = _absorbed(rhs, total)",
+        PINNED_KERNEL_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "word-map-slice-absorbed-reads-real-indices",
+        SETSOL,
+        "for a in [h + j * low for h in range(0, total, span) for j in absorbed]:",
+        "for a in [h + j * low for h in range(0, total, span) for j in absorbed] if low < 8 else ():",
+        ABSORBING_WORD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "word-map-gather-absorbed-reads-real-indices",
+        SETSOL,
+        "for a in [h + j * low for h in range(0, total, span) for j in absorbed]:",
+        "for a in [h + j * low for h in range(0, total, span) for j in absorbed] if low >= 8 else ():",
+        ABSORBING_WORD_TESTS,
+        "killed",
     ),
     Mutant(
         "braiding-certify-dropped",

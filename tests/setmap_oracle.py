@@ -87,7 +87,7 @@ def word_images(s: TupleMap, word, k: int) -> list:
 def smallest_row_witness(lhs, rhs):
     """The column of the smallest differing (row, col) of two sides with one
     entry per column, given as their row lists, or None: the generator rule
-    ``ybops._monomial_witness`` used before it scanned index lists."""
+    ``ybops._list_witness`` replaced by index-list scans."""
     pairs = [(a if a < b else b, c) for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b]
     return min(pairs)[1] if pairs else None
 

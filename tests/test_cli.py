@@ -9,6 +9,7 @@ import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
+import braidforge.tensor as T
 from braidforge.errors import CapExceededError, VerdictDisagreementError
 from braidforge.reports import ReportBuilder
 from census_oracle import CENSUS_CASES, rescan_census
@@ -742,3 +743,41 @@ def test_a_json_boolean_is_no_scalar(capsys, tmp_path, argv, doc):
     code, out, err = run(capsys, *argv, write(tmp_path, "in.json", doc))
     assert (code, out) == (2, "")
     assert err.startswith("input error: bad ") and "(booleans are not scalars)" in err, err
+
+
+def test_group_documents_are_capped_on_the_cube_of_their_size(capsys, tmp_path, monkeypatch):
+    # the group axioms walk every triple of elements: 120^3 > 1000 is refused before the walk
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "1000")
+    z120 = write(tmp_path, "z120.json", {"kind": "group", "size": 120, "mul": [[(a + b) % 120 for b in range(120)] for a in range(120)]})
+    for argv in (["check", z120], ["build", "conjugation-nrack", z120, "--param", "n=2"], ["verify", "ybe", z120]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == "cap exceeded: dimension 1728000 exceeds the cap 1000; raise the cap to force it\n"
+    code, out, _ = run(capsys, "check", z120, "--allow-large")
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "1000")  # exactly 10^3
+    z10 = write(tmp_path, "z10.json", {"kind": "group", "size": 10, "mul": [[(a + b) % 10 for b in range(10)] for a in range(10)]})
+    code, out, _ = run(capsys, "check", z10)
+    assert code == 0 and json.loads(out)["overall"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "equation, doc, n, message",
+    [
+        ("ybe", "operator", 3, "input error: ybe is the degree-2 equation; got --n 3\n"),
+        ("set-ybe", "binary", 3, "input error: --n 3 contradicts the map's arity 2\n"),
+        ("set-nybe", "ternary", 2, "input error: --n 2 contradicts the map's arity 3\n"),
+        ("set-nybe", "ternary", 4, "input error: --n 4 contradicts the map's arity 3\n"),
+    ],
+    ids=["ybe-3", "set-ybe-3", "set-nybe-2", "set-nybe-4"],
+)
+def test_verify_refuses_an_n_that_contradicts_the_equation(capsys, tmp_path, equation, doc, n, message):
+    docs = {
+        "operator": ser.operator_to_document(T.permutation_operator(T.power_shape(2, 2), (1, 0))),
+        "binary": ser.set_map_to_document(ss.flip_map(2, 2)),
+        "ternary": ser.set_map_to_document(ss.flip_map(2, 3)),
+    }
+    path = write(tmp_path, "in.json", docs[doc])
+    assert run(capsys, "verify", equation, path, "--n", str(n)) == (2, "", message)
+    code, out, _ = run(capsys, "verify", equation, path, "--n", str(2 if doc != "ternary" else 3))
+    assert code == 0 and json.loads(out)["holds"]

@@ -1,15 +1,14 @@
 """Cross-checks between independent implementations of the same laws.
 
 Both public braid-relation checks run the one index-map kernel
-``setsol.braid_sides``: ``ybops.verify_nybe`` for every operator with
-one nonzero per column, all of them equal, and
-``setsol.check_set_nsolution`` for every set map.  Every other operator
-runs through the two-tier column kernel of ``ybops``, which carries
-blocks of basis columns through both braid words as index lists and
-only the columns that meet a multi-entry column of S as sparse dicts;
-the lift ``nyb_from_ybe`` and the descent ``ybe_from_nyb`` build their
-words with it too.  No code in ``src/`` composes embedded operators any
-more, so the oracles live here: the sparse operator chain
+``setsol.braid_sides``: ``ybops.verify_nybe`` for every operator and
+``setsol.check_set_nsolution`` for every set map.  A column of S that is
+not a plain single entry sends an index to the absorbing index, and
+only the basis columns absorbed on either side go through the sparse
+dicts of ``ybops``'s dict pass; the lift ``nyb_from_ybe`` and the
+descent ``ybe_from_nyb`` build their words with the same kernel.  No
+code in ``src/`` composes embedded operators any more, so the oracles
+live here: the sparse operator chain
 (``tensor.embed``, composed in order of application, and the sorted-keys
 rule of ``difference_oracle``), a dense numpy product of Kronecker
 embeddings, a plain tuple-by-tuple simulation of the two braid words,
@@ -409,7 +408,7 @@ def test_lift_and_descent_match_embed_chain(case):
     assert down.domain_shape == down.codomain_shape == T.power_shape(d ** (n - 1), 2)
 
 
-# -- the two-tier column kernel against the whole-column oracle --
+# -- the index kernel and its dict pass against the whole-column oracle --
 
 
 # exact: +-1 and +-2 cancel in sums, 1/2 makes the integer scale 2; float:
@@ -457,6 +456,56 @@ def test_two_tier_kernel_matches_the_whole_column_oracle(case, side, block):
         if n == 2:
             cases += [(3, range(2)), (4, range(3))]  # the lift to degrees 3 and 4
         for k, word in cases:
+            shp = T.power_shape(d, k)
+            got = yb._word_operator(s, d, n, k, word, shp, shp).entries
+            assert list(got.items()) == list(kernel_oracle.word_entries(s, d, n, k, word).items())
+
+
+def first_absorbing_letter(s, d, n, k, word, c):
+    """The letter at which basis column c of V^(x)k first meets a column of S
+    that is not a single entry, or None, following its single-entry path."""
+    span, x = d**n, c
+    for t, off in enumerate(word):
+        low = d ** (k - n - off)
+        col = s.columns[x // low % span]
+        if len(col) != 1:
+            return t
+        x += (col[0][0] - x // low % span) * low
+    return None
+
+
+#: (d, n, side, image, scalars, extra entries, (column, lhs letter, rhs letter) or None):
+#: S sends basis column c to scalars[c] at image[c], plus the extra entries
+PINNED_KERNEL_CASES = {
+    # column 3 meets the two-entry column 0 only at the last letter of the lhs
+    "absorbed-at-the-last-lhs-letter": (2, 2, "right", [1, 0, 2, 3], [1, 1, 1, 1], {(2, 0): 1}, (3, 2, None)),
+    # column 1 meets the two-entry column 7 only at the last letter of the rhs
+    "absorbed-at-the-last-rhs-letter": (2, 3, "right", [0, 3, 6, 5, 1, 4, 2, 7], [1] * 8, {(0, 7): -1}, (1, None, 3)),
+    # columns 3 and 6 are absorbed on one side only, and the witness (column 2)
+    # needs both in the dict pass: the index lists alone would report 3 or 6
+    "absorbed-on-one-side-only": (2, 2, "right", [3, 2, 1, 0], [1, 1, 1, 1], {(0, 0): 1}, (6, 1, None)),
+    # a cyclic shift whose single entries all differ, on both sides
+    "all-scalars-differ-right": (2, 3, "right", [0, 2, 4, 6, 1, 3, 5, 7], [1, 2, 3, 5, -1, -2, Fraction(1, 2), Fraction(3, 2)], {}, None),
+    "all-scalars-differ-left": (2, 3, "left", [0, 4, 1, 5, 2, 6, 3, 7], [3, -2, 5, 1, Fraction(1, 2), 2, -1, 7], {}, None),
+}
+
+
+@pytest.mark.parametrize("block", [1, yb.BLOCK])
+@pytest.mark.parametrize("mode", [sc.EXACT, sc.FLOAT])
+@pytest.mark.parametrize("name", sorted(PINNED_KERNEL_CASES))
+def test_pinned_kernel_cases_match_the_whole_column_oracle(name, mode, block):
+    d, n, side, image, scalars, extra, absorbed = PINNED_KERNEL_CASES[name]
+    entries = {(r, c): v for c, (r, v) in enumerate(zip(image, scalars))} | extra
+    s = T.TensorOperator(T.power_shape(d, n), T.power_shape(d, n), entries, mode)
+    lhs, rhs = words(n, side)
+    if absorbed is not None:  # the pin still meets the column it names where it says
+        c, at_lhs, at_rhs = absorbed
+        assert [first_absorbing_letter(s, d, n, 2 * n - 1, w, c) for w in (lhs, rhs)] == [at_lhs, at_rhs]
+    with mock.patch.object(yb, "BLOCK", block):
+        report = yb.verify_nybe(s, n, side)
+        witness = kernel_oracle.braid_witness(s, d, n, side)
+        assert (report.holds, report.witness) == (witness is None, witness)
+        for k, word in [(2 * n - 1, lhs), (2 * n - 1, rhs), (2 * n - 2, range(n - 2, -1, -1))]:
             shp = T.power_shape(d, k)
             got = yb._word_operator(s, d, n, k, word, shp, shp).entries
             assert list(got.items()) == list(kernel_oracle.word_entries(s, d, n, k, word).items())

@@ -466,6 +466,49 @@ def test_word_map_matches_the_tuple_words(case, extra, data):
     assert ss.word_map(image, m, n, k, word, then) == want
 
 
+def absorbing_word_images(image, m, n, k, word):
+    """The word on each flat index of k digits, one at a time, sent to m**k
+    once a letter meets an image value of m**n, and m**k itself at the end."""
+    out = []
+    for x in range(m**k):
+        for off in word:
+            low = m ** (k - n - off)
+            mid = x // low % m**n
+            if image[mid] == m**n:
+                x = m**k
+                break
+            x += (image[mid] - mid) * low
+        out.append(x)
+    return out + [m**k]
+
+
+@st.composite
+def absorbing_words(draw):
+    """(m, n, k, image, word, then): some image values set to m**n, the
+    absorbing mark, and k up to n+3, so that letters of 8 or more trailing
+    indices, moved as slices, occur from m = 2 on."""
+    m, n, image = draw(sized_images())
+    k = n + draw(st.integers(0, 3))
+    marked = draw(st.sets(st.integers(0, m**n - 1), min_size=1))
+    word = draw(st.lists(st.integers(0, k - n), min_size=1, max_size=4))
+    then = draw(st.none() | st.permutations(range(m**k))) if m**k <= 256 else None
+    return m, n, k, [m**n if j in marked else t for j, t in enumerate(image)], word, then
+
+
+@settings(max_examples=80, deadline=None)
+@given(absorbing_words())
+@example((2, 3, 6, [8, 1, 2, 3, 4, 5, 6, 7], [0, 1, 3], None))  # slices of 8, then tables of 4 and 1
+@example((3, 2, 3, [0, 9, 2, 3, 4, 5, 6, 7, 8], [0, 1, 0], list(range(26, -1, -1))))  # tables of 3 and 1
+def test_word_map_absorbs_what_meets_a_marked_value(case):
+    """An image value of m**n sends an index to the absorbing index m**k, in
+    the slice and the gather mode alike; ``then`` is not read there."""
+    m, n, k, image, word, then = case
+    want = absorbing_word_images(image, m, n, k, word)
+    if then is not None:
+        want = [then[y] if y < m**k else y for y in want]
+    assert ss.word_map(image, m, n, k, word, then) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(sized_images([(1, 2), (2, 2), (3, 2), (4, 2)]), st.integers(3, 6))
 def test_lift_word_matches_the_tuple_word(case, lift_to):
