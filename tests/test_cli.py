@@ -755,7 +755,7 @@ def test_group_documents_are_capped_on_the_cube_of_their_size(capsys, tmp_path, 
         assert err == "cap exceeded: dimension 1728000 exceeds the cap 1000; raise the cap to force it\n"
     code, out, _ = run(capsys, "check", z120, "--allow-large")
     assert code == 0 and json.loads(out)["overall"] == "pass"
-    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "1000")  # exactly 10^3
+    # 10^3 is exactly the cap
     z10 = write(tmp_path, "z10.json", {"kind": "group", "size": 10, "mul": [[(a + b) % 10 for b in range(10)] for a in range(10)]})
     code, out, _ = run(capsys, "check", z10)
     assert code == 0 and json.loads(out)["overall"] == "pass"
