@@ -12,10 +12,10 @@ the inverse property
 
 Every law and every construction runs one basis column at a time on the
 columns of Delta, eps and the brackets, integers over one scale in exact
-mode: a column's image is read off the Sweedler legs of its factors and
-the bracket's columns, and no split matrix of C^(x)k is built.
-Self-distributivity and the inverse property stream the basis columns
-through right translations v -> <v, L>, one per Sweedler leg tuple L.
+mode, and no split matrix of C^(x)k is built.  Self-distributivity and the
+inverse property stream the basis columns through right translations
+v -> <v, L>, one per Sweedler leg tuple L; on k[X] with brackets that are
+tables on its basis (a linearized n-rack), they compare flat row lists.
 
 As for n-Leibniz algebras and n-racks, the ``certified`` flag records that
 the laws hold: by `check_linear_nrack` through `certify`, or by the theorem
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from . import scalars, tensor
 from .errors import NotClosedError, PreconditionError, SchemaError
 from .nrack import FiniteNRack
-from .reports import ReportBuilder, VerificationReport, certified, column_witness, confirm, refuse_uncertified
+from .reports import ReportBuilder, VerificationReport, certified, column_witness, confirm, list_witness, refuse_uncertified
 from .tensor import TensorOperator, TensorShape, apply_columns, digit_reversal, flat_index, kron_columns
 
 
@@ -55,14 +56,6 @@ class Coalgebra:
         cols, d = delta.columns, self.dim
         swapped = ((x, dict(col), {r % d * d + r // d: v for r, v in col}) for x, col in enumerate(cols))
         object.__setattr__(self, "cocommutative", column_witness(swapped, delta.mode) is None)
-
-    def iterated_delta(self, legs: int) -> TensorOperator:
-        """The map C -> C^(x)legs splitting one element into `legs` Sweedler legs."""
-        if legs < 1:
-            raise SchemaError("need at least one leg")
-        shp = TensorShape((self.dim,))
-        cols, scale = _iterated_columns(self, legs)
-        return TensorOperator.from_columns(shp, tensor.power_shape(self.dim, legs), cols, scale, self.mode)
 
 
 # The kernels below run on the operators' stored columns, lists of (row, value)
@@ -272,6 +265,34 @@ def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator
         yield from zip(itertools.count(t, span), _sweedler_images(g, terms), rhs)
 
 
+def _table_distributivity(l: LinearNRack):
+    """Self-distributivity's column_witness for a table l: column xs * c^(n-1) + ys
+    has the rows <<xs>, ys> and <<x_1, ys>, ..., <x_n, ys>>, listed through
+    the right translations as in ``nrack.check_nrack``, one x_1 at a time."""
+    c, n, table = l.base.dim, l.arity, [col[0][0] for col in l.bracket.columns]
+    span = c ** (n - 1)
+    rows = [table[v * span : (v + 1) * span] for v in range(c)]  # rows[v][ys] = <v, ys>
+    moved = [[0] * span]  # moved[r][ys]: the flat index of (<r_1, ys>, ..., <r_{n-1}, ys>)
+    for _ in range(n - 1):
+        moved = [[p * c + v for p, v in zip(row, rows[d])] for row in moved for d in range(c)]
+    found = []  # a later x_1 may fail at a smaller row
+    for x1, head in enumerate(rows):
+        lhs = list(itertools.chain.from_iterable(map(rows.__getitem__, head)))
+        rhs = [table[v * span + p] for row in moved for v, p in zip(head, row)]
+        if lhs != rhs:
+            found.append(list_witness(lhs, rhs, list(map(operator.ne, lhs, rhs)), x1 * span * span))
+    return min(found, key=operator.itemgetter("row", "col"), default=None)
+
+
+def _table_inverse(l: LinearNRack, first: TensorOperator, second: TensorOperator):
+    """The inverse property's column_witness for a table l: column u * c^(n-1) + vs
+    has the rows second(first(u, vs), reversed vs) and u."""
+    span, rev = l.base.dim ** (l.arity - 1), digit_reversal(l.base.dim, l.arity - 1)
+    lhs = [second.columns[col[0][0] * span + rev[x % span]][0][0] for x, col in enumerate(first.columns)]
+    rhs = [x // span for x in range(len(lhs))]
+    return list_witness(lhs, rhs, list(map(operator.ne, lhs, rhs)))
+
+
 def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     """The four defining identities, or the report of a failing base coalgebra:
 
@@ -282,20 +303,24 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
 
     Each is evaluated one basis column at a time; (c) and (d) stream the
     columns through right translations, so no Sweedler split is materialized.
+    A table l, on k[X] with every column of eps and the brackets one entry
+    equal to its scale, passes (a) and (b) identically, and compares flat
+    row lists in (c) and (d) by ``reports.list_witness``, with the same witness.
     """
     base_report = check_coalgebra(l.base)
     if not base_report.passed:
         return base_report
-    c, n = l.base.dim, l.arity
+    c, n, mode = l.base.dim, l.arity, l.base.mode
     rb = ReportBuilder(f"linear-{n}-rack(dim={c})")
-    mode = l.base.mode
+    units = all(len(col) == 1 and col[0][1] == op.scale for op in (l.base.counit, l.bracket, l.inv_bracket) for col in op.columns)
+    table = units and len(_group_likes(l.base)) == c
     for name, sides in (("coproduct-homomorphism", _coproduct_sides), ("counit-homomorphism", _counit_sides)):
-        wit = column_witness(sides(l, l.bracket), mode) or column_witness(sides(l, l.inv_bracket), mode)
+        wit = None if table else column_witness(sides(l, l.bracket), mode) or column_witness(sides(l, l.inv_bracket), mode)
         rb.record_witness(name, wit)
-    rb.record_witness("self-distributivity", column_witness(_distributivity_sides(l), mode))
-    wit = column_witness(_inverse_sides(l, l.bracket, l.inv_bracket), mode)
-    wit = wit or column_witness(_inverse_sides(l, l.inv_bracket, l.bracket), mode)
-    rb.record_witness("inverse-property", wit)
+    rb.record_witness("self-distributivity", _table_distributivity(l) if table else column_witness(_distributivity_sides(l), mode))
+    orders = ((l.bracket, l.inv_bracket), (l.inv_bracket, l.bracket))
+    wits = (_table_inverse(l, f, g) if table else column_witness(_inverse_sides(l, f, g), mode) for f, g in orders)
+    rb.record_witness("inverse-property", next(filter(None, wits), None))
     return rb.build()
 
 
@@ -317,20 +342,18 @@ def linearize_nrack(t: FiniteNRack, mode=scalars.EXACT) -> LinearNRack:
     require_right_side(t)
     refuse_uncertified(t, "linearize_nrack")
     m, n = t.size, t.arity
-    base = set_coalgebra(m, mode)
-    dom = tensor.power_shape(m, n)
-    cod = TensorShape((m,))
-    cols, inv_cols = [], []
-    for args in itertools.product(range(m), repeat=n):  # the columns in flat order
-        cols.append([(t.apply(args), 1)])
-        rev = t.translation(tuple(reversed(args[1:])))
-        inv = [0] * m
-        for i, v in enumerate(rev):
-            inv[v] = i
-        inv_cols.append([(inv[args[0]], 1)])
-    bracket = TensorOperator.from_columns(dom, cod, cols, 1, mode)
-    inv_bracket = TensorOperator.from_columns(dom, cod, inv_cols, 1, mode)
-    return LinearNRack(base, n, bracket, inv_bracket, certified=True)
+    span, rev, inv = m ** (n - 1), digit_reversal(m, n - 1), [0] * m**n
+    for ys in range(span):  # column x * span + ys of <<...>>: x's preimage under the translation by reversed ys
+        for i, x in enumerate(t.table[rev[ys] :: span]):
+            inv[x * span + ys] = i
+    dom, cod = tensor.power_shape(m, n), TensorShape((m,))
+    ops = [TensorOperator.from_columns(dom, cod, [[(v, 1)] for v in table], 1, mode) for table in (t.table, inv)]
+    return LinearNRack(set_coalgebra(m, mode), n, *ops, certified=True)
+
+
+def _group_likes(c: Coalgebra) -> list:
+    """The x with Delta e_x = e_x (x) e_x, read off the columns of Delta."""
+    return [x for x, col in enumerate(c.delta.columns) if col == [(x * c.dim + x, c.delta.scale)]]
 
 
 def group_like_elements(c: Coalgebra):
@@ -340,31 +363,21 @@ def group_like_elements(c: Coalgebra):
     """
     if c.mode != scalars.EXACT:
         raise SchemaError("group-like extraction is exact-mode only")
-    shp2, one = tensor.power_shape(c.dim, 2), scalars.one(c.mode)
-    basis = [{x: one} for x in range(c.dim)]
-    return [v for v in basis if c.delta.apply(v) == tensor.tensor_vector([v, v], shp2, c.mode)]
+    return [{x: scalars.one(c.mode)} for x in _group_likes(c)]
 
 
 def induced_nrack(l: LinearNRack) -> FiniteNRack:
     """Restrict the bracket to the found group-likes; the set must be closed."""
-    likes = group_like_elements(l.base)
+    likes = [x for like in group_like_elements(l.base) for x in like]
     if not likes:
         raise NotClosedError("no group-like basis vector found")
-    n = l.arity
-    m = len(likes)
-    dom = tensor.power_shape(l.base.dim, n)
-    table = []
-    for combo in itertools.product(range(m), repeat=n):
-        vec = l.bracket.apply(tensor.tensor_vector([likes[gi] for gi in combo], dom, l.base.mode))
-        hit = None
-        for gi, g in enumerate(likes):
-            if vec == g:
-                hit = gi
-                break
-        if hit is None:
+    index, scale, table = {x: i for i, x in enumerate(likes)}, l.bracket.scale, []
+    for combo in itertools.product(range(len(likes)), repeat=l.arity):
+        col = l.bracket.columns[flat_index((likes[i] for i in combo), l.base.dim)]
+        if len(col) != 1 or col[0][1] != scale or col[0][0] not in index:
             raise NotClosedError(f"bracket of group-likes {combo} left the found set")
-        table.append(hit)
-    return FiniteNRack(m, n, tuple(table))
+        table.append(index[col[0][0]])
+    return FiniteNRack(len(likes), l.arity, tuple(table))
 
 
 def require_right_side(t: FiniteNRack):

@@ -78,10 +78,6 @@ class NLeibnizAlgebra:
         if self.central is not None:
             object.__setattr__(self, "central", _clean_vector(self.central, self.mode, self.dim, "central element"))
 
-    def bracket_basis(self, key) -> dict:
-        """[e_{i_1}, ..., e_{i_n}] as a sparse coefficient vector."""
-        return self.bracket.get(tuple(key), {})
-
     def bracket_apply(self, vectors) -> dict:
         """Multilinear evaluation of the bracket on sparse vectors."""
         out = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -80,6 +82,21 @@ def column_witness(columns, mode: str):
         if row is not None and (best is None or (row, col) < best):
             best = row, col
     return None if best is None else {"row": best[0], "col": best[1]}
+
+
+def list_witness(lhs, rhs, diff, offset: int = 0):
+    """``column_witness`` of sides with one entry per column, given as row
+    lists that differ where diff holds, at min(lhs[c], rhs[c]); col offset + c."""
+    if not any(diff):
+        return None
+    row, col = min(min(itertools.compress(ys, diff)) for ys in (lhs, rhs)), len(diff)
+    for ys in (lhs, rhs):
+        with contextlib.suppress(ValueError):
+            c = ys.index(row, 0, col)
+            while not diff[c]:
+                c = ys.index(row, c + 1, col)
+            col = c
+    return {"row": row, "col": offset + col}
 
 
 def refuse_uncertified(obj, what: str):

@@ -232,15 +232,6 @@ class TensorOperator:
         out = apply_columns(cols, [(c, x * unit) for c, x in vec.items() if 0 <= c < len(cols) and x != 0])
         return {r: v for r, v in out.items() if v != 0}
 
-    def dense(self):
-        """Nested-list dense form; for small operators and test oracles only."""
-        nr, nc = self.codomain_shape.total, self.domain_shape.total
-        z = scalars.zero(self.mode)
-        out = [[z] * nc for _ in range(nr)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     # -- equality ------------------------------------------------------
 
     def _sized_like(self, other) -> bool:
@@ -560,19 +551,15 @@ def _gauss_jordan(rows, cols, mode) -> dict:
     return pivots
 
 
-def _square_dim(a: TensorOperator) -> int:
-    if not a.is_square():
-        raise ShapeMismatchError("only square operators can be inverted")
-    return a.domain_shape.total
-
-
 def invert(a: TensorOperator) -> TensorOperator:
     """Inverse by sparse Gauss-Jordan elimination on [A | I]; exact in exact mode.
 
     Raises SingularMatrixError when no valid pivot remains, which is
     how a pre-operator (a non-invertible solution) announces itself.
     """
-    n = _square_dim(a)
+    if not a.is_square():
+        raise ShapeMismatchError("only square operators can be inverted")
+    n = a.domain_shape.total
     one = scalars.one(a.mode)
     rows = [{n + i: one} for i in range(n)]
     for (r, c), v in a.entries.items():
@@ -585,16 +572,17 @@ def invert(a: TensorOperator) -> TensorOperator:
     return TensorOperator(a.codomain_shape, a.domain_shape, out, a.mode, validate=False)
 
 
-def is_invertible(a: TensorOperator) -> bool:
-    """Full rank of a square operator, decided without building the inverse."""
-    return column_rank(a) == _square_dim(a)
-
-
 def column_rank(a: TensorOperator) -> int:
-    rows = {}
-    for (r, c), v in a.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return len(_gauss_jordan([rows[r] for r in sorted(rows)], range(a.domain_shape.total), a.mode))
+    """The rank, by elimination; in exact mode only of the entries on the rows
+    no single-entry column hits, as those columns span the rows they hit."""
+    exact = a.mode == scalars.EXACT
+    hit, rows = {col[0][0] for col in a.columns if len(col) == 1} if exact else set(), {}
+    for c, col in enumerate(a.columns):
+        for r, v in col:
+            if r not in hit:
+                rows.setdefault(r, {})[c] = Fraction(v) if exact else v
+    cols = sorted({c for row in rows.values() for c in row})
+    return len(hit) + len(_gauss_jordan([rows[r] for r in sorted(rows)], cols, a.mode))
 
 
 def rref(rows, mode=scalars.EXACT):

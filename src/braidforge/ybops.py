@@ -33,7 +33,7 @@ from .nleibniz import (
     unit_extension,
 )
 from .nrack import FiniteGroup, conjugation_nrack
-from .reports import ReportBuilder, column_witness, difference_witness, first_difference, refuse_uncertified
+from .reports import ReportBuilder, column_witness, difference_witness, first_difference, list_witness, refuse_uncertified
 from .setsol import braid_sides, braid_words, check_dim_cap, word_map
 from .tensor import TensorOperator, TensorShape, tensor_many
 
@@ -147,25 +147,9 @@ def _columns(vec: dict, batch, total: int):
     return image.values()
 
 
-def _list_witness(lhs, rhs, diff):
-    """(row, col) of the smallest entry where sides with one nonzero entry
-    per column differ where diff holds, at row min(lhs[c], rhs[c]) by
-    ``reports.first_difference``'s rule, or None, by whole-list passes."""
-    if not any(diff):
-        return None
-    row, col = min(min(itertools.compress(ys, diff)) for ys in (lhs, rhs)), len(diff)
-    for ys in (lhs, rhs):
-        with contextlib.suppress(ValueError):
-            c = ys.index(row, 0, col)
-            while not diff[c]:
-                c = ys.index(row, c + 1, col)
-            col = c
-    return row, col
-
-
 def _braid_witness(s: TensorOperator, image, coef, unit, d: int, n: int, side: str):
-    """(row, col) of the smallest entry where the braid sides of s differ, or
-    None.  Both words have n+1 letters, so a uniform chain's value is the
+    """{"row", "col"} of the smallest entry where the braid sides of s differ,
+    or None.  Both words have n+1 letters, so a uniform chain's value is the
     same on both sides; the dict pass judges the absorbed columns."""
     k, total = 2 * n - 1, d ** (2 * n - 1)
     lhs, rhs = next(braid_sides(image, d, n, (side,)))
@@ -177,14 +161,14 @@ def _braid_witness(s: TensorOperator, image, coef, unit, d: int, n: int, side: s
     else:
         diff = list(map(operator.ne, lhs, rhs))
     if len(lhs) == total:  # nothing absorbed
-        return _list_witness(lhs, rhs, diff)
+        return list_witness(lhs, rhs, diff)
     marked = sorted({*_absorbed(lhs, total), *_absorbed(rhs, total)})
     for c in marked if diff else ():  # judged by the dict pass
         diff[c] = False
     passes = _dict_passes(s.columns, d, n, k, braid_words(n, side), marked)
     columns = (zip(batch, _columns(a, batch, total), _columns(b, batch, total)) for batch, (a, b) in passes if a != b)
     dirty = column_witness(itertools.chain.from_iterable(columns), s.mode)
-    return min(filter(None, (dirty and (dirty["row"], dirty["col"]), _list_witness(lhs, rhs, diff))), default=None)
+    return min(filter(None, (dirty, list_witness(lhs, rhs, diff))), key=operator.itemgetter("row", "col"), default=None)
 
 
 def _word_operator(s: TensorOperator, d: int, n: int, k: int, word, domain_shape, codomain_shape) -> TensorOperator:
@@ -213,6 +197,8 @@ def verify_nybe(
     The index lists of ``braid_sides`` carry every path through plain
     columns, the dict pass the others, on integer columns in exact mode: the
     report of the sparse ``embed`` / ``compose`` chain's ``first_difference``.
+    Invertible: a permutation of usable pivots, else by ``tensor.column_rank``,
+    which in exact mode eliminates the absorbed columns on rows no plain one hits.
     """
     t0 = time.perf_counter()
     _require_degree(n)
@@ -224,9 +210,9 @@ def verify_nybe(
     big = d ** (2 * n - 1)
     check_dim_cap(big, dim_cap)
     image, coef, unit = _index_form(s, d**n)
-    witness = (_braid_witness(s, image, coef, unit, d, n, side) or (None, None))[1]
+    witness = (_braid_witness(s, image, coef, unit, d, n, side) or {}).get("col")
     if d**n in image:
-        invertible = tensor.is_invertible(s)
+        invertible = tensor.column_rank(s) == d**n
     else:  # a permutation scaled by usable pivots, as the elimination would find
         invertible = len(set(image)) == len(image) and (s.mode == scalars.EXACT or abs(unit) > scalars.EPS_CMP)
     return YBReport(

@@ -4,8 +4,8 @@ reaches, kept for the tests that use them.
 They check maps between structures (n-rack and n-Leibniz homomorphisms),
 read off a group property, invert a vector n-rack's translation, test an
 operator for nilpotency, build the zero operator, the trivial n-rack, the
-cyclic group, the zero bracket and basis adjoints, and extend a Leibniz
-algebra by an n-bracket.  Each sits on the public API of ``braidforge``
+cyclic group, the zero bracket, basis brackets and basis adjoints, and
+extend a Leibniz algebra by an n-bracket.  Each sits on the public API of ``braidforge``
 and adds no law of its own.
 """
 
@@ -48,6 +48,11 @@ def alternating_group(k: int):
 
 def zero_algebra(arity: int, dim: int, mode=sc.EXACT):
     return NLeibnizAlgebra(arity, dim, {}, mode, True)
+
+
+def bracket_basis(a, key) -> dict:
+    """[e_{i_1}, ..., e_{i_n}] of an n-Leibniz algebra as a sparse coefficient vector."""
+    return a.bracket.get(tuple(key), {})
 
 
 def ad_basis(a, key):
@@ -113,7 +118,7 @@ def extend_bracket_by_leibniz(leib, b, recheck: bool = False):
             )
     new = {}
     for tpl in itertools.product(range(leib.dim), repeat=b.arity + 1):
-        inner = b.bracket_basis(tpl[1:])
+        inner = bracket_basis(b, tpl[1:])
         if not inner:
             continue
         outv = leib.bracket_apply([{tpl[0]: one}, inner])
@@ -148,7 +153,7 @@ def is_homomorphism(a, b, phi):
     phi_basis = [dict(col) for col in phi_cols]
     witness = None
     for tpl in itertools.product(range(a.dim), repeat=a.arity):
-        lhs = T.apply_columns(phi_cols, a.bracket_basis(tpl).items())
+        lhs = T.apply_columns(phi_cols, bracket_basis(a, tpl).items())
         rhs = b.bracket_apply([phi_basis[i] for i in tpl])
         if first_difference(lhs, rhs, a.mode) is not None:
             witness = _tuple_witness(tpl, lhs, rhs, 1, a.mode)

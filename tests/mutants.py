@@ -71,6 +71,11 @@ PINNED_KERNEL_TESTS = tuple(
     for block in (1, 1024)
 )
 ABSORBING_WORD_TESTS = ("tests/test_setsol.py::test_word_map_absorbs_what_meets_a_marked_value",)
+BLOCK_RANK_TESTS = (
+    "tests/test_operator_storage.py::test_the_block_rank_rule_matches_the_elimination",
+    "tests/test_operator_storage.py::test_a_repeated_image_is_not_invertible",
+)
+LINEAR_TABLE_TESTS = ("tests/test_linrack.py::test_check_linear_nrack_matches_the_matrix_identities",)
 INT_RULE_TESTS = (
     "tests/test_setsol.py::test_set_map_images_are_refused_not_truncated",
     "tests/test_nrack.py::test_table_values_are_refused_not_truncated",
@@ -296,6 +301,54 @@ MUTANTS = [
         "if isinstance(raw, bool):",
         "if False:",
         tuple(f"tests/test_cli.py::test_a_json_boolean_is_no_scalar[{case}]" for case in ("operator-exact", "operator-float", "bracket-value", "central")),
+        "killed",
+    ),
+    Mutant(
+        "rank-single-rows-counted-with-repeats",
+        TENSOR,
+        "hit, rows = {col[0][0] for col in a.columns if len(col) == 1} if exact else set(), {}",
+        "hit, rows = [col[0][0] for col in a.columns if len(col) == 1] if exact else [], {}",
+        BLOCK_RANK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "rank-B-on-every-row",
+        TENSOR,
+        "            if r not in hit:\n",
+        "            if True:\n",
+        BLOCK_RANK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "linear-table-accepts-a-non-unit-value",
+        LINRACK,
+        "all(len(col) == 1 and col[0][1] == op.scale for op in",
+        "all(len(col) == 1 for op in",
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "linear-table-path-never-taken",
+        LINRACK,
+        "table = units and len(_group_likes(l.base)) == c",
+        "table = False",
+        ("tests/test_linrack.py::test_tables_on_a_set_coalgebra_skip_the_streamed_laws",),
+        "killed",
+    ),
+    Mutant(
+        "inverse-property-second-order-dropped",
+        LINRACK,
+        "orders = ((l.bracket, l.inv_bracket), (l.inv_bracket, l.bracket))",
+        "orders = ((l.bracket, l.inv_bracket),)",
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "linear-table-witness-from-the-first-failing-block",
+        LINRACK,
+        'return min(found, key=operator.itemgetter("row", "col"), default=None)',
+        "return next(iter(found), None)",
+        LINEAR_TABLE_TESTS + ("tests/test_linrack.py::test_tables_on_a_set_coalgebra_skip_the_streamed_laws",),
         "killed",
     ),
 ]

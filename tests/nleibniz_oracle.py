@@ -17,6 +17,7 @@ from fractions import Fraction
 import braidforge.scalars as sc
 from braidforge.nleibniz import vec_json
 from braidforge.reports import ReportBuilder, first_difference
+from library_extras import bracket_basis
 
 
 def vec_add(a, b):
@@ -41,12 +42,12 @@ def fundamental_sides(a):
     for tpl in itertools.product(range(a.dim), repeat=2 * n - 1):
         xs, ys = tpl[:n], tpl[n:]
         lhs = {}
-        for j, c in a.bracket_basis(xs).items():
-            lhs = vec_add(lhs, vec_scale(a.bracket_basis((j,) + ys), c))
+        for j, c in bracket_basis(a, xs).items():
+            lhs = vec_add(lhs, vec_scale(bracket_basis(a, (j,) + ys), c))
         rhs = {}
         for i in range(n):
-            for j, c in a.bracket_basis((xs[i],) + ys).items():
-                inner = a.bracket_basis(xs[:i] + (j,) + xs[i + 1 :])
+            for j, c in bracket_basis(a, (xs[i],) + ys).items():
+                inner = bracket_basis(a, xs[:i] + (j,) + xs[i + 1 :])
                 rhs = vec_add(rhs, vec_scale(inner, c))
         yield tpl, lhs, rhs
 
@@ -70,12 +71,12 @@ def is_derivation(a, d_map):
     witness = None
     for tpl in itertools.product(range(a.dim), repeat=a.arity):
         lhs = {}
-        for j, c in a.bracket_basis(tpl).items():
+        for j, c in bracket_basis(a, tpl).items():
             lhs = vec_add(lhs, vec_scale(dict(cols[j]), c))
         rhs = {}
         for i in range(a.arity):
             for j, c in cols[tpl[i]]:
-                rhs = vec_add(rhs, vec_scale(a.bracket_basis(tpl[:i] + (j,) + tpl[i + 1 :]), c))
+                rhs = vec_add(rhs, vec_scale(bracket_basis(a, tpl[:i] + (j,) + tpl[i + 1 :]), c))
         if first_difference(lhs, rhs, a.mode) is not None:
             witness = {"tuple": list(tpl), "lhs": vec_json(lhs, a.mode), "rhs": vec_json(rhs, a.mode)}
             break

@@ -127,6 +127,15 @@ def invert(a):
     return Operator(a.codomain_shape, a.domain_shape, out, a.mode, validate=False)
 
 
+def dense(a):
+    """The nested-list dense form of an operator's entries, zeros included."""
+    nr, nc = a.codomain_shape.total, a.domain_shape.total
+    out = [[sc.zero(a.mode)] * nc for _ in range(nr)]
+    for (r, c), v in a.entries.items():
+        out[r][c] = v
+    return out
+
+
 def column_rank(a):
     rows = {}
     for (r, c), v in a.entries.items():

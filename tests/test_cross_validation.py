@@ -32,6 +32,7 @@ import braidforge.tensor as T
 import braidforge.ybops as yb
 import difference_oracle
 import kernel_oracle
+import operator_oracle
 from braidforge.errors import PreconditionError
 from library_extras import trivial_nrack
 
@@ -149,7 +150,7 @@ def sparse_chain(op, d, n, side):
     """(holds, witness, invertible) of the sparse operator chain."""
     lhs, rhs = (embed_chain(op, d, n, 2 * n - 1, word) for word in words(n, side))
     diff = difference_oracle.first_difference(lhs, rhs)
-    return diff is None, None if diff is None else diff[1], T.is_invertible(op)
+    return diff is None, None if diff is None else diff[1], T.column_rank(op) == op.domain_shape.total
 
 
 EXACT_COEFFS = [1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
@@ -280,8 +281,8 @@ def dense_differences(op, d, n, side):
         sides.append(prod)
     diff = np.abs(sides[0] - sides[1])
     if exact:
-        return diff != 0, diff != 0, sympy.Matrix(op.dense()).rank() == d**n
-    return diff > sc.EPS_CMP + 1e-12, diff > sc.EPS_CMP - 1e-12, T.is_invertible(op)
+        return diff != 0, diff != 0, sympy.Matrix(operator_oracle.dense(op)).rank() == d**n
+    return diff > sc.EPS_CMP + 1e-12, diff > sc.EPS_CMP - 1e-12, T.column_rank(op) == op.domain_shape.total
 
 
 def t3bar_braiding(mode, side):

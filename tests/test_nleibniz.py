@@ -10,7 +10,7 @@ import braidforge.nleibniz as nl
 import braidforge.scalars as sc
 import braidforge.tensor as T
 import nleibniz_oracle
-from library_extras import ad_basis, extend_bracket_by_leibniz, is_homomorphism, zero_algebra, zero_operator
+from library_extras import ad_basis, bracket_basis, extend_bracket_by_leibniz, is_homomorphism, zero_algebra, zero_operator
 from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError, SchemaError
 
 ONE = Fraction(1)
@@ -292,8 +292,8 @@ def test_fundamental_leibniz_t3_slot_terms(t3):
     out = nl.fundamental_leibniz(t3, recheck=True)
     s = T.power_shape(3, 2)
     assert out.dim == 9
-    assert out.bracket_basis((s.flat((0, 1)), s.flat((1, 1)))) == {s.flat((2, 1)): ONE}
-    assert out.bracket_basis((s.flat((1, 0)), s.flat((1, 1)))) == {s.flat((1, 2)): ONE}
+    assert bracket_basis(out, (s.flat((0, 1)), s.flat((1, 1)))) == {s.flat((2, 1)): ONE}
+    assert bracket_basis(out, (s.flat((1, 0)), s.flat((1, 1)))) == {s.flat((1, 2)): ONE}
 
 
 def test_fundamental_leibniz_propagates_central(t3bar):

@@ -248,6 +248,37 @@ def test_a_repeated_image_is_not_invertible():
     assert not report.invertible and T.column_rank(s) == 3
 
 
+@st.composite
+def single_and_multi_entry_columns(draw):
+    """(operator, oracle) of an exact map k^cols -> k^rows whose columns are
+    single entries on few rows (so that rows repeat), empty, or two or
+    three entries of values that often cancel, so that B (the other columns
+    on the rows no single entry hits) is singular as often as regular;
+    square, narrower (an injectivity question) and wider."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.sampled_from([nrows, nrows, max(1, nrows - 1), nrows + 1]))
+    entries = {}
+    for c in range(ncols):
+        size = draw(st.sampled_from([1, 1, 0, 2, 3]))
+        for r in draw(st.lists(st.integers(0, nrows - 1), min_size=min(size, nrows), max_size=min(size, nrows), unique=True)):
+            entries[(r, c)] = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]))
+    dom, cod = T.shape(ncols), T.shape(nrows)
+    return T.TensorOperator(dom, cod, entries), oo.Operator(dom, cod, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_and_multi_entry_columns())
+def test_the_block_rank_rule_matches_the_elimination(pair):
+    a, oa = pair
+    rank = oo.column_rank(oa)
+    assert T.column_rank(a) == rank
+    total = a.domain_shape.total
+    if total == a.codomain_shape.total and total in (1, 4):  # verify_nybe's invertibility at d^2 = total
+        shp = T.power_shape(round(total**0.5), 2)
+        s = T.TensorOperator.from_columns(shp, shp, a.columns, a.scale)
+        assert yb.verify_nybe(s, 2).invertible == (rank == total)
+
+
 # -- groups ----------------------------------------------------------------------
 
 
