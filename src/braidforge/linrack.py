@@ -14,8 +14,12 @@ Every law and every construction runs one basis column at a time on the
 columns of Delta, eps and the brackets, integers over one scale in exact
 mode, and no split matrix of C^(x)k is built.  Self-distributivity and the
 inverse property stream the basis columns through right translations
-v -> <v, L>, one per Sweedler leg tuple L; on k[X] with brackets that are
-tables on its basis (a linearized n-rack), they compare flat row lists.
+v -> <v, L>, one per Sweedler leg tuple L, from their nonzero entries, and
+a zero translation or an empty bracket column drops its term: on k (+) L,
+where most translations by primitive legs are zero, the laws cost the
+nonzeros of the translations, not c^n per term.  On k[X] with brackets
+that are tables on its basis (a linearized n-rack), they compare flat row
+lists, once per distinct right translation.
 
 As for n-Leibniz algebras and n-racks, the ``certified`` flag records that
 the laws hold: by `check_linear_nrack` through `certify`, or by the theorem
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 from . import scalars, tensor
 from .errors import NotClosedError, PreconditionError, SchemaError
-from .nrack import FiniteNRack
+from .nrack import FiniteNRack, distributivity_blocks
 from .reports import ReportBuilder, VerificationReport, certified, column_witness, confirm, list_witness, refuse_uncertified
 from .tensor import TensorOperator, TensorShape, apply_columns, digit_reversal, flat_index, kron_columns
 
@@ -69,14 +73,14 @@ def _nonzero(vec: dict) -> list:
 
 
 def _dealt(cols, c: int, legs: int, k: int):
-    """At each basis column xs of C^(x)k in flat order, the terms (flats, coeff)
+    """At each basis column xs of C^(x)k in flat order, the terms (flat, coeff)
     of cols[x_1] (x) ... (x) cols[x_k] in product order, for the columns of a
-    split C -> C^(x)legs: flats[i] is the flat index of the i-th legs of
-    x_1..x_k, coeff the product of the term's values from the left."""
-    multi = tensor.power_shape(c, legs).multi
-    split = out = [[(multi(r), v) for r, v in col] for col in cols]
+    split C -> C^(x)legs: factor i of flat, in (C^(x)k)^(x)legs, is the i-th
+    legs of x_1..x_k, and coeff the product of the values from the left."""
+    weights, multi = [c ** (k * i) for i in reversed(range(legs))], tensor.power_shape(c, legs).multi
+    split = out = [[(sum(map(operator.mul, multi(r), weights)), v) for r, v in col] for col in cols]
     for _ in range(k - 1):
-        out = [[(tuple([f * c + d for f, d in zip(fs, ds)]), v * w) for fs, v in col for ds, w in split[x]] for col in out for x in range(c)]
+        out = [[(f * c + d, v * w) for f, v in col for d, w in split[x]] for col in out for x in range(c)]
     return out
 
 
@@ -129,8 +133,7 @@ def tensor_power_coalgebra(base: Coalgebra, k: int) -> Coalgebra:
     c, ck = base.dim, base.dim**k
     delta, dscale = base.delta.columns, base.delta.scale
     counit, escale = base.counit.columns, base.counit.scale
-    dcols = [[(p * ck + q, v) for (p, q), v in col] for col in _dealt(delta, c, 2, k)]
-    ecols = [[(0, v) for _, v in col] for col in _dealt(counit, c, 1, k)]
+    dcols, ecols = _dealt(delta, c, 2, k), [[(0, v) for _, v in col] for col in _dealt(counit, c, 1, k)]
     shp = tensor.power_shape(c, k)
     delta = TensorOperator.from_columns(shp, tensor.power_shape(ck, 2), dcols, dscale**k, base.mode)
     counit = TensorOperator.from_columns(shp, TensorShape((1,)), ecols, escale**k, base.mode)
@@ -178,109 +181,110 @@ class LinearNRack:
 # -- the four defining identities ---------------------------------------
 
 
-def _coproduct_sides(l: LinearNRack, op: TensorOperator):
-    """Both sides of Delta(b(xs)) = sum b(xs^(1)) (x) b(xs^(2)), the legs of
-    the x_i dealt, as (col, lhs, rhs), both over scale_b^2 * scale_Delta^n."""
+def _coproduct_sides(l: LinearNRack, op: TensorOperator, dealt):
+    """Both sides of Delta(b(xs)) = sum b(xs^(1)) (x) b(xs^(2)), the legs dealt
+    by ``dealt`` = _dealt(Delta, c, 2, n), as (col, lhs, rhs) over scale_b^2 *
+    scale_Delta^n, skipping terms with an empty bracket column and empty columns."""
     c, n = l.base.dim, l.arity
     b, scale = op.columns, op.scale
     delta, dscale = l.base.delta.columns, l.base.delta.scale
-    lift = scale * dscale ** (n - 1)
-    for col, terms in enumerate(_dealt(delta, c, 2, n)):
+    lift, width = scale * dscale ** (n - 1), c**n
+    for col, terms in enumerate(dealt):
         rhs = {}
-        for (first, second), coeff in terms:
+        for flat, coeff in terms:
+            first, second = divmod(flat, width)
+            if not b[first] or not b[second]:
+                continue
             for r, w in b[first]:
                 for s, v in b[second]:
                     rhs[r * c + s] = rhs.get(r * c + s, 0) + coeff * w * v
-        yield col, apply_columns(delta, [(r, w * lift) for r, w in b[col]]), rhs
+        if rhs or b[col]:
+            yield col, apply_columns(delta, [(r, w * lift) for r, w in b[col]]), rhs
 
 
 def _counit_sides(l: LinearNRack, op: TensorOperator):
     """Both sides of eps(b(xs)) = eps(x_1)...eps(x_n) as (col, lhs, rhs),
-    both over scale_b * scale_eps^n."""
-    n = l.arity
+    both over scale_b * scale_eps^n, at the columns where one is nonzero."""
     b, scale = op.columns, op.scale
     counit, escale = l.base.counit.columns, l.base.counit.scale
-    lift = escale ** (n - 1)
+    n, lift = l.arity, escale ** (l.arity - 1)
     for col, eps in enumerate(_counit_power(counit, n)):
-        yield col, apply_columns(counit, [(r, w * lift) for r, w in b[col]]), {0: eps * scale}
+        if eps or b[col]:
+            yield col, apply_columns(counit, [(r, w * lift) for r, w in b[col]]), {0: eps * scale}
 
 
-def _sweedler_images(outer, terms):
-    """The images of the leading basis columns x, in flat order, under the
+def _translations(b, c: int, span: int, weight: int):
+    """At each ys, the nonzero entries of the right translation x -> <x, ys>
+    as triples (x * weight, row * weight, value), in the order of x."""
+    return [[(x * weight, r * weight, a) for x in range(c) for r, a in b[x * span + ys]] for ys in range(span)]
+
+
+def _sweedler_images(outer, terms) -> dict:
+    """{x: image} at the leading basis columns x that get a key, under the
     sum over terms (coeff, trs, tail) of coeff * outer(tr_1 x_1 (x) ... (x) tr_k x_k (x) e_tail),
-    each tr_i a right translation v -> [(row, value)] with its rows placed
-    at factor i of outer's domain.  The tensor products share their
-    prefixes, and the terms are summed before outer is applied."""
-    mid = None
+    tr_i as ``_translations`` triples weighted for factor i.  A term with a zero translation
+    is dropped; each column sums its keys in term order, then in nested leg order, before outer."""
+    mid = {}
     for coeff, trs, tail in terms:
-        vecs = [{tail: coeff}]
-        for tr in trs:
-            vecs = [{key + r: w * a for key, w in vec.items() for r, a in col} for vec in vecs for col in tr]
-        if mid is None:
-            mid = vecs
+        if not all(trs):
             continue
-        for acc, vec in zip(mid, vecs):
-            for key, w in vec.items():
-                acc[key] = acc.get(key, 0) + w
-    return [apply_columns(outer, acc.items()) for acc in mid]
+        vecs = [(0, tail, coeff)]
+        for tr in trs:
+            vecs = [(x + y, key + r, w * a) for x, key, w in vecs for y, r, a in tr]
+        for x, key, w in vecs:
+            acc = mid.setdefault(x, {})
+            acc[key] = acc.get(key, 0) + w
+    return {x: apply_columns(outer, acc.items()) for x, acc in mid.items()}
 
 
 def _distributivity_sides(l: LinearNRack):
     """Both sides of <<xs>, ys> = <<x_1, L_1>, ..., <x_n, L_n>>, L_i the i-th
     legs of Delta^(n)(y_1), ..., Delta^(n)(y_{n-1}), as (col, lhs, rhs) with
-    col = xs * c^(n-1) + ys, ys outer and xs inner.  In exact mode the lhs is
+    col = xs * c^(n-1) + ys where a side is nonzero; in exact mode the lhs is
     lifted from scale_b^2 to the rhs's scale_b^(n+1) * scale_Delta^((n-1)^2)."""
-    c, n = l.base.dim, l.arity
-    span = c ** (n - 1)
+    c, n, span = l.base.dim, l.arity, l.base.dim ** (l.arity - 1)
     b, scale = l.bracket.columns, l.bracket.scale
     delta, dscale = _iterated_columns(l.base, n)
     lift = (scale * dscale) ** (n - 1)
+    trs = [_translations(b, c, span, c ** (n - 1 - i)) for i in range(n)]  # trs[i][leg]: leg's translation at factor i
+    nonzero, multi = [(xs, col) for xs, col in enumerate(b) if col], tensor.power_shape(span, n).multi
     for t, dealt in enumerate(_dealt(delta, c, n, n - 1)):
         right = [[(s, w * lift) for s, w in b[r * span + t]] for r in range(c)]
-        terms = []
-        for legs, coeff in dealt:  # L_1, ..., L_n
-            trs = [[[(r * c ** (n - 1 - i), a) for r, a in col] for col in b[leg::span]] for i, leg in enumerate(legs)]
-            terms.append((coeff, trs, 0))
-        yield from zip(itertools.count(t, span), [apply_columns(right, col) for col in b], _sweedler_images(b, terms))
+        lhs = {xs: vec for xs, col in nonzero if (vec := apply_columns(right, col))}
+        rhs = _sweedler_images(b, [(coeff, list(map(list.__getitem__, trs, multi(flat))), 0) for flat, coeff in dealt])
+        for xs in lhs.keys() | rhs.keys():
+            yield xs * span + t, lhs.get(xs, {}), rhs.get(xs, {})
 
 
-def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator):
+def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator, dealt):
     """Both sides of second(first(u, v_1^(2)..v_{n-1}^(2)), v_{n-1}^(1)..v_1^(1))
     = eps(v_1)...eps(v_{n-1}) u, as (col, lhs, rhs) with col = u * c^(n-1) + vs,
-    vs outer and u inner, lifted to one scale in exact mode."""
-    c, n = l.base.dim, l.arity
-    span = c ** (n - 1)
+    vs outer and u inner (``dealt`` = _dealt(Delta, c, 2, n - 1); a leading
+    column x is u * c^(n-1)), where a side is nonzero, lifted to one scale in exact mode."""
+    c, n, span = l.base.dim, l.arity, l.base.dim ** (l.arity - 1)
     f, fscale = first.columns, first.scale
     g, gscale = second.columns, second.scale
-    delta, dscale = l.base.delta.columns, l.base.delta.scale
-    counit, escale = l.base.counit.columns, l.base.counit.scale
-    rev, eps = digit_reversal(c, n - 1), _counit_power(counit, n - 1)
-    for t, dealt in enumerate(_dealt(delta, c, 2, n - 1)):
-        terms = []
-        for (p, q), coeff in dealt:  # the first and second legs of vs
-            tr = [[(r * span, a) for r, a in col] for col in f[q::span]]
-            terms.append((coeff * escale ** (n - 1), [tr], rev[p]))
+    counit, escale, dscale = l.base.counit.columns, l.base.counit.scale, l.base.delta.scale
+    rev, eps, tr = digit_reversal(c, n - 1), _counit_power(counit, n - 1), _translations(f, c, span, span)
+    for t, terms in enumerate(dealt):
+        lhs = _sweedler_images(g, [(coeff * escale ** (n - 1), [tr[flat % span]], rev[flat // span]) for flat, coeff in terms])
         unit = eps[t] * fscale * gscale * dscale ** (n - 1)
-        rhs = [{u: unit} if unit else {} for u in range(c)]
-        yield from zip(itertools.count(t, span), _sweedler_images(g, terms), rhs)
+        for x in lhs.keys() | (range(0, c * span, span) if unit else ()):
+            yield x + t, lhs.get(x, {}), {x // span: unit} if unit else {}
 
 
 def _table_distributivity(l: LinearNRack):
-    """Self-distributivity's column_witness for a table l: column xs * c^(n-1) + ys
-    has the rows <<xs>, ys> and <<x_1, ys>, ..., <x_n, ys>>, listed through
-    the right translations as in ``nrack.check_nrack``, one x_1 at a time."""
-    c, n, table = l.base.dim, l.arity, [col[0][0] for col in l.bracket.columns]
-    span = c ** (n - 1)
-    rows = [table[v * span : (v + 1) * span] for v in range(c)]  # rows[v][ys] = <v, ys>
-    moved = [[0] * span]  # moved[r][ys]: the flat index of (<r_1, ys>, ..., <r_{n-1}, ys>)
-    for _ in range(n - 1):
-        moved = [[p * c + v for p, v in zip(row, rows[d])] for row in moved for d in range(c)]
-    found = []  # a later x_1 may fail at a smaller row
-    for x1, head in enumerate(rows):
-        lhs = list(itertools.chain.from_iterable(map(rows.__getitem__, head)))
-        rhs = [table[v * span + p] for row in moved for v, p in zip(head, row)]
+    """Self-distributivity's column_witness for a table l, from the blocks of
+    ``nrack.distributivity_blocks``: position (xs, j) stands for column
+    xs * c^(n-1) + ys_j, ys_j the first ys of the j-th distinct translation,
+    where later ys with it fail alike; the map is monotone in (xs, j)."""
+    c, n, span = l.base.dim, l.arity, l.base.dim ** (l.arity - 1)
+    translations, distinct, block = distributivity_blocks(tuple(col[0][0] for col in l.bracket.columns), c, n)
+    first, k, found = [translations.index(tr) for tr in distinct], len(distinct), []
+    for x1, (lhs, rhs) in enumerate(map(block, range(c))):  # a later x_1 may fail at a smaller row
         if lhs != rhs:
-            found.append(list_witness(lhs, rhs, list(map(operator.ne, lhs, rhs)), x1 * span * span))
+            wit = list_witness(lhs, rhs, list(map(operator.ne, lhs, rhs)))
+            found.append({"row": wit["row"], "col": (x1 * span + wit["col"] // k) * span + first[wit["col"] % k]})
     return min(found, key=operator.itemgetter("row", "col"), default=None)
 
 
@@ -301,11 +305,13 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     (c) self-distributivity of the bracket on C^(x)(2n-1),
     (d) the inverse property in both application orders.
 
-    Each is evaluated one basis column at a time; (c) and (d) stream the
-    columns through right translations, so no Sweedler split is materialized.
-    A table l, on k[X] with every column of eps and the brackets one entry
-    equal to its scale, passes (a) and (b) identically, and compares flat
-    row lists in (c) and (d) by ``reports.list_witness``, with the same witness.
+    Each is evaluated one basis column at a time where a side is nonzero, at
+    a cost in the nonzeros of the bracket columns and, in (c) and (d), of the
+    right translations they stream; (a) deals Delta once for both maps.  A
+    table l, on k[X] with every column of eps and the brackets one entry
+    equal to its scale, passes (a) and (b) identically, and compares flat row
+    lists in (c), once per distinct right translation, and in (d) by
+    ``reports.list_witness``, with the same witness.
     """
     base_report = check_coalgebra(l.base)
     if not base_report.passed:
@@ -314,12 +320,13 @@ def check_linear_nrack(l: LinearNRack) -> VerificationReport:
     rb = ReportBuilder(f"linear-{n}-rack(dim={c})")
     units = all(len(col) == 1 and col[0][1] == op.scale for op in (l.base.counit, l.bracket, l.inv_bracket) for col in op.columns)
     table = units and len(_group_likes(l.base)) == c
-    for name, sides in (("coproduct-homomorphism", _coproduct_sides), ("counit-homomorphism", _counit_sides)):
-        wit = None if table else column_witness(sides(l, l.bracket), mode) or column_witness(sides(l, l.inv_bracket), mode)
-        rb.record_witness(name, wit)
+    split, deal = ((), ()) if table else (_dealt(l.base.delta.columns, c, 2, k) for k in (n - 1, n))  # each shared by both brackets
+    homs = (("coproduct-homomorphism", lambda op: _coproduct_sides(l, op, deal)), ("counit-homomorphism", lambda op: _counit_sides(l, op)))
+    for name, sides in homs:
+        rb.record_witness(name, None if table else column_witness(sides(l.bracket), mode) or column_witness(sides(l.inv_bracket), mode))
     rb.record_witness("self-distributivity", _table_distributivity(l) if table else column_witness(_distributivity_sides(l), mode))
     orders = ((l.bracket, l.inv_bracket), (l.inv_bracket, l.bracket))
-    wits = (_table_inverse(l, f, g) if table else column_witness(_inverse_sides(l, f, g), mode) for f, g in orders)
+    wits = (_table_inverse(l, f, g) if table else column_witness(_inverse_sides(l, f, g, split), mode) for f, g in orders)
     rb.record_witness("inverse-property", next(filter(None, wits), None))
     return rb.build()
 
@@ -435,27 +442,29 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
     width = n - 1
     span = c**width
     split, dscale = _iterated_columns(l.base, width)
-    dealt, multi, rev = _dealt(split, c, width, width), tensor.power_shape(c, width).multi, digit_reversal(c, width)
+    multi, legs_of, rev = tensor.power_shape(c, width).multi, tensor.power_shape(span, width).multi, digit_reversal(c, width)
+    dealt = [[(legs_of(flat), coeff) for flat, coeff in col] for col in _dealt(split, c, width, width)]
 
     def assemble(op, reverse_vs):
         b, scale = op.columns, op.scale
+        table = [[b[x * span + (rev[leg] if reverse_vs else leg)] for leg in range(span)] for x in range(c)]  # <x, leg>
         cols = []
-        for u, v in itertools.product(range(span), repeat=2):
-            out = {}
-            for legs, coeff in dealt[v]:
-                heads = (x * span + (rev[leg] if reverse_vs else leg) for x, leg in zip(multi(u), legs))
-                for combo in itertools.product(*(b[k] for k in heads)):
-                    row = flat_index((r for r, _ in combo), c)
-                    out[row] = out.get(row, 0) + math.prod((w for _, w in combo), start=coeff)
-            cols.append(out.items())
+        for u in range(span):
+            rows = [table[x] for x in multi(u)]
+            for v in range(span):
+                out = {}
+                for legs, coeff in dealt[v]:
+                    factors = list(map(list.__getitem__, rows, legs))
+                    for combo in itertools.product(*factors) if all(factors) else ():  # an empty bracket column: no term
+                        row = flat_index((r for r, _ in combo), c)
+                        out[row] = out.get(row, 0) + math.prod((w for _, w in combo), start=coeff)
+                cols.append(out.items())
         scale = (dscale * scale) ** width
         return TensorOperator.from_columns(tensor.power_shape(span, 2), tensor.power_shape(c, width), cols, scale, l.base.mode)
 
     base = tensor_power_coalgebra(l.base, width)
     rack = LinearNRack(base, 2, assemble(l.bracket, False), assemble(l.inv_bracket, True), certified=True)
-    if recheck:
-        confirm(check_linear_nrack(rack))
-    return rack
+    return confirm(rack, check_linear_nrack, recheck)
 
 
 def linear_nrack_from_nleibniz(algebra) -> LinearNRack:
@@ -507,15 +516,16 @@ def nrack_braiding(l: LinearNRack):
     delta, dscale = l.base.delta.columns, l.base.delta.scale
     b, bscale = l.bracket.columns, l.bracket.scale
     ib, iscale = l.inv_bracket.columns, l.inv_bracket.scale
-    fwd, bwd, dealt, rev = [], [], _dealt(delta, c, 2, n - 1), digit_reversal(c, n - 1)
+    fwd, bwd, rev = [], [], digit_reversal(c, n - 1)
+    dealt = [[(*divmod(flat, span), coeff) for flat, coeff in col] for col in _dealt(delta, c, 2, n - 1)]
     for col in range(c**n):  # u_1 = col // span, u_n = col % c
         out = {}
-        for (first, second), coeff in dealt[col % span]:
+        for first, second, coeff in dealt[col % span]:
             for r, w in b[col // span * span + second]:
                 out[first * c + r] = out.get(first * c + r, 0) + coeff * w
         fwd.append(_nonzero(out))
         out = {}
-        for (first, second), coeff in dealt[col // c]:
+        for first, second, coeff in dealt[col // c]:
             for r, w in ib[col % c * span + rev[second]]:
                 out[r * span + first] = out.get(r * span + first, 0) + coeff * w
         bwd.append(_nonzero(out))

@@ -296,10 +296,7 @@ def nbracket_from_leibniz(leib: NLeibnizAlgebra, n: int, recheck: bool = False) 
             acc = leib.bracket_apply([{tpl[0]: one}, acc])
         if acc:
             new[tpl] = acc
-    out = NLeibnizAlgebra(n, leib.dim, new, leib.mode, True)
-    if recheck:
-        confirm(check_fundamental_identity(out))
-    return out
+    return confirm(NLeibnizAlgebra(n, leib.dim, new, leib.mode, True), check_fundamental_identity, recheck)
 
 
 def fundamental_leibniz(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAlgebra:
@@ -332,10 +329,7 @@ def fundamental_leibniz(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAl
                         vec[target] = s
     new = {k: v for k, v in new.items() if v}
     central = None if a.central is None else tensor.tensor_vector([a.central] * (n - 1), shp, a.mode)
-    out_alg = NLeibnizAlgebra(2, shp.total, new, a.mode, True, central)
-    if recheck:
-        confirm(check_fundamental_identity(out_alg))
-    return out_alg
+    return confirm(NLeibnizAlgebra(2, shp.total, new, a.mode, True, central), check_fundamental_identity, recheck)
 
 
 def unit_extension(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
@@ -350,7 +344,4 @@ def unit_extension(a: NLeibnizAlgebra) -> NLeibnizAlgebra:
 def adjoin_unit(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAlgebra:
     """The unit extension k (+) L of a certified algebra, rechecked on ``recheck``."""
     refuse_uncertified(a, "adjoin_unit")
-    out = unit_extension(a)
-    if recheck:
-        confirm(check_fundamental_identity(out))
-    return out
+    return confirm(unit_extension(a), check_fundamental_identity, recheck)

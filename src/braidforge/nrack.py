@@ -183,6 +183,26 @@ def conjugation_nrack(group: FiniteGroup, arity: int) -> FiniteNRack:
 # -- verification ------------------------------------------------------
 
 
+def distributivity_blocks(table, m: int, n: int):
+    """The right translations table[b::m^(n-1)] of an n-ary table on m elements in the flat
+    order of ys; the distinct ones in the order of their first ys; and self-distributivity as
+    block(x_1) = (lhs, rhs), flat lists over (x_2..x_n, j) for the j-th distinct translation:
+    lhs <<xs>, ys>, rhs <<x_1, ys>, <x_2, ys>, ...>, built one x_1 at a time on demand."""
+    ncols = m ** (n - 1)
+    rows = [table[v * ncols : (v + 1) * ncols] for v in range(m)]  # rows[v][b] = <v, ys>
+    translations = [table[b::ncols] for b in range(ncols)]
+    distinct = list(dict.fromkeys(translations))
+    cols = list(zip(*distinct))  # cols[v][j] = <v, ys> at the j-th distinct translation
+    moved = [[0] * len(distinct)]  # moved[r][j]: flat index of (<r_1, ys>, ..., <r_{n-1}, ys>), r_i the digits of r
+    for _ in range(n - 1):
+        moved = [[p * m + v for p, v in zip(row, cols[d])] for row in moved for d in range(m)]
+
+    def block(x1):
+        lhs = list(itertools.chain.from_iterable(map(cols.__getitem__, rows[x1])))
+        return lhs, [rows[v][p] for row in moved for v, p in zip(cols[x1], row)]
+    return translations, distinct, block
+
+
 def check_nrack(t: FiniteNRack) -> VerificationReport:
     """Self-distributivity over all m^(2n-1) tuples, bijectivity of every right
     translation, and the translation-map assignment being a rack homomorphism
@@ -205,22 +225,10 @@ def check_nrack(t: FiniteNRack) -> VerificationReport:
         inner = check_nrack(t.reversed_args())
         return VerificationReport("left-nrack(via reversal)", inner.checks)
     rb = ReportBuilder("nrack")
-    m, n = t.size, t.arity
-    ncols = m ** (n - 1)  # one translation column per ys
-    rows = [t.table[v * ncols : (v + 1) * ncols] for v in range(m)]  # rows[v][b] = <v, ys>
-    translations = [t.table[b::ncols] for b in range(ncols)]
-    # the distinct columns in the order of their first ys; cols[v][j] = <v, ys> at the j-th
-    distinct = list(dict.fromkeys(translations))
-    cols, k = list(zip(*distinct)), len(distinct)
-    # moved[r][j]: flat index of (<r_1, ys>, ..., <r_{n-1}, ys>), r_i the digits of r
-    moved = [[0] * k]
-    for _ in range(n - 1):
-        moved = [[p * m + v for p, v in zip(row, cols[d])] for row in moved for d in range(m)]
-    witness = None
-    for x1, head in enumerate(rows):
-        # block x_1, over (x_2..x_n, ys): lhs <<xs>, ys>, rhs <<x_1, ys>, <x_2, ys>, ...>
-        lhs = list(itertools.chain.from_iterable(map(cols.__getitem__, head)))
-        rhs = [rows[v][p] for row in moved for v, p in zip(cols[x1], row)]
+    m, n, ncols = t.size, t.arity, t.size ** (t.arity - 1)  # one translation column per ys
+    translations, distinct, block = distributivity_blocks(t.table, m, n)
+    k, witness = len(distinct), None
+    for x1, (lhs, rhs) in enumerate(map(block, range(m))):
         if lhs != rhs:
             c = next(c for c, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             b = translations.index(distinct[c % k])
@@ -267,10 +275,7 @@ def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> Finite
             acc = r.apply((acc, x))
         return acc
 
-    out = from_function(r.size, arity, op, certified=True)
-    if recheck:
-        confirm(check_nrack(out))
-    return out
+    return confirm(from_function(r.size, arity, op, certified=True), check_nrack, recheck)
 
 
 def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> FiniteNRack:
@@ -299,10 +304,7 @@ def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> 
     def op(*args):
         return r.apply((args[0], b.apply(args[1:])))
 
-    out = from_function(m, b.arity + 1, op, certified=True)
-    if recheck:
-        confirm(check_nrack(out))
-    return out
+    return confirm(from_function(m, b.arity + 1, op, certified=True), check_nrack, recheck)
 
 
 def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) -> FiniteNRack:
@@ -331,10 +333,7 @@ def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) 
         head = rm.apply(args[: rm.arity])
         return rn.apply((head,) + args[rm.arity :])
 
-    out = from_function(m, rm.arity + rn.arity - 1, op, certified=True)
-    if recheck:
-        confirm(check_nrack(out))
-    return out
+    return confirm(from_function(m, rm.arity + rn.arity - 1, op, certified=True), check_nrack, recheck)
 
 
 def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRack:
@@ -359,10 +358,7 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     translations = [t.table[b::ncols] for b in range(ncols)]
     tuples = itertools.product(range(m), repeat=width)
     table = [flat_index([tr[x] for x in head], m) for head in tuples for tr in translations]
-    out = FiniteNRack(carrier, k, tuple(table), RIGHT, True)
-    if recheck:
-        confirm(check_nrack(out))
-    return out
+    return confirm(FiniteNRack(carrier, k, tuple(table), RIGHT, True), check_nrack, recheck)
 
 
 # -- vector n-racks from n-Leibniz algebras ----------------------------

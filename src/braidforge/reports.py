@@ -84,9 +84,9 @@ def column_witness(columns, mode: str):
     return None if best is None else {"row": best[0], "col": best[1]}
 
 
-def list_witness(lhs, rhs, diff, offset: int = 0):
+def list_witness(lhs, rhs, diff):
     """``column_witness`` of sides with one entry per column, given as row
-    lists that differ where diff holds, at min(lhs[c], rhs[c]); col offset + c."""
+    lists that differ where diff holds, at min(lhs[c], rhs[c])."""
     if not any(diff):
         return None
     row, col = min(min(itertools.compress(ys, diff)) for ys in (lhs, rhs)), len(diff)
@@ -96,7 +96,7 @@ def list_witness(lhs, rhs, diff, offset: int = 0):
             while not diff[c]:
                 c = ys.index(row, c + 1, col)
             col = c
-    return {"row": row, "col": offset + col}
+    return {"row": row, "col": col}
 
 
 def refuse_uncertified(obj, what: str):
@@ -117,10 +117,12 @@ def certified(obj, check, failure: str):
     return replace(obj, certified=True)
 
 
-def confirm(report: VerificationReport):
-    """The recheck of a theorem-certified output: its law report must pass."""
-    if not report.passed:
+def confirm(obj, check, recheck: bool):
+    """A theorem-certified output obj, whose law report ``check(obj)`` must
+    pass first when ``recheck`` asks for it."""
+    if recheck and not (report := check(obj)).passed:
         raise VerdictDisagreementError("a theorem-certified construction failed its recheck", report.witness)
+    return obj
 
 
 def difference_witness(a, b):

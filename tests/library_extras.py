@@ -130,10 +130,7 @@ def extend_bracket_by_leibniz(leib, b, recheck: bool = False):
         raise VerdictDisagreementError(
             "extension passed its preconditions but fails the fundamental identity"
         )
-    out = out.as_certified()
-    if recheck:
-        confirm(check_fundamental_identity(out))
-    return out
+    return confirm(out.as_certified(), check_fundamental_identity, recheck)
 
 
 def is_homomorphism(a, b, phi):

@@ -117,18 +117,8 @@ MUTANTS = [
     Mutant(
         "nrack-all-blocks-at-once",
         NRACK,
-        """    for x1, head in enumerate(rows):
-        # block x_1, over (x_2..x_n, ys): lhs <<xs>, ys>, rhs <<x_1, ys>, <x_2, ys>, ...>
-        lhs = list(itertools.chain.from_iterable(map(cols.__getitem__, head)))
-        rhs = [rows[v][p] for row in moved for v, p in zip(cols[x1], row)]
-""",
-        """    blocks = [
-        (list(itertools.chain.from_iterable(map(cols.__getitem__, head))),
-         [rows[v][p] for row in moved for v, p in zip(cols[x1], row)])
-        for x1, head in enumerate(rows)
-    ]
-    for x1, (lhs, rhs) in enumerate(blocks):
-""",
+        "    for x1, (lhs, rhs) in enumerate(map(block, range(m))):\n        if lhs != rhs:\n            c = next",
+        "    for x1, (lhs, rhs) in enumerate([block(x) for x in range(m)]):\n        if lhs != rhs:\n            c = next",
         ("tests/test_nrack.py::test_check_nrack_memory_stays_blocked_on_distinct_translations",),
         "killed",
     ),
@@ -349,6 +339,46 @@ MUTANTS = [
         'return min(found, key=operator.itemgetter("row", "col"), default=None)',
         "return next(iter(found), None)",
         LINEAR_TABLE_TESTS + ("tests/test_linrack.py::test_tables_on_a_set_coalgebra_skip_the_streamed_laws",),
+        "killed",
+    ),
+    Mutant(
+        "linear-table-column-at-the-distinct-index",
+        LINRACK,
+        '"col": (x1 * span + wit["col"] // k) * span + first[wit["col"] % k]',
+        '"col": (x1 * span + wit["col"] // k) * span + wit["col"] % k',
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "sweedler-term-drops-a-leg",
+        LINRACK,
+        "        for tr in trs:\n",
+        "        for tr in trs[1:]:\n",
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "distributivity-yields-the-lhs-columns-only",
+        LINRACK,
+        "for xs in lhs.keys() | rhs.keys():",
+        "for xs in lhs:",
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "coproduct-column-stops-at-an-empty-first-column",
+        LINRACK,
+        "            if not b[first] or not b[second]:\n                continue\n",
+        "            if not b[first]:\n                break\n            if not b[second]:\n                continue\n",
+        LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "counit-column-skipped-with-its-bracket-column",
+        LINRACK,
+        "if eps or b[col]:",
+        "if b[col]:",
+        LINEAR_TABLE_TESTS,
         "killed",
     ),
 ]

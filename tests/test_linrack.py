@@ -240,6 +240,22 @@ def _one_sided_float_inverse():
 # a linearized table whose x_1 = 0 block fails first at row 1 and whose x_1 = 1
 # block fails at row 0: the witness is (0, 13), not the first failing block's (1, 4)
 LATER_BLOCK_TABLE = (3, 2, [0, 2, 0, 1, 0, 1, 2, 1, 2], [0, 1, 0, 1, 2, 1, 2, 0, 2])
+# a linearized table with the translations A, A, B, B at ys = 0..3: the first
+# failure is at column 2 (ys = 2, the first ys of B, which fails again at
+# ys = 3), where B is the second distinct translation
+REPEATED_TRANSLATION_TABLE = (2, 3, [0, 0, 1, 1, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1])
+
+
+def _tensor_power_of_kplus(bracket, mode):
+    """The tensor-power rack of the ternary k (+) L rack of a dim-2 bracket,
+    built whether or not the bracket's laws hold.  A bracket with a key at
+    every trailing pair makes 5 of its 9 translations nonzero, the most
+    k (+) L allows; a nilpotent one leaves 2."""
+    l = lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(3, 2, bracket, mode))
+    return lr.linear_rack_on_tensor_power(replace(l, certified=True))
+
+
+DENSE_BRACKET = {(0, 0, 0): {1: ONE}, (1, 0, 1): {0: ONE}, (0, 1, 0): {0: -ONE, 1: ONE}, (1, 1, 1): {0: 2 * ONE}}
 
 
 def _matrix_coalgebra(mode):
@@ -347,6 +363,10 @@ def linear_nracks(draw):
 @example(_with_bracket_entry(lr.linearize_nrack(nr.conjugation_nrack(cyclic_group(3), 2)), 5, 2))  # not a table: falls through
 @example(_rescaled(_from_table(*LATER_BLOCK_TABLE, sc.EXACT), [2, 2, 2]))  # Delta e_x = e_x (x) e_x / 2: falls through
 @example(_one_sided_float_inverse())
+@example(_from_table(*REPEATED_TRANSLATION_TABLE, sc.EXACT))
+@example(_tensor_power_of_kplus({(0, 0, 0): {1: 0.5}}, sc.FLOAT))  # nilpotent: most translations are zero
+@example(_tensor_power_of_kplus(DENSE_BRACKET, sc.EXACT))  # not nilpotent: the translations are dense
+@example(lr.linear_nrack_from_nleibniz(nl.NLeibnizAlgebra(2, 2, {(1, 0): {0: ONE}})))  # fails at column 25, where the lhs is zero
 def test_check_linear_nrack_matches_the_matrix_identities(l):
     want, borderline, pairs = _matrix_report(l)
     got = _without_times(lr.check_linear_nrack(l))
@@ -355,13 +375,20 @@ def test_check_linear_nrack_matches_the_matrix_identities(l):
         assert [c["name"] for c in got["checks"]] == [c["name"] for c in want["checks"]]
         return
     assert got == want
+    if not pairs:  # a failing base coalgebra: its report is the whole answer
+        return
     # a witness is one differing entry; the kernel's sides must differ at exactly the same entries
+    split, deal = (lr._dealt(l.base.delta.columns, l.base.dim, 2, k) for k in (l.arity - 1, l.arity))
     kernels = [
+        lr._coproduct_sides(l, l.bracket, deal),
+        lr._coproduct_sides(l, l.inv_bracket, deal),
+        lr._counit_sides(l, l.bracket),
+        lr._counit_sides(l, l.inv_bracket),
         lr._distributivity_sides(l),
-        lr._inverse_sides(l, l.bracket, l.inv_bracket),
-        lr._inverse_sides(l, l.inv_bracket, l.bracket),
+        lr._inverse_sides(l, l.bracket, l.inv_bracket, split),
+        lr._inverse_sides(l, l.inv_bracket, l.bracket, split),
     ]
-    for (name, lhs, rhs), sides in zip(pairs[-3:], kernels):
+    for (name, lhs, rhs), sides in zip(pairs, kernels, strict=True):
         assert _support(l, sides) == _matrix_support(l, lhs, rhs), name
 
 
