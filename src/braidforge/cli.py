@@ -192,7 +192,9 @@ def _b_adjoin(obj, ctx):
 
 @_construction("nrack-from-nleibniz", nleibniz.NLeibnizAlgebra)
 def _b_vector_nrack(obj, ctx):
-    nrack.nrack_from_nleibniz(obj)  # raises unless the grid validation passes
+    if ctx.recheck:  # the grid walk: d basis x_1 times g^(2n-2) grid tuples, g = d(d+1)/2
+        setsol.check_dim_cap(obj.dim * (obj.dim * (obj.dim + 1) // 2) ** (2 * obj.arity - 2), ctx.dim_cap)
+    nrack.nrack_from_nleibniz(obj, ctx.recheck)  # raises unless every basis exponential exists
     return obj
 
 
@@ -208,7 +210,7 @@ def _b_nrack_from_rack(obj, ctx):
 
 @_construction("rack-from-nrack", nrack.FiniteNRack)
 def _b_induced_rack(obj, ctx):
-    return nrack.krack_from_power(obj, 2)
+    return nrack.krack_from_power(obj, 2, ctx.recheck)
 
 
 @_construction("linearize", nrack.FiniteNRack, linrack.require_right_side)

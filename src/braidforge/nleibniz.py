@@ -32,9 +32,9 @@ def _clean_vector(vec, mode, dim: int, what: str):
     for j, v in vec.items():
         v = scalars.coerce(v, mode)
         if v != 0:
-            if not 0 <= int(j) < dim:
+            if not 0 <= (j := scalars.as_int(j)) < dim:
                 raise SchemaError(f"{what} out of range for dim {dim}")
-            out[int(j)] = v
+            out[j] = v
     return out
 
 
@@ -66,7 +66,7 @@ class NLeibnizAlgebra:
         scalars.check_mode(self.mode)
         clean = {}
         for key, out in self.bracket.items():
-            key = tuple(int(i) for i in key)
+            key = tuple(map(scalars.as_int, key))
             if len(key) != self.arity:
                 raise SchemaError(f"bracket key {key} has wrong arity")
             if any(not 0 <= i < self.dim for i in key):
@@ -217,9 +217,8 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
 # -- adjoints and exponentials ----------------------------------------
 
 
-def ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
-    """The right translation x -> [x, y_1, ..., y_{n-1}] as a dim x dim matrix,
-    in ``mode`` (the algebra's by default)."""
+def ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
+    """The right translation x -> [x, y_1, ..., y_{n-1}] as a dim x dim matrix."""
     ys = [dict(y) for y in ys]
     if len(ys) != a.arity - 1:
         raise SchemaError(f"ad needs {a.arity - 1} vectors, got {len(ys)}")
@@ -237,8 +236,7 @@ def ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
         for j, c in out.items():
             entries[(j, key[0])] = entries.get((j, key[0]), 0) + factor * c
     shp = TensorShape((a.dim,))
-    mode = mode or a.mode
-    return TensorOperator(shp, shp, entries, mode, validate=mode != a.mode)
+    return TensorOperator(shp, shp, entries, a.mode, validate=False)
 
 
 def bracket_operator(a: NLeibnizAlgebra) -> TensorOperator:
@@ -252,18 +250,15 @@ def bracket_operator(a: NLeibnizAlgebra) -> TensorOperator:
     return TensorOperator(dom, TensorShape((a.dim,)), entries, a.mode, validate=False)
 
 
-def exp_ad(a: NLeibnizAlgebra, ys, mode=None) -> TensorOperator:
-    """exp of the adjoint at ys.
+def exp_ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
+    """exp of the adjoint at ys, in the algebra's mode.
 
     Exact mode demands that this particular adjoint be nilpotent (its
     dim-th power vanishes); float mode truncates the series at term
     < 1e-12 or 64 terms.
     """
-    mode = mode or a.mode
-    if mode == scalars.EXACT and a.mode != scalars.EXACT:
-        raise SchemaError("exact exp requires an exact-mode algebra")
-    m = ad(a, ys, mode)
-    return tensor.exp_nilpotent(m) if mode == scalars.EXACT else tensor.exp_float(m)
+    m = ad(a, ys)
+    return tensor.exp_nilpotent(m) if a.mode == scalars.EXACT else tensor.exp_float(m)
 
 
 # -- constructions -----------------------------------------------------
@@ -322,12 +317,7 @@ def fundamental_leibniz(a: NLeibnizAlgebra, recheck: bool = False) -> NLeibnizAl
                 vec = new.setdefault((xflat, yflat), {})
                 for j, c in out.items():
                     target = shp.flat(xs[:slot] + (j,) + xs[slot + 1 :])
-                    s = vec.get(target, scalars.zero(a.mode)) + c
-                    if s == 0:
-                        vec.pop(target, None)
-                    else:
-                        vec[target] = s
-    new = {k: v for k, v in new.items() if v}
+                    vec[target] = vec.get(target, 0) + c
     central = None if a.central is None else tensor.tensor_vector([a.central] * (n - 1), shp, a.mode)
     return confirm(NLeibnizAlgebra(2, shp.total, new, a.mode, True, central), check_fundamental_identity, recheck)
 

@@ -23,7 +23,6 @@ from .errors import (
     PreconditionError,
     SchemaError,
     SeriesNotConvergedError,
-    VerdictDisagreementError,
 )
 from .nleibniz import NLeibnizAlgebra, exp_ad, fundamental_leibniz
 from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
@@ -367,19 +366,19 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
 @dataclass(frozen=True)
 class VectorNRack:
     """The n-rack <x_1..x_n> = exp(ad_{x_2..x_n})(x_1) on the space of a
-    certified n-Leibniz algebra.
+    certified n-Leibniz algebra, in the algebra's scalar mode (a float
+    rack comes from the algebra in float mode).
 
-    Universal validation would need symbolic coefficients, so
-    self-distributivity is certified on a deterministic sample grid:
-    all basis vectors plus all sums of two distinct basis vectors.
+    It is an n-rack by the theorem, wherever the exponentials exist;
+    `validate_vector_nrack` re-walks self-distributivity on a deterministic
+    sample grid: all basis vectors plus all sums of two distinct ones.
     """
 
     algebra: NLeibnizAlgebra
-    mode: str = scalars.EXACT
-    _exp_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _exp_cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def sample_grid(self):
-        one = scalars.one(self.mode)
+        one = scalars.one(self.algebra.mode)
         d = self.algebra.dim
         grid = [{i: one} for i in range(d)]
         grid += [{i: one, j: one} for i in range(d) for j in range(i + 1, d)]
@@ -389,7 +388,7 @@ class VectorNRack:
         key = tuple(tuple(sorted(y.items())) for y in ys)
         hit = self._exp_cache.get(key)
         if hit is None:
-            hit = exp_ad(self.algebra, ys, self.mode)
+            hit = exp_ad(self.algebra, ys)
             self._exp_cache[key] = hit
         return hit
 
@@ -401,26 +400,23 @@ class VectorNRack:
 
 
 
-def nrack_from_nleibniz(a: NLeibnizAlgebra, mode=None) -> VectorNRack:
-    """Build and grid-validate the vector n-rack of a certified algebra.
+def nrack_from_nleibniz(a: NLeibnizAlgebra, recheck: bool = False) -> VectorNRack:
+    """The vector n-rack of a certified algebra, an n-rack by the theorem
+    (each ad_ys is a derivation, so its exponential is an automorphism);
+    ``recheck`` walks the sample grid with `validate_vector_nrack`.
 
     Every basis adjoint needs an exponential: a nilpotent one in exact
     mode, a convergent series in float mode.
     """
     refuse_uncertified(a, "nrack_from_nleibniz")
-    rack = VectorNRack(a, mode or a.mode)
-    one = scalars.one(rack.mode)
+    rack = VectorNRack(a)
+    one = scalars.one(a.mode)
     for key in itertools.product(range(a.dim), repeat=a.arity - 1):
         try:
             rack._exp_at([{i: one} for i in key])
         except _NO_EXP as exc:
             raise type(exc)(f"basis adjoint at {key}: {exc}") from None
-    report = validate_vector_nrack(rack)
-    if not report.passed:
-        raise VerdictDisagreementError(
-            "vector n-rack failed self-distributivity on the sample grid", report.witness
-        )
-    return rack
+    return confirm(rack, validate_vector_nrack, recheck)
 
 
 def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
@@ -447,7 +443,7 @@ def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
         except _NO_EXP:
             skipped += 1
             continue
-        if first_difference(lhs, rhs, rack.mode) is not None:
+        if first_difference(lhs, rhs, a.mode) is not None:
             ok, witness = False, {"grid-tuple": list(tpl)}
             break
     rb.record("self-distributivity-on-grid", ok, witness)
@@ -458,7 +454,7 @@ def validate_vector_nrack(rack: VectorNRack) -> VerificationReport:
     return rb.build()
 
 
-def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport:
+def verify_tensor_embedding(a: NLeibnizAlgebra) -> VerificationReport:
     """Check that the pure-tensor map (x_1..x_{n-1}) -> x_1 (x) ... (x) x_{n-1}
     carries the componentwise vector n-rack action to the rack of the
     induced Leibniz bracket on the tensor power, on the sample grid.
@@ -470,8 +466,7 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
     all ys, then the first ys that differs there.
     """
     refuse_uncertified(a, "verify_tensor_embedding")
-    mode = mode or a.mode
-    rack = VectorNRack(a, mode)
+    rack = VectorNRack(a)
     fund = fundamental_leibniz(a)
     width = a.arity - 1
     shp = tensor.power_shape(a.dim, width)
@@ -482,11 +477,11 @@ def verify_tensor_embedding(a: NLeibnizAlgebra, mode=None) -> VerificationReport
         ys = [grid[i] for i in yi]
         try:
             lhs = tensor.tensor_many([rack._exp_at(ys)] * width)
-            rhs = exp_ad(fund, [tensor.tensor_vector(ys, shp, mode)], mode)
+            rhs = exp_ad(fund, [tensor.tensor_vector(ys, shp, a.mode)])
         except _NO_EXP:
             continue
         by_column = [{(c, r): v for (r, c), v in op.entries.items()} for op in (lhs, rhs)]
-        key = first_difference(*by_column, mode)
+        key = first_difference(*by_column, a.mode)
         if key is not None and (best is None or key[0] < best[0]):
             best = key[0], yi
             if key[0] == 0:  # no later ys can fail at a smaller column

@@ -45,7 +45,7 @@ class TensorShape:
     factor_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.factor_dims)
+        dims = tuple(map(scalars.as_int, self.factor_dims))
         object.__setattr__(self, "factor_dims", dims)
         if not dims:
             raise SchemaError("a tensor shape needs at least one factor")
@@ -350,7 +350,7 @@ def identity(shp: TensorShape, mode=scalars.EXACT) -> TensorOperator:
 
 
 def _check_permutation(perm, k):
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(map(scalars.as_int, perm))
     if sorted(perm) != list(range(k)):
         raise SchemaError(f"{perm} is not a permutation of {k} factor positions")
     return perm

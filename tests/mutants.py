@@ -80,6 +80,7 @@ INT_RULE_TESTS = (
     "tests/test_setsol.py::test_set_map_images_are_refused_not_truncated",
     "tests/test_nrack.py::test_table_values_are_refused_not_truncated",
 )
+RECHECK_TESTS = ("tests/test_cli.py::test_failed_recheck_of_a_rack_construction_prints_its_message",)
 
 MUTANTS = [
     Mutant(
@@ -379,6 +380,41 @@ MUTANTS = [
         "if eps or b[col]:",
         "if b[col]:",
         LINEAR_TABLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "vector-nrack-recheck-dropped",
+        NRACK,
+        "return confirm(rack, validate_vector_nrack, recheck)",
+        "return rack",
+        RECHECK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "vector-nrack-basis-exponentials-skipped",
+        NRACK,
+        "            rack._exp_at([{i: one} for i in key])\n",
+        "            pass\n",
+        (
+            "tests/test_nrack.py::test_vector_nrack_requires_nilpotent_basis_adjoints",
+            "tests/test_nrack.py::test_adjoint_without_exponential_is_refused_at_the_basis_and_skipped_on_the_grid",
+        ),
+        "killed",
+    ),
+    Mutant(
+        "rack-from-nrack-recheck-dropped",
+        CLI,
+        "return nrack.krack_from_power(obj, 2, ctx.recheck)",
+        "return nrack.krack_from_power(obj, 2)",
+        RECHECK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "nleibniz-key-read-with-int",
+        NLEIBNIZ,
+        "key = tuple(map(scalars.as_int, key))",
+        "key = tuple(map(int, key))",
+        ("tests/test_nleibniz.py::test_bracket_indices_are_refused_not_truncated",),
         "killed",
     ),
 ]

@@ -139,6 +139,52 @@ def test_failed_recheck_prints_its_message(capsys, monkeypatch, tmp_path):
     assert info.value.witness == {"tuple": [0, 0, 0]}
 
 
+def test_failed_recheck_of_a_rack_construction_prints_its_message(capsys, monkeypatch, tmp_path, t3_doc, conj3):
+    # both constructions are certified by a theorem, so they walk their laws only under --recheck
+    failing = ReportBuilder("nrack")
+    failing.record("self-distributivity", False, {"tuple": [0, 0, 0]})
+    monkeypatch.setattr(nr, "check_nrack", lambda t: failing.build())
+    monkeypatch.setattr(nr, "validate_vector_nrack", lambda rack: failing.build())
+    conj = write(tmp_path, "conj.json", ser.to_document(conj3))
+    for construction, src in (("rack-from-nrack", conj), ("nrack-from-nleibniz", t3_doc)):
+        assert run(capsys, "build", construction, src)[0] == 0, construction
+        code, out, err = run(capsys, "build", construction, src, "--recheck")
+        assert (code, out) == (1, ""), construction
+        assert err == "error: a theorem-certified construction failed its recheck\n"
+
+
+def test_the_vector_rack_recheck_is_capped_on_its_grid_walk(capsys, tmp_path, monkeypatch):
+    # the walk runs x_1 over the d basis vectors and 2n-2 arguments over the g = d(d+1)/2 grid points
+    big = write(tmp_path, "big.json", ser.to_document(zero_algebra(6, 2)))  # 2 * 3^10 = 118098 tuples
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "64")
+    assert run(capsys, "build", "nrack-from-nleibniz", big)[0] == 0
+    code, out, err = run(capsys, "build", "nrack-from-nleibniz", big, "--recheck")
+    assert (code, out) == (3, "") and err.startswith("cap exceeded:")
+    small = write(tmp_path, "small.json", ser.to_document(zero_algebra(2, 2)))  # 2 * 3^2 = 18 tuples
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "17")
+    assert run(capsys, "build", "nrack-from-nleibniz", small, "--recheck")[0] == 3
+    assert run(capsys, "build", "nrack-from-nleibniz", small, "--recheck", "--allow-large")[0] == 0
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "18")
+    assert run(capsys, "build", "nrack-from-nleibniz", small, "--recheck")[0] == 0
+
+
+def test_build_the_braidings_of_an_algebra_and_the_descent_of_a_set_solution(capsys, tmp_path, t3_doc, conj3):
+    # T3 is ternary on k^3: R1 acts on (k (+) k^(3^2))^(x)2, R2 on ((k (+) k^3)^(x)2)^(x)2
+    for construction, shape in (("r1", [10, 10]), ("r2", [16, 16])):
+        path = str(tmp_path / f"{construction}.json")
+        assert run(capsys, "build", construction, t3_doc, "-o", path)[0] == 0
+        doc = json.loads(open(path).read())
+        assert (doc["kind"], doc["shape"], doc["codomain_shape"]) == ("operator", shape, shape)
+        assert run(capsys, "verify", "ybe", path)[0] == 0, construction
+    code, out, _ = run(capsys, "build", "eta", t3_doc)
+    doc = json.loads(out)
+    assert code == 0 and (doc["kind"], doc["shape"], doc["codomain_shape"]) == ("operator", [10], [16])
+    sol = write(tmp_path, "sol.json", ser.to_document(ss.solution_from_nrack(conj3)))
+    code, out, _ = run(capsys, "build", "solution-from-nsolution", sol)
+    doc = json.loads(out)
+    assert code == 0 and (doc["kind"], doc["size"], doc["arity"]) == ("set_map", 36, 2)
+
+
 def test_check_group(capsys, tmp_path, s3):
     path = write(tmp_path, "s3.json", ser.group_to_document(s3))
     code, out, _ = run(capsys, "check", path)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -236,7 +237,7 @@ def test_exp_ad_non_nilpotent_exact_fails_float_works():
     alg = nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}))
     with pytest.raises(NotNilpotentError):
         nl.exp_ad(alg, [basis(1)])
-    e = nl.exp_ad(alg, [basis(1)], mode="float")
+    e = nl.exp_ad(replace(alg, mode="float"), [basis(1)])
     assert abs(e.entries[(0, 0)] - math.e) < 1e-9
     assert abs(e.entries[(1, 1)] - 1.0) < 1e-12
 
@@ -252,6 +253,25 @@ def test_nbracket_zero_stays_zero():
 def test_nbracket_a3_collapses(a3):
     out = nl.nbracket_from_leibniz(a3, 3, recheck=True)
     assert out.bracket == {}
+
+
+def test_nbracket_of_a_non_nilpotent_lie_algebra():
+    # [e_0, e_1] = e_0 = -[e_1, e_0]: ad_{e_1} scales e_0, and only e_1 moves e_0,
+    # so [x_1, {x_2, x_3}] lives on x_1 = e_1 over the two orders of (e_0, e_1)
+    lie = nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}, (1, 0): {0: -1}})
+    assert nl.nbracket_from_leibniz(lie, 3, recheck=True).bracket == {(1, 0, 1): {0: -1}, (1, 1, 0): {0: 1}}
+    assert nl.nbracket_from_leibniz(lie, 4, recheck=True).bracket == {(1, 1, 0, 1): {0: 1}, (1, 1, 1, 0): {0: -1}}
+
+
+def test_bracket_indices_are_refused_not_truncated():
+    for bracket in ({(0.7, 1): {1: 1}}, {(True, 0): {0: 1}}, {(0, 1): {1.9: 1}}, {(0, 1): {"1": 1}}):
+        with pytest.raises(SchemaError):
+            nl.NLeibnizAlgebra(2, 2, bracket)
+    with pytest.raises(SchemaError):
+        nl.NLeibnizAlgebra(2, 2, {}, central={0.5: 1})
+    # integral numbers of any type are read as ints
+    a = nl.NLeibnizAlgebra(2, 2, {(0.0, Fraction(1)): {1.0: 1}}, central={Fraction(0): 1})
+    assert a.bracket == {(0, 1): {1: 1}} and a.central == {0: 1}
 
 
 def test_nbracket_n2_is_input(a3):

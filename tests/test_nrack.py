@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -486,18 +488,23 @@ def test_adjoint_without_exponential_is_refused_at_the_basis_and_skipped_on_the_
     with pytest.raises(error) as exc:
         nr.nrack_from_nleibniz(alg)
     assert isinstance(exc.value, PreconditionError)  # an input error, exit 2
-    report = nr.validate_vector_nrack(nr.VectorNRack(alg, mode))
+    report = nr.validate_vector_nrack(nr.VectorNRack(alg))
     assert report.passed and report.checks[-1].status == "skipped"
     assert nr.verify_tensor_embedding(alg).passed
 
 
 def test_vector_nrack_float_mode():
     alg = nl.certify(nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}))
-    v = nr.nrack_from_nleibniz(alg, mode="float")
+    v = nr.nrack_from_nleibniz(replace(alg, mode="float"))
     out = v.op([{0: 1.0}, {1: 1.0}])
-    import math
-
     assert abs(out[0] - math.e) < 1e-9
+
+
+def test_a_vector_nrack_takes_its_mode_from_its_algebra():
+    alg = nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1}}, "float", certified=True)
+    assert abs(nr.VectorNRack(alg).op([{0: 1.0}, {1: 1.0}])[0] - math.e) < 1e-9
+    with pytest.raises(TypeError):  # the exponential cache is no constructor argument
+        nr.VectorNRack(alg, "float")
 
 
 def test_vector_nrack_homomorphism_functoriality(t3):
@@ -567,10 +574,10 @@ COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]
 def vector_brackets(draw):
     """(algebra, mode): a hand-picked skipping bracket, or a random one of
     arity 2-4 on a dimension small enough for the grid loops, certified
-    when it passes the fundamental identity."""
+    when it passes the fundamental identity, in the drawn mode."""
     mode = draw(st.sampled_from(["exact", "exact", "float"]))
     if draw(st.integers(0, 3)) == 0:
-        return draw(st.sampled_from(SKIPPING)), mode
+        return replace(draw(st.sampled_from(SKIPPING)), mode=mode), mode
     n = draw(st.integers(2, 4))
     d = draw(st.integers(1, 3 if n == 2 else 2))
     keys = st.tuples(*[st.integers(0, d - 1)] * n)
@@ -578,7 +585,7 @@ def vector_brackets(draw):
     a = nl.NLeibnizAlgebra(n, d, {key: {j: c} for key, j, c in entries})
     if nl.check_fundamental_identity(a).passed:
         a = a.as_certified()
-    return a, mode
+    return replace(a, mode=mode), mode
 
 
 def _outcome(check, *args):
@@ -604,7 +611,7 @@ def _agree(new, old, mode):
 @given(vector_brackets())
 def test_validate_vector_nrack_matches_grid_loop(case):
     a, mode = case
-    rack = nr.VectorNRack(a, mode)
+    rack = nr.VectorNRack(a)
     new = _outcome(nr.validate_vector_nrack, rack)
     _agree(new, _outcome(vector_rack_oracle.validate_vector_nrack, rack), mode)
 
@@ -623,10 +630,10 @@ def test_verify_tensor_embedding_matches_grid_loop(case, data):
     bracket = {k: dict(v) for k, v in fund.bracket.items()}
     for i, j, k in extra:
         bracket.setdefault((i, j), {})[k] = ONE
-    perturbed = nl.NLeibnizAlgebra(2, d, bracket, certified=True)
+    perturbed = nl.NLeibnizAlgebra(2, d, bracket, mode, certified=True)
     with mock.patch.object(nr, "fundamental_leibniz", lambda a, recheck=False: perturbed):
-        new = _outcome(nr.verify_tensor_embedding, a, mode)
-        _agree(new, _outcome(vector_rack_oracle.verify_tensor_embedding, a, mode), mode)
+        new = _outcome(nr.verify_tensor_embedding, a)
+        _agree(new, _outcome(vector_rack_oracle.verify_tensor_embedding, a), mode)
 
 
 def test_validate_vector_nrack_counts_the_skips_of_the_whole_grid():

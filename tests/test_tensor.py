@@ -73,6 +73,13 @@ def test_shape_rejects_nonpositive():
         T.shape(2, 0)
 
 
+def test_shape_dims_are_refused_not_truncated():
+    for dims in ((2.5, True), (2, 2.5), (True, 2), ("2",)):
+        with pytest.raises(SchemaError):
+            T.TensorShape(dims)
+    assert T.TensorShape((2.0, Fraction(3))).factor_dims == (2, 3)
+
+
 # -- compose -------------------------------------------------------------
 
 
@@ -231,6 +238,13 @@ def test_permutation_composition_law(p1, p2):
 def test_permutation_rejects_non_permutation():
     with pytest.raises(SchemaError):
         T.permutation_operator(T.power_shape(2, 3), (0, 0, 1))
+
+
+def test_permutation_entries_are_refused_not_truncated():
+    for perm in ((1.2, 0.4), (True, 0), ("1", "0")):
+        with pytest.raises(SchemaError):
+            T.permutation_operator(T.power_shape(2, 2), perm)
+    assert T.permutation_operator(T.power_shape(2, 2), (1.0, 0)) == T.permutation_operator(T.power_shape(2, 2), (1, 0))
 
 
 def test_permute_codomain_matches_operator():

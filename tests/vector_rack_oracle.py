@@ -34,7 +34,7 @@ def validate_vector_nrack(rack):
         except (NotNilpotentError, SeriesNotConvergedError):
             skipped += 1
             continue
-        if first_difference(lhs, rhs, rack.mode) is not None:
+        if first_difference(lhs, rhs, rack.algebra.mode) is not None:
             ok, witness = False, {"grid-tuple": list(tpl)}
             break
     rb.record("self-distributivity-on-grid", ok, witness)
@@ -43,9 +43,9 @@ def validate_vector_nrack(rack):
     return rb.build()
 
 
-def verify_tensor_embedding(a, mode=None):
-    mode = mode or a.mode
-    rack = nrack.VectorNRack(a, mode)
+def verify_tensor_embedding(a):
+    mode = a.mode
+    rack = nrack.VectorNRack(a)
     fund = nrack.fundamental_leibniz(a)
     shp = tensor.power_shape(a.dim, a.arity - 1)
     rb = ReportBuilder("tensor-embedding")
@@ -62,7 +62,7 @@ def verify_tensor_embedding(a, mode=None):
                 lhs = tensor.tensor_vector(moved, shp, mode)
                 e = fund_exp_cache.get(yi)
                 if e is None:
-                    big = ad(fund, [tensor.tensor_vector(ys, shp, mode)], mode)
+                    big = ad(fund, [tensor.tensor_vector(ys, shp, mode)])
                     e = tensor.exp_nilpotent(big) if mode == scalars.EXACT else tensor.exp_float(big.to_float())
                     fund_exp_cache[yi] = e
                 rhs = e.apply(tensor.tensor_vector(xs, shp, mode))
