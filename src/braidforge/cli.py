@@ -192,6 +192,7 @@ def _b_adjoin(obj, ctx):
 
 @_construction("nrack-from-nleibniz", nleibniz.NLeibnizAlgebra)
 def _b_vector_nrack(obj, ctx):
+    setsol.check_dim_cap(obj.dim**obj.arity, ctx.dim_cap)  # the d^(n-1) cached exponentials, d x d each
     if ctx.recheck:  # the grid walk: d basis x_1 times g^(2n-2) grid tuples, g = d(d+1)/2
         setsol.check_dim_cap(obj.dim * (obj.dim * (obj.dim + 1) // 2) ** (2 * obj.arity - 2), ctx.dim_cap)
     nrack.nrack_from_nleibniz(obj, ctx.recheck)  # raises unless every basis exponential exists

@@ -82,16 +82,7 @@ class NLeibnizAlgebra:
         """Multilinear evaluation of the bracket on sparse vectors."""
         out = {}
         z = scalars.zero(self.mode)
-        for key, coeffs in self.bracket.items():
-            factor = scalars.one(self.mode)
-            for vec, idx in zip(vectors, key):
-                x = vec.get(idx)
-                if x is None:
-                    factor = None
-                    break
-                factor *= x
-            if factor is None or factor == 0:
-                continue
+        for _, coeffs, factor in _terms(self, vectors, 0):
             for j, c in coeffs.items():
                 s = out.get(j, z) + factor * c
                 if s == 0:
@@ -217,22 +208,29 @@ def is_derivation(a: NLeibnizAlgebra, d_map: TensorOperator) -> VerificationRepo
 # -- adjoints and exponentials ----------------------------------------
 
 
+def _terms(a: NLeibnizAlgebra, vectors, first: int):
+    """(key, out, factor) for each bracket term key -> out, factor the left product of the coefficients
+    in ``vectors`` of its arguments first..; a term stops at its first missing or zero coefficient."""
+    one = scalars.one(a.mode)
+    for key, out in a.bracket.items():
+        factor = one
+        for vec, idx in zip(vectors, key[first:]):
+            x = vec.get(idx)
+            if not x:
+                break
+            factor *= x
+        else:
+            if factor:  # a float product can underflow to zero
+                yield key, out, factor
+
+
 def ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
     """The right translation x -> [x, y_1, ..., y_{n-1}] as a dim x dim matrix."""
     ys = [dict(y) for y in ys]
     if len(ys) != a.arity - 1:
         raise SchemaError(f"ad needs {a.arity - 1} vectors, got {len(ys)}")
     entries = {}
-    for key, out in a.bracket.items():
-        factor = scalars.one(a.mode)
-        for vec, idx in zip(ys, key[1:]):
-            x = vec.get(idx)
-            if x is None:
-                factor = None
-                break
-            factor *= x
-        if factor is None or factor == 0:
-            continue
+    for key, out, factor in _terms(a, ys, 1):
         for j, c in out.items():
             entries[(j, key[0])] = entries.get((j, key[0]), 0) + factor * c
     shp = TensorShape((a.dim,))
@@ -251,14 +249,10 @@ def bracket_operator(a: NLeibnizAlgebra) -> TensorOperator:
 
 
 def exp_ad(a: NLeibnizAlgebra, ys) -> TensorOperator:
-    """exp of the adjoint at ys, in the algebra's mode.
-
-    Exact mode demands that this particular adjoint be nilpotent (its
-    dim-th power vanishes); float mode truncates the series at term
-    < 1e-12 or 64 terms.
-    """
-    m = ad(a, ys)
-    return tensor.exp_nilpotent(m) if a.mode == scalars.EXACT else tensor.exp_float(m)
+    """exp of the adjoint at ys, ``tensor.exp(ad(a, ys))``, in the algebra's
+    mode: exact mode demands that this adjoint be nilpotent, and float mode
+    sums the series up to a term below 1e-12, for at most 64 terms."""
+    return tensor.exp(ad(a, ys))
 
 
 # -- constructions -----------------------------------------------------

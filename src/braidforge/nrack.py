@@ -168,15 +168,10 @@ def symmetric_group(k: int) -> FiniteGroup:
 
 
 def conjugation_nrack(group: FiniteGroup, arity: int) -> FiniteNRack:
-    """<x_1, ..., x_n> = x_n ... x_2 x_1 x_2^{-1} ... x_n^{-1}."""
-
-    def op(*args):
-        acc = args[0]
-        for x in args[1:]:
-            acc = group.mul[group.mul[x][acc]][group.inv[x]]
-        return acc
-
-    return from_function(group.size, arity, op, certified=True)
+    """<x_1, ..., x_n> = x_n ... x_2 x_1 x_2^{-1} ... x_n^{-1}: the fold of the
+    conjugation rack x <| y = y x y^{-1}."""
+    table = tuple(group.mul[group.mul[y][x]][group.inv[y]] for x in range(group.size) for y in range(group.size))
+    return nrack_from_rack(FiniteNRack(group.size, 2, table, RIGHT, True), arity)
 
 
 # -- verification ------------------------------------------------------
@@ -263,26 +258,49 @@ def require_binary(r: FiniteNRack):
         raise SchemaError("nrack_from_rack starts from a binary rack")
 
 
+def _feed(head, r: FiniteNRack) -> tuple:
+    """The flat table of <h(xs), ys>_r for the flat table ``head`` of h: the rows of r in the order of h's values."""
+    ncols = r.size ** (r.arity - 1)
+    rows = [r.table[v * ncols : (v + 1) * ncols] for v in range(r.size)]
+    return tuple(itertools.chain.from_iterable(map(rows.__getitem__, head)))
+
+
+def _non_endomorphism(a: FiniteNRack, b: FiniteNRack):
+    """The first (xs, ys) in lexicographic order where the right translation t_ys of a
+    is not an endomorphism of b, t_ys(b(xs)) != b(t_ys(x_1), ..., t_ys(x_k)), or None."""
+    m, ncols = a.size, a.size ** (a.arity - 1)
+    rows = [a.table[v * ncols : (v + 1) * ncols] for v in range(m)]  # rows[v][ys] = t_ys(v)
+    for i, xs in enumerate(itertools.product(range(m), repeat=b.arity)):
+        moved = [0] * ncols  # moved[ys]: the flat index of (t_ys(x_1), ..., t_ys(x_k))
+        for x in xs:
+            moved = [p * m + v for p, v in zip(moved, rows[x])]
+        lhs, rhs = rows[b.table[i]], tuple(map(b.table.__getitem__, moved))
+        if lhs != rhs:
+            ys = next(ys for ys, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            return xs, tensor.power_shape(m, a.arity - 1).multi(ys)
+    return None
+
+
 def nrack_from_rack(r: FiniteNRack, arity: int, recheck: bool = False) -> FiniteNRack:
-    """Fold a rack into an n-rack: <x_1..x_n> = (...((x_1 <| x_2) <| x_3)...) <| x_n."""
+    """Fold a rack into an n-rack: <x_1..x_n> = (...((x_1 <| x_2) <| x_3)...) <| x_n,
+    the table of r fed into r n-2 times."""
     require_binary(r)
     refuse_uncertified(r, "nrack_from_rack")
-
-    def op(*args):
-        acc = args[0]
-        for x in args[1:]:
-            acc = r.apply((acc, x))
-        return acc
-
-    return confirm(from_function(r.size, arity, op, certified=True), check_nrack, recheck)
+    if arity < 2:
+        raise SchemaError("need arity >= 2")
+    table = r.table
+    for _ in range(arity - 2):
+        table = _feed(table, r)
+    return confirm(FiniteNRack(r.size, arity, table, RIGHT, True), check_nrack, recheck)
 
 
 def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> FiniteNRack:
     """Extend a rack by an equivariant n-ary operation b into the (n+1)-rack
-    <<x_1, ..., x_{n+1}>> = x_1 <| b(x_2, ..., x_{n+1}).
+    <<x_1, ..., x_{n+1}>> = x_1 <| b(x_2, ..., x_{n+1}), read off the two tables.
 
-    Equivariance b(x_1..x_n) <| y = b(x_1 <| y, ..., x_n <| y) is checked
-    on all tuples first.
+    Equivariance b(x_1..x_n) <| y = b(x_1 <| y, ..., x_n <| y), each right
+    translation of r an endomorphism of b, is checked first; the witness
+    is the first failing (xs, y) in lexicographic order.
     """
     if r.arity != 2:
         raise SchemaError("the extending structure must be a binary rack")
@@ -290,49 +308,32 @@ def extend_rack_by_op(r: FiniteNRack, b: FiniteNRack, recheck: bool = False) -> 
         raise SchemaError("rack and operation must share the carrier")
     refuse_uncertified(r, "extend_rack_by_op")
     m = r.size
-    for tpl in itertools.product(range(m), repeat=b.arity + 1):
-        xs, y = tpl[:-1], tpl[-1]
-        lhs = r.apply((b.apply(xs), y))
-        rhs = b.apply(tuple(r.apply((x, y)) for x in xs))
-        if lhs != rhs:
-            raise PreconditionError(
-                "operation is not equivariant under the rack action",
-                {"tuple": list(xs), "y": y, "lhs": lhs, "rhs": rhs},
-            )
-
-    def op(*args):
-        return r.apply((args[0], b.apply(args[1:])))
-
-    return confirm(from_function(m, b.arity + 1, op, certified=True), check_nrack, recheck)
+    if (hit := _non_endomorphism(r, b)) is not None:
+        xs, (y,) = hit
+        lhs, rhs = r.apply((b.apply(xs), y)), b.apply([r.apply((x, y)) for x in xs])
+        raise PreconditionError("operation is not equivariant under the rack action", {"tuple": list(xs), "y": y, "lhs": lhs, "rhs": rhs})
+    table = tuple(r.table[x * m + v] for x in range(m) for v in b.table)
+    return confirm(FiniteNRack(m, b.arity + 1, table, RIGHT, True), check_nrack, recheck)
 
 
 def combine_compatible(rm: FiniteNRack, rn: FiniteNRack, recheck: bool = False) -> FiniteNRack:
     """Merge compatible m-ary and n-ary racks on one carrier into an
-    (m+n-1)-rack <<x_1..x_{m+n-1}>> = <<x_1..x_m>_first, x_{m+1}, ...>_second.
+    (m+n-1)-rack <<x_1..x_{m+n-1}>> = <<x_1..x_m>_first, x_{m+1}, ...>_second,
+    the table of the first fed into the second.
 
-    Compatibility: every right translation of each rack is an
-    automorphism of the other.
+    Compatibility: every right translation of each rack is an automorphism
+    of the other; the witness is the first failing (tuple, translation) in
+    lexicographic order, the first rack's translations checked first.
     """
     if rm.size != rn.size:
         raise SchemaError("racks must share the carrier")
     refuse_uncertified(rm, "combine_compatible")
     refuse_uncertified(rn, "combine_compatible")
-    m = rm.size
     for a, b in ((rm, rn), (rn, rm)):
-        for ys in itertools.product(range(m), repeat=a.arity - 1):
-            tr = a.translation(ys)
-            for xs in itertools.product(range(m), repeat=b.arity):
-                if tr[b.apply(xs)] != b.apply(tuple(tr[x] for x in xs)):
-                    raise PreconditionError(
-                        "translation is not an automorphism of the other rack",
-                        {"translation": list(ys), "tuple": list(xs)},
-                    )
-
-    def op(*args):
-        head = rm.apply(args[: rm.arity])
-        return rn.apply((head,) + args[rm.arity :])
-
-    return confirm(from_function(m, rm.arity + rn.arity - 1, op, certified=True), check_nrack, recheck)
+        if (hit := _non_endomorphism(a, b)) is not None:
+            xs, ys = hit
+            raise PreconditionError("translation is not an automorphism of the other rack", {"translation": list(ys), "tuple": list(xs)})
+    return confirm(FiniteNRack(rm.size, rm.arity + rn.arity - 1, _feed(rm.table, rn), RIGHT, True), check_nrack, recheck)
 
 
 def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRack:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import reports, scalars
@@ -43,6 +43,7 @@ class TensorShape:
     """Ordered factor dimensions of a tensor power."""
 
     factor_dims: tuple
+    total: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(map(scalars.as_int, self.factor_dims))
@@ -56,13 +57,7 @@ class TensorShape:
             total *= d
             if total >= MAX_TOTAL_DIM:
                 raise SchemaError(f"total dimension of {dims} exceeds the 2^31 index cap")
-
-    @property
-    def total(self) -> int:
-        t = 1
-        for d in self.factor_dims:
-            t *= d
-        return t
+        object.__setattr__(self, "total", total)
 
     def __len__(self) -> int:
         return len(self.factor_dims)
@@ -457,42 +452,25 @@ def embed(a: TensorOperator, left: int, right: int, factor_dim: int) -> TensorOp
 # -- exponentials ------------------------------------------------------
 
 
-def exp_nilpotent(a: TensorOperator) -> TensorOperator:
-    """Exact exp of a nilpotent square operator as the finite sum of A^k/k!."""
+def exp(a: TensorOperator) -> TensorOperator:
+    """exp(A) as the sum of the terms A^k/k! up to the first below 1e-12: in
+    exact mode, whose entries are stored as integers, the first zero term,
+    else NotNilpotentError after dim terms; in float mode
+    SeriesNotConvergedError after 64 terms."""
     if not a.is_square():
         raise ShapeMismatchError("exp needs a square operator")
-    if a.mode != scalars.EXACT:
-        raise SchemaError("exp_nilpotent is exact-mode only")
-    n = a.domain_shape.total
-    total = identity(a.domain_shape, a.mode)
-    power = total
-    fact = 1
-    for k in range(1, n + 1):
-        power = power @ a
-        if not power.nnz:
+    exact = a.mode == scalars.EXACT
+    total = term = identity(a.domain_shape, a.mode)
+    for k in range(1, a.domain_shape.total + 1 if exact else 65):
+        term = term @ a
+        if not term.nnz:  # a zero term ends the series before it pays for the scaling
             return total
-        fact *= k
-        total = total + power.scaled(Fraction(1, fact))
-    raise NotNilpotentError(f"operator is not nilpotent (A^{n} != 0)")
-
-
-def exp_float(a: TensorOperator) -> TensorOperator:
-    """Truncated exp series in float mode.
-
-    Stops when the next term's max-abs entry drops below 1e-12; raises
-    SeriesNotConvergedError if the term is still large after 64 terms.
-    """
-    if not a.is_square():
-        raise ShapeMismatchError("exp needs a square operator")
-    a = a.to_float()
-    total = identity(a.domain_shape, scalars.FLOAT)
-    term = total
-    for k in range(1, 65):
-        term = (term @ a).scaled(1.0 / k)
-        top = max((abs(v) for col in term.columns for _, v in col), default=0.0)
-        if top < 1e-12:
+        term = term.scaled(Fraction(1, k) if exact else 1.0 / k)
+        if (top := max(abs(v) for col in term.columns for _, v in col)) < 1e-12:
             return total
         total = total + term
+    if exact:
+        raise NotNilpotentError(f"operator is not nilpotent (A^{k} != 0)")
     raise SeriesNotConvergedError(f"exp series term still {top:.3g} after 64 terms")
 
 

@@ -289,12 +289,12 @@ def eta_intertwiner(a: NLeibnizAlgebra):
     rb.record("injectivity", tensor.column_rank(eta) == wdim)
     bw = bracket_operator(w_central)
     bv = bracket_operator(v_central)
-    wit = difference_witness(eta @ bw, bv @ tensor_many([eta, eta]))
+    ee = eta.tensor(eta)
+    wit = difference_witness(eta @ bw, bv @ ee)
     central = first_difference(eta.apply(w_central.central), v_central.central, mode) is None
     rb.record("central-leibniz-homomorphism", wit is None and central, wit)
     r1 = nyb_from_central_nleibniz(w_central)
     r2 = nyb_from_central_nleibniz(v_central)
-    ee = tensor_many([eta, eta])
     rb.record_witness("intertwining", difference_witness(r2 @ ee, ee @ r1))
     return eta, rb.build()
 

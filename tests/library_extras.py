@@ -92,7 +92,7 @@ def homomorphism_check(a, b, phi) -> bool:
 
 def translation_inverse(rack, ys):
     """exp(-ad_{y_1..y_{n-1}}), the inverse right translation of a vector n-rack (exact mode)."""
-    return T.exp_nilpotent(ad(rack.algebra, ys).scaled(-1))
+    return T.exp(ad(rack.algebra, ys).scaled(-1))
 
 
 def extend_bracket_by_leibniz(leib, b, recheck: bool = False):

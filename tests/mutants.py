@@ -81,6 +81,16 @@ INT_RULE_TESTS = (
     "tests/test_nrack.py::test_table_values_are_refused_not_truncated",
 )
 RECHECK_TESTS = ("tests/test_cli.py::test_failed_recheck_of_a_rack_construction_prints_its_message",)
+EXP_TESTS = (
+    "tests/test_tensor.py::test_exp_matches_the_nilpotent_series",
+    "tests/test_tensor.py::test_exp_matches_the_float_series_bit_for_bit",
+    "tests/test_tensor.py::test_exp_raises_as_both_series_did",
+)
+FOLD_TESTS = (
+    "tests/test_nrack.py::test_conjugation_nrack_matches_the_closure",
+    "tests/test_nrack.py::test_nrack_from_rack_matches_the_closure",
+    "tests/test_nrack.py::test_combine_compatible_matches_the_closure",
+)
 
 MUTANTS = [
     Mutant(
@@ -407,6 +417,46 @@ MUTANTS = [
         "return nrack.krack_from_power(obj, 2, ctx.recheck)",
         "return nrack.krack_from_power(obj, 2)",
         RECHECK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "exp-one-term-short",
+        TENSOR,
+        "for k in range(1, a.domain_shape.total + 1 if exact else 65):",
+        "for k in range(1, a.domain_shape.total if exact else 64):",
+        EXP_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "feed-rows-off-by-one",
+        NRACK,
+        "    rows = [r.table[v * ncols : (v + 1) * ncols] for v in range(r.size)]",
+        "    rows = [r.table[v * ncols + 1 : (v + 1) * ncols + 1] for v in range(r.size)]",
+        FOLD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "compatibility-checked-one-way",
+        NRACK,
+        "    for a, b in ((rm, rn), (rn, rm)):\n",
+        "    for a, b in ((rm, rn),):\n",
+        ("tests/test_nrack.py::test_combine_checks_both_directions", "tests/test_nrack.py::test_combine_compatible_matches_the_closure"),
+        "killed",
+    ),
+    Mutant(
+        "ad-terms-from-the-first-slot",
+        NLEIBNIZ,
+        "_terms(a, ys, 1)",
+        "_terms(a, ys, 0)",
+        ("tests/test_nleibniz.py::test_ad_matches_the_coefficient_loop_bit_for_bit", "tests/test_nleibniz.py::test_ad_reads_the_trailing_arguments_only"),
+        "killed",
+    ),
+    Mutant(
+        "vector-rack-exponential-cap-dropped",
+        CLI,
+        "    setsol.check_dim_cap(obj.dim**obj.arity, ctx.dim_cap)  # the d^(n-1) cached exponentials, d x d each\n",
+        "",
+        ("tests/test_cli.py::test_the_vector_rack_is_capped_on_its_basis_exponentials",),
         "killed",
     ),
     Mutant(

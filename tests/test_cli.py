@@ -168,6 +168,20 @@ def test_the_vector_rack_recheck_is_capped_on_its_grid_walk(capsys, tmp_path, mo
     assert run(capsys, "build", "nrack-from-nleibniz", small, "--recheck")[0] == 0
 
 
+def test_the_vector_rack_is_capped_on_its_basis_exponentials(capsys, tmp_path, monkeypatch):
+    # d^(n-1) cached basis exponentials of d x d maps hold d^n columns, capped as a result of base^n entries is
+    seven = write(tmp_path, "seven.json", ser.to_document(zero_algebra(7, 2)))  # 2^7 = 128 columns
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "127")
+    assert run(capsys, "build", "nrack-from-nleibniz", seven)[0] == 3
+    assert run(capsys, "build", "nrack-from-nleibniz", seven, "--allow-large")[0] == 0
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "128")
+    assert run(capsys, "build", "nrack-from-nleibniz", seven)[0] == 0
+    monkeypatch.delenv("BRAIDFORGE_DIM_CAP")
+    huge = write(tmp_path, "huge.json", ser.to_document(zero_algebra(21, 2)))  # 2^21 columns, above the 2^20 default
+    code, out, err = run(capsys, "build", "nrack-from-nleibniz", huge)
+    assert (code, out, err) == (3, "", "cap exceeded: dimension 2097152 exceeds the cap 1048576; raise the cap to force it\n")
+
+
 def test_build_the_braidings_of_an_algebra_and_the_descent_of_a_set_solution(capsys, tmp_path, t3_doc, conj3):
     # T3 is ternary on k^3: R1 acts on (k (+) k^(3^2))^(x)2, R2 on ((k (+) k^3)^(x)2)^(x)2
     for construction, shape in (("r1", [10, 10]), ("r2", [16, 16])):

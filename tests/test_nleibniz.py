@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 import braidforge.nleibniz as nl
 import braidforge.scalars as sc
 import braidforge.tensor as T
+import construction_oracle
 import nleibniz_oracle
+from construction_oracle import bits
 from library_extras import ad_basis, bracket_basis, extend_bracket_by_leibniz, is_homomorphism, zero_algebra, zero_operator
 from braidforge.errors import NotNilpotentError, PreconditionError, NotCertifiedError, SchemaError
 
@@ -194,6 +196,43 @@ def test_ad_zero_bracket():
     assert nl.ad(zero_algebra(3, 4), [basis(0), basis(1)]).nnz == 0
 
 
+#: coefficients with explicit zeros of both signs, and tiny ones whose products underflow to zero
+FLOAT_COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 1e-200, -1e-200]), st.floats(-4, 4, allow_nan=False))
+
+
+@st.composite
+def brackets_and_vectors(draw):
+    """(algebra, vectors): a random bracket of arity 2..4 on k^1..k^3, exact
+    or float, and one sparse vector per argument, with explicit zeros."""
+    n, d, mode = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.sampled_from([sc.EXACT, sc.FLOAT]))
+    value = FLOAT_COEFFICIENTS if mode == sc.FLOAT else st.fractions(-2, 2, max_denominator=3)
+    index = st.integers(0, d - 1)
+    bracket = draw(st.dictionaries(st.tuples(*[index] * n), st.dictionaries(index, value, min_size=1, max_size=2), max_size=8))
+    vectors = [draw(st.dictionaries(index, value, max_size=d)) for _ in range(n)]
+    return nl.NLeibnizAlgebra(n, d, bracket, mode), vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(brackets_and_vectors())
+def test_bracket_apply_matches_the_coefficient_loop_bit_for_bit(case):
+    a, vectors = case
+    assert bits(a.bracket_apply(vectors)) == bits(construction_oracle.bracket_apply(a, vectors))
+
+
+@settings(max_examples=300, deadline=None)
+@given(brackets_and_vectors())
+def test_ad_matches_the_coefficient_loop_bit_for_bit(case):
+    a, vectors = case
+    assert bits(nl.ad(a, vectors[1:])) == bits(construction_oracle.ad(a, vectors[1:]))
+
+
+def test_ad_reads_the_trailing_arguments_only():
+    # the first vector misses the key's first index, which ad must not read
+    a = nl.NLeibnizAlgebra(2, 2, {(0, 1): {0: 1.5}}, sc.FLOAT)
+    assert bits(nl.ad(a, [{1: 2.0}]))[3:] == (1, [[(0, (3.0).hex())], []])
+    assert a.bracket_apply([{1: 1.0}, {1: 2.0}]) == {}
+
+
 def test_zero_map_is_derivation(t3):
     zero = zero_operator(T.shape(3), T.shape(3))
     assert nl.is_derivation(t3, zero).passed
@@ -229,7 +268,7 @@ def test_exp_ad_t3_nilpotent(t3):
 def test_exp_ad_inverse_is_exp_of_negative(t3):
     adm = nl.ad(t3, [basis(1), basis(1)])
     fwd = nl.exp_ad(t3, [basis(1), basis(1)])
-    bwd = T.exp_nilpotent(adm.scaled(-1))
+    bwd = T.exp(adm.scaled(-1))
     assert fwd @ bwd == T.identity(T.shape(3))
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import braidforge.nleibniz as nl
 import braidforge.nrack as nr
+import braidforge.setsol as ss
 import braidforge.tensor as T
 from braidforge.errors import (
     CapExceededError,
@@ -18,6 +20,7 @@ from braidforge.errors import (
     SeriesNotConvergedError,
 )
 from braidforge.reports import ReportBuilder, VerificationReport
+import construction_oracle
 import vector_rack_oracle
 from library_extras import ad_basis, alternating_group, cyclic_group, is_abelian, is_homomorphism, translation_inverse, trivial_nrack, zero_algebra
 
@@ -341,6 +344,107 @@ def test_combine_incompatible_pair():
         nr.combine_compatible(inc, twist)
 
 
+# -- table constructions against their per-tuple closures ---------------------
+
+
+@functools.cache
+def census_racks(m):
+    """Every binary rack on m points, certified."""
+    return [nr.FiniteNRack(m, 2, t, certified=True) for t in ss.enumerate_tables(m, 2, "nrack")[1]]
+
+
+@st.composite
+def folded_racks(draw, m):
+    """A rack of the census on m points, folded by the closure oracle to arity 2 or 3."""
+    return construction_oracle.nrack_from_rack(draw(st.sampled_from(census_racks(m))), draw(st.integers(2, 3)))
+
+
+def built(fn, *args):
+    """The table fn(*args) builds, or the type, message and witness of its refusal."""
+    try:
+        t = fn(*args)
+    except (PreconditionError, SchemaError) as exc:
+        return type(exc), str(exc), exc.witness
+    return t.size, t.arity, t.side, t.certified, t.table
+
+
+@pytest.mark.parametrize("group", GROUPS + [alternating_group(4)], ids=["c2", "c3", "s3", "a4"])
+def test_conjugation_nrack_matches_the_closure(group):
+    for arity in range(1, 5 if group.size < 12 else 4):
+        assert built(nr.conjugation_nrack, group, arity) == built(construction_oracle.conjugation_nrack, group, arity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.sampled_from(census_racks(m))), st.integers(1, 5))
+def test_nrack_from_rack_matches_the_closure(r, arity):
+    assert built(nr.nrack_from_rack, r, arity) == built(construction_oracle.nrack_from_rack, r, arity)
+
+
+@st.composite
+def extensions(draw):
+    """(rack, operation): a binary rack of the census and an operation on its
+    points that is a random table, a projection, a fold of the rack, which is
+    equivariant, or such a fold with one cell changed."""
+    m = draw(st.integers(1, 3))
+    r = draw(st.sampled_from(census_racks(m)))
+    k = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(["random", "projection", "fold", "near"]))
+    if kind == "random":
+        return r, nr.FiniteNRack(m, k, draw(st.lists(st.integers(0, m - 1), min_size=m**k, max_size=m**k)))
+    table = list((trivial_nrack(m, k) if kind == "projection" else construction_oracle.nrack_from_rack(r, k)).table)
+    if kind == "near" and m > 1:
+        cell = draw(st.integers(0, len(table) - 1))
+        table[cell] = (table[cell] + draw(st.integers(1, m - 1))) % m
+    return r, nr.FiniteNRack(m, k, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extensions())
+def test_extend_rack_by_op_matches_the_closure(case):
+    r, b = case
+    assert built(nr.extend_rack_by_op, r, b) == built(construction_oracle.extend_rack_by_op, r, b)
+
+
+def first_incompatibility(rm, rn):
+    """The first (xs, ys), in lexicographic order, of the first direction in
+    which a translation ys of one rack breaks the other rack at xs, or None."""
+    for a, b in ((rm, rn), (rn, rm)):
+        bad = [
+            (xs, ys)
+            for xs in itertools.product(range(a.size), repeat=b.arity)
+            for ys in itertools.product(range(a.size), repeat=a.arity - 1)
+            if a.translation(ys)[b.apply(xs)] != b.apply([a.translation(ys)[x] for x in xs])
+        ]
+        if bad:
+            return {"translation": list(bad[0][1]), "tuple": list(bad[0][0])}
+    return None
+
+
+ASYMMETRIC_PAIR = (  # each translation of the first is an automorphism of the second, not conversely
+    nr.FiniteNRack(3, 2, (0, 0, 1, 1, 1, 0, 2, 2, 2), certified=True),
+    nr.FiniteNRack(3, 2, (0, 2, 1, 2, 1, 0, 1, 0, 2), certified=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(folded_racks(m), folded_racks(m))))
+@example(ASYMMETRIC_PAIR)
+@example(ASYMMETRIC_PAIR[::-1])
+def test_combine_compatible_matches_the_closure(pair):
+    new, old = built(nr.combine_compatible, *pair), built(construction_oracle.combine_compatible, *pair)
+    if old[0] is PreconditionError:  # the witness is the first tuple in lexicographic order, not ys-outer
+        assert new == (*old[:2], first_incompatibility(*pair))
+    else:
+        assert new == old
+
+
+def test_combine_checks_both_directions():
+    with pytest.raises(PreconditionError, match="not an automorphism") as exc:
+        nr.combine_compatible(*ASYMMETRIC_PAIR)
+    assert exc.value.witness == {"translation": [0], "tuple": [0, 1]}
+    assert nr.combine_compatible(ASYMMETRIC_PAIR[0], ASYMMETRIC_PAIR[0]).arity == 3
+
+
 # -- induced racks on powers -----------------------------------------------------
 
 
@@ -540,7 +644,7 @@ def test_tensor_embedding_spot_value(t3):
     s = T.power_shape(3, 2)
     phi_x = {s.flat((0, 1)): ONE}
     phi_y = {s.flat((1, 1)): ONE}
-    rhs = T.exp_nilpotent(nl.ad(fund, [phi_y])).apply(phi_x)
+    rhs = T.exp(nl.ad(fund, [phi_y])).apply(phi_x)
     assert rhs == {s.flat((0, 1)): ONE, s.flat((2, 1)): ONE}
 
 

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 import braidforge.nleibniz as nl
 import braidforge.tensor as T
 import braidforge.ybops as yb
-from braidforge.errors import NotNilpotentError, SchemaError, ShapeMismatchError, SingularMatrixError
+from braidforge.errors import NotNilpotentError, SchemaError, SeriesNotConvergedError, ShapeMismatchError, SingularMatrixError
 
 from conftest import dense_equal, to_dense
 from linrack_oracle import deal_factors
 from library_extras import bracket_basis, zero_algebra
+import construction_oracle
 import operator_oracle
 
 ONE = Fraction(1)
@@ -351,28 +352,77 @@ def test_float_invert_within_tolerance():
 
 def test_exp_nilpotent_terminates():
     n = op([3], [3], {(1, 0): 1, (2, 1): 1})
-    e = T.exp_nilpotent(n)
+    e = T.exp(n)
     expected = T.identity(T.shape(3)) + n + (n @ n).scaled(Fraction(1, 2))
     assert e == expected
 
 
 def test_exp_nilpotent_rejects_non_nilpotent():
     with pytest.raises(NotNilpotentError):
-        T.exp_nilpotent(op([2], [2], {(0, 0): 1}))
+        T.exp(op([2], [2], {(0, 0): 1}))
 
 
 def test_exp_float_converges_to_e():
     import math
 
-    e = T.exp_float(op([2], [2], {(0, 0): 1.0}, mode="float"))
+    e = T.exp(op([2], [2], {(0, 0): 1.0}, mode="float"))
     assert abs(e.entries[(0, 0)] - math.e) < 1e-9
 
 
 def test_exp_float_diverges_at_cap():
-    from braidforge.errors import SeriesNotConvergedError
-
     with pytest.raises(SeriesNotConvergedError):
-        T.exp_float(op([2], [2], {(0, 0): 80.0}, mode="float"))
+        T.exp(op([2], [2], {(0, 0): 80.0}, mode="float"))
+
+
+def outcome(fn, a):
+    """bits of fn(a), or the type and message of what it raised."""
+    try:
+        return construction_oracle.bits(fn(a))
+    except (NotNilpotentError, SeriesNotConvergedError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def nilpotent_operators(draw):
+    """Exact operators strictly below the diagonal in a shuffled basis, so
+    nilpotent, or with one diagonal entry added, so not."""
+    d = draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(d)))
+    values = st.fractions(-3, 3, max_denominator=4)
+    entries = {(perm[r], perm[c]): draw(values) for r in range(d) for c in range(r) if draw(st.booleans())}
+    if draw(st.booleans()):
+        i = draw(st.integers(0, d - 1))
+        entries[(i, i)] = draw(values.filter(bool))
+    return op([d], [d], entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nilpotent_operators())
+def test_exp_matches_the_nilpotent_series(a):
+    assert outcome(T.exp, a) == outcome(construction_oracle.exp_nilpotent, a)
+
+
+@st.composite
+def float_operators(draw):
+    """Float operators of dim 1..4; large entries leave the series unconverged after 64 terms."""
+    d = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([1.0, 3.0, 80.0]))
+    values = st.floats(-top, top, allow_nan=False)
+    entries = {(r, c): draw(values) for r in range(d) for c in range(d) if draw(st.booleans())}
+    return op([d], [d], entries, mode="float")
+
+
+@settings(max_examples=200, deadline=None)
+@given(float_operators())
+def test_exp_matches_the_float_series_bit_for_bit(a):
+    assert outcome(T.exp, a) == outcome(construction_oracle.exp_float, a)
+
+
+def test_exp_raises_as_both_series_did():
+    exact, big = op([2], [2], {(0, 0): 1}), op([2], [2], {(0, 0): 80.0}, mode="float")
+    assert outcome(T.exp, exact) == (NotNilpotentError, "operator is not nilpotent (A^2 != 0)")
+    assert outcome(T.exp, big) == outcome(construction_oracle.exp_float, big)
+    assert outcome(T.exp, big)[0] is SeriesNotConvergedError
 
 
 # -- null spaces ---------------------------------------------------------

@@ -13,7 +13,7 @@ time, so a test that patches it there patches both implementations.
 
 import itertools
 
-from braidforge import nrack, scalars, tensor
+from braidforge import nrack, tensor
 from braidforge.errors import NotNilpotentError, SeriesNotConvergedError
 from braidforge.nleibniz import ad
 from braidforge.reports import ReportBuilder, first_difference
@@ -63,7 +63,7 @@ def verify_tensor_embedding(a):
                 e = fund_exp_cache.get(yi)
                 if e is None:
                     big = ad(fund, [tensor.tensor_vector(ys, shp, mode)])
-                    e = tensor.exp_nilpotent(big) if mode == scalars.EXACT else tensor.exp_float(big.to_float())
+                    e = tensor.exp(big)
                     fund_exp_cache[yi] = e
                 rhs = e.apply(tensor.tensor_vector(xs, shp, mode))
             except (NotNilpotentError, SeriesNotConvergedError):
