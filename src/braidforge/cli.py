@@ -211,6 +211,7 @@ def _b_nrack_from_rack(obj, ctx):
 
 @_construction("rack-from-nrack", nrack.FiniteNRack)
 def _b_induced_rack(obj, ctx):
+    setsol.check_dim_cap(obj.size ** (2 * obj.arity - 2), ctx.dim_cap)  # the carrier^2 entries, carrier = size^(n-1)
     return nrack.krack_from_power(obj, 2, ctx.recheck)
 
 
@@ -323,6 +324,9 @@ def cmd_build(args):
             raise SchemaError(f"--param needs key=value, got {raw!r}")
         params[key] = value
     doc = _cap_group(_load_json(args.file), args.dim_cap)
+    provenance = doc.get("provenance", [])
+    if not isinstance(provenance, list):
+        raise SchemaError("the 'provenance' field must be a list")
     obj = serialization.from_document(doc)
     if not isinstance(obj, accepts):
         raise SchemaError(f"construction {args.construction!r} cannot take a {type(obj).__name__}")
@@ -330,11 +334,7 @@ def cmd_build(args):
         refuse(obj)
     obj = _certify_input(obj, args.dim_cap)
     result = build(obj, BuildContext(params, args.recheck, args.dim_cap))
-    provenance = doc.get("provenance", [])
-    if not isinstance(provenance, list):
-        raise SchemaError("the 'provenance' field must be a list")
-    provenance = provenance + [f"{args.construction}({os.path.basename(args.file)})"]
-    out = serialization.to_document(result, provenance)
+    out = serialization.to_document(result, provenance + [f"{args.construction}({os.path.basename(args.file)})"])
     text = serialization.dumps(out)
     if args.output:
         try:

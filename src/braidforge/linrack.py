@@ -12,12 +12,13 @@ the inverse property
 
 Every law and every construction runs one basis column at a time on the
 columns of Delta, eps and the brackets, integers over one scale in exact
-mode, and no split matrix of C^(x)k is built.  Self-distributivity and the
-inverse property stream the basis columns through right translations
-v -> <v, L>, one per Sweedler leg tuple L, from their nonzero entries, and
-a zero translation or an empty bracket column drops its term: on k (+) L,
-where most translations by primitive legs are zero, the laws cost the
-nonzeros of the translations, not c^n per term.  On k[X] with brackets
+mode, and no split matrix of C^(x)k is built.  Self-distributivity, the
+inverse property, the tensor-power rack and the braiding stream the basis
+columns through right translations v -> <v, L>, one per Sweedler leg tuple
+L, from their nonzero entries (``_sweedler_sums``), and a zero translation
+or an empty bracket column drops its term: on k (+) L, where most
+translations by primitive legs are zero, the laws cost the nonzeros of
+the translations, not c^n per term.  On k[X] with brackets
 that are tables on its basis (a linearized n-rack), they compare flat row
 lists, once per distinct right translation.
 
@@ -29,7 +30,6 @@ behind a construction.  Constructions certify an uncertified input themselves.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass, field
 
@@ -219,11 +219,11 @@ def _translations(b, c: int, span: int, weight: int):
     return [[(x * weight, r * weight, a) for x in range(c) for r, a in b[x * span + ys]] for ys in range(span)]
 
 
-def _sweedler_images(outer, terms) -> dict:
-    """{x: image} at the leading basis columns x that get a key, under the
-    sum over terms (coeff, trs, tail) of coeff * outer(tr_1 x_1 (x) ... (x) tr_k x_k (x) e_tail),
+def _sweedler_sums(terms) -> dict:
+    """{x: {key: sum}} at the leading basis columns x that get a key, the sum over
+    terms (coeff, trs, tail) of coeff * (tr_1 x_1 (x) ... (x) tr_k x_k (x) e_tail),
     tr_i as ``_translations`` triples weighted for factor i.  A term with a zero translation
-    is dropped; each column sums its keys in term order, then in nested leg order, before outer."""
+    is dropped; each column sums its keys in term order, then in nested leg order."""
     mid = {}
     for coeff, trs, tail in terms:
         if not all(trs):
@@ -234,7 +234,7 @@ def _sweedler_images(outer, terms) -> dict:
         for x, key, w in vecs:
             acc = mid.setdefault(x, {})
             acc[key] = acc.get(key, 0) + w
-    return {x: apply_columns(outer, acc.items()) for x, acc in mid.items()}
+    return mid
 
 
 def _distributivity_sides(l: LinearNRack):
@@ -251,7 +251,8 @@ def _distributivity_sides(l: LinearNRack):
     for t, dealt in enumerate(_dealt(delta, c, n, n - 1)):
         right = [[(s, w * lift) for s, w in b[r * span + t]] for r in range(c)]
         lhs = {xs: vec for xs, col in nonzero if (vec := apply_columns(right, col))}
-        rhs = _sweedler_images(b, [(coeff, list(map(list.__getitem__, trs, multi(flat))), 0) for flat, coeff in dealt])
+        sums = _sweedler_sums([(coeff, list(map(list.__getitem__, trs, multi(flat))), 0) for flat, coeff in dealt])
+        rhs = {xs: apply_columns(b, acc.items()) for xs, acc in sums.items()}
         for xs in lhs.keys() | rhs.keys():
             yield xs * span + t, lhs.get(xs, {}), rhs.get(xs, {})
 
@@ -267,7 +268,8 @@ def _inverse_sides(l: LinearNRack, first: TensorOperator, second: TensorOperator
     counit, escale, dscale = l.base.counit.columns, l.base.counit.scale, l.base.delta.scale
     rev, eps, tr = digit_reversal(c, n - 1), _counit_power(counit, n - 1), _translations(f, c, span, span)
     for t, terms in enumerate(dealt):
-        lhs = _sweedler_images(g, [(coeff * escale ** (n - 1), [tr[flat % span]], rev[flat // span]) for flat, coeff in terms])
+        sums = _sweedler_sums([(coeff * escale ** (n - 1), [tr[flat % span]], rev[flat // span]) for flat, coeff in terms])
+        lhs = {x: apply_columns(g, acc.items()) for x, acc in sums.items()}
         unit = eps[t] * fscale * gscale * dscale ** (n - 1)
         for x in lhs.keys() | (range(0, c * span, span) if unit else ()):
             yield x + t, lhs.get(x, {}), {x // span: unit} if unit else {}
@@ -375,7 +377,7 @@ def group_like_elements(c: Coalgebra):
 
 def induced_nrack(l: LinearNRack) -> FiniteNRack:
     """Restrict the bracket to the found group-likes; the set must be closed."""
-    likes = [x for like in group_like_elements(l.base) for x in like]
+    likes = _group_likes(l.base)
     if not likes:
         raise NotClosedError("no group-like basis vector found")
     index, scale, table = {x: i for i, x in enumerate(likes)}, l.bracket.scale, []
@@ -442,28 +444,20 @@ def linear_rack_on_tensor_power(l: LinearNRack, recheck: bool = False) -> Linear
     width = n - 1
     span = c**width
     split, dscale = _iterated_columns(l.base, width)
-    multi, legs_of, rev = tensor.power_shape(c, width).multi, tensor.power_shape(span, width).multi, digit_reversal(c, width)
-    dealt = [[(legs_of(flat), coeff) for flat, coeff in col] for col in _dealt(split, c, width, width)]
+    multi, rev = tensor.power_shape(span, width).multi, digit_reversal(c, width)
+    dealt = _dealt(split, c, width, width)
 
-    def assemble(op, reverse_vs):
-        b, scale = op.columns, op.scale
-        table = [[b[x * span + (rev[leg] if reverse_vs else leg)] for leg in range(span)] for x in range(c)]  # <x, leg>
-        cols = []
-        for u in range(span):
-            rows = [table[x] for x in multi(u)]
-            for v in range(span):
-                out = {}
-                for legs, coeff in dealt[v]:
-                    factors = list(map(list.__getitem__, rows, legs))
-                    for combo in itertools.product(*factors) if all(factors) else ():  # an empty bracket column: no term
-                        row = flat_index((r for r, _ in combo), c)
-                        out[row] = out.get(row, 0) + math.prod((w for _, w in combo), start=coeff)
-                cols.append(out.items())
-        scale = (dscale * scale) ** width
+    def assemble(op, legs):  # factor i reads <x, legs[leg]> for the i-th legs of the v_j
+        weighted = (_translations(op.columns, c, span, c ** (width - 1 - i)) for i in range(width))
+        trs, cols = [[tr[leg] for leg in legs] for tr in weighted], [[]] * span**2
+        for v, terms in enumerate(dealt):  # column u * span + v, at every u at once
+            for u, acc in _sweedler_sums([(coeff, list(map(list.__getitem__, trs, multi(flat))), 0) for flat, coeff in terms]).items():
+                cols[u * span + v] = acc.items()
+        scale = (dscale * op.scale) ** width
         return TensorOperator.from_columns(tensor.power_shape(span, 2), tensor.power_shape(c, width), cols, scale, l.base.mode)
 
     base = tensor_power_coalgebra(l.base, width)
-    rack = LinearNRack(base, 2, assemble(l.bracket, False), assemble(l.inv_bracket, True), certified=True)
+    rack = LinearNRack(base, 2, assemble(l.bracket, range(span)), assemble(l.inv_bracket, rev), certified=True)
     return confirm(rack, check_linear_nrack, recheck)
 
 
@@ -506,8 +500,10 @@ def nrack_braiding(l: LinearNRack):
 
     at n = 2 Lebed's braiding R(u (x) v) = v^(1) (x) (u <| v^(2)) of a linear rack.
 
-    Each column is read off the coproducts of the u_i and the bracket's
-    columns, and their composition is checked to be the identity.
+    For each basis tuple t of n - 1 factors, one Sweedler sum over its legs
+    gives the columns (u_1, t) of S at every u_1, another the columns
+    (t, u_n) of S^{-1} at every u_n; their composition is checked to be
+    the identity.
     """
     require_cocommutative(l)
     l = certify(l)
@@ -516,19 +512,13 @@ def nrack_braiding(l: LinearNRack):
     delta, dscale = l.base.delta.columns, l.base.delta.scale
     b, bscale = l.bracket.columns, l.bracket.scale
     ib, iscale = l.inv_bracket.columns, l.inv_bracket.scale
-    fwd, bwd, rev = [], [], digit_reversal(c, n - 1)
-    dealt = [[(*divmod(flat, span), coeff) for flat, coeff in col] for col in _dealt(delta, c, 2, n - 1)]
-    for col in range(c**n):  # u_1 = col // span, u_n = col % c
-        out = {}
-        for first, second, coeff in dealt[col % span]:
-            for r, w in b[col // span * span + second]:
-                out[first * c + r] = out.get(first * c + r, 0) + coeff * w
-        fwd.append(_nonzero(out))
-        out = {}
-        for first, second, coeff in dealt[col // c]:
-            for r, w in ib[col % c * span + rev[second]]:
-                out[r * span + first] = out.get(r * span + first, 0) + coeff * w
-        bwd.append(_nonzero(out))
+    fwd, bwd, rev = [[]] * c**n, [[]] * c**n, digit_reversal(c, n - 1)
+    tr, itr = _translations(b, c, span, 1), _translations(ib, c, span, span)
+    for t, terms in enumerate(_dealt(delta, c, 2, n - 1)):  # u_2..u_n = t for S, u_1..u_{n-1} = t for S^-1
+        for u, acc in _sweedler_sums([(coeff, [tr[flat % span]], flat // span * c) for flat, coeff in terms]).items():
+            fwd[u * span + t] = _nonzero(acc)
+        for x, acc in _sweedler_sums([(coeff, [itr[rev[flat % span]]], flat // span) for flat, coeff in terms]).items():
+            bwd[t * c + x // span] = _nonzero(acc)
     fscale, gscale = dscale ** (n - 1) * bscale, dscale ** (n - 1) * iscale
     for outer, inner in ((fwd, bwd), (bwd, fwd)):
         columns = ((col, apply_columns(outer, vec), {col: fscale * gscale}) for col, vec in enumerate(inner))

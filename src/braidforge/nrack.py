@@ -17,13 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import scalars, tensor
-from .errors import (
-    CapExceededError,
-    NotNilpotentError,
-    PreconditionError,
-    SchemaError,
-    SeriesNotConvergedError,
-)
+from .errors import NotNilpotentError, PreconditionError, SchemaError, SeriesNotConvergedError
 from .nleibniz import NLeibnizAlgebra, exp_ad, fundamental_leibniz
 from .reports import ReportBuilder, VerificationReport, certified, confirm, first_difference, refuse_uncertified
 from .tensor import flat_index
@@ -33,10 +27,6 @@ _NO_EXP = (NotNilpotentError, SeriesNotConvergedError)
 
 RIGHT = "right"
 LEFT = "left"
-
-#: krack_from_power refuses output tables beyond this many entries
-CARRIER_CAP = 10**6
-
 
 @dataclass(frozen=True)
 class FiniteNRack:
@@ -343,7 +333,7 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     <x_{1,i}, x_{2,1}, ..., x_{2,n-1}, ..., x_{k,1}, ..., x_{k,n-1}>;
     at k = 2 the induced rack on X^(n-1) of an n-rack,
     (x_1..x_{n-1}) <| (y_1..y_{n-1}) = (<x_i, y_1..y_{n-1}>)_i.
-    The output table holds carrier^k entries, at most ``CARRIER_CAP``.
+    The output table holds carrier^k entries, carrier = size^(n-1).
     """
     refuse_uncertified(t, "krack_from_power")
     if k < 2 or (t.arity - 1) % (k - 1) != 0:
@@ -351,8 +341,6 @@ def krack_from_power(t: FiniteNRack, k: int, recheck: bool = False) -> FiniteNRa
     width = (t.arity - 1) // (k - 1)  # n-1
     m = t.size
     carrier = m**width
-    if carrier**k > CARRIER_CAP:
-        raise CapExceededError("output table would exceed the carrier cap")
     # the trailing blocks, flat in base carrier, index the right translations of t
     ncols = carrier ** (k - 1)
     translations = [t.table[b::ncols] for b in range(ncols)]

@@ -91,6 +91,7 @@ FOLD_TESTS = (
     "tests/test_nrack.py::test_nrack_from_rack_matches_the_closure",
     "tests/test_nrack.py::test_combine_compatible_matches_the_closure",
 )
+BUILDER_TESTS = ("tests/test_linrack.py::test_builders_match_the_matrix_oracle",)
 
 MUTANTS = [
     Mutant(
@@ -465,6 +466,30 @@ MUTANTS = [
         "key = tuple(map(scalars.as_int, key))",
         "key = tuple(map(int, key))",
         ("tests/test_nleibniz.py::test_bracket_indices_are_refused_not_truncated",),
+        "killed",
+    ),
+    Mutant(
+        "induced-rack-table-cap-dropped",
+        CLI,
+        "    setsol.check_dim_cap(obj.size ** (2 * obj.arity - 2), ctx.dim_cap)  # the carrier^2 entries, carrier = size^(n-1)\n",
+        "",
+        ("tests/test_cli.py::test_the_induced_rack_is_capped_on_its_table",),
+        "killed",
+    ),
+    Mutant(
+        "tensor-power-inverse-legs-unreversed",
+        LINRACK,
+        "assemble(l.inv_bracket, rev)",
+        "assemble(l.inv_bracket, range(span))",
+        BUILDER_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "braiding-inverse-column-misplaced",
+        LINRACK,
+        "bwd[t * c + x // span]",
+        "bwd[x // span * span + t]",
+        BUILDER_TESTS,
         "killed",
     ),
 ]

@@ -182,6 +182,27 @@ def test_the_vector_rack_is_capped_on_its_basis_exponentials(capsys, tmp_path, m
     assert (code, out, err) == (3, "", "cap exceeded: dimension 2097152 exceeds the cap 1048576; raise the cap to force it\n")
 
 
+def test_the_induced_rack_is_capped_on_its_table(capsys, tmp_path, monkeypatch):
+    # the rack on X^(n-1) of an n-rack holds size^(2n-2) entries, capped as every other cap is
+    four = write(tmp_path, "four.json", ser.to_document(trivial_nrack(2, 4)))  # (2^3)^2 = 64 entries
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "63")
+    assert run(capsys, "build", "rack-from-nrack", four)[0] == 3
+    assert run(capsys, "build", "rack-from-nrack", four, "--allow-large")[0] == 0
+    monkeypatch.setenv("BRAIDFORGE_DIM_CAP", "64")
+    assert run(capsys, "build", "rack-from-nrack", four)[0] == 0
+
+
+def test_a_malformed_provenance_is_refused_before_the_construction_runs(capsys, tmp_path, monkeypatch):
+    def never(obj, ctx):
+        pytest.fail("the construction ran on a document with a malformed provenance")
+
+    _, accepts, refusals = cli._CONSTRUCTIONS["r1"]
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "r1", (never, accepts, refusals))
+    doc = dict(ser.to_document(zero_algebra(9, 2)), provenance=5)
+    code, out, err = run(capsys, "build", "r1", write(tmp_path, "nine.json", doc))
+    assert (code, out, err) == (2, "", "input error: the 'provenance' field must be a list\n")
+
+
 def test_build_the_braidings_of_an_algebra_and_the_descent_of_a_set_solution(capsys, tmp_path, t3_doc, conj3):
     # T3 is ternary on k^3: R1 acts on (k (+) k^(3^2))^(x)2, R2 on ((k (+) k^3)^(x)2)^(x)2
     for construction, shape in (("r1", [10, 10]), ("r2", [16, 16])):

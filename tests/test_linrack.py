@@ -519,8 +519,8 @@ def test_group_likes_of_kplus():
 
 
 def test_induced_nrack_roundtrip(conj3, flip_rack):
-    for t in (conj3, flip_rack, trivial_nrack(3, 3)):
-        assert lr.induced_nrack(lr.linearize_nrack(t)).table == t.table
+    for t, mode in itertools.product((conj3, flip_rack, trivial_nrack(3, 3)), (sc.EXACT, sc.FLOAT)):
+        assert lr.induced_nrack(lr.linearize_nrack(t, mode)).table == t.table
 
 
 def test_group_likes_of_tensor_powers():

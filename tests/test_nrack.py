@@ -12,13 +12,7 @@ import braidforge.nleibniz as nl
 import braidforge.nrack as nr
 import braidforge.setsol as ss
 import braidforge.tensor as T
-from braidforge.errors import (
-    CapExceededError,
-    NotNilpotentError,
-    PreconditionError,
-    SchemaError,
-    SeriesNotConvergedError,
-)
+from braidforge.errors import NotNilpotentError, PreconditionError, SchemaError, SeriesNotConvergedError
 from braidforge.reports import ReportBuilder, VerificationReport
 import construction_oracle
 import vector_rack_oracle
@@ -463,11 +457,6 @@ def test_rack_from_nrack_conjugation_spot_value(s3, conj3):
     yi = y[0] * 6 + y[1]
     expect = (conj3.apply((T12,) + y)) * 6 + conj3.apply((T13,) + y)
     assert out.apply((xi, yi)) == expect
-
-
-def test_rack_from_nrack_carrier_cap():
-    with pytest.raises(CapExceededError):
-        nr.krack_from_power(trivial_nrack(2, 11), 2)
 
 
 def test_rack_from_nrack_composed_with_fold(flip_rack):
