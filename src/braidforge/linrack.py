@@ -370,8 +370,6 @@ def group_like_elements(c: Coalgebra):
 
     Solving the full quadratic group-like system is out of scope.
     """
-    if c.mode != scalars.EXACT:
-        raise SchemaError("group-like extraction is exact-mode only")
     return [{x: scalars.one(c.mode)} for x in _group_likes(c)]
 
 

@@ -16,7 +16,7 @@ from .errors import SchemaError
 from .linrack import Coalgebra, LinearNRack
 from .nleibniz import NLeibnizAlgebra
 from .nrack import FiniteGroup, FiniteNRack
-from .setsol import SetNMap, encode_outputs
+from .setsol import SetNMap
 from .tensor import TensorOperator, TensorShape
 
 KINDS = ("nleibniz", "nrack", "group", "coalgebra", "linear_nrack", "operator", "set_map")
@@ -69,10 +69,10 @@ def _certified(doc, kind) -> bool:
 
 
 def _total_table(rows, kind, size, arity, width):
-    """The rows [x_1..x_arity, v_1..v_width] of a total table over
-    {0..size-1}^arity, reordered by the flat index of their arguments.
-    Checks the row count before allocating, every row's length and
-    argument range, and that no argument tuple repeats."""
+    """The flat index over {0..size-1} of the values of each row [x_1..x_arity,
+    v_1..v_width] of a total table over {0..size-1}^arity, in the flat order
+    of the arguments.  The row count is checked first, then in one pass each
+    row's length, arguments and values, and that no argument tuple repeats."""
     if size < 1 or arity < 2:
         raise SchemaError(f"{kind} needs size >= 1 and arity >= 2")
     # no list in memory has 2^64 rows; refusing first keeps size**arity small
@@ -82,15 +82,20 @@ def _total_table(rows, kind, size, arity, width):
     for row in rows:
         if len(row) != arity + width:
             raise SchemaError(f"{kind} row {row!r} must hold {arity} arguments and {width} values")
-        idx = 0
+        idx = code = 0
         for a in row[:arity]:
-            a = _int(a)
+            a = a if type(a) is int else _int(a)
             if not 0 <= a < size:
                 raise SchemaError(f"{kind} argument {a} out of range")
             idx = idx * size + a
         if out[idx] is not None:
             raise SchemaError(f"duplicate {kind} row for {row[:arity]}")
-        out[idx] = row
+        for v in row[arity:]:
+            v = v if type(v) is int else _int(v)
+            if not 0 <= v < size:
+                raise SchemaError("table value out of range" if kind == "nrack" else f"bad output tuple {tuple(map(_int, row[arity:]))}")
+            code = code * size + v
+        out[idx] = code
     return out
 
 
@@ -208,8 +213,7 @@ def nrack_to_document(t: FiniteNRack) -> dict:
 def nrack_from_document(doc) -> FiniteNRack:
     size = _int(_require(doc, "size", "nrack"))
     arity = _int(_require(doc, "arity", "nrack"))
-    rows = _list(doc, "table", "nrack", list)
-    table = tuple(_int(row[arity]) for row in _total_table(rows, "nrack", size, arity, 1))
+    table = _total_table(_list(doc, "table", "nrack", list), "nrack", size, arity, 1)
     return FiniteNRack(size, arity, table, doc.get("side", "right"), _certified(doc, "nrack"))
 
 
@@ -279,9 +283,7 @@ def set_map_to_document(s: SetNMap) -> dict:
 def set_map_from_document(doc) -> SetNMap:
     size = _int(_require(doc, "size", "set_map"))
     arity = _int(_require(doc, "arity", "set_map"))
-    rows = _list(doc, "map", "set_map", list)
-    ordered = _total_table(rows, "set_map", size, arity, arity)
-    image = encode_outputs(size, arity, ([_int(v) for v in row[arity:]] for row in ordered))
+    image = _total_table(_list(doc, "map", "set_map", list), "set_map", size, arity, arity)
     return SetNMap(size, arity, image, doc.get("side", "right"))
 
 

@@ -53,10 +53,9 @@ class SetNMap:
             raise SchemaError("need size >= 1 and arity >= 2")
         if self.side not in ("right", "left"):
             raise SchemaError("side must be 'right' or 'left'")
-        image = tuple(self.image)
-        if len(image) != m**n:
-            raise SchemaError(f"map must be total: expected {m**n} rows, got {len(image)}")
-        object.__setattr__(self, "image", int_table(image, m**n, "image"))
+        object.__setattr__(self, "image", int_table(self.image, m**n, "image"))
+        if len(self.image) != m**n:
+            raise SchemaError(f"map must be total: expected {m**n} rows, got {len(self.image)}")
 
     def apply(self, args) -> tuple:
         return power_shape(self.size, self.arity).multi(self.image[flat_index(args, self.size)])
@@ -137,6 +136,11 @@ def braid_words(n: int, side: str):
     return lhs, rhs
 
 
+def _gather(indices):
+    """c -> the entries of c at indices as a sequence, even for one index."""
+    return operator.itemgetter(*indices) if len(indices) > 1 else operator.itemgetter(slice(indices[0], indices[0] + 1))
+
+
 def word_map(image, m: int, n: int, k: int, word, then=None):
     """x -> then[w(x)] on the k-digit space, as a flat index list: w applies
     the map ``image`` at each offset of ``word`` in turn, and ``then`` is the
@@ -144,7 +148,7 @@ def word_map(image, m: int, n: int, k: int, word, then=None):
     absorbing index that every letter fixes, the list's last entry.  The word
     is built backwards from its last letter E, cur -> cur[E(x)]: a letter
     whose ``low`` trailing digits span 8 or more indices moves slices of
-    cur, a shorter one gathers each block of cur through its table on it."""
+    cur, a shorter one gathers each block of cur through one itemgetter."""
     total, top = m**k, m**n
     absorbed = [j for j, t in enumerate(image) if t == top] if top in image else []
     image = [t % top for t in image] if absorbed else image  # read as 0, then overwritten
@@ -155,9 +159,9 @@ def word_map(image, m: int, n: int, k: int, word, then=None):
             for a in [h + t * low for h in range(0, total, span) for t in image]:
                 out += cur[a : a + low]
         else:
-            local = image if low == 1 else [a for t in image for a in range(t * low, t * low + low)]
+            g = _gather(image if low == 1 else [a for t in image for a in range(t * low, t * low + low)])
             for h in range(0, total, span):
-                out += map(cur[h : h + span].__getitem__, local)
+                out += g(cur if span == total else cur[h : h + span])
         if absorbed:
             fill = [total] * low
             for a in [h + j * low for h in range(0, total, span) for j in absorbed]:
@@ -182,10 +186,10 @@ def braid_sides(image, m: int, n: int, sides=("right", "left")):
     for side in sides:
         if side == "right":
             core = word_map(image, m, n, k, range(n - 1, 0, -1), first)
-            pair = word_map(image, m, n, k, [0], core), list(map(last.__getitem__, core))
+            pair = word_map(image, m, n, k, [0], core), list(_gather(core)(last))
         else:
             core = word_map(image, m, n, k, range(n - 1), last)
-            pair = list(map(first.__getitem__, core)), word_map(image, m, n, k, [n - 1], core)
+            pair = list(_gather(core)(first)), word_map(image, m, n, k, [n - 1], core)
         del core  # so that no side's lists are alive while the next side's are built
         yield pair
         del pair
@@ -229,13 +233,12 @@ def nondegeneracy(s: SetNMap):
 
 
 def involutive_order(s: SetNMap, cap: int = INVOLUTIVE_ORDER_CAP):
-    """Smallest k <= cap with s^k the identity, or None."""
-    ident = list(range(len(s.image)))
-    current = list(s.image)
+    """Smallest k <= cap with s^k the identity, or None; s^(k+1) = s^k o s."""
+    ident, step, current = tuple(range(len(s.image))), _gather(s.image), s.image
     for k in range(1, cap + 1):
         if current == ident:
             return k
-        current = [s.image[x] for x in current]
+        current = step(current)
     return None
 
 
@@ -311,14 +314,11 @@ def solution_from_nsolution(s: SetNMap, dim_cap=None) -> SetNMap:
 
 
 def _check_enumeration_cap(m: int, n: int):
-    if n == 2:
-        if m > 4:
-            raise CapExceededError("binary enumeration is capped at 4 elements")
-    elif n == 3:
-        if m > 3:
-            raise CapExceededError("ternary enumeration is capped at 3 elements")
-    else:
+    cap = {2: 4, 3: 3}.get(n)
+    if cap is None:
         raise CapExceededError("enumeration is capped at arity 3")
+    if m > cap:
+        raise CapExceededError(f"{'binary' if n == 2 else 'ternary'} enumeration is capped at {cap} elements")
 
 
 def enumerate_tables(m: int, n: int, table_filter: str, dump: bool = False):

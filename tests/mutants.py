@@ -38,6 +38,7 @@ TENSOR = "src/braidforge/tensor.py"
 LINRACK = "src/braidforge/linrack.py"
 CLI = "src/braidforge/cli.py"
 YBOPS = "src/braidforge/ybops.py"
+SERIALIZATION = "src/braidforge/serialization.py"
 
 NRACK_TESTS = (
     "tests/test_nrack.py::test_check_nrack_matches_the_tuple_loop_on_repeated_translations",
@@ -53,6 +54,8 @@ WORD_TESTS = (
     "tests/test_setsol.py::test_word_map_matches_the_tuple_words",
     "tests/test_setsol.py::test_braid_sides_match_the_tuple_words",
 )
+GATHER_TESTS = ("tests/test_setsol.py::test_word_map_gathers_values_per_block",)
+ORDER_TESTS = ("tests/test_setsol.py::test_involutive_order_matches_the_tuple_powers",)
 NSOLUTION_RESCAN_TESTS = tuple(
     f"tests/test_setsol.py::test_watched_census_matches_rescan[{m}-{n}-nsolution]" for m, n in ((2, 2), (2, 3), (3, 3))
 )
@@ -223,7 +226,47 @@ MUTANTS = [
         "if low >= 8:",
         "if low < 8:",
         WORD_TESTS,
-        "survives: slices and the per-block gather are two exact ways to pre-compose a letter; only the cost changes",
+        "survives: slices and the per-block itemgetter gather are two exact ways to pre-compose a letter; only the cost changes",
+    ),
+    Mutant(
+        "word-map-gather-block-offset-dropped",
+        SETSOL,
+        "out += g(cur if span == total else cur[h : h + span])",
+        "out += g(cur if span == total else cur[:span])",
+        WORD_TESTS + GATHER_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "gather-single-index-returned-bare",
+        SETSOL,
+        "operator.itemgetter(*indices) if len(indices) > 1 else",
+        "operator.itemgetter(*indices) if len(indices) > 0 else",
+        WORD_TESTS + GATHER_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "braid-sides-core-read-through-the-wrong-end",
+        SETSOL,
+        "pair = word_map(image, m, n, k, [0], core), list(_gather(core)(last))",
+        "pair = word_map(image, m, n, k, [0], core), list(_gather(core)(first))",
+        WORD_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "table-values-unchecked",
+        SERIALIZATION,
+        "if not 0 <= v < size:",
+        "if not 0 <= v:",
+        ("tests/test_serialization.py::test_one_pass_table_reader_matches_two_passes",),
+        "killed",
+    ),
+    Mutant(
+        "involutive-order-one-power-late",
+        SETSOL,
+        "_gather(s.image), s.image\n",
+        "_gather(s.image), _gather(s.image)(s.image)\n",
+        ORDER_TESTS,
+        "killed",
     ),
     Mutant(
         "kernel-absorbing-read-as-clean",

@@ -518,6 +518,15 @@ def test_group_likes_of_kplus():
     assert lr.group_like_elements(c) == [{0: ONE}]
 
 
+def test_group_likes_of_float_coalgebras():
+    # the float columns are read as they are: no exact-mode refusal
+    for size in (1, 3):
+        likes = lr.group_like_elements(lr.set_coalgebra(size, sc.FLOAT))
+        assert likes == [{x: 1.0} for x in range(size)]
+        assert all(type(v[x]) is float for x, v in enumerate(likes))
+    assert lr.group_like_elements(lr.kplus_coalgebra(2, sc.FLOAT)) == [{0: 1.0}]
+
+
 def test_induced_nrack_roundtrip(conj3, flip_rack):
     for t, mode in itertools.product((conj3, flip_rack, trivial_nrack(3, 3)), (sc.EXACT, sc.FLOAT)):
         assert lr.induced_nrack(lr.linearize_nrack(t, mode)).table == t.table

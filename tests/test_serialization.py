@@ -2,8 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidforge.linrack as lr
+import braidforge.nrack as nr
 import braidforge.serialization as ser
 import braidforge.setsol as ss
 import braidforge.tensor as T
@@ -106,6 +108,82 @@ def test_set_map_roundtrip(conj3):
     assert back.image == s.image
 
 
+def rows_in_flat_order(rows, kind, size, arity, width):
+    """The table reader before values were read in the same pass: the rows
+    reordered by the flat index of their arguments, values not yet read."""
+    if size < 1 or arity < 2:
+        raise SchemaError(f"{kind} needs size >= 1 and arity >= 2")
+    if (size > 1 and arity > 63) or len(rows) != size**arity:
+        raise SchemaError(f"{kind} must be total: expected {size}^{arity} rows, got {len(rows)}")
+    out = [None] * len(rows)
+    for row in rows:
+        if len(row) != arity + width:
+            raise SchemaError(f"{kind} row {row!r} must hold {arity} arguments and {width} values")
+        idx = 0
+        for a in row[:arity]:
+            a = ser._int(a)
+            if not 0 <= a < size:
+                raise SchemaError(f"{kind} argument {a} out of range")
+            idx = idx * size + a
+        if out[idx] is not None:
+            raise SchemaError(f"duplicate {kind} row for {row[:arity]}")
+        out[idx] = row
+    return out
+
+
+def read_in_two_passes(doc):
+    """A set-map or nrack document as it was read before one pass checked
+    arguments and values together: the rows, then the values in flat order
+    (through ``encode_outputs`` for a set map, the table check for a rack)."""
+    kind, size, arity = doc["kind"], ser._int(doc["size"]), ser._int(doc["arity"])
+    if kind == "nrack":
+        table = [ser._int(row[arity]) for row in rows_in_flat_order(doc["table"], kind, size, arity, 1)]
+        return nr.FiniteNRack(size, arity, table, doc.get("side", "right"), doc.get("certified", False))
+    ordered = rows_in_flat_order(doc["map"], kind, size, arity, arity)
+    image = ss.encode_outputs(size, arity, ([ser._int(v) for v in row[arity:]] for row in ordered))
+    return ss.SetNMap(size, arity, image, doc.get("side", "right"))
+
+
+#: one fault put into a row of a set-map or nrack document: (name, row -> row)
+ROW_FAULTS = {
+    "output out of range": lambda row, m, n, i: row[:n + i] + [m] + row[n + i + 1 :],
+    "negative output": lambda row, m, n, i: row[:n + i] + [-1] + row[n + i + 1 :],
+    "argument out of range": lambda row, m, n, i: row[:i] + [m + 1] + row[i + 1 :],
+    "output as a string": lambda row, m, n, i: row[:n + i] + [str(row[n + i])] + row[n + i + 1 :],
+    "output as an integral float": lambda row, m, n, i: row[:n + i] + [float(row[n + i])] + row[n + i + 1 :],
+    "output as a bool": lambda row, m, n, i: row[:n + i] + [True] + row[n + i + 1 :],
+    "output as a fraction string": lambda row, m, n, i: row[:n + i] + ["1/2"] + row[n + i + 1 :],
+    "output as a non-integral float": lambda row, m, n, i: row[:n + i] + [0.5] + row[n + i + 1 :],
+    "row too short": lambda row, m, n, i: row[:-1],
+    "argument as a string": lambda row, m, n, i: row[:i] + [str(row[i])] + row[i + 1 :],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["set_map", "nrack"]), st.integers(1, 3), st.integers(2, 3), st.sampled_from([None, "duplicate row", *ROW_FAULTS]), st.data())
+def test_one_pass_table_reader_matches_two_passes(kind, m, n, fault, data):
+    """The one-pass reader gives the same map or rack, or the same message,
+    as the two-pass reader on set-map and nrack documents with at most one
+    fault (a duplicate row included); the rows come in any order."""
+    width = n if kind == "set_map" else 1
+    digits = T.power_shape(m, width).multi
+    values = data.draw(st.lists(st.integers(0, m**width - 1), min_size=m**n, max_size=m**n))
+    rows = data.draw(st.permutations([list(T.power_shape(m, n).multi(x)) + list(digits(y)) for x, y in enumerate(values)]))
+    j, i = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, width - 1))
+    if fault == "duplicate row" and len(rows) > 1:
+        rows[j] = rows[j - 1][:n] + rows[j][n:]
+    elif fault in ROW_FAULTS:
+        rows[j] = ROW_FAULTS[fault](rows[j], m, n, i)
+    doc = {"kind": kind, "size": m, "arity": n, "map" if kind == "set_map" else "table": rows}
+    outcomes = []
+    for read in (ser.from_document, read_in_two_passes):
+        try:
+            outcomes.append(read(doc))
+        except SchemaError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_deterministic_bytes(t3bar):
     s = yb.nyb_from_central_nleibniz(t3bar)
     a = ser.dumps(ser.to_document(s))
@@ -167,9 +245,6 @@ def test_integer_fields_reject_booleans_and_fractional_floats():
 def test_provenance_carried():
     doc = ser.to_document(trivial_nrack(2, 2), provenance=["made-by-hand"])
     assert doc["provenance"] == ["made-by-hand"]
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @settings(max_examples=50, deadline=None)

@@ -444,6 +444,7 @@ def sized_images(draw, sizes=WORD_SIZES):
 @given(sized_images())
 @example((2, 4, tuple(range(15, -1, -1))))
 @example((3, 3, (0,) * 27))
+@example((1, 3, (0,)))  # m = 1: a core of one index
 def test_braid_sides_match_the_tuple_words(case):
     m, n, image = case
     o = oracle.from_image(m, n, image)
@@ -507,6 +508,50 @@ def test_word_map_absorbs_what_meets_a_marked_value(case):
     if then is not None:
         want = [then[y] if y < m**k else y for y in want]
     assert ss.word_map(image, m, n, k, word, then) == want
+
+
+@st.composite
+def value_letters(draw):
+    """(m, n, k, image, off, values): one letter and a list of values, one per
+    index of the k-digit space with no absorbing entry, as
+    ``ybops._word_values`` passes them; marked image values absorb."""
+    m, n, image = draw(sized_images())
+    k = n + draw(st.integers(0, 2))
+    marked = draw(st.sets(st.integers(0, m**n - 1)))
+    values = draw(st.lists(st.fractions(max_denominator=7) | st.text(max_size=2), min_size=m**k, max_size=m**k))
+    return m, n, k, [m**n if j in marked else t for j, t in enumerate(image)], draw(st.integers(0, k - n)), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_letters())
+@example((1, 2, 2, [0], 0, ["ab"]))  # m = 1: a letter's table has a single entry
+@example((1, 3, 4, [1], 1, ["ab"]))  # m = 1, absorbed
+@example((2, 2, 3, [3, 2, 1, 0], 0, list("abcdefgh")))  # offset 0 of a short letter: one block
+@example((2, 2, 4, [1, 0, 3, 2], 2, [str(i) for i in range(16)]))  # four blocks of four
+def test_word_map_gathers_values_per_block(case):
+    """A letter reads ``then`` through its gather, one block at a time (the
+    whole list when one block spans it), and never returns a lone entry
+    where a tuple is due; absorbed indices read m**k, not a value."""
+    m, n, k, image, off, values = case
+    want = absorbing_word_images(image, m, n, k, [off])
+    want = [values[y] if y < m**k else y for y in want]
+    got = ss.word_map(image, m, n, k, [off], values)
+    assert got == (want if m**n in image else want[:-1])
+
+
+ORDER_SIZES = WORD_SIZES + [(1, 3), (5, 2)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(sized_images(ORDER_SIZES), st.integers(1, 40))
+@example((1, 2, (0,)), 1)  # m^n = 1: the identity at once
+@example((1, 3, (0,)), 24)
+@example((2, 2, (3, 3, 3, 3)), 24)  # constant: never the identity
+@example((2, 2, (1, 0, 3, 2)), 1)  # order 2, above the cap
+@example((3, 2, (1, 2, 0, 4, 5, 3, 7, 8, 6)), 3)  # order 3 at the cap
+def test_involutive_order_matches_the_tuple_powers(case, cap):
+    m, n, image = case
+    assert ss.involutive_order(ss.SetNMap(m, n, image), cap) == oracle.involutive_order(oracle.from_image(m, n, image), cap)
 
 
 @settings(max_examples=60, deadline=None)
